@@ -45,6 +45,7 @@ from .pair import (
     JointDistribution,
     evolve_pair,
     iter_pair_trajectory,
+    iter_product_walkers,
     joint_distribution_direct,
     joint_distribution_interference,
     make_pair_state,

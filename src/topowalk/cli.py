@@ -59,8 +59,6 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--window", type=int, help="lattice half-width (default: steps + 1)")
     sub.add_argument("--disorder", help="none|weak|strong|width=<radians>")
     sub.add_argument("--disorder-target", choices=("a", "b", "both"), dest="disorder_target")
-    sub.add_argument("--disorder-seed", type=int, dest="disorder_seed",
-                     help="base disorder seed (normally derived from --seed)")
     sub.add_argument("--state", choices=("psi+", "psi-", "sep"), help="initial pair state")
     for name in ("theta1a", "theta2a", "theta1b", "theta2b"):
         sub.add_argument(f"--{name}", type=float, help=f"{name} in radians")
@@ -140,8 +138,6 @@ def _config_data(args: argparse.Namespace) -> dict:
         disorder.update(_parse_disorder_flag(args.disorder))
     if args.disorder_target is not None:
         disorder["target"] = args.disorder_target
-    if args.disorder_seed is not None:
-        disorder["seed"] = args.disorder_seed
     if disorder:
         data["disorder"] = disorder
 

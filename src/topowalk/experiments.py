@@ -18,13 +18,13 @@ from .errors import ConfigError
 from .pair import (
     EntropySeries,
     InitialPairState,
-    joint_distribution_direct,
-    make_pair_state,
+    iter_product_walkers,
+    joint_distribution_interference,
     pair_coin_density_from_singles,
-    pair_split_step,
     product_terms,
 )
 from .states import (
+    NORM_TOL,
     LatticeWindow,
     position_distribution,
     make_single_state,
@@ -162,15 +162,18 @@ def _parse_disorder(value, field_name: str) -> DisorderSpec:
         return value
     if not isinstance(value, dict):
         raise ConfigError(field_name, f"expected a mapping, got {value!r}")
+    if "seed" in value:
+        raise ConfigError(
+            field_name, "disorder takes no seed: every random draw derives from master_seed"
+        )
     kind = value.get("kind", "none")
     target = value.get("target", "a")
-    seed = int(value.get("seed", 0))
     presets = {"weak": WEAK_HALF_WIDTH, "strong": STRONG_HALF_WIDTH}
     try:
         if kind in presets:
-            return DisorderSpec("uniform", presets[kind], target, seed)
+            return DisorderSpec("uniform", presets[kind], target)
         half_width = float(value.get("half_width", 0.0))
-        return DisorderSpec(kind, half_width, target, seed)
+        return DisorderSpec(kind, half_width, target)
     except ValueError as exc:
         raise ConfigError(field_name, str(exc))
 
@@ -285,7 +288,6 @@ def config_to_dict(config: RunConfig) -> dict:
             "kind": config.disorder.kind,
             "half_width": config.disorder.half_width,
             "target": config.disorder.target,
-            "seed": config.disorder.seed,
         },
         "ensemble_size": config.ensemble_size,
         "master_seed": config.master_seed,
@@ -310,15 +312,27 @@ def validate_config(config: RunConfig) -> RunConfig:
         raise ConfigError("window", "must be >= 1 (or auto)")
     if config.ensemble_size < 1:
         raise ConfigError("ensemble_size", "must be >= 1")
+    if config.master_seed < 0:
+        raise ConfigError("master_seed", "must be >= 0")
+    if not np.isfinite(config.disorder.half_width):
+        raise ConfigError("disorder", "half_width must be finite")
+    if not abs(float(np.sum(np.abs(config.coin_amps) ** 2)) - 1.0) <= NORM_TOL:
+        raise ConfigError("coin_amps", "components must be finite and normalized")
     if config.sweep_scalar not in SWEEP_SCALARS:
         raise ConfigError("sweep_scalar", f"must be one of {SWEEP_SCALARS}")
     if config.k_points < 64:
         raise ConfigError("k_points", "must be >= 64")
     if config.grid_n < 16:
         raise ConfigError("grid_n", "must be >= 16")
-    for particle in config.angles:
+    for particle, entry in config.angles.items():
         if particle not in ("a", "b"):
             raise ConfigError(f"angles.{particle}", "particles are 'a' and 'b'")
+        if isinstance(entry, BoundarySpec):
+            values = (*entry.theta_minus, *entry.theta_plus)
+        else:
+            values = tuple(entry)
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"angles.{particle}", f"angles must be finite, got {entry!r}")
     if config.run_kind == "entropy_sweep":
         if len(config.sweep_grid) != 2:
             raise ConfigError("sweep_grid", "entropy_sweep needs exactly 2 axes")
@@ -331,12 +345,17 @@ def validate_config(config: RunConfig) -> RunConfig:
                 )
             if ax.count < 1:
                 raise ConfigError("sweep_grid", f"axis {ax.name!r} count must be >= 1")
+            if not (np.isfinite(ax.lo) and np.isfinite(ax.hi)):
+                raise ConfigError("sweep_grid", f"axis {ax.name!r} bounds must be finite")
     if config.outputs is not None:
         for name in config.outputs:
             if name not in OUTPUT_KINDS:
                 raise ConfigError("outputs", f"unknown artifact selector {name!r}")
     walk_kind = config.sweep_kind if config.run_kind == "entropy_sweep" else config.run_kind
     if walk_kind in ("tptpw", "tptbw"):
+        half_width = _resolved_window(config).half_width
+        if not all(abs(x) < half_width for x in config.initial_state.positions):
+            raise ConfigError("initial_state", f"positions must satisfy |x| < {half_width}")
         for particle in ("a", "b"):
             entry = _particle_angles(config, particle)
             if walk_kind == "tptpw" and isinstance(entry, BoundarySpec):
@@ -446,23 +465,28 @@ def _run_single(config: RunConfig) -> RunArtifacts:
     )
 
 
-def _run_pair(config: RunConfig) -> RunArtifacts:
+def _pair_trajectory(config: RunConfig, replicate: int):
+    """Lone-walker trajectory (see iter_product_walkers) of one pair replicate,
+    under the fields drawn from derive_seed(master_seed, replicate)."""
     window = _resolved_window(config)
+    dis = replace(config.disorder, seed=derive_seed(config.master_seed, replicate))
+    field_a = _build_field(_particle_angles(config, "a"), dis, config.steps, window, "a")
+    field_b = _build_field(_particle_angles(config, "b"), dis, config.steps, window, "b")
+    return iter_product_walkers(config.initial_state, window, field_a, field_b, config.steps)
+
+
+def _run_pair(config: RunConfig) -> RunArtifacts:
+    terms = product_terms(config.initial_state)
     entropy_runs = []
     joint_sum = None
     for r in range(config.ensemble_size):
-        dis = replace(config.disorder, seed=derive_seed(config.master_seed, r))
-        field_a = _build_field(_particle_angles(config, "a"), dis, config.steps, window, "a")
-        field_b = _build_field(_particle_angles(config, "b"), dis, config.steps, window, "b")
-        state = make_pair_state(config.initial_state, window)
-        final, records = evolve(
-            state,
-            lambda s, step: pair_split_step(s, field_a, field_b, step),
-            config.steps,
-            {"entropy": _coin_entropy},
-        )
-        entropy_runs.append(records["entropy"])
-        joint = joint_distribution_direct(final).values
+        entropy = []
+        for walkers_a, walkers_b in _pair_trajectory(config, r):
+            rho = pair_coin_density_from_singles(walkers_a, walkers_b, terms)
+            entropy.append(von_neumann_entropy(rho))
+        entropy_runs.append(entropy)
+        # the loop leaves walkers_a/b at the last step
+        joint = joint_distribution_interference(*walkers_a, *walkers_b, terms=terms).values
         joint_sum = joint if joint_sum is None else joint_sum + joint
     entropy, std = _aggregate_entropy(entropy_runs)
     joint_mean = joint_sum / config.ensemble_size
@@ -470,7 +494,7 @@ def _run_pair(config: RunConfig) -> RunArtifacts:
     marg_b = joint_mean.sum(axis=0)
     return RunArtifacts(
         config=config,
-        positions=window.positions(),
+        positions=_resolved_window(config).positions(),
         entropy=entropy,
         entropy_std=std,
         distributions={"a": marg_a, "b": marg_b},
@@ -479,13 +503,11 @@ def _run_pair(config: RunConfig) -> RunArtifacts:
 
 
 def _sweep_cell_scalar(config: RunConfig, cell_angles: dict, cell_seed: int) -> float:
-    """Pair coin entropy for one sweep cell.
+    """Pair coin entropy for one sweep cell: replicate 0 of the cell's pair run.
 
-    Runs the four per-particle single walks and assembles the 4x4 coin
-    reduction through the product decomposition, which is exact for a
-    noninteracting pair and far cheaper than the tensor evolution.
+    "final" is the entropy after the last step; "longmean" its mean over the
+    last 25% of steps.
     """
-    window = _resolved_window(config)
     cell = replace(
         config,
         run_kind=config.sweep_kind,
@@ -493,29 +515,13 @@ def _sweep_cell_scalar(config: RunConfig, cell_angles: dict, cell_seed: int) -> 
         master_seed=cell_seed,
         sweep_grid=[],
     )
-    dis = replace(cell.disorder, seed=derive_seed(cell_seed, 0))
-    field_a = _build_field(_particle_angles(cell, "a"), dis, cell.steps, window, "a")
-    field_b = _build_field(_particle_angles(cell, "b"), dis, cell.steps, window, "b")
-    xa, xb = cell.initial_state.positions
-    walkers = {
-        "a": [make_single_state(window, xa, (1, 0)), make_single_state(window, xa, (0, 1))],
-        "b": [make_single_state(window, xb, (1, 0)), make_single_state(window, xb, (0, 1))],
-    }
     terms = product_terms(cell.initial_state)
-
-    def entropy_now() -> float:
-        rho = pair_coin_density_from_singles(tuple(walkers["a"]), tuple(walkers["b"]), terms)
-        return von_neumann_entropy(rho)
-
-    tail = max(1, cell.steps // 4)  # long-time mean: last 25% of steps
+    tail = 1 if config.sweep_scalar == "final" else max(1, cell.steps // 4)
     samples = []
-    for step in range(cell.steps):
-        walkers["a"] = [split_step(s, field_a, step) for s in walkers["a"]]
-        walkers["b"] = [split_step(s, field_b, step) for s in walkers["b"]]
-        if config.sweep_scalar == "longmean" and step >= cell.steps - tail:
-            samples.append(entropy_now())
-    if config.sweep_scalar == "final":
-        return entropy_now()
+    for step, (walkers_a, walkers_b) in enumerate(_pair_trajectory(cell, 0)):
+        if step > cell.steps - tail:
+            rho = pair_coin_density_from_singles(walkers_a, walkers_b, terms)
+            samples.append(von_neumann_entropy(rho))
     return float(np.mean(samples))
 
 
@@ -556,15 +562,21 @@ def run(config: RunConfig) -> RunArtifacts:
 # -- artifact files ----------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    return _FLOAT_FMT.format(float(value))
+_COLUMN_KINDS = {"i": (np.int64, "{}"), "f": (float, _FLOAT_FMT)}
 
 
-def _write_rows(path: Path, header: str, rows) -> None:
+def _write_table(path: Path, header: str, kinds: str, *columns) -> None:
+    """Write a CSV file in one call: the header, then one line per row.
+
+    kinds has one letter per column: "i" writes an integer, "f" a float in
+    _FLOAT_FMT. Columns are equal-length array-likes.
+    """
+    line = (",".join(_COLUMN_KINDS[k][1] for k in kinds) + "\n").format
+    values = [
+        np.ravel(np.asarray(c, dtype=_COLUMN_KINDS[k][0])).tolist() for k, c in zip(kinds, columns)
+    ]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write(header + "\n" + "".join(map(line, *values)))
 
 
 def write_artifacts(artifacts: RunArtifacts, out_dir) -> list[Path]:
@@ -582,69 +594,43 @@ def write_artifacts(artifacts: RunArtifacts, out_dir) -> list[Path]:
     def wanted(name: str) -> bool:
         return selected is None or name in selected
 
-    if artifacts.entropy is not None and wanted("entropy"):
-        path = out / "entropy.csv"
-        if artifacts.entropy_std is None:
-            rows = (
-                (str(s), _fmt(e))
-                for s, e in zip(artifacts.entropy.steps, artifacts.entropy.entropy_bits)
-            )
-            _write_rows(path, "step,entropy_bits", rows)
-        else:
-            rows = (
-                (str(s), _fmt(e), _fmt(sd))
-                for s, e, sd in zip(
-                    artifacts.entropy.steps,
-                    artifacts.entropy.entropy_bits,
-                    artifacts.entropy_std,
-                )
-            )
-            _write_rows(path, "step,entropy_bits,std", rows)
+    def table(name: str, header: str, kinds: str, *columns) -> None:
+        path = out / name
+        _write_table(path, header, kinds, *columns)
         written.append(path)
+
+    def grid(axis1, axis2, *values) -> list:
+        """Row-major columns over a 2-D grid: axis1 value, axis2 value, then each grid's value."""
+        return [*np.meshgrid(axis1, axis2, indexing="ij"), *values]
+
+    if artifacts.entropy is not None and wanted("entropy"):
+        series = artifacts.entropy
+        if artifacts.entropy_std is None:
+            table("entropy.csv", "step,entropy_bits", "if", series.steps, series.entropy_bits)
+        else:
+            table(
+                "entropy.csv", "step,entropy_bits,std", "iff",
+                series.steps, series.entropy_bits, artifacts.entropy_std,
+            )
 
     if artifacts.distributions and wanted("distribution"):
         for label, dist in sorted(artifacts.distributions.items()):
             name = "distribution.csv" if label == "walk" else f"distribution_{label}.csv"
-            path = out / name
-            rows = ((str(int(x)), _fmt(p)) for x, p in zip(artifacts.positions, dist))
-            _write_rows(path, "x,probability", rows)
-            written.append(path)
+            table(name, "x,probability", "if", artifacts.positions, dist)
 
     if artifacts.joint is not None and wanted("joint"):
-        path = out / "joint.csv"
-        positions = artifacts.positions
-
-        def joint_rows():
-            for i, xi in enumerate(positions):
-                for j, xj in enumerate(positions):
-                    yield (str(int(xi)), str(int(xj)), _fmt(artifacts.joint[i, j]))
-
-        _write_rows(path, "i,j,probability", joint_rows())
-        written.append(path)
+        columns = grid(artifacts.positions, artifacts.positions, artifacts.joint)
+        table("joint.csv", "i,j,probability", "iif", *columns)
 
     if artifacts.heatmap is not None and wanted("heatmap"):
-        path = out / "heatmap.csv"
         hm = artifacts.heatmap
-
-        def heatmap_rows():
-            for i, v1 in enumerate(hm.axis1_values):
-                for j, v2 in enumerate(hm.axis2_values):
-                    yield (_fmt(v1), _fmt(v2), _fmt(hm.values[i, j]))
-
-        _write_rows(path, "axis1,axis2,scalar", heatmap_rows())
-        written.append(path)
+        columns = grid(hm.axis1_values, hm.axis2_values, hm.values)
+        table("heatmap.csv", "axis1,axis2,scalar", "fff", *columns)
 
     if artifacts.phase is not None and wanted("phase"):
-        path = out / "phase.csv"
         ph = artifacts.phase
-
-        def phase_rows():
-            for i, t1 in enumerate(ph.theta1_values):
-                for j, t2 in enumerate(ph.theta2_values):
-                    yield (_fmt(t1), _fmt(t2), str(int(ph.winding[i, j])), _fmt(ph.gap[i, j]))
-
-        _write_rows(path, "theta1,theta2,winding,gap", phase_rows())
-        written.append(path)
+        columns = grid(ph.theta1_values, ph.theta2_values, ph.winding, ph.gap)
+        table("phase.csv", "theta1,theta2,winding,gap", "ffif", *columns)
 
     import datetime
 

@@ -1,8 +1,9 @@
-"""Two noninteracting walkers: product evolution, joint distributions, pair entropy.
+"""Two noninteracting walkers: joint distributions and pair coin entropy.
 
-The pair state carries axes (x_a, c_a, x_b, c_b). Each time step applies
-particle A's split step on the first axis pair and particle B's on the second,
-with independent angle fields.
+Pair observables come from the product decomposition: four lone walkers, the
+coin-|0> and coin-|1> starts of each particle, stepped under that particle's
+field. The dense pair state with axes (x_a, c_a, x_b, c_b), stepped one
+particle at a time, is kept as the reference route the tests compare against.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ from .states import (
     LatticeWindow,
     SingleParticleState,
     TwoParticleState,
-    position_distribution,
     reduce_to_coin,
     von_neumann_entropy,
 )
-from .walk import AngleField, _split_step_amps, evolve
+from .walk import RUNTIME_NORM_TOL, AngleField, _split_step_amps, evolve
 
 PAIR_KIND_ALIASES = {
     "psi+": "psi_plus",
@@ -128,64 +128,6 @@ def joint_distribution_direct(state: TwoParticleState) -> JointDistribution:
     return JointDistribution(state.window, values)
 
 
-def joint_distribution_interference(
-    coin0_a: SingleParticleState,
-    coin1_a: SingleParticleState,
-    coin0_b: SingleParticleState | None = None,
-    coin1_b: SingleParticleState | None = None,
-    sign: int = +1,
-) -> JointDistribution:
-    """P(i, j) for a (|01> +- |10>)/sqrt(2) pair from four single-walker runs.
-
-    coin0_x / coin1_x are the states of a lone walker evolved for the same
-    number of steps under particle x's own angle field, starting from coin |0>
-    and coin |1> at the pair's initial position. With both coin labels present
-    in the superposition, the distribution splits into the two product terms
-    plus an exchange interference term built from the coin-summed overlap
-    I(i) = sum_c amp_coin0(i, c) * conj(amp_coin1(i, c)) of each particle:
-
-        P(i, j) = 1/2 * [ P0_a(i) P1_b(j) + P1_a(i) P0_b(j)
-                          +- 2 Re( I_a(i) conj(I_b(j)) ) ]
-
-    The +- matches the sign in the initial superposition. Entries in
-    [-CLIP_TOL, 0) are rounding noise and are clipped to zero.
-    """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if coin0_b is None:
-        coin0_b = coin0_a
-    if coin1_b is None:
-        coin1_b = coin1_a
-    windows = {s.window for s in (coin0_a, coin1_a, coin0_b, coin1_b)}
-    if len(windows) != 1:
-        raise ValueError("all four walker states must share one window")
-    window = coin0_a.window
-
-    p0_a = position_distribution(coin0_a)
-    p1_a = position_distribution(coin1_a)
-    p0_b = position_distribution(coin0_b)
-    p1_b = position_distribution(coin1_b)
-    cross_a = np.sum(coin0_a.amps * coin1_a.amps.conj(), axis=1)
-    cross_b = np.sum(coin0_b.amps * coin1_b.amps.conj(), axis=1)
-
-    values = 0.5 * (
-        np.outer(p0_a, p1_b)
-        + np.outer(p1_a, p0_b)
-        + sign * 2.0 * np.real(np.outer(cross_a, cross_b.conj()))
-    )
-    low = float(values.min())
-    if low < -CLIP_TOL:
-        raise NumericalError(f"interference joint distribution has entry {low:.3e} < 0")
-    values = np.clip(values, 0.0, None)
-    total = float(values.sum())
-    if abs(total - 1.0) > DISTRIBUTION_TOL:
-        raise NumericalError(
-            f"interference joint distribution sums to {total:.12f}; "
-            "walker inputs are inconsistent"
-        )
-    return JointDistribution(window, values)
-
-
 def marginals(joint: JointDistribution) -> tuple[np.ndarray, np.ndarray]:
     """Per-particle position distributions (rows for A, columns for B)."""
     return joint.values.sum(axis=1), joint.values.sum(axis=0)
@@ -203,8 +145,9 @@ def pair_entropy_series(trajectory) -> EntropySeries:
 # -- product decomposition -----------------------------------------------------
 # A noninteracting pair started in a superposition of coin products stays a
 # superposition of products of single-walker states, so pair observables can be
-# assembled from four single runs. Used as a fast exact path for angle sweeps;
-# tests pin it against the direct tensor evolution.
+# assembled from four single runs: the production route for pair runs and
+# sweeps. The dense tensor evolution above is the reference it is tested
+# against.
 
 
 def product_terms(init: InitialPairState) -> list[tuple[complex, int, int]]:
@@ -215,6 +158,62 @@ def product_terms(init: InitialPairState) -> list[tuple[complex, int, int]]:
     if init.kind == "psi_plus":
         return [(rt, 0, 1), (rt, 1, 0)]
     return [(rt, 0, 1), (-rt, 1, 0)]
+
+
+def _coefficients(terms: list[tuple[complex, int, int]]) -> np.ndarray:
+    """product_terms as a matrix: C[s_a, s_b] is the coefficient of coin |s_a s_b>."""
+    c = np.zeros((2, 2), dtype=complex)
+    for coef, ca, cb in terms:
+        c[ca, cb] += coef
+    return c
+
+
+def _overlap(walkers, subscripts: str) -> np.ndarray:
+    """np.einsum(subscripts, w, conj(w)) over one particle's lone walkers,
+    stacked as w[i, s, c] = walkers[s].amps[i, c] (site, start coin, coin).
+
+    Summed over sites, "isc,itd->sctd" is the Gram tensor of the coin density;
+    summed over the coin, "isc,itc->ist" is the per-site overlap O_st(i) of
+    the joint distribution.
+    """
+    w = np.stack([walker.amps for walker in walkers], axis=1)
+    return np.einsum(subscripts, w, w.conj())
+
+
+def iter_product_walkers(
+    init: InitialPairState,
+    window: LatticeWindow,
+    field_a: AngleField,
+    field_b: AngleField,
+    n_steps: int,
+):
+    """Yield (walkers_a, walkers_b) at step 0 and after each of n_steps steps.
+
+    walkers_x[c] is particle x's lone walker started in coin |c> at its site
+    in init.positions and stepped under field_x. Both coin starts of a
+    particle share one kernel call on a trailing axis. As in evolve, every
+    walker's norm is checked after every step.
+    """
+    if n_steps < 0:
+        raise ValueError("n_steps must be >= 0")
+    amps = []
+    for x in init.positions:
+        if abs(x) >= window.half_width:
+            raise ValueError(f"positions {init.positions} must satisfy |x| < {window.half_width}")
+        start = np.zeros((window.size, 2, 2), dtype=complex)  # (site, coin, start coin)
+        start[window.index(x)] = np.eye(2)
+        amps.append(start)
+
+    def walkers(particle_amps):
+        return tuple(SingleParticleState(window, particle_amps[:, :, c]) for c in (0, 1))
+
+    yield walkers(amps[0]), walkers(amps[1])
+    for step in range(n_steps):
+        amps = [_split_step_amps(amps[0], field_a, step), _split_step_amps(amps[1], field_b, step)]
+        drift = max(float(np.max(np.abs(np.linalg.norm(a, axis=(0, 1)) - 1.0))) for a in amps)
+        if not drift <= RUNTIME_NORM_TOL:
+            raise NumericalError(f"lone-walker norm drifted by {drift:.3e} at step {step + 1}")
+        yield walkers(amps[0]), walkers(amps[1])
 
 
 def pair_coin_density_from_singles(
@@ -229,14 +228,60 @@ def pair_coin_density_from_singles(
     superposition reduces to 2x2 position-overlap (Gram) matrices between the
     coin-0 and coin-1 runs of each particle.
     """
+    c = _coefficients(terms)
+    ga = _overlap(walkers_a, "isc,itd->sctd")
+    gb = _overlap(walkers_b, "isc,itd->sctd")
+    # rho[(ca, cb), (ca', cb')] = sum C[s, s'] conj(C[t, t']) Ga[s, ca, t, ca'] Gb[s', cb, t', cb']
+    return np.einsum("ab,cd,aecf,bgdh->egfh", c, c.conj(), ga, gb).reshape(4, 4)
 
-    def gram(u: SingleParticleState, v: SingleParticleState) -> np.ndarray:
-        return u.amps.T @ v.amps.conj()
 
-    rho = np.zeros((4, 4), dtype=complex)
-    for coef_t, ca_t, cb_t in terms:
-        for coef_u, ca_u, cb_u in terms:
-            ga = gram(walkers_a[ca_t], walkers_a[ca_u])
-            gb = gram(walkers_b[cb_t], walkers_b[cb_u])
-            rho += coef_t * np.conj(coef_u) * np.kron(ga, gb)
-    return rho
+def joint_distribution_interference(
+    coin0_a: SingleParticleState,
+    coin1_a: SingleParticleState,
+    coin0_b: SingleParticleState | None = None,
+    coin1_b: SingleParticleState | None = None,
+    sign: int = +1,
+    terms: list[tuple[complex, int, int]] | None = None,
+) -> JointDistribution:
+    """P(i, j) of a coin-product superposition from four single-walker runs.
+
+    coin0_x / coin1_x are the states of a lone walker evolved for the same
+    number of steps under particle x's own angle field, starting from coin |0>
+    and coin |1> at the pair's initial position. For the initial state
+    sum_t c_t |ca_t, cb_t> (terms, as from product_terms; by default the
+    (|01> + sign |10>)/sqrt(2) pair)
+
+        P(i, j) = sum_tu c_t conj(c_u) O^a_tu(i) O^b_tu(j),
+        O^x_tu(i) = sum_c amp_t(i, c) * conj(amp_u(i, c)),
+
+    with amp_t particle x's walker for the coin label of term t. For psi+- the
+    cross terms are the exchange interference +- Re(O^a_01(i) conj(O^b_01(j))).
+    Entries in [-CLIP_TOL, 0) are rounding noise and are clipped to zero.
+    """
+    if terms is None:
+        if sign not in (+1, -1):
+            raise ValueError("sign must be +1 or -1")
+        terms = product_terms(InitialPairState("psi_plus" if sign > 0 else "psi_minus"))
+    if coin0_b is None:
+        coin0_b = coin0_a
+    if coin1_b is None:
+        coin1_b = coin1_a
+    windows = {s.window for s in (coin0_a, coin1_a, coin0_b, coin1_b)}
+    if len(windows) != 1:
+        raise ValueError("all four walker states must share one window")
+    window = coin0_a.window
+    c = _coefficients(terms)
+    oa = _overlap((coin0_a, coin1_a), "isc,itc->ist")
+    ob = _overlap((coin0_b, coin1_b), "isc,itc->ist")
+    values = np.einsum("ab,cd,iac,jbd->ij", c, c.conj(), oa, ob, optimize=True).real
+    low = float(values.min())
+    if not low >= -CLIP_TOL:
+        raise NumericalError(f"interference joint distribution has entry {low:.3e} < 0")
+    values = np.clip(values, 0.0, None)
+    total = float(values.sum())
+    if not abs(total - 1.0) <= DISTRIBUTION_TOL:
+        raise NumericalError(
+            f"interference joint distribution sums to {total:.12f}; "
+            "walker inputs are inconsistent"
+        )
+    return JointDistribution(window, values)

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import NumericalError
 
+# Guards compare as `not x <= tol`, so that a NaN fails them instead of passing.
 NORM_TOL = 1e-10
 EIGENVALUE_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
@@ -69,7 +70,7 @@ def make_single_state(window: LatticeWindow, x0: int, coin_amps) -> SinglePartic
     coin = np.asarray(coin_amps, dtype=complex)
     if coin.shape != (2,):
         raise ValueError(f"coin_amps must have 2 components, got shape {coin.shape}")
-    if abs(np.sum(np.abs(coin) ** 2) - 1.0) > NORM_TOL:
+    if not abs(np.sum(np.abs(coin) ** 2) - 1.0) <= NORM_TOL:
         raise ValueError("coin_amps must be normalized")
     if abs(x0) >= window.half_width:
         raise ValueError(f"x0={x0} must satisfy |x0| < {window.half_width}")
@@ -120,10 +121,12 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
+    if not np.all(np.isfinite(rho)):
+        raise NumericalError("density matrix has non-finite entries")
+    if not np.max(np.abs(rho - rho.conj().T)) <= HERMITICITY_TOL:
         raise NumericalError("density matrix is not Hermitian")
     evals = np.linalg.eigvalsh(rho)
-    if float(evals.min()) < -EIGENVALUE_TOL:
+    if not float(evals.min()) >= -EIGENVALUE_TOL:
         raise NumericalError(f"invalid density matrix: eigenvalue {evals.min():.3e} < 0")
     lam = np.clip(evals, 0.0, 1.0)
     lam = lam[lam > 0.0]

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import NumericalError, WindowOverflowError
 from .states import LatticeWindow, SingleParticleState
 
+# Guards compare as `not x <= tol`, so that a NaN fails them instead of passing.
 BOUNDARY_TOL = 1e-14
 RUNTIME_NORM_TOL = 1e-8
 
@@ -55,7 +56,7 @@ def _apply_coin(amps: np.ndarray, coins: np.ndarray) -> np.ndarray:
 
 
 def _shift_coin0_right(amps: np.ndarray) -> np.ndarray:
-    if float(np.max(np.abs(amps[-1, 0]))) > BOUNDARY_TOL:
+    if not float(np.max(np.abs(amps[-1, 0]))) <= BOUNDARY_TOL:
         raise WindowOverflowError("coin-0 amplitude at the right edge; window too small")
     out = amps.copy()
     out[1:, 0] = amps[:-1, 0]
@@ -64,7 +65,7 @@ def _shift_coin0_right(amps: np.ndarray) -> np.ndarray:
 
 
 def _shift_coin1_left(amps: np.ndarray) -> np.ndarray:
-    if float(np.max(np.abs(amps[0, 1]))) > BOUNDARY_TOL:
+    if not float(np.max(np.abs(amps[0, 1]))) <= BOUNDARY_TOL:
         raise WindowOverflowError("coin-1 amplitude at the left edge; window too small")
     out = amps.copy()
     out[:-1, 1] = amps[1:, 1]
@@ -266,7 +267,7 @@ def _split_step_amps(amps: np.ndarray, field: AngleField, step: int) -> np.ndarr
 
     # coin(theta1) then move the coin-0 plane one site right
     edge = c1[-1] * a0[-1] - s1[-1] * a1[-1]
-    if float(np.max(np.abs(edge))) > BOUNDARY_TOL:
+    if not float(np.max(np.abs(edge))) <= BOUNDARY_TOL:
         raise WindowOverflowError("coin-0 amplitude at the right edge; window too small")
     mid = np.empty_like(amps)
     mid[1:, 0] = c1[:-1] * a0[:-1] - s1[:-1] * a1[:-1]
@@ -277,7 +278,7 @@ def _split_step_amps(amps: np.ndarray, field: AngleField, step: int) -> np.ndarr
     c2, s2 = _half_angle_factors(th2, amps.ndim)
     b0, b1 = mid[:, 0], mid[:, 1]
     edge = s2[0] * b0[0] + c2[0] * b1[0]
-    if float(np.max(np.abs(edge))) > BOUNDARY_TOL:
+    if not float(np.max(np.abs(edge))) <= BOUNDARY_TOL:
         raise WindowOverflowError("coin-1 amplitude at the left edge; window too small")
     out = np.empty_like(amps)
     out[:, 0] = c2 * b0 - s2 * b1
@@ -306,7 +307,7 @@ def evolve(state, stepper, n_steps: int, observers=None):
     records = {name: [fn(state)] for name, fn in observers.items()}
     for step in range(n_steps):
         state = stepper(state, step)
-        if abs(state.norm() - 1.0) > RUNTIME_NORM_TOL:
+        if not abs(state.norm() - 1.0) <= RUNTIME_NORM_TOL:
             raise NumericalError(f"norm drifted to {state.norm():.12f} at step {step + 1}")
         for name, fn in observers.items():
             records[name].append(fn(state))

@@ -118,6 +118,31 @@ class TestSweepCommand:
         assert main(["sweep", "--axis", "theta1a:0:1", "--out", str(tmp_path)]) == 2
 
 
+class TestBadNumbers:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["walk", "--kind", "split", "--theta1a=nan", "--theta2a=0.78"],
+            ["walk", "--kind", "split", "--theta1a=inf", "--theta2a=0.78"],
+            ["pair", "--theta1a=nan", "--theta2a=0.78", "--theta1b=-1.57", "--theta2b=2.36"],
+            ["pair", "--boundary=nan,0.78,-1.57,2.36"],
+            ["walk", "--disorder=width=nan"],
+            ["walk", "--disorder=width=inf"],
+            ["walk", "--seed=-3"],
+            ["sweep", "--axis", "theta1a:nan:1:2", "--axis", "theta2a:0:1:2"],
+        ],
+    )
+    def test_config_error_and_no_data_files(self, tmp_path, argv):
+        out = tmp_path / "run"
+        assert main([*argv, "--steps", "5", "--out", str(out)]) == 2
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_disorder_seed_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["walk", "--disorder-seed", "3", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+
 class TestPhaseDiagramCommand:
     def test_writes_phase_csv(self, tmp_path):
         out = tmp_path / "run"

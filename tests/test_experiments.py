@@ -10,15 +10,24 @@ from topowalk import (
     ConfigError,
     DisorderSpec,
     InitialPairState,
+    LatticeWindow,
     RunConfig,
     SweepAxis,
     WindowOverflowError,
+    boundary_angle_field,
     config_from_dict,
     config_to_dict,
+    constant_angle_field,
     derive_seed,
     entropy_sweep,
+    evolve_pair,
+    joint_distribution_direct,
     load_config,
+    make_pair_state,
+    randomize_field,
+    reduce_to_coin,
     run,
+    von_neumann_entropy,
     write_artifacts,
 )
 from topowalk.experiments import (
@@ -65,7 +74,7 @@ class TestConfigParsing:
 
     def test_disorder_presets(self):
         cfg = config_from_dict(
-            minimal_pair_dict(disorder={"kind": "weak", "target": "a", "seed": 3})
+            minimal_pair_dict(disorder={"kind": "weak", "target": "a"})
         )
         assert cfg.disorder.kind == "uniform"
         assert_allclose(cfg.disorder.half_width, 0.1 * PI)
@@ -86,12 +95,45 @@ class TestConfigParsing:
             ({"disorder": {"kind": "gaussian"}}, "disorder"),
             ({"initial_state": {"kind": "bell"}}, "initial_state"),
             ({"angles": {"c": [0, 0]}}, "angles.c"),
+            ({"angles": {"a": [float("nan"), PI / 4], "b": [0, 0]}}, "angles.a"),
+            ({"angles": {"a": [0, 0], "b": [0, float("inf")]}}, "angles.b"),
+            (
+                {
+                    "run_kind": "tptbw",
+                    "angles": {"a": {"minus": [0, 0], "plus": [float("-inf"), 0]}},
+                },
+                "angles.a",
+            ),
+            ({"disorder": {"kind": "uniform", "half_width": float("nan")}}, "disorder"),
+            ({"disorder": {"kind": "uniform", "half_width": float("inf")}}, "disorder"),
+            ({"coin_amps": [float("nan"), 0]}, "coin_amps"),
+            ({"coin_amps": [1, 1]}, "coin_amps"),
+            ({"initial_state": {"kind": "psi+", "positions": [11, 0]}}, "initial_state"),
+            ({"master_seed": -3}, "master_seed"),
+            (
+                {
+                    "run_kind": "entropy_sweep",
+                    "sweep_grid": [
+                        {"name": "theta1a", "min": float("nan"), "max": 1, "count": 2},
+                        {"name": "theta2a", "min": 0, "max": 1, "count": 2},
+                    ],
+                },
+                "sweep_grid",
+            ),
         ],
     )
     def test_validation_errors_name_the_field(self, patch, field):
         with pytest.raises(ConfigError) as err:
             config_from_dict(minimal_pair_dict(**patch))
         assert err.value.field == field
+
+    def test_disorder_seed_key_is_rejected(self):
+        # master_seed is the only root of randomness; a per-disorder seed had no effect
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(minimal_pair_dict(disorder={"kind": "weak", "seed": 3}))
+        assert err.value.field == "disorder"
+        assert "master_seed" in err.value.message
+        assert "seed" not in config_to_dict(config_from_dict(minimal_pair_dict()))["disorder"]
 
     def test_sweep_needs_two_axes(self):
         data = minimal_pair_dict(
@@ -230,11 +272,79 @@ class TestRunDeterminism:
         with pytest.raises(WindowOverflowError):
             run(cfg)
 
+    def test_pair_window_too_small_overflows(self):
+        cfg = config_from_dict(minimal_pair_dict(steps=10, window=5))
+        with pytest.raises(WindowOverflowError):
+            run(cfg)
+
     def test_pair_marginals_sum_to_one(self):
         art = run(config_from_dict(minimal_pair_dict(steps=12)))
         assert abs(art.distributions["a"].sum() - 1.0) < 1e-10
         assert abs(art.distributions["b"].sum() - 1.0) < 1e-10
         assert abs(art.joint.sum() - 1.0) < 1e-10
+
+
+BOUNDARY_ANGLES = {"minus": [-PI / 2, PI / 4], "plus": [-PI / 2, 3 * PI / 4]}
+PAIR_SETUPS = {
+    "clean": {},
+    "weak_a": {"disorder": {"kind": "weak", "target": "a"}},
+    "strong_both": {"disorder": {"kind": "strong", "target": "both"}},
+    "tptbw_weak_b": {
+        "run_kind": "tptbw",
+        "angles": {"a": BOUNDARY_ANGLES},
+        "disorder": {"kind": "weak", "target": "b"},
+    },
+}
+
+
+def dense_pair_run(cfg):
+    """Reference pair observables: the dense (x_a, c_a, x_b, c_b) tensor evolved
+    under each replicate's derive_seed(master_seed, r) fields."""
+    n = cfg.steps
+    window = LatticeWindow(n + 1)
+    entropy, joints = [], []
+    for r in range(cfg.ensemble_size):
+        dis = DisorderSpec(
+            cfg.disorder.kind, cfg.disorder.half_width, cfg.disorder.target,
+            derive_seed(cfg.master_seed, r),
+        )
+        fields = []
+        for particle in ("a", "b"):
+            entry = cfg.angles.get(particle, cfg.angles["a"])
+            if isinstance(entry, BoundarySpec):
+                base = boundary_angle_field(entry, n, window)
+            else:
+                base = constant_angle_field(entry[0], entry[1], n, window)
+            fields.append(randomize_field(base, dis, particle))
+        final, records = evolve_pair(
+            make_pair_state(cfg.initial_state, window), *fields, n,
+            {"entropy": lambda s: von_neumann_entropy(reduce_to_coin(s))},
+        )
+        entropy.append(records["entropy"])
+        joints.append(joint_distribution_direct(final).values)
+    entropy = np.array(entropy)
+    std = entropy.std(axis=0) if len(entropy) > 1 else None
+    return entropy.mean(axis=0), std, np.mean(joints, axis=0)
+
+
+class TestPairRouteAgainstDenseOracle:
+    @pytest.mark.parametrize("ensemble", [1, 3])
+    @pytest.mark.parametrize("setup", sorted(PAIR_SETUPS))
+    @pytest.mark.parametrize("state", ["separable", "psi+", "psi-"])
+    def test_run_matches_dense_tensor(self, state, setup, ensemble):
+        data = minimal_pair_dict(steps=12, master_seed=31, ensemble_size=ensemble)
+        data.update(PAIR_SETUPS[setup], initial_state={"kind": state})
+        cfg = config_from_dict(data)
+        art = run(cfg)
+        entropy, std, joint = dense_pair_run(cfg)
+        assert np.abs(np.array(art.entropy.entropy_bits) - entropy).max() < 1e-12
+        if ensemble == 1:
+            assert art.entropy_std is None and std is None
+        else:
+            assert np.abs(art.entropy_std - std).max() < 1e-12
+        assert np.abs(art.joint - joint).max() < 1e-12
+        assert np.abs(art.distributions["a"] - joint.sum(axis=1)).max() < 1e-12
+        assert np.abs(art.distributions["b"] - joint.sum(axis=0)).max() < 1e-12
 
 
 class TestEntropySweep:
@@ -334,6 +444,17 @@ class TestWriteArtifacts:
         assert len(lines) - 1 == (2 * half + 1) ** 2
         total = sum(float(line.split(",")[2]) for line in lines[1:])
         assert abs(total - 1.0) < 1e-8
+
+    def test_joint_csv_lines_pin_the_format(self, tmp_path):
+        art = run(config_from_dict(minimal_pair_dict(steps=4)))
+        write_artifacts(art, tmp_path)
+        lines = (tmp_path / "joint.csv").read_text().splitlines()
+        expected = [
+            f"{i},{j},{art.joint[a, b]:.16e}"
+            for a, i in enumerate(art.positions)
+            for b, j in enumerate(art.positions)
+        ]
+        assert lines == ["i,j,probability", *expected]
 
     def test_manifest_echoes_seed_and_reruns(self, tmp_path):
         cfg = config_from_dict(minimal_pair_dict(steps=5, master_seed=99))

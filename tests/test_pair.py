@@ -12,6 +12,7 @@ from topowalk import (
     LatticeWindow,
     evolve_pair,
     iter_pair_trajectory,
+    iter_product_walkers,
     joint_distribution_direct,
     joint_distribution_interference,
     make_pair_state,
@@ -29,7 +30,7 @@ from topowalk import (
     von_neumann_entropy,
     window_for_steps,
 )
-from topowalk.errors import NumericalError
+from topowalk.errors import NumericalError, WindowOverflowError
 from topowalk.experiments import ANGLES_WINDING_1, ANGLES_WINDING_0
 
 # frozen from the reference run of the clean two-phase pair walk
@@ -218,6 +219,44 @@ class TestJointDistributionInterference:
         ).values
         assert np.abs(direct - interf).max() < 1e-10
 
+    @pytest.mark.parametrize("kind", ["sep", "psi+", "psi-"])
+    def test_product_terms_match_direct(self, kind):
+        n = 9
+        win = window_for_steps(n)
+        dis = DisorderSpec.strong(13, "both")
+        fa = sample_angle_field((0.4, -0.9), dis, n, win, "a")
+        fb = sample_angle_field((-1.7, 1.1), dis, n, win, "b")
+        init = InitialPairState(kind)
+        final, _ = evolve_pair(make_pair_state(init, win), fa, fb, n)
+        interf = joint_distribution_interference(
+            run_single(win, (1, 0), fa, n),
+            run_single(win, (0, 1), fa, n),
+            run_single(win, (1, 0), fb, n),
+            run_single(win, (0, 1), fb, n),
+            terms=product_terms(init),
+        )
+        assert np.abs(joint_distribution_direct(final).values - interf.values).max() < 1e-12
+
+    def test_separable_terms_give_the_product_of_marginals(self):
+        n = 6
+        win = window_for_steps(n)
+        fa, fb = clean_fields(win, n)
+        c0_a, c1_a = run_single(win, (1, 0), fa, n), run_single(win, (0, 1), fa, n)
+        c0_b, c1_b = run_single(win, (1, 0), fb, n), run_single(win, (0, 1), fb, n)
+        joint = joint_distribution_interference(
+            c0_a, c1_a, c0_b, c1_b, terms=product_terms(InitialPairState("sep"))
+        )
+        expected = np.outer(position_distribution(c0_a), position_distribution(c1_b))
+        assert np.abs(joint.values - expected).max() < 1e-15
+
+    def test_nan_input_fails_the_guards(self):
+        win = LatticeWindow(3)
+        c0 = make_single_state(win, 0, (1, 0))
+        c1 = make_single_state(win, 0, (0, 1))
+        c1.amps[win.index(0), 1] = np.nan
+        with pytest.raises(NumericalError):
+            joint_distribution_interference(c0, c1, sign=+1)
+
     def test_rejects_bad_sign(self):
         win = LatticeWindow(3)
         c0 = make_single_state(win, 0, (1, 0))
@@ -378,6 +417,49 @@ class TestPairEntropy:
 
 
 class TestProductDecomposition:
+    def test_walkers_equal_lone_split_steps(self):
+        # the trailing-axis kernel call gives each walker the exact bits of its own split_step run
+        n = 11
+        win = window_for_steps(n + 2)
+        dis = DisorderSpec.strong(17, "both")
+        fa = sample_angle_field((0.3, -1.1), dis, n, win, "a")
+        fb = sample_angle_field((-2.0, 0.7), dis, n, win, "b")
+        init = InitialPairState("psi+", (2, -1))
+        trajectory = list(iter_product_walkers(init, win, fa, fb, n))
+        assert len(trajectory) == n + 1
+        for particle, field, x0 in ((0, fa, 2), (1, fb, -1)):
+            for c, coin in enumerate(((1, 0), (0, 1))):
+                state = make_single_state(win, x0, coin)
+                for step, walkers in enumerate(trajectory):
+                    assert np.array_equal(walkers[particle][c].amps, state.amps)
+                    if step < n:
+                        state = split_step(state, field, step)
+
+    @pytest.mark.parametrize("scale", [1.001, np.nan])
+    def test_walker_norm_drift_raises(self, monkeypatch, scale):
+        import topowalk.pair as pair_module
+
+        kernel = pair_module._split_step_amps
+        monkeypatch.setattr(
+            pair_module, "_split_step_amps", lambda amps, field, step: kernel(amps, field, step) * scale
+        )
+        win = LatticeWindow(4)
+        fa, fb = clean_fields(win, 2)
+        with pytest.raises(NumericalError):
+            list(iter_product_walkers(InitialPairState("psi+"), win, fa, fb, 2))
+
+    def test_walker_reaching_the_edge_raises(self):
+        win = LatticeWindow(3)
+        fa, fb = clean_fields(win, 6)
+        with pytest.raises(WindowOverflowError):
+            list(iter_product_walkers(InitialPairState("psi+"), win, fa, fb, 6))
+
+    def test_rejects_start_at_edge(self):
+        win = LatticeWindow(3)
+        fa, fb = clean_fields(win, 1)
+        with pytest.raises(ValueError):
+            next(iter_product_walkers(InitialPairState("sep", (0, 3)), win, fa, fb, 1))
+
     @pytest.mark.parametrize("kind", ["psi+", "psi-", "sep"])
     def test_coin_density_matches_direct_reduction(self, kind):
         n = 15

@@ -53,6 +53,10 @@ class TestMakeSingleState:
         with pytest.raises(ValueError):
             make_single_state(LatticeWindow(100), 0, (1, 1))
 
+    def test_rejects_nan_coin(self):
+        with pytest.raises(ValueError):
+            make_single_state(LatticeWindow(3), 0, (np.nan, 0))
+
     def test_rejects_position_at_edge(self):
         with pytest.raises(ValueError):
             make_single_state(LatticeWindow(5), 5, (1, 0))
@@ -176,6 +180,11 @@ class TestVonNeumannEntropy:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NumericalError):
             von_neumann_entropy(np.array([[0.5, 0.3], [0.0, 0.5]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_matrix(self, bad):
+        with pytest.raises(NumericalError):
+            von_neumann_entropy(np.full((2, 2), bad))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)

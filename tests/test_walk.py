@@ -428,6 +428,22 @@ class TestEvolve:
         with pytest.raises(NumericalError):
             evolve(s, bad_stepper, 3)
 
+    def test_nan_state_fails_the_norm_check(self):
+        s = make_single_state(LatticeWindow(3), 0, (1, 0))
+
+        def nan_stepper(state, step):
+            return SingleParticleState(state.window, state.amps * np.nan)
+
+        with pytest.raises(NumericalError):
+            evolve(s, nan_stepper, 3)
+
+    def test_nan_angle_fails_the_edge_check(self):
+        # a NaN coin angle turns the edge amplitude into NaN, which must not pass as zero
+        win = LatticeWindow(3)
+        field = constant_angle_field(np.nan, 0.5, 1, win)
+        with pytest.raises(WindowOverflowError):
+            split_step(make_single_state(win, 0, (1, 0)), field, 0)
+
     @pytest.mark.parametrize("kind", ["clean", "weak", "strong"])
     def test_disordered_entropy_regression(self, kind):
         # seeded reference series; also pins that disorder changes the dynamics
