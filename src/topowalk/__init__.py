@@ -11,12 +11,10 @@ from .errors import ConfigError, NumericalError, TopowalkError, WindowOverflowEr
 from .states import (
     LatticeWindow,
     SingleParticleState,
-    TwoParticleState,
     distribution_sigma,
     make_single_state,
     position_distribution,
     reduce_to_coin,
-    tensor_pair,
     von_neumann_entropy,
     window_for_steps,
 )
@@ -26,7 +24,6 @@ from .walk import (
     DisorderSpec,
     STRONG_HALF_WIDTH,
     WEAK_HALF_WIDTH,
-    apply_coin,
     boundary_angle_field,
     constant_angle_field,
     evolve,
@@ -35,25 +32,14 @@ from .walk import (
     randomize_field,
     rotation_coin,
     sample_angle_field,
-    shift_coin0_right,
-    shift_coin1_left,
     split_step,
 )
 from .pair import (
-    EntropySeries,
     InitialPairState,
-    JointDistribution,
-    evolve_pair,
-    iter_pair_trajectory,
+    coin_coefficients,
     iter_product_walkers,
-    joint_distribution_direct,
     joint_distribution_interference,
-    make_pair_state,
-    marginals,
     pair_coin_density_from_singles,
-    pair_entropy_series,
-    pair_split_step,
-    product_terms,
 )
 from .topology import (
     BandPoint,
@@ -65,6 +51,7 @@ from .topology import (
     winding_number,
 )
 from .experiments import (
+    EntropySeries,
     RunArtifacts,
     RunConfig,
     SweepAxis,

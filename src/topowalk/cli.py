@@ -12,7 +12,7 @@ import json
 import sys
 
 from .errors import ConfigError, NumericalError, WindowOverflowError
-from .experiments import config_from_dict, run, write_artifacts
+from .experiments import RunConfig, config_from_dict, run, write_artifacts
 from .walk import STRONG_HALF_WIDTH, WEAK_HALF_WIDTH
 
 
@@ -89,6 +89,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _file_mapping(data: dict, key: str, default: dict) -> dict:
+    """A copy of the config file's mapping under key, for flags to update."""
+    value = data.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(key, f"expected a mapping, got {value!r}")
+    return dict(value)
+
+
 def _config_data(args: argparse.Namespace) -> dict:
     data: dict = {}
     if args.config:
@@ -133,37 +141,37 @@ def _config_data(args: argparse.Namespace) -> dict:
         state["kind"] = args.state
         data["initial_state"] = state
 
-    disorder = dict(data.get("disorder") or {})
-    if args.disorder is not None:
-        disorder.update(_parse_disorder_flag(args.disorder))
-    if args.disorder_target is not None:
-        disorder["target"] = args.disorder_target
-    if disorder:
+    if args.disorder is not None or args.disorder_target is not None:
+        disorder = _file_mapping(data, "disorder", {})
+        if args.disorder is not None:
+            disorder.update(_parse_disorder_flag(args.disorder))
+        if args.disorder_target is not None:
+            disorder["target"] = args.disorder_target
         data["disorder"] = disorder
 
-    angles = dict(data.get("angles") or {})
-    if args.boundary is not None:
-        spec = _parse_boundary_flag(args.boundary)
-        angles["a"] = spec
-        angles.pop("b", None)  # boundary flag applies to both particles
     theta_updates: dict = {}
     for name in ("theta1a", "theta2a", "theta1b", "theta2b"):
         value = getattr(args, name)
         if value is not None:
             theta_updates.setdefault(name[-1], {})[name[:-1]] = value
-    for particle, comps in theta_updates.items():
-        entry = angles.get(particle)
-        pair = list(entry) if isinstance(entry, (list, tuple)) else [None, None]
-        if "theta1" in comps:
-            pair[0] = comps["theta1"]
-        if "theta2" in comps:
-            pair[1] = comps["theta2"]
-        if None in pair:
-            raise ConfigError(
-                f"angles.{particle}", "both theta1 and theta2 are needed (flag or config)"
-            )
-        angles[particle] = pair
-    if angles:
+    if args.boundary is not None or theta_updates:
+        # a flag overrides only the angle it names; the others keep the file's or RunConfig's values
+        angles = _file_mapping(data, "angles", RunConfig().angles)
+        if args.boundary is not None:
+            angles["a"] = _parse_boundary_flag(args.boundary)
+            angles.pop("b", None)  # boundary flag applies to both particles
+        for particle, comps in theta_updates.items():
+            entry = angles.get(particle)
+            pair = list(entry) if isinstance(entry, (list, tuple)) else [None, None]
+            if "theta1" in comps:
+                pair[0] = comps["theta1"]
+            if "theta2" in comps:
+                pair[1] = comps["theta2"]
+            if None in pair:
+                raise ConfigError(
+                    f"angles.{particle}", "both theta1 and theta2 are needed (flag or config)"
+                )
+            angles[particle] = pair
         data["angles"] = angles
 
     if args.axes:

@@ -16,12 +16,11 @@ import numpy as np
 from ._version import __version__
 from .errors import ConfigError
 from .pair import (
-    EntropySeries,
     InitialPairState,
+    coin_coefficients,
     iter_product_walkers,
     joint_distribution_interference,
     pair_coin_density_from_singles,
-    product_terms,
 )
 from .states import (
     NORM_TOL,
@@ -109,6 +108,12 @@ class RunConfig:
 
 
 @dataclass
+class EntropySeries:
+    steps: list[int] = field(default_factory=list)
+    entropy_bits: list[float] = field(default_factory=list)
+
+
+@dataclass
 class HeatmapResult:
     axis_names: tuple[str, str]
     axis1_values: np.ndarray
@@ -188,7 +193,7 @@ def _parse_initial_state(value, field_name: str) -> InitialPairState:
     try:
         positions = value.get("positions", (0, 0))
         return InitialPairState(value.get("kind", "psi_plus"), tuple(positions))
-    except (ValueError, TypeError, IndexError) as exc:
+    except (ValueError, TypeError, IndexError, OverflowError) as exc:
         raise ConfigError(field_name, str(exc))
 
 
@@ -256,7 +261,7 @@ def config_from_dict(data: dict) -> RunConfig:
             kwargs[key] = parser(value, key)
         except ConfigError:
             raise
-        except (TypeError, ValueError, AttributeError) as exc:
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise ConfigError(key, str(exc))
     return validate_config(RunConfig(**kwargs))
 
@@ -476,17 +481,17 @@ def _pair_trajectory(config: RunConfig, replicate: int):
 
 
 def _run_pair(config: RunConfig) -> RunArtifacts:
-    terms = product_terms(config.initial_state)
+    coefficients = coin_coefficients(config.initial_state)
     entropy_runs = []
     joint_sum = None
     for r in range(config.ensemble_size):
         entropy = []
-        for walkers_a, walkers_b in _pair_trajectory(config, r):
-            rho = pair_coin_density_from_singles(walkers_a, walkers_b, terms)
+        for amps_a, amps_b in _pair_trajectory(config, r):
+            rho = pair_coin_density_from_singles(amps_a, amps_b, coefficients)
             entropy.append(von_neumann_entropy(rho))
         entropy_runs.append(entropy)
-        # the loop leaves walkers_a/b at the last step
-        joint = joint_distribution_interference(*walkers_a, *walkers_b, terms=terms).values
+        # the loop leaves amps_a/b at the last step
+        joint = joint_distribution_interference(amps_a, amps_b, coefficients)
         joint_sum = joint if joint_sum is None else joint_sum + joint
     entropy, std = _aggregate_entropy(entropy_runs)
     joint_mean = joint_sum / config.ensemble_size
@@ -515,12 +520,12 @@ def _sweep_cell_scalar(config: RunConfig, cell_angles: dict, cell_seed: int) -> 
         master_seed=cell_seed,
         sweep_grid=[],
     )
-    terms = product_terms(cell.initial_state)
+    coefficients = coin_coefficients(cell.initial_state)
     tail = 1 if config.sweep_scalar == "final" else max(1, cell.steps // 4)
     samples = []
-    for step, (walkers_a, walkers_b) in enumerate(_pair_trajectory(cell, 0)):
+    for step, (amps_a, amps_b) in enumerate(_pair_trajectory(cell, 0)):
         if step > cell.steps - tail:
-            rho = pair_coin_density_from_singles(walkers_a, walkers_b, terms)
+            rho = pair_coin_density_from_singles(amps_a, amps_b, coefficients)
             samples.append(von_neumann_entropy(rho))
     return float(np.mean(samples))
 

@@ -1,7 +1,6 @@
-"""State vectors for one and two walkers on a finite 1D lattice.
+"""Single-walker state vectors on a finite 1D lattice.
 
-Amplitudes are dense complex arrays indexed by (position, coin) for a single
-walker and by (position_a, coin_a, position_b, coin_b) for a pair. Positions
+Amplitudes are dense complex arrays indexed by (position, coin). Positions
 run x = -L..+L; array index 0 corresponds to x = -L.
 """
 
@@ -56,15 +55,6 @@ class SingleParticleState:
         return float(np.sqrt(np.vdot(self.amps, self.amps).real))
 
 
-@dataclass
-class TwoParticleState:
-    window: LatticeWindow
-    amps: np.ndarray  # (size, 2, size, 2) complex
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.vdot(self.amps, self.amps).real))
-
-
 def make_single_state(window: LatticeWindow, x0: int, coin_amps) -> SingleParticleState:
     """Walker localized at x0 with the given normalized 2-component coin state."""
     coin = np.asarray(coin_amps, dtype=complex)
@@ -79,13 +69,6 @@ def make_single_state(window: LatticeWindow, x0: int, coin_amps) -> SinglePartic
     return SingleParticleState(window, amps)
 
 
-def tensor_pair(a: SingleParticleState, b: SingleParticleState) -> TwoParticleState:
-    """Product state of two single walkers sharing the same window."""
-    if a.window != b.window:
-        raise ValueError("tensor_pair requires identical windows")
-    return TwoParticleState(a.window, np.einsum("ia,jb->iajb", a.amps, b.amps))
-
-
 def position_distribution(state: SingleParticleState) -> np.ndarray:
     """P(x) with the coin traced out; sums to 1 for a normalized state."""
     return np.sum(np.abs(state.amps) ** 2, axis=1)
@@ -97,19 +80,9 @@ def distribution_sigma(positions: np.ndarray, probs: np.ndarray) -> float:
     return float(np.sqrt(np.dot(probs, positions.astype(float) ** 2) - mean**2))
 
 
-def reduce_to_coin(state: SingleParticleState | TwoParticleState) -> np.ndarray:
-    """Coin-space density matrix after tracing out every position index.
-
-    Returns a 2x2 matrix for a single walker and a 4x4 matrix over the pair
-    coin basis (c_a, c_b) ordered 00, 01, 10, 11.
-    """
-    if isinstance(state, SingleParticleState):
-        return state.amps.T @ state.amps.conj()
-    if isinstance(state, TwoParticleState):
-        n = state.window.size
-        m = state.amps.transpose(0, 2, 1, 3).reshape(n * n, 4)
-        return m.T @ m.conj()
-    raise TypeError(f"unsupported state type {type(state).__name__}")
+def reduce_to_coin(state: SingleParticleState) -> np.ndarray:
+    """2x2 coin density matrix after tracing out the position."""
+    return state.amps.T @ state.amps.conj()
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:

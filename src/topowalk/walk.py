@@ -1,8 +1,11 @@
-"""Coin operators, conditional shifts, split-step composition, and angle fields.
+"""Coin operators, the split-step kernel, and angle fields.
 
-One split step is shift_coin1_left . coin(theta2) . shift_coin0_right . coin(theta1),
-i.e. the rightmost operator acts first. Coin angles may depend on site and step;
-each coin reads the angle at the site where the amplitude currently sits.
+One split step is S1 . coin(theta2) . S0 . coin(theta1), i.e. the rightmost
+operator acts first: S0 moves every coin-0 amplitude one site right and S1
+moves every coin-1 amplitude one site left. The Hadamard walk is the same
+kernel with the Hadamard coin first and the identity second. Coin angles may
+depend on site and step; each coin reads the angle at the site where the
+amplitude currently sits.
 """
 
 from __future__ import annotations
@@ -42,77 +45,6 @@ def rotation_coin(theta) -> np.ndarray:
     m[..., 1, 0] = s
     m[..., 1, 1] = c
     return m
-
-
-# -- amplitude kernels, shared with the two-particle module -------------------
-# All kernels take arrays with leading axes (position, coin) and arbitrary
-# trailing axes, so a pair state can be stepped one particle at a time.
-
-
-def _apply_coin(amps: np.ndarray, coins: np.ndarray) -> np.ndarray:
-    if coins.ndim == 2:
-        return np.einsum("ab,xb...->xa...", coins, amps)
-    return np.einsum("xab,xb...->xa...", coins, amps)
-
-
-def _shift_coin0_right(amps: np.ndarray) -> np.ndarray:
-    if not float(np.max(np.abs(amps[-1, 0]))) <= BOUNDARY_TOL:
-        raise WindowOverflowError("coin-0 amplitude at the right edge; window too small")
-    out = amps.copy()
-    out[1:, 0] = amps[:-1, 0]
-    out[0, 0] = 0.0
-    return out
-
-
-def _shift_coin1_left(amps: np.ndarray) -> np.ndarray:
-    if not float(np.max(np.abs(amps[0, 1]))) <= BOUNDARY_TOL:
-        raise WindowOverflowError("coin-1 amplitude at the left edge; window too small")
-    out = amps.copy()
-    out[:-1, 1] = amps[1:, 1]
-    out[-1, 1] = 0.0
-    return out
-
-
-def _coin_table(window: LatticeWindow, coin, step: int) -> np.ndarray:
-    if callable(coin):
-        return np.stack(
-            [np.asarray(coin(int(x), step), dtype=complex) for x in window.positions()]
-        )
-    coins = np.asarray(coin, dtype=complex)
-    if coins.shape not in ((2, 2), (window.size, 2, 2)):
-        raise ValueError(f"coin table has shape {coins.shape}")
-    return coins
-
-
-# -- single-walker operations --------------------------------------------------
-
-
-def apply_coin(state: SingleParticleState, coin, step: int = 0) -> SingleParticleState:
-    """Rotate the coin at every site.
-
-    `coin` is a 2x2 matrix, a (size, 2, 2) per-site table, or a callable
-    (x, step) -> 2x2 matrix evaluated over the window.
-    """
-    coins = _coin_table(state.window, coin, step)
-    return SingleParticleState(state.window, _apply_coin(state.amps, coins))
-
-
-def shift_coin0_right(state: SingleParticleState) -> SingleParticleState:
-    """Move every coin-0 amplitude one site right; coin-1 stays put."""
-    return SingleParticleState(state.window, _shift_coin0_right(state.amps))
-
-
-def shift_coin1_left(state: SingleParticleState) -> SingleParticleState:
-    """Move every coin-1 amplitude one site left; coin-0 stays put."""
-    return SingleParticleState(state.window, _shift_coin1_left(state.amps))
-
-
-def hadamard_step(state: SingleParticleState) -> SingleParticleState:
-    """One step of the plain Hadamard walk: both shifts after a single coin."""
-    amps = _apply_coin(state.amps, hadamard_coin())
-    amps = _shift_coin0_right(amps)
-    amps = _shift_coin1_left(amps)
-    return SingleParticleState(state.window, amps)
 
 
 # -- angle fields ---------------------------------------------------------------
@@ -249,42 +181,65 @@ def sample_angle_field(
 # -- split-step evolution --------------------------------------------------------
 
 
-def _half_angle_factors(theta: np.ndarray, ndim: int):
+# The stepping kernel. Amplitudes have leading axes (position, coin) and any
+# trailing axes, so one call can step several walkers. Each coin is its four
+# real per-site entries (m00, m01, m10, m11), shaped to broadcast against one
+# coin plane: (size,) + (1,) * (amps.ndim - 2).
+
+
+def _check_edge(leaving: np.ndarray, where: str) -> None:
+    """Raise unless the amplitude a shift would push off the window is zero."""
+    if not float(np.max(np.abs(leaving))) <= BOUNDARY_TOL:
+        raise WindowOverflowError(f"{where}; window too small")
+
+
+def _step_amps(amps: np.ndarray, coin1, coin2) -> np.ndarray:
+    """One split step on raw amplitudes, with each coin+shift pair fused.
+
+    Equivalent to coin1, shift coin-0 right, coin2, shift coin-1 left, but
+    writes each shifted coin plane directly (the coins are real, so plain
+    broadcasting does the 2x2 product).
+    """
+    m00, m01, m10, m11 = coin1
+    a0, a1 = amps[:, 0], amps[:, 1]
+
+    # coin1 then move the coin-0 plane one site right
+    _check_edge(m00[-1] * a0[-1] + m01[-1] * a1[-1], "coin-0 amplitude at the right edge")
+    mid = np.empty_like(amps)
+    mid[1:, 0] = m00[:-1] * a0[:-1] + m01[:-1] * a1[:-1]
+    mid[0, 0] = 0.0
+    mid[:, 1] = m10 * a0 + m11 * a1
+
+    # coin2 then move the coin-1 plane one site left
+    m00, m01, m10, m11 = coin2
+    b0, b1 = mid[:, 0], mid[:, 1]
+    _check_edge(m10[0] * b0[0] + m11[0] * b1[0], "coin-1 amplitude at the left edge")
+    out = np.empty_like(amps)
+    out[:, 0] = m00 * b0 + m01 * b1
+    out[:-1, 1] = m10[1:] * b0[1:] + m11[1:] * b1[1:]
+    out[-1, 1] = 0.0
+    return out
+
+
+def _rotation_entries(theta: np.ndarray, ndim: int) -> tuple:
+    """Entries (m00, m01, m10, m11) of rotation_coin(theta), shaped for amps of ndim axes."""
     shape = (theta.shape[0],) + (1,) * (ndim - 2)
-    return np.cos(theta / 2.0).reshape(shape), np.sin(theta / 2.0).reshape(shape)
+    c, s = np.cos(theta / 2.0).reshape(shape), np.sin(theta / 2.0).reshape(shape)
+    return c, -s, s, c
 
 
 def _split_step_amps(amps: np.ndarray, field: AngleField, step: int) -> np.ndarray:
-    """One split step on raw amplitudes, with each coin+shift pair fused.
-
-    Equivalent to coin(theta1), shift coin-0 right, coin(theta2), shift coin-1
-    left, but writes each shifted coin plane directly (the rotation coin is
-    real, so plain broadcasting does the 2x2 product).
-    """
+    """One split step on raw amplitudes under the field's angles at `step`."""
     th1, th2 = field.angles_at(step)
-    c1, s1 = _half_angle_factors(th1, amps.ndim)
-    a0, a1 = amps[:, 0], amps[:, 1]
+    return _step_amps(amps, _rotation_entries(th1, amps.ndim), _rotation_entries(th2, amps.ndim))
 
-    # coin(theta1) then move the coin-0 plane one site right
-    edge = c1[-1] * a0[-1] - s1[-1] * a1[-1]
-    if not float(np.max(np.abs(edge))) <= BOUNDARY_TOL:
-        raise WindowOverflowError("coin-0 amplitude at the right edge; window too small")
-    mid = np.empty_like(amps)
-    mid[1:, 0] = c1[:-1] * a0[:-1] - s1[:-1] * a1[:-1]
-    mid[0, 0] = 0.0
-    mid[:, 1] = s1 * a0 + c1 * a1
 
-    # coin(theta2) then move the coin-1 plane one site left
-    c2, s2 = _half_angle_factors(th2, amps.ndim)
-    b0, b1 = mid[:, 0], mid[:, 1]
-    edge = s2[0] * b0[0] + c2[0] * b1[0]
-    if not float(np.max(np.abs(edge))) <= BOUNDARY_TOL:
-        raise WindowOverflowError("coin-1 amplitude at the left edge; window too small")
-    out = np.empty_like(amps)
-    out[:, 0] = c2 * b0 - s2 * b1
-    out[:-1, 1] = s2[1:] * b0[1:] + c2[1:] * b1[1:]
-    out[-1, 1] = 0.0
-    return out
+def hadamard_step(state: SingleParticleState) -> SingleParticleState:
+    """One step of the plain Hadamard walk: both shifts after a single coin."""
+    h = np.full(state.window.size, 1.0 / np.sqrt(2.0))
+    one, zero = np.ones_like(h), np.zeros_like(h)
+    amps = _step_amps(state.amps, (h, h, h, -h), (one, zero, zero, one))
+    return SingleParticleState(state.window, amps)
 
 
 def split_step(state: SingleParticleState, field: AngleField, step: int) -> SingleParticleState:

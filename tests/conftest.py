@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from topowalk import LatticeWindow, SingleParticleState, TwoParticleState
+from topowalk import LatticeWindow, SingleParticleState
+from oracles import TwoParticleState
 
 
 def random_single_state(window: LatticeWindow, seed: int) -> SingleParticleState:

@@ -4,9 +4,26 @@ The dense operators act on flattened state vectors with basis index
 2*site + coin. Shifts wrap periodically, which agrees with the hard-wall
 package operators as long as no amplitude sits at the window edge (the tests
 size windows so that support never reaches them).
+
+The dense pair route at the end is the reference for the package's product
+decomposition: the full pair state with axes (x_a, c_a, x_b, c_b), stepped one
+particle at a time.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from topowalk import (
+    AngleField,
+    EntropySeries,
+    InitialPairState,
+    LatticeWindow,
+    SingleParticleState,
+    evolve,
+    von_neumann_entropy,
+)
+from topowalk.walk import _split_step_amps
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -90,3 +107,117 @@ def axis_from_eigendecomposition(u: np.ndarray) -> np.ndarray:
     plus = eigvecs[:, int(np.argmin(phases))]
     n_sigma = 2.0 * np.outer(plus, plus.conj()) - np.eye(2)
     return np.array([np.trace(s @ n_sigma).real / 2.0 for s in PAULI])
+
+
+# -- dense pair route ------------------------------------------------------------
+
+
+@dataclass
+class TwoParticleState:
+    window: LatticeWindow
+    amps: np.ndarray  # (size, 2, size, 2) complex
+
+    def norm(self) -> float:
+        return float(np.sqrt(np.vdot(self.amps, self.amps).real))
+
+
+@dataclass
+class JointDistribution:
+    """P(i, j): particle A at site i, particle B at site j."""
+
+    window: LatticeWindow
+    values: np.ndarray  # (size, size) real, nonnegative, sums to 1
+
+
+def tensor_pair(a: SingleParticleState, b: SingleParticleState) -> TwoParticleState:
+    """Product state of two single walkers sharing the same window."""
+    if a.window != b.window:
+        raise ValueError("tensor_pair requires identical windows")
+    return TwoParticleState(a.window, np.einsum("ia,jb->iajb", a.amps, b.amps))
+
+
+def reduce_pair_to_coin(state: TwoParticleState) -> np.ndarray:
+    """4x4 coin density matrix over the pair coin basis (c_a, c_b) ordered
+    00, 01, 10, 11, after tracing out both positions."""
+    n = state.window.size
+    m = state.amps.transpose(0, 2, 1, 3).reshape(n * n, 4)
+    return m.T @ m.conj()
+
+
+def make_pair_state(init: InitialPairState, window: LatticeWindow) -> TwoParticleState:
+    xa, xb = init.positions
+    if abs(xa) >= window.half_width or abs(xb) >= window.half_width:
+        raise ValueError(f"positions {init.positions} must satisfy |x| < {window.half_width}")
+    ia, ib = window.index(xa), window.index(xb)
+    amps = np.zeros((window.size, 2, window.size, 2), dtype=complex)
+    if init.kind == "separable":
+        amps[ia, 0, ib, 1] = 1.0
+    elif init.kind == "psi_plus":
+        amps[ia, 0, ib, 1] = 1.0 / np.sqrt(2.0)
+        amps[ia, 1, ib, 0] = 1.0 / np.sqrt(2.0)
+    else:
+        amps[ia, 0, ib, 1] = 1.0 / np.sqrt(2.0)
+        amps[ia, 1, ib, 0] = -1.0 / np.sqrt(2.0)
+    return TwoParticleState(window, amps)
+
+
+def pair_split_step(
+    state: TwoParticleState, field_a: AngleField, field_b: AngleField, step: int
+) -> TwoParticleState:
+    """One product step: A's split step on (x_a, c_a), then B's on (x_b, c_b)."""
+    amps = _split_step_amps(state.amps, field_a, step)
+    amps = np.ascontiguousarray(amps.transpose(2, 3, 0, 1))
+    amps = _split_step_amps(amps, field_b, step)
+    amps = np.ascontiguousarray(amps.transpose(2, 3, 0, 1))
+    return TwoParticleState(state.window, amps)
+
+
+def evolve_pair(
+    state: TwoParticleState,
+    field_a: AngleField,
+    field_b: AngleField,
+    n_steps: int,
+    observers=None,
+):
+    """Evolve the pair n_steps steps; see topowalk.evolve for the observer contract."""
+    return evolve(
+        state,
+        lambda s, step: pair_split_step(s, field_a, field_b, step),
+        n_steps,
+        observers,
+    )
+
+
+def iter_pair_trajectory(
+    state: TwoParticleState, field_a: AngleField, field_b: AngleField, n_steps: int
+):
+    """Yield the pair state at step 0 and after each of n_steps steps."""
+    yield state
+    for step in range(n_steps):
+        state = pair_split_step(state, field_a, field_b, step)
+        yield state
+
+
+def joint_distribution_direct(state: TwoParticleState) -> JointDistribution:
+    """Ground-truth P(i, j) by summing |amplitude|^2 over both coins."""
+    values = np.einsum("iajb->ij", np.abs(state.amps) ** 2)
+    return JointDistribution(state.window, values)
+
+
+def marginals(joint: JointDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Per-particle position distributions (rows for A, columns for B)."""
+    return joint.values.sum(axis=1), joint.values.sum(axis=0)
+
+
+def pair_entropy_series(trajectory) -> EntropySeries:
+    """Coin entanglement entropy of each state in a trajectory, in bits."""
+    series = EntropySeries()
+    for step, state in enumerate(trajectory):
+        series.steps.append(step)
+        series.entropy_bits.append(von_neumann_entropy(reduce_pair_to_coin(state)))
+    return series
+
+
+def walker_amps(coin0: SingleParticleState, coin1: SingleParticleState) -> np.ndarray:
+    """One particle's lone walkers as the product route's (site, coin, start coin) array."""
+    return np.stack([coin0.amps, coin1.amps], axis=-1)

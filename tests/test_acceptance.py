@@ -18,17 +18,14 @@ from topowalk import (
     InitialPairState,
     LatticeWindow,
     boundary_angle_field,
+    coin_coefficients,
     constant_angle_field,
     distribution_sigma,
     evolve,
-    evolve_pair,
     hadamard_step,
-    joint_distribution_direct,
     joint_distribution_interference,
     load_config,
-    make_pair_state,
     make_single_state,
-    marginals,
     position_distribution,
     randomize_field,
     reduce_to_coin,
@@ -43,6 +40,14 @@ from topowalk import (
 )
 from topowalk.experiments import ANGLES_WINDING_0, ANGLES_WINDING_1, derive_seed
 from conftest import random_pair_state, random_single_state
+from oracles import (
+    evolve_pair,
+    joint_distribution_direct,
+    make_pair_state,
+    marginals,
+    reduce_pair_to_coin,
+    walker_amps,
+)
 
 MASTER_SEED = 20250809
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -204,17 +209,17 @@ def test_criterion_3_interference_formula_equivalence():
         for base_a, base_b, disorder in setups.values():
             field_a = sample_angle_field(base_a, disorder, n_steps, window, "a")
             field_b = sample_angle_field(base_b, disorder, n_steps, window, "b")
-            walkers_a = (run_single(window, (1, 0), field_a, n_steps),
-                         run_single(window, (0, 1), field_a, n_steps))
-            walkers_b = (run_single(window, (1, 0), field_b, n_steps),
-                         run_single(window, (0, 1), field_b, n_steps))
-            for sign, kind in ((+1, "psi+"), (-1, "psi-")):
+            walkers_a = walker_amps(run_single(window, (1, 0), field_a, n_steps),
+                                    run_single(window, (0, 1), field_a, n_steps))
+            walkers_b = walker_amps(run_single(window, (1, 0), field_b, n_steps),
+                                    run_single(window, (0, 1), field_b, n_steps))
+            for kind in ("psi+", "psi-"):
                 pair = make_pair_state(InitialPairState(kind), window)
                 final, _ = evolve_pair(pair, field_a, field_b, n_steps)
                 direct = joint_distribution_direct(final).values
                 interf = joint_distribution_interference(
-                    walkers_a[0], walkers_a[1], walkers_b[0], walkers_b[1], sign=sign
-                ).values
+                    walkers_a, walkers_b, coin_coefficients(InitialPairState(kind))
+                )
                 worst = max(worst, float(np.abs(direct - interf).max()))
     elapsed = time.perf_counter() - t0
     _report(
@@ -357,7 +362,7 @@ def test_criterion_8_invariant_suites():
     for seed in range(20):
         single = random_single_state(small, seed)
         pair = random_pair_state(small, seed)
-        for rho, dim in ((reduce_to_coin(single), 2), (reduce_to_coin(pair), 4)):
+        for rho, dim in ((reduce_to_coin(single), 2), (reduce_pair_to_coin(pair), 4)):
             checks.append((abs(np.trace(rho).real - 1.0) < 1e-10, "reduced trace off unity"))
             checks.append((np.abs(rho - rho.conj().T).max() < 1e-12, "reduced matrix not Hermitian"))
             entropy = von_neumann_entropy(rho)

@@ -1,10 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import topowalk
 from topowalk.cli import main
 
 PI = np.pi
@@ -143,6 +148,123 @@ class TestBadNumbers:
         assert exc.value.code == 2
 
 
+class TestConfigFileValues:
+    @pytest.mark.parametrize(
+        "cfg,flags",
+        [
+            ({"disorder": -2}, []),
+            ({"disorder": [1, 2]}, []),
+            ({"angles": "psi+"}, []),
+            ({"disorder": -2}, ["--disorder=weak"]),
+            ({"disorder": [1, 2]}, ["--disorder-target=b"]),
+            ({"angles": "psi+"}, ["--theta1a=0.5", "--theta2a=0.5"]),
+            ({"angles": [1, 2]}, ["--boundary=0,0,1,1"]),
+        ],
+    )
+    def test_malformed_mapping_is_config_error(self, tmp_path, cfg, flags):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert main(["pair", "--config", str(path), *flags, "--steps", "5", "--out", str(out)]) == 2
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_walker_a_flags_keep_walker_b_default_angles(self, tmp_path):
+        base = ["pair", "--theta1a=-1.57", "--theta2a=0.78", "--steps", "5"]
+        out_a, out_ab = tmp_path / "a", tmp_path / "ab"
+        assert main([*base, "--out", str(out_a)]) == 0
+        explicit_b = [f"--theta1b={-PI / 2}", f"--theta2b={3 * PI / 4}"]
+        assert main([*base, *explicit_b, "--out", str(out_ab)]) == 0
+        names = sorted(p.name for p in out_a.iterdir() if p.name != "manifest.json")
+        assert names == ["distribution_a.csv", "distribution_b.csv", "entropy.csv", "joint.csv"]
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_ab / name).read_bytes()
+
+
+# Any JSON object as a config file must end in exit 0, 2 or 3, never a raw
+# exception. A drawn config is a plausible one with up to two fields replaced
+# by arbitrary JSON values. Plain-int sizes are capped, in the plausible draws
+# and the replacements alike, so that every run stays small: the runs are real,
+# and an oversized one only takes long or exhausts memory, a known limitation
+# that is not an input-validation escape.
+_SIZES = {
+    "steps": st.integers(0, 12), "ensemble_size": st.integers(1, 3),
+    "grid_n": st.integers(16, 18), "k_points": st.integers(64, 80),
+}
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+_FINITE_ANGLE = st.floats(-10, 10)
+_ANGLE = _FINITE_ANGLE | _FINITE_ANGLE | _FINITE_ANGLE | st.sampled_from([float("nan"), float("inf")])
+_ANGLE_PAIR = st.lists(_ANGLE, min_size=2, max_size=2)
+_PLAUSIBLE = {
+    "window": st.just("auto") | st.integers(1, 14),
+    "run_kind": st.sampled_from(
+        ["hadamard", "single_split", "tptpw", "tptbw", "entropy_sweep", "phase_diagram"]
+    ),
+    "angles": st.dictionaries(
+        st.sampled_from(["a", "b"]),
+        _ANGLE_PAIR | st.fixed_dictionaries({"minus": _ANGLE_PAIR, "plus": _ANGLE_PAIR}),
+        max_size=2,
+    ),
+    "initial_state": st.fixed_dictionaries(
+        {"kind": st.sampled_from(["psi+", "psi-", "sep", "psi_plus"])},
+        optional={"positions": st.lists(st.integers(-15, 15), min_size=2, max_size=2)},
+    ),
+    "coin_amps": st.sampled_from([[1, 0], [0, [0, 1]], [0.6, 0.8], [1, 1]]),
+    "disorder": st.fixed_dictionaries(
+        {"kind": st.sampled_from(["none", "weak", "strong", "uniform"])},
+        optional={"half_width": st.floats(0, 7), "target": st.sampled_from(["a", "b", "both"])},
+    ),
+    "master_seed": st.integers(-2, 2**70),
+    "sweep_grid": st.lists(
+        st.fixed_dictionaries({
+            "name": st.sampled_from(["theta1a", "theta2a", "theta2b", "theta1a_plus"]),
+            "min": _FINITE_ANGLE, "max": _FINITE_ANGLE, "count": st.integers(1, 3),
+        }),
+        min_size=2,
+        max_size=2,
+    ),
+    "sweep_scalar": st.sampled_from(["final", "longmean"]),
+    "sweep_kind": st.sampled_from(["tptpw", "tptbw"]),
+    "outputs": st.none() | st.lists(st.sampled_from(["entropy", "joint", "phase"]), max_size=2),
+}
+
+
+def _replacement(key):
+    if key not in _SIZES and key != "window":
+        return _JSON_VALUES
+    # sizes: out-of-range small numbers, non-finite floats and non-numbers
+    return st.integers(-2, 3) | st.floats(-2, 3) | _JSON_VALUES.filter(
+        lambda v: not isinstance(v, (int, float)) or not abs(v) < 1e6
+    )
+
+
+_REPLACEMENTS = st.lists(
+    st.sampled_from([*_SIZES, *_PLAUSIBLE, "bogus_field"]).flatmap(
+        lambda key: st.tuples(st.just(key), _replacement(key))
+    ),
+    max_size=2,
+).map(dict)
+_CONFIGS = st.builds(
+    lambda plausible, replaced: {**plausible, **replaced},
+    st.fixed_dictionaries(_SIZES, optional=_PLAUSIBLE),
+    _REPLACEMENTS,
+)
+
+
+class TestAnyConfigFile:
+    @given(cfg=_CONFIGS)
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_main_returns_an_exit_code(self, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        for command in ("walk", "pair", "sweep", "phase-diagram"):
+            code = main([command, "--config", str(path), "--out", str(tmp_path / "run")])
+            assert code in (0, 2, 3), command
+
+
 class TestPhaseDiagramCommand:
     def test_writes_phase_csv(self, tmp_path):
         out = tmp_path / "run"
@@ -197,11 +319,15 @@ class TestDeterminism:
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports the package the tests import, installed or not
+    package_root = str(Path(topowalk.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     out = tmp_path / "run"
     proc = subprocess.run(
         [sys.executable, "-m", "topowalk", "walk", "--steps", "5", "--out", str(out)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert (out / "entropy.csv").exists()

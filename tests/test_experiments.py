@@ -20,12 +20,8 @@ from topowalk import (
     constant_angle_field,
     derive_seed,
     entropy_sweep,
-    evolve_pair,
-    joint_distribution_direct,
     load_config,
-    make_pair_state,
     randomize_field,
-    reduce_to_coin,
     run,
     von_neumann_entropy,
     write_artifacts,
@@ -37,6 +33,7 @@ from topowalk.experiments import (
     _sweep_cell_scalar,
     _with_axis_value,
 )
+from oracles import evolve_pair, joint_distribution_direct, make_pair_state, reduce_pair_to_coin
 
 PI = np.pi
 
@@ -120,6 +117,22 @@ class TestConfigParsing:
                 },
                 "sweep_grid",
             ),
+            ({"steps": float("inf")}, "steps"),
+            ({"window": float("inf")}, "window"),
+            (
+                {
+                    "run_kind": "entropy_sweep",
+                    "sweep_grid": [
+                        {"name": "theta1a", "min": 0, "max": 1, "count": float("inf")},
+                        {"name": "theta2a", "min": 0, "max": 1, "count": 2},
+                    ],
+                },
+                "sweep_grid",
+            ),
+            ({"initial_state": {"kind": "psi+", "positions": [float("inf"), 0]}}, "initial_state"),
+            ({"ensemble_size": float("inf")}, "ensemble_size"),
+            ({"k_points": float("inf")}, "k_points"),
+            ({"grid_n": float("inf")}, "grid_n"),
         ],
     )
     def test_validation_errors_name_the_field(self, patch, field):
@@ -318,7 +331,7 @@ def dense_pair_run(cfg):
             fields.append(randomize_field(base, dis, particle))
         final, records = evolve_pair(
             make_pair_state(cfg.initial_state, window), *fields, n,
-            {"entropy": lambda s: von_neumann_entropy(reduce_to_coin(s))},
+            {"entropy": lambda s: von_neumann_entropy(reduce_pair_to_coin(s))},
         )
         entropy.append(records["entropy"])
         joints.append(joint_distribution_direct(final).values)

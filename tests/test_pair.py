@@ -8,30 +8,33 @@ from topowalk import (
     AngleField,
     DisorderSpec,
     InitialPairState,
-    JointDistribution,
     LatticeWindow,
-    evolve_pair,
-    iter_pair_trajectory,
+    coin_coefficients,
     iter_product_walkers,
-    joint_distribution_direct,
     joint_distribution_interference,
-    make_pair_state,
     make_single_state,
-    marginals,
     pair_coin_density_from_singles,
-    pair_entropy_series,
-    pair_split_step,
     position_distribution,
-    product_terms,
-    reduce_to_coin,
     sample_angle_field,
     split_step,
-    tensor_pair,
     von_neumann_entropy,
     window_for_steps,
 )
 from topowalk.errors import NumericalError, WindowOverflowError
 from topowalk.experiments import ANGLES_WINDING_1, ANGLES_WINDING_0
+from oracles import (
+    JointDistribution,
+    evolve_pair,
+    iter_pair_trajectory,
+    joint_distribution_direct,
+    make_pair_state,
+    marginals,
+    pair_entropy_series,
+    pair_split_step,
+    reduce_pair_to_coin,
+    tensor_pair,
+    walker_amps,
+)
 
 # frozen from the reference run of the clean two-phase pair walk
 # (walker A at (-pi/2, pi/4), walker B at (-pi/2, 3pi/4), psi+, 100 steps)
@@ -40,6 +43,9 @@ TPTPW_S_LONGMEAN = 1.907904301773915
 TPTPW_JOINT_P00 = 2.198861177021983e-06
 TPTPW_QUADRANTS = (0.2483782301898173, 0.2475932461044761, 0.2475932461044761, 0.24837823018981733)
 TPTPW_MAX_CELL = (-68, 36, 0.004823980903377774)
+
+# coin coefficient matrices of the (|01> +- |10>)/sqrt(2) pairs, by sign
+PSI = {+1: coin_coefficients(InitialPairState("psi+")), -1: coin_coefficients(InitialPairState("psi-"))}
 
 
 def run_single(window, coin, field, n_steps):
@@ -161,8 +167,9 @@ class TestJointDistributionInterference:
         win = LatticeWindow(4)
         c0 = make_single_state(win, 0, (1, 0))
         c1 = make_single_state(win, 0, (0, 1))
-        joint = joint_distribution_interference(c0, c1, sign=+1)
-        assert_allclose(joint.values[win.index(0), win.index(0)], 1.0, atol=1e-14)
+        walkers = walker_amps(c0, c1)
+        joint = joint_distribution_interference(walkers, walkers, PSI[+1])
+        assert_allclose(joint[win.index(0), win.index(0)], 1.0, atol=1e-14)
 
     @pytest.mark.parametrize("sign", [+1, -1])
     @pytest.mark.parametrize("n_steps", [1, 2, 5, 10, 20])
@@ -174,14 +181,12 @@ class TestJointDistributionInterference:
         final, _ = evolve_pair(pair, fa, fb, n_steps)
         direct = joint_distribution_direct(final)
         interf = joint_distribution_interference(
-            run_single(win, (1, 0), fa, n_steps),
-            run_single(win, (0, 1), fa, n_steps),
-            run_single(win, (1, 0), fb, n_steps),
-            run_single(win, (0, 1), fb, n_steps),
-            sign=sign,
+            walker_amps(run_single(win, (1, 0), fa, n_steps), run_single(win, (0, 1), fa, n_steps)),
+            walker_amps(run_single(win, (1, 0), fb, n_steps), run_single(win, (0, 1), fb, n_steps)),
+            PSI[sign],
         )
-        assert np.abs(direct.values - interf.values).max() < 1e-10
-        assert abs(interf.values.sum() - 1.0) < 1e-10
+        assert np.abs(direct.values - interf).max() < 1e-10
+        assert abs(interf.sum() - 1.0) < 1e-10
 
     def test_normalized_for_any_fields(self):
         n = 7
@@ -190,14 +195,12 @@ class TestJointDistributionInterference:
         fa = sample_angle_field((0.2, 1.3), dis, n, win, "a")
         fb = sample_angle_field((-1.0, 0.4), dis, n, win, "b")
         joint = joint_distribution_interference(
-            run_single(win, (1, 0), fa, n),
-            run_single(win, (0, 1), fa, n),
-            run_single(win, (1, 0), fb, n),
-            run_single(win, (0, 1), fb, n),
-            sign=-1,
+            walker_amps(run_single(win, (1, 0), fa, n), run_single(win, (0, 1), fa, n)),
+            walker_amps(run_single(win, (1, 0), fb, n), run_single(win, (0, 1), fb, n)),
+            PSI[-1],
         )
-        assert abs(joint.values.sum() - 1.0) < 1e-10
-        assert joint.values.min() >= 0.0
+        assert abs(joint.sum() - 1.0) < 1e-10
+        assert joint.min() >= 0.0
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.sampled_from([+1, -1]))
     @settings(max_examples=15, deadline=None)
@@ -211,16 +214,14 @@ class TestJointDistributionInterference:
         final, _ = evolve_pair(make_pair_state(InitialPairState(kind), win), fa, fb, n_steps)
         direct = joint_distribution_direct(final).values
         interf = joint_distribution_interference(
-            run_single(win, (1, 0), fa, n_steps),
-            run_single(win, (0, 1), fa, n_steps),
-            run_single(win, (1, 0), fb, n_steps),
-            run_single(win, (0, 1), fb, n_steps),
-            sign=sign,
-        ).values
+            walker_amps(run_single(win, (1, 0), fa, n_steps), run_single(win, (0, 1), fa, n_steps)),
+            walker_amps(run_single(win, (1, 0), fb, n_steps), run_single(win, (0, 1), fb, n_steps)),
+            PSI[sign],
+        )
         assert np.abs(direct - interf).max() < 1e-10
 
     @pytest.mark.parametrize("kind", ["sep", "psi+", "psi-"])
-    def test_product_terms_match_direct(self, kind):
+    def test_coin_coefficients_match_direct(self, kind):
         n = 9
         win = window_for_steps(n)
         dis = DisorderSpec.strong(13, "both")
@@ -229,13 +230,11 @@ class TestJointDistributionInterference:
         init = InitialPairState(kind)
         final, _ = evolve_pair(make_pair_state(init, win), fa, fb, n)
         interf = joint_distribution_interference(
-            run_single(win, (1, 0), fa, n),
-            run_single(win, (0, 1), fa, n),
-            run_single(win, (1, 0), fb, n),
-            run_single(win, (0, 1), fb, n),
-            terms=product_terms(init),
+            walker_amps(run_single(win, (1, 0), fa, n), run_single(win, (0, 1), fa, n)),
+            walker_amps(run_single(win, (1, 0), fb, n), run_single(win, (0, 1), fb, n)),
+            coin_coefficients(init),
         )
-        assert np.abs(joint_distribution_direct(final).values - interf.values).max() < 1e-12
+        assert np.abs(joint_distribution_direct(final).values - interf).max() < 1e-12
 
     def test_separable_terms_give_the_product_of_marginals(self):
         n = 6
@@ -244,42 +243,33 @@ class TestJointDistributionInterference:
         c0_a, c1_a = run_single(win, (1, 0), fa, n), run_single(win, (0, 1), fa, n)
         c0_b, c1_b = run_single(win, (1, 0), fb, n), run_single(win, (0, 1), fb, n)
         joint = joint_distribution_interference(
-            c0_a, c1_a, c0_b, c1_b, terms=product_terms(InitialPairState("sep"))
+            walker_amps(c0_a, c1_a), walker_amps(c0_b, c1_b), coin_coefficients(InitialPairState("sep"))
         )
         expected = np.outer(position_distribution(c0_a), position_distribution(c1_b))
-        assert np.abs(joint.values - expected).max() < 1e-15
+        assert np.abs(joint - expected).max() < 1e-15
 
     def test_nan_input_fails_the_guards(self):
         win = LatticeWindow(3)
         c0 = make_single_state(win, 0, (1, 0))
         c1 = make_single_state(win, 0, (0, 1))
         c1.amps[win.index(0), 1] = np.nan
+        walkers = walker_amps(c0, c1)
         with pytest.raises(NumericalError):
-            joint_distribution_interference(c0, c1, sign=+1)
-
-    def test_rejects_bad_sign(self):
-        win = LatticeWindow(3)
-        c0 = make_single_state(win, 0, (1, 0))
-        c1 = make_single_state(win, 0, (0, 1))
-        with pytest.raises(ValueError):
-            joint_distribution_interference(c0, c1, sign=2)
+            joint_distribution_interference(walkers, walkers, PSI[+1])
 
     def test_rejects_mismatched_windows(self):
         c0 = make_single_state(LatticeWindow(3), 0, (1, 0))
         c1 = make_single_state(LatticeWindow(4), 0, (0, 1))
         with pytest.raises(ValueError):
-            joint_distribution_interference(c0, c1)
+            joint_distribution_interference(walker_amps(c0, c0), walker_amps(c1, c1), PSI[+1])
 
     def test_inconsistent_inputs_fail_normalization(self):
         # walkers evolved for different durations are physically inconsistent
         win = window_for_steps(6)
         fa, fb = clean_fields(win, 6)
+        walkers = walker_amps(run_single(win, (1, 0), fa, 6), run_single(win, (0, 1), fa, 4))
         with pytest.raises(NumericalError):
-            joint_distribution_interference(
-                run_single(win, (1, 0), fa, 6),
-                run_single(win, (0, 1), fa, 4),
-                sign=+1,
-            )
+            joint_distribution_interference(walkers, walkers, PSI[+1])
 
 
 class TestCorrelations:
@@ -386,7 +376,7 @@ class TestPairEntropy:
         pair = make_pair_state(InitialPairState("psi+"), win)
         _, records = evolve_pair(
             pair, fa, fb, n,
-            {"entropy": lambda s: von_neumann_entropy(reduce_to_coin(s))},
+            {"entropy": lambda s: von_neumann_entropy(reduce_pair_to_coin(s))},
         )
         ent = np.array(records["entropy"])
         assert_allclose(ent[-1], TPTPW_S_FINAL, atol=1e-9)
@@ -431,7 +421,7 @@ class TestProductDecomposition:
             for c, coin in enumerate(((1, 0), (0, 1))):
                 state = make_single_state(win, x0, coin)
                 for step, walkers in enumerate(trajectory):
-                    assert np.array_equal(walkers[particle][c].amps, state.amps)
+                    assert np.array_equal(walkers[particle][:, :, c], state.amps)
                     if step < n:
                         state = split_step(state, field, step)
 
@@ -470,10 +460,10 @@ class TestProductDecomposition:
         init = InitialPairState(kind)
         pair = make_pair_state(init, win)
         final, _ = evolve_pair(pair, fa, fb, n)
-        walkers_a = (run_single(win, (1, 0), fa, n), run_single(win, (0, 1), fa, n))
-        walkers_b = (run_single(win, (1, 0), fb, n), run_single(win, (0, 1), fb, n))
-        rho = pair_coin_density_from_singles(walkers_a, walkers_b, product_terms(init))
-        assert np.abs(rho - reduce_to_coin(final)).max() < 1e-12
+        walkers_a = walker_amps(run_single(win, (1, 0), fa, n), run_single(win, (0, 1), fa, n))
+        walkers_b = walker_amps(run_single(win, (1, 0), fb, n), run_single(win, (0, 1), fb, n))
+        rho = pair_coin_density_from_singles(walkers_a, walkers_b, coin_coefficients(init))
+        assert np.abs(rho - reduce_pair_to_coin(final)).max() < 1e-12
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None)
@@ -489,7 +479,7 @@ class TestProductDecomposition:
         )
         init = InitialPairState("psi+")
         final, _ = evolve_pair(make_pair_state(init, win), fa, fb, n)
-        walkers_a = (run_single(win, (1, 0), fa, n), run_single(win, (0, 1), fa, n))
-        walkers_b = (run_single(win, (1, 0), fb, n), run_single(win, (0, 1), fb, n))
-        rho = pair_coin_density_from_singles(walkers_a, walkers_b, product_terms(init))
-        assert np.abs(rho - reduce_to_coin(final)).max() < 1e-12
+        walkers_a = walker_amps(run_single(win, (1, 0), fa, n), run_single(win, (0, 1), fa, n))
+        walkers_b = walker_amps(run_single(win, (1, 0), fb, n), run_single(win, (0, 1), fb, n))
+        rho = pair_coin_density_from_singles(walkers_a, walkers_b, coin_coefficients(init))
+        assert np.abs(rho - reduce_pair_to_coin(final)).max() < 1e-12

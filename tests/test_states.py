@@ -12,11 +12,11 @@ from topowalk import (
     make_single_state,
     position_distribution,
     reduce_to_coin,
-    tensor_pair,
     von_neumann_entropy,
     window_for_steps,
 )
 from conftest import random_pair_state, random_single_state
+from oracles import reduce_pair_to_coin, tensor_pair
 
 
 class TestLatticeWindow:
@@ -131,10 +131,11 @@ class TestReduceToCoin:
 
     def test_unevolved_entangled_pair(self):
         # (|01> + |10>)/sqrt(2) at one site: projector with 1/2 on the middle block
-        from topowalk import InitialPairState, make_pair_state
+        from topowalk import InitialPairState
+        from oracles import make_pair_state
 
         pair = make_pair_state(InitialPairState("psi+"), LatticeWindow(4))
-        rho = reduce_to_coin(pair)
+        rho = reduce_pair_to_coin(pair)
         expected = np.zeros((4, 4))
         expected[1, 1] = expected[2, 2] = expected[1, 2] = expected[2, 1] = 0.5
         assert_allclose(rho, expected, atol=1e-15)
@@ -143,8 +144,10 @@ class TestReduceToCoin:
     @settings(max_examples=25, deadline=None)
     def test_trace_one(self, seed):
         win = LatticeWindow(5)
-        for state in (random_single_state(win, seed), random_pair_state(win, seed)):
-            rho = reduce_to_coin(state)
+        for rho in (
+            reduce_to_coin(random_single_state(win, seed)),
+            reduce_pair_to_coin(random_pair_state(win, seed)),
+        ):
             assert abs(np.trace(rho).real - 1.0) < 1e-10
             assert np.abs(rho - rho.conj().T).max() < 1e-12
 
@@ -154,7 +157,7 @@ class TestReduceToCoin:
         win = LatticeWindow(6)
         a = random_single_state(win, seed)
         b = random_single_state(win, seed + 10**9)
-        rho_pair = reduce_to_coin(tensor_pair(a, b))
+        rho_pair = reduce_pair_to_coin(tensor_pair(a, b))
         rho_kron = np.kron(reduce_to_coin(a), reduce_to_coin(b))
         assert np.abs(rho_pair - rho_kron).max() < 1e-12
 
@@ -193,7 +196,7 @@ class TestVonNeumannEntropy:
         s1 = random_single_state(win, seed)
         s2 = random_pair_state(win, seed)
         assert 0.0 <= von_neumann_entropy(reduce_to_coin(s1)) <= 1.0 + 1e-12
-        assert 0.0 <= von_neumann_entropy(reduce_to_coin(s2)) <= 2.0 + 1e-12
+        assert 0.0 <= von_neumann_entropy(reduce_pair_to_coin(s2)) <= 2.0 + 1e-12
 
 
 def test_distribution_sigma_two_point():

@@ -13,7 +13,6 @@ from topowalk import (
     SingleParticleState,
     WEAK_HALF_WIDTH,
     WindowOverflowError,
-    apply_coin,
     boundary_angle_field,
     constant_angle_field,
     evolve,
@@ -25,8 +24,6 @@ from topowalk import (
     reduce_to_coin,
     rotation_coin,
     sample_angle_field,
-    shift_coin0_right,
-    shift_coin1_left,
     split_step,
     von_neumann_entropy,
     window_for_steps,
@@ -88,78 +85,6 @@ class TestCoins:
             assert np.abs(c.conj().T @ c - np.eye(2)).max() < 1e-14
         h = hadamard_coin()
         assert np.abs(h.conj().T @ h - np.eye(2)).max() < 1e-14
-
-
-class TestApplyCoin:
-    def test_identity_everywhere(self):
-        s = random_single_state(LatticeWindow(6), 3)
-        out = apply_coin(s, np.eye(2))
-        assert_allclose(out.amps, s.amps, atol=0)
-
-    def test_hadamard_on_basis(self):
-        s = make_single_state(LatticeWindow(5), 0, (1, 0))
-        out = apply_coin(s, hadamard_coin())
-        i0 = s.window.index(0)
-        assert_allclose(out.amps[i0], np.array([1, 1]) / np.sqrt(2), atol=1e-15)
-
-    def test_site_dependent_callable(self):
-        # Hadamard at x = 0, identity elsewhere: only the x = 0 component rotates
-        win = LatticeWindow(5)
-        s = make_single_state(win, 0, (1, 0))
-        amps = np.zeros_like(s.amps)
-        amps[win.index(-1), 0] = 1 / np.sqrt(2)
-        amps[win.index(0), 0] = 1 / np.sqrt(2)
-        s.amps = amps
-
-        coin_at = lambda x, step: hadamard_coin() if x == 0 else np.eye(2)
-        out = apply_coin(s, coin_at)
-        assert_allclose(out.amps[win.index(-1)], [1 / np.sqrt(2), 0], atol=1e-15)
-        assert_allclose(out.amps[win.index(0)], [0.5, 0.5], atol=1e-15)
-
-    def test_norm_preserved(self):
-        s = random_single_state(LatticeWindow(6), 9)
-        out = apply_coin(s, rotation_coin(1.234))
-        assert abs(out.norm() - 1.0) < 1e-12
-
-
-class TestShifts:
-    def test_shift0_moves_coin0(self):
-        s = make_single_state(LatticeWindow(3), 0, (1, 0))
-        out = shift_coin0_right(s)
-        assert out.amps[s.window.index(1), 0] == 1.0
-
-    def test_shift1_leaves_coin0(self):
-        s = make_single_state(LatticeWindow(3), 0, (1, 0))
-        out = shift_coin1_left(s)
-        assert_allclose(out.amps, s.amps, atol=0)
-
-    def test_combined_shift_on_superposition(self):
-        win = LatticeWindow(3)
-        s = apply_coin(make_single_state(win, 0, (1, 0)), hadamard_coin())
-        out = shift_coin1_left(shift_coin0_right(s))
-        assert_allclose(out.amps[win.index(1), 0], 1 / np.sqrt(2), atol=1e-15)
-        assert_allclose(out.amps[win.index(-1), 1], 1 / np.sqrt(2), atol=1e-15)
-
-    def test_per_component_norm_exact(self):
-        s = random_single_state(LatticeWindow(7), 11)
-        s.amps[-1, 0] = 0.0  # clear the outgoing edge
-        out = shift_coin0_right(s)
-        for coin in (0, 1):
-            assert np.sum(np.abs(out.amps[:, coin]) ** 2) == np.sum(
-                np.abs(s.amps[:, coin]) ** 2
-            )
-
-    def test_boundary_overflow_detected(self):
-        win = LatticeWindow(3)
-        amps = np.zeros((win.size, 2), dtype=complex)
-        amps[win.index(3), 0] = 1.0
-        s = SingleParticleState(win, amps)
-        with pytest.raises(WindowOverflowError):
-            shift_coin0_right(s)
-        amps = np.zeros((win.size, 2), dtype=complex)
-        amps[win.index(-3), 1] = 1.0
-        with pytest.raises(WindowOverflowError):
-            shift_coin1_left(SingleParticleState(win, amps))
 
 
 class TestHadamardStep:
