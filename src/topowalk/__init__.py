@@ -10,7 +10,6 @@ from ._version import __version__
 from .errors import ConfigError, NumericalError, TopowalkError, WindowOverflowError
 from .states import (
     LatticeWindow,
-    SingleParticleState,
     distribution_sigma,
     make_single_state,
     position_distribution,
@@ -26,13 +25,13 @@ from .walk import (
     WEAK_HALF_WIDTH,
     boundary_angle_field,
     constant_angle_field,
-    evolve,
     hadamard_coin,
     hadamard_step,
     randomize_field,
     rotation_coin,
     sample_angle_field,
     split_step,
+    trajectory,
 )
 from .pair import (
     InitialPairState,

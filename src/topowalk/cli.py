@@ -13,16 +13,11 @@ import sys
 
 from .errors import ConfigError, NumericalError, WindowOverflowError
 from .experiments import RunConfig, config_from_dict, run, write_artifacts
-from .walk import STRONG_HALF_WIDTH, WEAK_HALF_WIDTH
 
 
 def _parse_disorder_flag(text: str) -> dict:
-    if text == "none":
-        return {"kind": "none"}
-    if text == "weak":
-        return {"kind": "uniform", "half_width": WEAK_HALF_WIDTH}
-    if text == "strong":
-        return {"kind": "uniform", "half_width": STRONG_HALF_WIDTH}
+    if text in ("none", "weak", "strong"):
+        return {"kind": text}
     if text.startswith("width="):
         try:
             return {"kind": "uniform", "half_width": float(text.split("=", 1)[1])}

@@ -8,6 +8,7 @@ CSV data files plus a manifest that suffices to re-run the experiment.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -32,17 +33,14 @@ from .states import (
 )
 from .topology import PhaseDiagram, phase_diagram
 from .walk import (
-    AngleField,
     BoundarySpec,
     DisorderSpec,
     STRONG_HALF_WIDTH,
     WEAK_HALF_WIDTH,
-    boundary_angle_field,
-    constant_angle_field,
-    evolve,
     hadamard_step,
-    randomize_field,
+    sample_angle_field,
     split_step,
+    trajectory,
 )
 
 ANGLES_WINDING_1 = (-np.pi / 2.0, np.pi / 4.0)
@@ -71,6 +69,9 @@ SWEEP_PARAMETERS = {
 OUTPUT_KINDS = ("entropy", "distribution", "joint", "heatmap", "phase")
 
 _FLOAT_FMT = "{:.16e}"
+
+# Largest array a config may ask for, in elements (512 MiB of float64).
+MAX_ARRAY_ELEMENTS = 2**26
 
 
 @dataclass(frozen=True)
@@ -365,7 +366,32 @@ def validate_config(config: RunConfig) -> RunConfig:
             entry = _particle_angles(config, particle)
             if walk_kind == "tptpw" and isinstance(entry, BoundarySpec):
                 raise ConfigError(f"angles.{particle}", "tptpw takes plain (theta1, theta2) angles")
+    # values that a run kind would ignore are errors, not silent no-ops
+    if config.disorder.kind != "none" and config.run_kind in ("hadamard", "phase_diagram"):
+        raise ConfigError("disorder", f"{config.run_kind} runs draw no random angles")
+    if config.disorder.target == "b" and config.run_kind in ("hadamard", "single_split"):
+        raise ConfigError("disorder", "single-walker runs have no walker b to target")
+    if config.ensemble_size > 1 and config.run_kind in ("entropy_sweep", "phase_diagram"):
+        raise ConfigError("ensemble_size", f"{config.run_kind} runs have one replicate")
+    _check_array_sizes(config)
     return config
+
+
+def _check_array_sizes(config: RunConfig) -> None:
+    """Reject a config whose largest array would exceed MAX_ARRAY_ELEMENTS, naming its field."""
+    size = _resolved_window(config).size
+    # walker arrays grow with the window, and a pair run's joint distribution with its square
+    sites = size * size if config.run_kind in ("tptpw", "tptbw") else size
+    counts = (
+        ("steps" if config.window is None else "window", sites),
+        ("steps", size * config.steps),  # each angle field is (site, step)
+        ("sweep_grid", math.prod(ax.count for ax in config.sweep_grid)),
+        ("k_points", config.k_points),
+        ("grid_n", config.grid_n**2),
+    )
+    for name, count in counts:
+        if not count <= MAX_ARRAY_ELEMENTS:
+            raise ConfigError(name, f"needs a {count}-element array; the limit is {MAX_ARRAY_ELEMENTS}")
 
 
 # -- angle plumbing ---------------------------------------------------------------
@@ -389,14 +415,6 @@ def _particle_angles(config: RunConfig, particle: str):
     if entry is None:
         raise ConfigError(f"angles.{particle}", "missing angles")
     return entry
-
-
-def _build_field(entry, disorder: DisorderSpec, steps: int, window: LatticeWindow, particle: str) -> AngleField:
-    if isinstance(entry, BoundarySpec):
-        base = boundary_angle_field(entry, steps, window)
-    else:
-        base = constant_angle_field(entry[0], entry[1], steps, window)
-    return randomize_field(base, disorder, particle)
 
 
 def _with_axis_value(angles: dict, name: str, value: float) -> dict:
@@ -431,10 +449,6 @@ def _resolved_window(config: RunConfig) -> LatticeWindow:
     return LatticeWindow(config.window if config.window is not None else config.steps + 1)
 
 
-def _coin_entropy(state) -> float:
-    return von_neumann_entropy(reduce_to_coin(state))
-
-
 def _aggregate_entropy(series_list: list) -> tuple[EntropySeries, np.ndarray | None]:
     stacked = np.array(series_list, dtype=float)
     mean = stacked.mean(axis=0)
@@ -445,20 +459,20 @@ def _aggregate_entropy(series_list: list) -> tuple[EntropySeries, np.ndarray | N
 
 def _run_single(config: RunConfig) -> RunArtifacts:
     window = _resolved_window(config)
-    coin = np.asarray(config.coin_amps, dtype=complex)
     entropy_runs = []
     dist_sum = None
     for r in range(config.ensemble_size):
-        state = make_single_state(window, 0, coin)
         if config.run_kind == "hadamard":
-            stepper = lambda s, step: hadamard_step(s)
+            stepper = lambda amps, step: hadamard_step(amps)
         else:
-            dis = replace(config.disorder, seed=derive_seed(config.master_seed, r))
-            fld = _build_field(_particle_angles(config, "a"), dis, config.steps, window, "a")
-            stepper = lambda s, step: split_step(s, fld, step)
-        final, records = evolve(state, stepper, config.steps, {"entropy": _coin_entropy})
-        entropy_runs.append(records["entropy"])
-        dist = position_distribution(final)
+            entry, seed = _particle_angles(config, "a"), derive_seed(config.master_seed, r)
+            fld = sample_angle_field(entry, config.disorder, config.steps, window, "a", seed)
+            stepper = lambda amps, step: split_step(amps, fld, step)
+        entropy = []
+        for amps in trajectory(make_single_state(window, 0, config.coin_amps), stepper, config.steps):
+            entropy.append(von_neumann_entropy(reduce_to_coin(amps)))
+        entropy_runs.append(entropy)
+        dist = position_distribution(amps)  # the loop leaves amps at the last step
         dist_sum = dist if dist_sum is None else dist_sum + dist
     entropy, std = _aggregate_entropy(entropy_runs)
     return RunArtifacts(
@@ -474,9 +488,11 @@ def _pair_trajectory(config: RunConfig, replicate: int):
     """Lone-walker trajectory (see iter_product_walkers) of one pair replicate,
     under the fields drawn from derive_seed(master_seed, replicate)."""
     window = _resolved_window(config)
-    dis = replace(config.disorder, seed=derive_seed(config.master_seed, replicate))
-    field_a = _build_field(_particle_angles(config, "a"), dis, config.steps, window, "a")
-    field_b = _build_field(_particle_angles(config, "b"), dis, config.steps, window, "b")
+    seed = derive_seed(config.master_seed, replicate)
+    field_a, field_b = (
+        sample_angle_field(_particle_angles(config, p), config.disorder, config.steps, window, p, seed)
+        for p in ("a", "b")
+    )
     return iter_product_walkers(config.initial_state, window, field_a, field_b, config.steps)
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .states import LatticeWindow
-from .walk import RUNTIME_NORM_TOL, AngleField, _split_step_amps
+from .states import LatticeWindow, make_single_state
+from .walk import AngleField, split_step, trajectory
 
 PAIR_KIND_ALIASES = {
     "psi+": "psi_plus",
@@ -68,30 +68,19 @@ def iter_product_walkers(
     field_b: AngleField,
     n_steps: int,
 ):
-    """Yield (amps_a, amps_b) at step 0 and after each of n_steps steps.
+    """Iterate (amps_a, amps_b) at step 0 and after each of n_steps steps.
 
     amps_x[:, :, c] is particle x's lone walker started in coin |c> at its site
     in init.positions and stepped under field_x: an array of shape
     (size, coin, start coin). Both coin starts of a particle share one kernel
-    call. As in evolve, every walker's norm is checked after every step.
+    call, and each particle runs on its own walk.trajectory.
     """
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    amps = []
-    for x in init.positions:
-        if abs(x) >= window.half_width:
-            raise ValueError(f"positions {init.positions} must satisfy |x| < {window.half_width}")
-        start = np.zeros((window.size, 2, 2), dtype=complex)  # (site, coin, start coin)
-        start[window.index(x)] = np.eye(2)
-        amps.append(start)
 
-    yield amps[0], amps[1]
-    for step in range(n_steps):
-        amps = [_split_step_amps(amps[0], field_a, step), _split_step_amps(amps[1], field_b, step)]
-        drift = max(float(np.max(np.abs(np.linalg.norm(a, axis=(0, 1)) - 1.0))) for a in amps)
-        if not drift <= RUNTIME_NORM_TOL:
-            raise NumericalError(f"lone-walker norm drifted by {drift:.3e} at step {step + 1}")
-        yield amps[0], amps[1]
+    def lone_walkers(x: int, field: AngleField):
+        start = np.stack([make_single_state(window, x, c) for c in ((1, 0), (0, 1))], axis=-1)
+        return trajectory(start, lambda amps, step: split_step(amps, field, step), n_steps)
+
+    return zip(lone_walkers(init.positions[0], field_a), lone_walkers(init.positions[1], field_b))
 
 
 def pair_coin_density_from_singles(

@@ -1,7 +1,8 @@
 """Single-walker state vectors on a finite 1D lattice.
 
-Amplitudes are dense complex arrays indexed by (position, coin). Positions
-run x = -L..+L; array index 0 corresponds to x = -L.
+A walker is a dense complex array with axes (position, coin, *walkers): one
+walker is a (size, 2) array, and trailing axes stack walkers stepped together.
+Positions run x = -L..+L; array index 0 corresponds to x = -L.
 """
 
 from __future__ import annotations
@@ -46,17 +47,8 @@ def window_for_steps(n_steps: int) -> LatticeWindow:
     return LatticeWindow(n_steps + 1)
 
 
-@dataclass
-class SingleParticleState:
-    window: LatticeWindow
-    amps: np.ndarray  # (size, 2) complex
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.vdot(self.amps, self.amps).real))
-
-
-def make_single_state(window: LatticeWindow, x0: int, coin_amps) -> SingleParticleState:
-    """Walker localized at x0 with the given normalized 2-component coin state."""
+def make_single_state(window: LatticeWindow, x0: int, coin_amps) -> np.ndarray:
+    """(size, 2) walker localized at x0 with the given normalized 2-component coin state."""
     coin = np.asarray(coin_amps, dtype=complex)
     if coin.shape != (2,):
         raise ValueError(f"coin_amps must have 2 components, got shape {coin.shape}")
@@ -66,12 +58,12 @@ def make_single_state(window: LatticeWindow, x0: int, coin_amps) -> SinglePartic
         raise ValueError(f"x0={x0} must satisfy |x0| < {window.half_width}")
     amps = np.zeros((window.size, 2), dtype=complex)
     amps[window.index(x0)] = coin
-    return SingleParticleState(window, amps)
+    return amps
 
 
-def position_distribution(state: SingleParticleState) -> np.ndarray:
-    """P(x) with the coin traced out; sums to 1 for a normalized state."""
-    return np.sum(np.abs(state.amps) ** 2, axis=1)
+def position_distribution(amps: np.ndarray) -> np.ndarray:
+    """P(x) with the coin traced out; sums to 1 for a normalized walker."""
+    return np.sum(np.abs(amps) ** 2, axis=1)
 
 
 def distribution_sigma(positions: np.ndarray, probs: np.ndarray) -> float:
@@ -80,9 +72,9 @@ def distribution_sigma(positions: np.ndarray, probs: np.ndarray) -> float:
     return float(np.sqrt(np.dot(probs, positions.astype(float) ** 2) - mean**2))
 
 
-def reduce_to_coin(state: SingleParticleState) -> np.ndarray:
-    """2x2 coin density matrix after tracing out the position."""
-    return state.amps.T @ state.amps.conj()
+def reduce_to_coin(amps: np.ndarray) -> np.ndarray:
+    """2x2 coin density matrix of a (size, 2) walker after tracing out the position."""
+    return amps.T @ amps.conj()
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:

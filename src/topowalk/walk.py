@@ -5,7 +5,8 @@ operator acts first: S0 moves every coin-0 amplitude one site right and S1
 moves every coin-1 amplitude one site left. The Hadamard walk is the same
 kernel with the Hadamard coin first and the identity second. Coin angles may
 depend on site and step; each coin reads the angle at the site where the
-amplitude currently sits.
+amplitude currently sits. Walkers are arrays with axes (site, coin, *walkers),
+as in states.py; trajectory() steps any of them and checks every walker's norm.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, WindowOverflowError
-from .states import LatticeWindow, SingleParticleState
+from .states import LatticeWindow
 
 # Guards compare as `not x <= tol`, so that a NaN fails them instead of passing.
 BOUNDARY_TOL = 1e-14
@@ -61,7 +62,6 @@ class DisorderSpec:
     kind: str = "none"  # "none" | "uniform"
     half_width: float = 0.0
     target: str = "a"  # "a" | "b" | "both"
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in ("none", "uniform"):
@@ -77,18 +77,6 @@ class DisorderSpec:
             and self.half_width > 0
             and self.target in (particle, "both")
         )
-
-    @classmethod
-    def none(cls) -> "DisorderSpec":
-        return cls()
-
-    @classmethod
-    def weak(cls, seed: int, target: str = "a") -> "DisorderSpec":
-        return cls("uniform", WEAK_HALF_WIDTH, target, seed)
-
-    @classmethod
-    def strong(cls, seed: int, target: str = "a") -> "DisorderSpec":
-        return cls("uniform", STRONG_HALF_WIDTH, target, seed)
 
 
 @dataclass(frozen=True)
@@ -148,7 +136,7 @@ def boundary_angle_field(
     )
 
 
-def randomize_field(field: AngleField, disorder: DisorderSpec, particle: str = "a") -> AngleField:
+def randomize_field(field: AngleField, disorder: DisorderSpec, particle: str, seed: int) -> AngleField:
     """Add i.i.d. uniform noise to every (site, step) angle when the particle is targeted.
 
     Streams are keyed by (seed, particle, angle index) so theta1/theta2 noise
@@ -160,22 +148,27 @@ def randomize_field(field: AngleField, disorder: DisorderSpec, particle: str = "
     w = disorder.half_width
     shifted = []
     for substep, base in enumerate((field.theta1, field.theta2)):
-        seq = np.random.SeedSequence(disorder.seed, spawn_key=(p, substep))
+        seq = np.random.SeedSequence(seed, spawn_key=(p, substep))
         noise = np.random.default_rng(seq).uniform(-w, w, size=base.shape)
         shifted.append(base + noise)
     return AngleField(shifted[0], shifted[1])
 
 
 def sample_angle_field(
-    base: tuple[float, float],
+    entry: tuple[float, float] | BoundarySpec,
     disorder: DisorderSpec,
     n_steps: int,
     window: LatticeWindow,
-    particle: str = "a",
+    particle: str,
+    seed: int,
 ) -> AngleField:
-    """Constant field at the base angles, randomized per the disorder spec."""
-    field = constant_angle_field(base[0], base[1], n_steps, window)
-    return randomize_field(field, disorder, particle)
+    """One particle's field: constant (theta1, theta2) angles or a two-phase
+    boundary, randomized per the disorder spec from the given seed."""
+    if isinstance(entry, BoundarySpec):
+        field = boundary_angle_field(entry, n_steps, window)
+    else:
+        field = constant_angle_field(entry[0], entry[1], n_steps, window)
+    return randomize_field(field, disorder, particle, seed)
 
 
 # -- split-step evolution --------------------------------------------------------
@@ -228,42 +221,33 @@ def _rotation_entries(theta: np.ndarray, ndim: int) -> tuple:
     return c, -s, s, c
 
 
-def _split_step_amps(amps: np.ndarray, field: AngleField, step: int) -> np.ndarray:
-    """One split step on raw amplitudes under the field's angles at `step`."""
+def split_step(amps: np.ndarray, field: AngleField, step: int) -> np.ndarray:
+    """One split step with the field's site-dependent angles at `step`."""
+    if field.n_positions != amps.shape[0]:
+        raise ValueError("angle field does not match the lattice window")
     th1, th2 = field.angles_at(step)
     return _step_amps(amps, _rotation_entries(th1, amps.ndim), _rotation_entries(th2, amps.ndim))
 
 
-def hadamard_step(state: SingleParticleState) -> SingleParticleState:
+def hadamard_step(amps: np.ndarray) -> np.ndarray:
     """One step of the plain Hadamard walk: both shifts after a single coin."""
-    h = np.full(state.window.size, 1.0 / np.sqrt(2.0))
+    h = np.full((amps.shape[0],) + (1,) * (amps.ndim - 2), 1.0 / np.sqrt(2.0))
     one, zero = np.ones_like(h), np.zeros_like(h)
-    amps = _step_amps(state.amps, (h, h, h, -h), (one, zero, zero, one))
-    return SingleParticleState(state.window, amps)
+    return _step_amps(amps, (h, h, h, -h), (one, zero, zero, one))
 
 
-def split_step(state: SingleParticleState, field: AngleField, step: int) -> SingleParticleState:
-    """One split step with site- and step-dependent angles."""
-    if field.n_positions != state.window.size:
-        raise ValueError("angle field does not match the lattice window")
-    return SingleParticleState(state.window, _split_step_amps(state.amps, field, step))
+def trajectory(amps: np.ndarray, stepper, n_steps: int):
+    """Yield amps, then amps = stepper(amps, step) after each of n_steps steps.
 
-
-def evolve(state, stepper, n_steps: int, observers=None):
-    """Apply `stepper(state, step)` n_steps times.
-
-    Observers is a mapping name -> callable(state); each is recorded at step 0
-    and after every step, so series have n_steps + 1 entries. Returns
-    (final_state, records).
+    amps has axes (site, coin, *walkers); after every step each walker's norm
+    is checked against RUNTIME_NORM_TOL.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    observers = observers or {}
-    records = {name: [fn(state)] for name, fn in observers.items()}
+    yield amps
     for step in range(n_steps):
-        state = stepper(state, step)
-        if not abs(state.norm() - 1.0) <= RUNTIME_NORM_TOL:
-            raise NumericalError(f"norm drifted to {state.norm():.12f} at step {step + 1}")
-        for name, fn in observers.items():
-            records[name].append(fn(state))
-    return state, records
+        amps = stepper(amps, step)
+        drift = float(np.max(np.abs(np.linalg.norm(amps, axis=(0, 1)) - 1.0)))
+        if not drift <= RUNTIME_NORM_TOL:
+            raise NumericalError(f"walker norm drifted by {drift:.3e} at step {step + 1}")
+        yield amps

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from topowalk import LatticeWindow, SingleParticleState
+from topowalk import LatticeWindow
 from oracles import TwoParticleState
 
 
-def random_single_state(window: LatticeWindow, seed: int) -> SingleParticleState:
+def random_single_state(window: LatticeWindow, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal((window.size, 2)) + 1j * rng.standard_normal((window.size, 2))
     amps /= np.sqrt(np.vdot(amps, amps).real)
-    return SingleParticleState(window, amps)
+    return amps
 
 
 def random_pair_state(window: LatticeWindow, seed: int) -> TwoParticleState:

@@ -19,11 +19,11 @@ from topowalk import (
     EntropySeries,
     InitialPairState,
     LatticeWindow,
-    SingleParticleState,
-    evolve,
+    NumericalError,
+    split_step,
     von_neumann_entropy,
 )
-from topowalk.walk import _split_step_amps
+from topowalk.walk import RUNTIME_NORM_TOL
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -129,11 +129,11 @@ class JointDistribution:
     values: np.ndarray  # (size, size) real, nonnegative, sums to 1
 
 
-def tensor_pair(a: SingleParticleState, b: SingleParticleState) -> TwoParticleState:
-    """Product state of two single walkers sharing the same window."""
-    if a.window != b.window:
+def tensor_pair(a: np.ndarray, b: np.ndarray) -> TwoParticleState:
+    """Product state of two (size, 2) single walkers sharing the same window."""
+    if a.shape != b.shape:
         raise ValueError("tensor_pair requires identical windows")
-    return TwoParticleState(a.window, np.einsum("ia,jb->iajb", a.amps, b.amps))
+    return TwoParticleState(LatticeWindow(a.shape[0] // 2), np.einsum("ia,jb->iajb", a, b))
 
 
 def reduce_pair_to_coin(state: TwoParticleState) -> np.ndarray:
@@ -165,9 +165,9 @@ def pair_split_step(
     state: TwoParticleState, field_a: AngleField, field_b: AngleField, step: int
 ) -> TwoParticleState:
     """One product step: A's split step on (x_a, c_a), then B's on (x_b, c_b)."""
-    amps = _split_step_amps(state.amps, field_a, step)
+    amps = split_step(state.amps, field_a, step)
     amps = np.ascontiguousarray(amps.transpose(2, 3, 0, 1))
-    amps = _split_step_amps(amps, field_b, step)
+    amps = split_step(amps, field_b, step)
     amps = np.ascontiguousarray(amps.transpose(2, 3, 0, 1))
     return TwoParticleState(state.window, amps)
 
@@ -179,13 +179,22 @@ def evolve_pair(
     n_steps: int,
     observers=None,
 ):
-    """Evolve the pair n_steps steps; see topowalk.evolve for the observer contract."""
-    return evolve(
-        state,
-        lambda s, step: pair_split_step(s, field_a, field_b, step),
-        n_steps,
-        observers,
-    )
+    """Evolve the pair n_steps steps and return (final_state, records).
+
+    Observers is a mapping name -> callable(state); each is recorded at step 0
+    and after every step, so series have n_steps + 1 entries. The whole pair
+    state's norm is checked after every step.
+    """
+    if n_steps < 0:
+        raise ValueError("n_steps must be >= 0")
+    observers = observers or {}
+    records = {name: [] for name in observers}
+    for step, state in enumerate(iter_pair_trajectory(state, field_a, field_b, n_steps)):
+        if step and not abs(state.norm() - 1.0) <= RUNTIME_NORM_TOL:
+            raise NumericalError(f"norm drifted to {state.norm():.12f} at step {step}")
+        for name, fn in observers.items():
+            records[name].append(fn(state))
+    return state, records
 
 
 def iter_pair_trajectory(
@@ -218,6 +227,6 @@ def pair_entropy_series(trajectory) -> EntropySeries:
     return series
 
 
-def walker_amps(coin0: SingleParticleState, coin1: SingleParticleState) -> np.ndarray:
+def walker_amps(coin0: np.ndarray, coin1: np.ndarray) -> np.ndarray:
     """One particle's lone walkers as the product route's (site, coin, start coin) array."""
-    return np.stack([coin0.amps, coin1.amps], axis=-1)
+    return np.stack([coin0, coin1], axis=-1)

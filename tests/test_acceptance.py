@@ -17,11 +17,12 @@ from topowalk import (
     DisorderSpec,
     InitialPairState,
     LatticeWindow,
+    STRONG_HALF_WIDTH,
+    WEAK_HALF_WIDTH,
     boundary_angle_field,
     coin_coefficients,
     constant_angle_field,
     distribution_sigma,
-    evolve,
     hadamard_step,
     joint_distribution_interference,
     load_config,
@@ -33,6 +34,7 @@ from topowalk import (
     run,
     sample_angle_field,
     split_step,
+    trajectory,
     von_neumann_entropy,
     winding_number,
     window_for_steps,
@@ -82,8 +84,8 @@ REF_SWEEP_TPTPW_MAX_BITS = 1.993574012117504
 REF_SWEEP_TPTBW_MAX_BITS = 1.9342585999353683
 
 
-def coin_entropy(state) -> float:
-    return von_neumann_entropy(reduce_to_coin(state))
+def coin_entropy(amps) -> float:
+    return von_neumann_entropy(reduce_to_coin(amps))
 
 
 def run_single(window, coin, field, n_steps):
@@ -115,18 +117,19 @@ def boundary_vs_uniform(n_steps: int, disorder_key: str):
     uniform-phase control (the x < 0 phase extended everywhere)."""
     window = window_for_steps(n_steps)
     positions = window.positions()
+    seed = derive_seed(MASTER_SEED, 0)
     if disorder_key == "none":
-        disorder = DisorderSpec.none()
+        disorder = DisorderSpec()
     else:
-        disorder = DisorderSpec.strong(derive_seed(MASTER_SEED, 0), disorder_key)
+        disorder = DisorderSpec("uniform", STRONG_HALF_WIDTH, disorder_key)
     masses = {}
     joints = {}
     for name, spec in (
         ("boundary", BoundarySpec(ANGLES_WINDING_1, ANGLES_WINDING_0)),
         ("uniform", BoundarySpec(ANGLES_WINDING_1, ANGLES_WINDING_1)),
     ):
-        field_a = randomize_field(boundary_angle_field(spec, n_steps, window), disorder, "a")
-        field_b = randomize_field(boundary_angle_field(spec, n_steps, window), disorder, "b")
+        field_a = randomize_field(boundary_angle_field(spec, n_steps, window), disorder, "a", seed)
+        field_b = randomize_field(boundary_angle_field(spec, n_steps, window), disorder, "b", seed)
         state = make_pair_state(InitialPairState("psi+"), window)
         final, _ = evolve_pair(state, field_a, field_b, n_steps)
         joints[name] = joint_distribution_direct(final).values
@@ -137,9 +140,9 @@ def boundary_vs_uniform(n_steps: int, disorder_key: str):
 def test_criterion_1_hadamard_entropy_asymptote():
     t0 = time.perf_counter()
     state = make_single_state(window_for_steps(100), 0, (1, 0))
-    _, records = evolve(state, lambda s, t: hadamard_step(s), 100, {"entropy": coin_entropy})
+    entropy = [coin_entropy(s) for s in trajectory(state, lambda s, t: hadamard_step(s), 100)]
     elapsed = time.perf_counter() - t0
-    final_entropy = records["entropy"][100]
+    final_entropy = entropy[100]
     _report(
         1,
         "hadamard entropy asymptote",
@@ -165,8 +168,9 @@ def test_criterion_2_ballistic_vs_subballistic_spreading():
     mean50 = np.zeros(window.size)
     mean100 = np.zeros(window.size)
     for replicate in range(20):
-        disorder = DisorderSpec.strong(derive_seed(MASTER_SEED, replicate), "a")
-        field = sample_angle_field(ANGLES_WINDING_1, disorder, 100, window, "a")
+        disorder = DisorderSpec("uniform", STRONG_HALF_WIDTH, "a")
+        seed = derive_seed(MASTER_SEED, replicate)
+        field = sample_angle_field(ANGLES_WINDING_1, disorder, 100, window, "a", seed)
         state = make_single_state(window, 0, (1, 0))
         for step in range(100):
             state = split_step(state, field, step)
@@ -198,17 +202,18 @@ def test_criterion_2_ballistic_vs_subballistic_spreading():
 def test_criterion_3_interference_formula_equivalence():
     t0 = time.perf_counter()
     worst = 0.0
-    weak = DisorderSpec.weak(derive_seed(MASTER_SEED, 0), "a")
+    seed = derive_seed(MASTER_SEED, 0)
+    weak = DisorderSpec("uniform", WEAK_HALF_WIDTH, "a")
     setups = {
-        "clean equal": (ANGLES_WINDING_1, ANGLES_WINDING_1, DisorderSpec.none()),
-        "clean unequal": (ANGLES_WINDING_1, ANGLES_WINDING_0, DisorderSpec.none()),
+        "clean equal": (ANGLES_WINDING_1, ANGLES_WINDING_1, DisorderSpec()),
+        "clean unequal": (ANGLES_WINDING_1, ANGLES_WINDING_0, DisorderSpec()),
         "weak disorder": (ANGLES_WINDING_1, ANGLES_WINDING_0, weak),
     }
     for n_steps in (1, 2, 5, 10, 20):
         window = window_for_steps(n_steps)
         for base_a, base_b, disorder in setups.values():
-            field_a = sample_angle_field(base_a, disorder, n_steps, window, "a")
-            field_b = sample_angle_field(base_b, disorder, n_steps, window, "b")
+            field_a = sample_angle_field(base_a, disorder, n_steps, window, "a", seed)
+            field_b = sample_angle_field(base_b, disorder, n_steps, window, "b", seed)
             walkers_a = walker_amps(run_single(window, (1, 0), field_a, n_steps),
                                     run_single(window, (0, 1), field_a, n_steps))
             walkers_b = walker_amps(run_single(window, (1, 0), field_b, n_steps),
@@ -275,16 +280,18 @@ def test_criterion_6_disorder_localization_and_boundary_destruction():
     window = window_for_steps(100)
     positions = window.positions()
 
+    seed = derive_seed(MASTER_SEED, 0)
+
     def marginal_mass(disorder):
-        field_a = randomize_field(constant_angle_field(*ANGLES_WINDING_1, 100, window), disorder, "a")
-        field_b = randomize_field(constant_angle_field(*ANGLES_WINDING_0, 100, window), disorder, "b")
+        field_a = randomize_field(constant_angle_field(*ANGLES_WINDING_1, 100, window), disorder, "a", seed)
+        field_b = randomize_field(constant_angle_field(*ANGLES_WINDING_0, 100, window), disorder, "b", seed)
         state = make_pair_state(InitialPairState("psi+"), window)
         final, _ = evolve_pair(state, field_a, field_b, 100)
         mass_a, _ = marginals(joint_distribution_direct(final))
         return float(mass_a[np.abs(positions) <= 5].sum())
 
-    clean_mass = marginal_mass(DisorderSpec.none())
-    strong_mass = marginal_mass(DisorderSpec.strong(derive_seed(MASTER_SEED, 0), "a"))
+    clean_mass = marginal_mass(DisorderSpec())
+    strong_mass = marginal_mass(DisorderSpec("uniform", STRONG_HALF_WIDTH, "a"))
     mass_ratio = strong_mass / clean_mass
 
     strong_masses, _ = boundary_vs_uniform(100, "a")
@@ -344,11 +351,11 @@ def test_criterion_8_invariant_suites():
     state = make_single_state(window, 0, (1, 0))
     for step in range(100):
         state = hadamard_step(state)
-    checks.append((abs(state.norm() - 1.0) < 1e-12, "hadamard walk norm drifted"))
-    disorder = DisorderSpec.strong(derive_seed(MASTER_SEED, 3), "a")
-    field = sample_angle_field(ANGLES_WINDING_1, disorder, 100, window, "a")
+    checks.append((abs(np.linalg.norm(state) - 1.0) < 1e-12, "hadamard walk norm drifted"))
+    disorder = DisorderSpec("uniform", STRONG_HALF_WIDTH, "a")
+    field = sample_angle_field(ANGLES_WINDING_1, disorder, 100, window, "a", derive_seed(MASTER_SEED, 3))
     state = run_single(window, (1, 0), field, 100)
-    checks.append((abs(state.norm() - 1.0) < 1e-12, "disordered split walk norm drifted"))
+    checks.append((abs(np.linalg.norm(state) - 1.0) < 1e-12, "disordered split walk norm drifted"))
 
     # coin unitarity for sampled rotation angles
     worst = 0.0
@@ -377,8 +384,8 @@ def test_criterion_8_invariant_suites():
     for kind in ("psi+", "psi-"):
         small_window = LatticeWindow(8)
         field = sample_angle_field(
-            ANGLES_WINDING_1, DisorderSpec.weak(derive_seed(MASTER_SEED, 5), "both"), 6,
-            small_window, "a",
+            ANGLES_WINDING_1, DisorderSpec("uniform", WEAK_HALF_WIDTH, "both"), 6,
+            small_window, "a", derive_seed(MASTER_SEED, 5),
         )
         pair = make_pair_state(InitialPairState(kind), small_window)
         final, _ = evolve_pair(pair, field, field, 6)
@@ -391,9 +398,10 @@ def test_criterion_8_invariant_suites():
     # separable factorization at L <= 8 and at 30 steps
     for n_steps, half in ((6, 8), (30, 31)):
         window_f = LatticeWindow(half)
-        dis = DisorderSpec.strong(derive_seed(MASTER_SEED, 7), "both")
-        field_a = sample_angle_field(ANGLES_WINDING_1, dis, n_steps, window_f, "a")
-        field_b = sample_angle_field(ANGLES_WINDING_0, dis, n_steps, window_f, "b")
+        dis = DisorderSpec("uniform", STRONG_HALF_WIDTH, "both")
+        seed = derive_seed(MASTER_SEED, 7)
+        field_a = sample_angle_field(ANGLES_WINDING_1, dis, n_steps, window_f, "a", seed)
+        field_b = sample_angle_field(ANGLES_WINDING_0, dis, n_steps, window_f, "b", seed)
         pair = make_pair_state(InitialPairState("sep"), window_f)
         final, _ = evolve_pair(pair, field_a, field_b, n_steps)
         joint = joint_distribution_direct(final)
@@ -404,9 +412,10 @@ def test_criterion_8_invariant_suites():
     # determinism under repeated seeded execution, plus pair norm drift
     def seeded_run():
         window_d = window_for_steps(40)
-        dis = DisorderSpec.strong(derive_seed(MASTER_SEED, 11), "both")
-        field_a = sample_angle_field(ANGLES_WINDING_1, dis, 40, window_d, "a")
-        field_b = sample_angle_field(ANGLES_WINDING_0, dis, 40, window_d, "b")
+        dis = DisorderSpec("uniform", STRONG_HALF_WIDTH, "both")
+        seed = derive_seed(MASTER_SEED, 11)
+        field_a = sample_angle_field(ANGLES_WINDING_1, dis, 40, window_d, "a", seed)
+        field_b = sample_angle_field(ANGLES_WINDING_0, dis, 40, window_d, "b", seed)
         pair = make_pair_state(InitialPairState("psi+"), window_d)
         final, _ = evolve_pair(pair, field_a, field_b, 40)
         return final.amps

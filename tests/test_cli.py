@@ -44,7 +44,8 @@ class TestWalkCommand:
 
     def test_disorder_width_flag(self, tmp_path):
         out = tmp_path / "run"
-        assert main(["walk", "--steps", "5", "--disorder", "width=0.5", "--out", str(out)]) == 0
+        argv = ["walk", "--kind", "split", "--steps", "5", "--disorder", "width=0.5", "--out", str(out)]
+        assert main(argv) == 0
         assert read_manifest(out)["config"]["disorder"]["half_width"] == 0.5
 
     def test_bad_disorder_flag_is_config_error(self, tmp_path):
@@ -148,6 +149,29 @@ class TestBadNumbers:
         assert exc.value.code == 2
 
 
+class TestIgnoredOrOversizedValues:
+    AXES = ["--axis", "theta1a:0:1:2", "--axis", "theta2a:0:1:2"]
+
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            # values the run kind would ignore
+            (["walk", "--disorder", "strong"], "disorder"),
+            (["walk", "--kind", "split", "--disorder", "strong", "--disorder-target", "b"], "disorder"),
+            (["sweep", *AXES, "--ensemble", "5"], "ensemble_size"),
+            (["phase-diagram", "--disorder", "strong"], "disorder"),
+            # arrays over MAX_ARRAY_ELEMENTS
+            (["walk", "--steps", str(10**11)], "steps"),
+            (["phase-diagram", "--k-points", str(10**30)], "k_points"),
+        ],
+    )
+    def test_config_error_and_no_data_files(self, tmp_path, capsys, argv, field):
+        out = tmp_path / "run"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"config field '{field}'" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
 class TestConfigFileValues:
     @pytest.mark.parametrize(
         "cfg,flags",
@@ -184,8 +208,8 @@ class TestConfigFileValues:
 # exception. A drawn config is a plausible one with up to two fields replaced
 # by arbitrary JSON values. Plain-int sizes are capped, in the plausible draws
 # and the replacements alike, so that every run stays small: the runs are real,
-# and an oversized one only takes long or exhausts memory, a known limitation
-# that is not an input-validation escape.
+# and a size below the MAX_ARRAY_ELEMENTS bound can still take long (the
+# bound itself is tested in TestIgnoredOrOversizedValues and test_experiments).
 _SIZES = {
     "steps": st.integers(0, 12), "ensemble_size": st.integers(1, 3),
     "grid_n": st.integers(16, 18), "k_points": st.integers(64, 80),

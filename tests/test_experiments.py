@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 from topowalk import (
     BoundarySpec,
     ConfigError,
-    DisorderSpec,
     InitialPairState,
     LatticeWindow,
     RunConfig,
@@ -33,7 +32,14 @@ from topowalk.experiments import (
     _sweep_cell_scalar,
     _with_axis_value,
 )
-from oracles import evolve_pair, joint_distribution_direct, make_pair_state, reduce_pair_to_coin
+from oracles import (
+    dense_hadamard_unitary,
+    dense_split_unitary,
+    evolve_pair,
+    joint_distribution_direct,
+    make_pair_state,
+    reduce_pair_to_coin,
+)
 
 PI = np.pi
 
@@ -133,6 +139,38 @@ class TestConfigParsing:
             ({"ensemble_size": float("inf")}, "ensemble_size"),
             ({"k_points": float("inf")}, "k_points"),
             ({"grid_n": float("inf")}, "grid_n"),
+            # arrays over MAX_ARRAY_ELEMENTS
+            ({"steps": 10**11}, "steps"),
+            ({"window": 10**11}, "window"),
+            ({"window": 5000}, "window"),  # the pair joint distribution has 10001**2 entries
+            ({"k_points": 10**30}, "k_points"),
+            ({"grid_n": 10**9}, "grid_n"),
+            (
+                {
+                    "run_kind": "entropy_sweep",
+                    "sweep_grid": [
+                        {"name": "theta1a", "min": 0, "max": 1, "count": 10**9},
+                        {"name": "theta2a", "min": 0, "max": 1, "count": 2},
+                    ],
+                },
+                "sweep_grid",
+            ),
+            # values the run kind would ignore
+            ({"run_kind": "hadamard", "disorder": {"kind": "strong"}}, "disorder"),
+            ({"run_kind": "phase_diagram", "disorder": {"kind": "weak"}}, "disorder"),
+            ({"run_kind": "single_split", "disorder": {"kind": "weak", "target": "b"}}, "disorder"),
+            ({"run_kind": "phase_diagram", "ensemble_size": 2}, "ensemble_size"),
+            (
+                {
+                    "run_kind": "entropy_sweep",
+                    "ensemble_size": 5,
+                    "sweep_grid": [
+                        {"name": "theta1a", "min": 0, "max": 1, "count": 2},
+                        {"name": "theta2a", "min": 0, "max": 1, "count": 2},
+                    ],
+                },
+                "ensemble_size",
+            ),
         ],
     )
     def test_validation_errors_name_the_field(self, patch, field):
@@ -317,10 +355,7 @@ def dense_pair_run(cfg):
     window = LatticeWindow(n + 1)
     entropy, joints = [], []
     for r in range(cfg.ensemble_size):
-        dis = DisorderSpec(
-            cfg.disorder.kind, cfg.disorder.half_width, cfg.disorder.target,
-            derive_seed(cfg.master_seed, r),
-        )
+        seed = derive_seed(cfg.master_seed, r)
         fields = []
         for particle in ("a", "b"):
             entry = cfg.angles.get(particle, cfg.angles["a"])
@@ -328,7 +363,7 @@ def dense_pair_run(cfg):
                 base = boundary_angle_field(entry, n, window)
             else:
                 base = constant_angle_field(entry[0], entry[1], n, window)
-            fields.append(randomize_field(base, dis, particle))
+            fields.append(randomize_field(base, cfg.disorder, particle, seed))
         final, records = evolve_pair(
             make_pair_state(cfg.initial_state, window), *fields, n,
             {"entropy": lambda s: von_neumann_entropy(reduce_pair_to_coin(s))},
@@ -358,6 +393,68 @@ class TestPairRouteAgainstDenseOracle:
         assert np.abs(art.joint - joint).max() < 1e-12
         assert np.abs(art.distributions["a"] - joint.sum(axis=1)).max() < 1e-12
         assert np.abs(art.distributions["b"] - joint.sum(axis=0)).max() < 1e-12
+
+
+def dense_single_run(cfg):
+    """Reference single-walker observables: the flattened (2 * size) state vector
+    stepped by dense_hadamard_unitary or dense_split_unitary. Each replicate's
+    disorder is drawn here as the package draws it: uniform noise on walker a's
+    theta1 and theta2 from the streams (derive_seed(master_seed, r), spawn key
+    (0, angle index))."""
+    n = cfg.steps
+    window = LatticeWindow(n + 1)
+    size = window.size
+    entropy, dists = [], []
+    for r in range(cfg.ensemble_size):
+        if cfg.run_kind == "hadamard":
+            unitaries = [dense_hadamard_unitary(size)] * n
+        else:
+            thetas = []
+            for index, base in enumerate(cfg.angles["a"]):
+                theta = np.full((size, n), base)
+                if cfg.disorder.kind == "uniform":
+                    seq = np.random.SeedSequence(derive_seed(cfg.master_seed, r), spawn_key=(0, index))
+                    w = cfg.disorder.half_width
+                    theta = theta + np.random.default_rng(seq).uniform(-w, w, size=theta.shape)
+                thetas.append(theta)
+            unitaries = [dense_split_unitary(thetas[0][:, t], thetas[1][:, t]) for t in range(n)]
+        vec = np.zeros(2 * size, dtype=complex)
+        vec[2 * window.index(0) : 2 * window.index(0) + 2] = cfg.coin_amps
+        series = []
+        for u in [None, *unitaries]:
+            if u is not None:
+                vec = u @ vec
+            m = vec.reshape(size, 2)
+            series.append(von_neumann_entropy(np.einsum("ic,id->cd", m, m.conj())))
+        entropy.append(series)
+        dists.append((np.abs(vec.reshape(size, 2)) ** 2).sum(axis=1))
+    entropy = np.array(entropy)
+    std = entropy.std(axis=0) if len(entropy) > 1 else None
+    return entropy.mean(axis=0), std, np.mean(dists, axis=0)
+
+
+class TestSingleRouteAgainstDenseOracle:
+    SETUPS = {
+        "hadamard": {"run_kind": "hadamard"},
+        "split_clean": {"run_kind": "single_split"},
+        "split_weak": {"run_kind": "single_split", "disorder": {"kind": "weak"}},
+        "split_strong": {"run_kind": "single_split", "disorder": {"kind": "strong"}},
+    }
+
+    @pytest.mark.parametrize("ensemble", [1, 3])
+    @pytest.mark.parametrize("setup", sorted(SETUPS))
+    def test_run_matches_dense_unitary(self, setup, ensemble):
+        data = {"steps": 20, "master_seed": 31, "ensemble_size": ensemble, "coin_amps": [0.6, [0, 0.8]]}
+        cfg = config_from_dict({**data, **self.SETUPS[setup]})
+        art = run(cfg)
+        entropy, std, dist = dense_single_run(cfg)
+        assert np.abs(np.array(art.entropy.entropy_bits) - entropy).max() < 1e-12
+        if ensemble == 1:
+            assert art.entropy_std is None and std is None
+        else:
+            assert np.abs(art.entropy_std - std).max() < 1e-12
+        assert np.abs(art.distributions["walk"] - dist).max() < 1e-12
+        assert np.array_equal(art.positions, LatticeWindow(21).positions())
 
 
 class TestEntropySweep:

@@ -9,6 +9,8 @@ from topowalk import (
     DisorderSpec,
     InitialPairState,
     LatticeWindow,
+    STRONG_HALF_WIDTH,
+    WEAK_HALF_WIDTH,
     coin_coefficients,
     iter_product_walkers,
     joint_distribution_interference,
@@ -56,8 +58,8 @@ def run_single(window, coin, field, n_steps):
 
 
 def clean_fields(window, n_steps, angles_a=ANGLES_WINDING_1, angles_b=ANGLES_WINDING_0):
-    fa = sample_angle_field(angles_a, DisorderSpec.none(), n_steps, window, "a")
-    fb = sample_angle_field(angles_b, DisorderSpec.none(), n_steps, window, "b")
+    fa = sample_angle_field(angles_a, DisorderSpec(), n_steps, window, "a", 0)
+    fb = sample_angle_field(angles_b, DisorderSpec(), n_steps, window, "b", 0)
     return fa, fb
 
 
@@ -115,9 +117,9 @@ class TestEvolvePair:
     def test_norm_preserved(self):
         n = 20
         win = window_for_steps(n)
-        dis = DisorderSpec.strong(3, "both")
-        fa = sample_angle_field(ANGLES_WINDING_1, dis, n, win, "a")
-        fb = sample_angle_field(ANGLES_WINDING_0, dis, n, win, "b")
+        dis = DisorderSpec("uniform", STRONG_HALF_WIDTH, "both")
+        fa = sample_angle_field(ANGLES_WINDING_1, dis, n, win, "a", 3)
+        fb = sample_angle_field(ANGLES_WINDING_0, dis, n, win, "b", 3)
         pair = make_pair_state(InitialPairState("psi+"), win)
         final, _ = evolve_pair(pair, fa, fb, n)
         assert abs(final.norm() - 1.0) < 1e-12
@@ -152,9 +154,9 @@ class TestJointDistributionDirect:
     def test_separable_factorizes_at_every_step(self):
         n = 10
         win = window_for_steps(n)
-        dis = DisorderSpec.weak(5, "both")
-        fa = sample_angle_field(ANGLES_WINDING_1, dis, n, win, "a")
-        fb = sample_angle_field(ANGLES_WINDING_0, dis, n, win, "b")
+        dis = DisorderSpec("uniform", WEAK_HALF_WIDTH, "both")
+        fa = sample_angle_field(ANGLES_WINDING_1, dis, n, win, "a", 5)
+        fb = sample_angle_field(ANGLES_WINDING_0, dis, n, win, "b", 5)
         pair = make_pair_state(InitialPairState("sep"), win)
         for state in iter_pair_trajectory(pair, fa, fb, n):
             joint = joint_distribution_direct(state)
@@ -191,9 +193,9 @@ class TestJointDistributionInterference:
     def test_normalized_for_any_fields(self):
         n = 7
         win = window_for_steps(n)
-        dis = DisorderSpec.strong(9, "both")
-        fa = sample_angle_field((0.2, 1.3), dis, n, win, "a")
-        fb = sample_angle_field((-1.0, 0.4), dis, n, win, "b")
+        dis = DisorderSpec("uniform", STRONG_HALF_WIDTH, "both")
+        fa = sample_angle_field((0.2, 1.3), dis, n, win, "a", 9)
+        fb = sample_angle_field((-1.0, 0.4), dis, n, win, "b", 9)
         joint = joint_distribution_interference(
             walker_amps(run_single(win, (1, 0), fa, n), run_single(win, (0, 1), fa, n)),
             walker_amps(run_single(win, (1, 0), fb, n), run_single(win, (0, 1), fb, n)),
@@ -224,9 +226,9 @@ class TestJointDistributionInterference:
     def test_coin_coefficients_match_direct(self, kind):
         n = 9
         win = window_for_steps(n)
-        dis = DisorderSpec.strong(13, "both")
-        fa = sample_angle_field((0.4, -0.9), dis, n, win, "a")
-        fb = sample_angle_field((-1.7, 1.1), dis, n, win, "b")
+        dis = DisorderSpec("uniform", STRONG_HALF_WIDTH, "both")
+        fa = sample_angle_field((0.4, -0.9), dis, n, win, "a", 13)
+        fb = sample_angle_field((-1.7, 1.1), dis, n, win, "b", 13)
         init = InitialPairState(kind)
         final, _ = evolve_pair(make_pair_state(init, win), fa, fb, n)
         interf = joint_distribution_interference(
@@ -252,7 +254,7 @@ class TestJointDistributionInterference:
         win = LatticeWindow(3)
         c0 = make_single_state(win, 0, (1, 0))
         c1 = make_single_state(win, 0, (0, 1))
-        c1.amps[win.index(0), 1] = np.nan
+        c1[win.index(0), 1] = np.nan
         walkers = walker_amps(c0, c1)
         with pytest.raises(NumericalError):
             joint_distribution_interference(walkers, walkers, PSI[+1])
@@ -289,7 +291,7 @@ class TestCorrelations:
     def test_exchange_symmetry_identical_fields(self, kind):
         n = 15
         win = window_for_steps(n)
-        field = sample_angle_field(ANGLES_WINDING_1, DisorderSpec.none(), n, win, "a")
+        field = sample_angle_field(ANGLES_WINDING_1, DisorderSpec(), n, win, "a", 0)
         pair = make_pair_state(InitialPairState(kind), win)
         final, _ = evolve_pair(pair, field, field, n)
         joint = joint_distribution_direct(final)
@@ -411,9 +413,9 @@ class TestProductDecomposition:
         # the trailing-axis kernel call gives each walker the exact bits of its own split_step run
         n = 11
         win = window_for_steps(n + 2)
-        dis = DisorderSpec.strong(17, "both")
-        fa = sample_angle_field((0.3, -1.1), dis, n, win, "a")
-        fb = sample_angle_field((-2.0, 0.7), dis, n, win, "b")
+        dis = DisorderSpec("uniform", STRONG_HALF_WIDTH, "both")
+        fa = sample_angle_field((0.3, -1.1), dis, n, win, "a", 17)
+        fb = sample_angle_field((-2.0, 0.7), dis, n, win, "b", 17)
         init = InitialPairState("psi+", (2, -1))
         trajectory = list(iter_product_walkers(init, win, fa, fb, n))
         assert len(trajectory) == n + 1
@@ -421,7 +423,7 @@ class TestProductDecomposition:
             for c, coin in enumerate(((1, 0), (0, 1))):
                 state = make_single_state(win, x0, coin)
                 for step, walkers in enumerate(trajectory):
-                    assert np.array_equal(walkers[particle][:, :, c], state.amps)
+                    assert np.array_equal(walkers[particle][:, :, c], state)
                     if step < n:
                         state = split_step(state, field, step)
 
@@ -429,9 +431,9 @@ class TestProductDecomposition:
     def test_walker_norm_drift_raises(self, monkeypatch, scale):
         import topowalk.pair as pair_module
 
-        kernel = pair_module._split_step_amps
+        kernel = pair_module.split_step
         monkeypatch.setattr(
-            pair_module, "_split_step_amps", lambda amps, field, step: kernel(amps, field, step) * scale
+            pair_module, "split_step", lambda amps, field, step: kernel(amps, field, step) * scale
         )
         win = LatticeWindow(4)
         fa, fb = clean_fields(win, 2)
@@ -454,9 +456,9 @@ class TestProductDecomposition:
     def test_coin_density_matches_direct_reduction(self, kind):
         n = 15
         win = window_for_steps(n)
-        dis = DisorderSpec.strong(11, "both")
-        fa = sample_angle_field((0.3, -1.1), dis, n, win, "a")
-        fb = sample_angle_field((-2.0, 0.7), dis, n, win, "b")
+        dis = DisorderSpec("uniform", STRONG_HALF_WIDTH, "both")
+        fa = sample_angle_field((0.3, -1.1), dis, n, win, "a", 11)
+        fb = sample_angle_field((-2.0, 0.7), dis, n, win, "b", 11)
         init = InitialPairState(kind)
         pair = make_pair_state(init, win)
         final, _ = evolve_pair(pair, fa, fb, n)

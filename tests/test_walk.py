@@ -10,12 +10,11 @@ from topowalk import (
     DisorderSpec,
     LatticeWindow,
     NumericalError,
-    SingleParticleState,
+    STRONG_HALF_WIDTH,
     WEAK_HALF_WIDTH,
     WindowOverflowError,
     boundary_angle_field,
     constant_angle_field,
-    evolve,
     hadamard_coin,
     hadamard_step,
     make_single_state,
@@ -25,6 +24,7 @@ from topowalk import (
     rotation_coin,
     sample_angle_field,
     split_step,
+    trajectory,
     von_neumann_entropy,
     window_for_steps,
 )
@@ -48,8 +48,8 @@ SINGLE_WALKER_ENTROPY = {
 }
 
 
-def coin_entropy(state):
-    return von_neumann_entropy(reduce_to_coin(state))
+def coin_entropy(amps):
+    return von_neumann_entropy(reduce_to_coin(amps))
 
 
 class TestCoins:
@@ -89,17 +89,19 @@ class TestCoins:
 
 class TestHadamardStep:
     def test_single_step_distribution(self):
-        s = hadamard_step(make_single_state(LatticeWindow(3), 0, (1, 0)))
+        win = LatticeWindow(3)
+        s = hadamard_step(make_single_state(win, 0, (1, 0)))
         dist = position_distribution(s)
-        assert_allclose(dist[s.window.index(1)], 0.5, atol=1e-14)
-        assert_allclose(dist[s.window.index(-1)], 0.5, atol=1e-14)
+        assert_allclose(dist[win.index(1)], 0.5, atol=1e-14)
+        assert_allclose(dist[win.index(-1)], 0.5, atol=1e-14)
 
     def test_two_step_parity(self):
-        s = make_single_state(LatticeWindow(4), 0, (1, 0))
+        win = LatticeWindow(4)
+        s = make_single_state(win, 0, (1, 0))
         for _ in range(2):
             s = hadamard_step(s)
         dist = position_distribution(s)
-        x = s.window.positions()
+        x = win.positions()
         assert dist[np.abs(x) % 2 == 1].max() == 0.0
 
     def test_reachability_small_n(self):
@@ -112,7 +114,16 @@ class TestHadamardStep:
             for i, x in enumerate(win.positions()):
                 for c in (0, 1):
                     if (x, c) not in reachable:
-                        assert s.amps[i, c] == 0.0
+                        assert s[i, c] == 0.0
+
+    def test_stacked_walkers_step_independently(self):
+        # a trailing walker axis gives each walker the exact bits of its own step
+        win = LatticeWindow(6)
+        walkers = np.stack([random_single_state(win, seed) for seed in (1, 2, 3)], axis=-1)
+        walkers[:2] = walkers[-2:] = 0.0
+        out = hadamard_step(walkers)
+        for w in range(3):
+            assert np.array_equal(out[:, :, w], hadamard_step(walkers[:, :, w]))
 
     def test_hundred_step_peak_matches_dense_oracle(self):
         # the 100-step walk from coin |0> is asymmetric with its ballistic peak
@@ -143,13 +154,13 @@ class TestSplitStep:
         win = LatticeWindow(3)
         field = constant_angle_field(0.0, 0.0, 1, win)
         s = split_step(make_single_state(win, 0, (1, 0)), field, 0)
-        assert s.amps[win.index(1), 0] == 1.0
+        assert s[win.index(1), 0] == 1.0
 
     def test_zero_angles_transport_coin1(self):
         win = LatticeWindow(3)
         field = constant_angle_field(0.0, 0.0, 1, win)
         s = split_step(make_single_state(win, 0, (0, 1)), field, 0)
-        assert s.amps[win.index(-1), 1] == 1.0
+        assert s[win.index(-1), 1] == 1.0
 
     def test_matches_dense_unitary_small_lattice(self):
         # site-dependent angles: the step must equal one application of the
@@ -162,12 +173,12 @@ class TestSplitStep:
         field = AngleField(np.repeat(th1[:, None], 3, 1), np.repeat(th2[:, None], 3, 1))
         u = dense_split_unitary(th1, th2)
         s = random_single_state(win, 23)
-        s.amps[:2] = 0.0
-        s.amps[-2:] = 0.0
-        s.amps /= np.sqrt(np.vdot(s.amps, s.amps).real)
-        vec = s.amps.reshape(-1)
+        s[:2] = 0.0
+        s[-2:] = 0.0
+        s /= np.sqrt(np.vdot(s, s).real)
+        vec = s.reshape(-1)
         out = split_step(s, field, 0)
-        assert np.abs(out.amps.reshape(-1) - u @ vec).max() < 1e-12
+        assert np.abs(out.reshape(-1) - u @ vec).max() < 1e-12
 
     def test_operator_entrywise_equality_constant_angles(self):
         # assemble the step operator column by column from basis states and
@@ -184,8 +195,8 @@ class TestSplitStep:
             amps[col // 2, col % 2] = 1.0
             if col // 2 in (0, win.size - 1):
                 continue
-            out = split_step(SingleParticleState(win, amps), field, 0)
-            built[:, col] = out.amps.reshape(-1)
+            out = split_step(amps, field, 0)
+            built[:, col] = out.reshape(-1)
         interior = slice(2, dim - 2)
         assert np.abs(built[:, interior] - dense[:, interior]).max() < 1e-12
 
@@ -206,7 +217,7 @@ class TestSplitStep:
             vec = u @ vec
         ref = np.abs(vec.reshape(win.size, 2)) ** 2
         assert np.abs(position_distribution(s) - ref.sum(axis=1)).max() < 1e-10
-        assert np.abs(s.amps.reshape(-1) - vec).max() < 1e-10
+        assert np.abs(s.reshape(-1) - vec).max() < 1e-10
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
     @settings(max_examples=20, deadline=None)
@@ -224,7 +235,7 @@ class TestSplitStep:
         for i, x in enumerate(win.positions()):
             for c in (0, 1):
                 if (x, c) not in reachable:
-                    assert s.amps[i, c] == 0.0
+                    assert s[i, c] == 0.0
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -238,29 +249,29 @@ class TestSplitStep:
         s = make_single_state(win, 0, (1 / np.sqrt(2), -1j / np.sqrt(2)))
         for step in range(10):
             s = split_step(s, field, step)
-        assert abs(s.norm() - 1.0) < 1e-13
+        assert abs(np.linalg.norm(s) - 1.0) < 1e-13
 
 
 class TestAngleFields:
     def test_zero_width_is_constant(self):
         win = LatticeWindow(4)
-        dis = DisorderSpec("uniform", 0.0, "a", 5)
-        field = sample_angle_field((0.3, 0.7), dis, 6, win)
+        dis = DisorderSpec("uniform", 0.0, "a")
+        field = sample_angle_field((0.3, 0.7), dis, 6, win, "a", 5)
         assert np.all(field.theta1 == 0.3)
         assert np.all(field.theta2 == 0.7)
 
     def test_same_seed_bit_identical(self):
         win = LatticeWindow(4)
-        dis = DisorderSpec.weak(42, "a")
-        f1 = sample_angle_field((0.3, 0.7), dis, 6, win)
-        f2 = sample_angle_field((0.3, 0.7), dis, 6, win)
+        dis = DisorderSpec("uniform", WEAK_HALF_WIDTH, "a")
+        f1 = sample_angle_field((0.3, 0.7), dis, 6, win, "a", 42)
+        f2 = sample_angle_field((0.3, 0.7), dis, 6, win, "a", 42)
         assert np.array_equal(f1.theta1, f2.theta1)
         assert np.array_equal(f1.theta2, f2.theta2)
 
     def test_weak_disorder_interval(self):
         win = LatticeWindow(40)
-        dis = DisorderSpec.weak(7, "a")
-        field = sample_angle_field((0.3, 0.7), dis, 50, win)
+        dis = DisorderSpec("uniform", WEAK_HALF_WIDTH, "a")
+        field = sample_angle_field((0.3, 0.7), dis, 50, win, "a", 7)
         assert field.theta1.min() >= 0.3 - WEAK_HALF_WIDTH
         assert field.theta1.max() <= 0.3 + WEAK_HALF_WIDTH
         assert field.theta2.min() >= 0.7 - WEAK_HALF_WIDTH
@@ -271,25 +282,25 @@ class TestAngleFields:
 
     def test_theta_components_independent(self):
         win = LatticeWindow(10)
-        dis = DisorderSpec.weak(7, "a")
-        field = sample_angle_field((0.0, 0.0), dis, 10, win)
+        dis = DisorderSpec("uniform", WEAK_HALF_WIDTH, "a")
+        field = sample_angle_field((0.0, 0.0), dis, 10, win, "a", 7)
         assert not np.array_equal(field.theta1, field.theta2)
 
     def test_target_selects_particle(self):
         win = LatticeWindow(4)
         base = constant_angle_field(0.1, 0.2, 5, win)
-        dis = DisorderSpec.weak(3, "a")
-        assert not np.array_equal(randomize_field(base, dis, "a").theta1, base.theta1)
-        assert np.array_equal(randomize_field(base, dis, "b").theta1, base.theta1)
-        both = DisorderSpec.weak(3, "both")
-        assert not np.array_equal(randomize_field(base, both, "b").theta1, base.theta1)
+        dis = DisorderSpec("uniform", WEAK_HALF_WIDTH, "a")
+        assert not np.array_equal(randomize_field(base, dis, "a", 3).theta1, base.theta1)
+        assert np.array_equal(randomize_field(base, dis, "b", 3).theta1, base.theta1)
+        both = DisorderSpec("uniform", WEAK_HALF_WIDTH, "both")
+        assert not np.array_equal(randomize_field(base, both, "b", 3).theta1, base.theta1)
 
     def test_particle_streams_differ(self):
         win = LatticeWindow(4)
         base = constant_angle_field(0.0, 0.0, 5, win)
-        dis = DisorderSpec.weak(3, "both")
-        fa = randomize_field(base, dis, "a")
-        fb = randomize_field(base, dis, "b")
+        dis = DisorderSpec("uniform", WEAK_HALF_WIDTH, "both")
+        fa = randomize_field(base, dis, "a", 3)
+        fb = randomize_field(base, dis, "b", 3)
         assert not np.array_equal(fa.theta1, fb.theta1)
 
     def test_boundary_field_convention(self):
@@ -315,52 +326,56 @@ class TestAngleFields:
 
     def test_disorder_spec_validation(self):
         with pytest.raises(ValueError):
-            DisorderSpec("gaussian", 0.1, "a", 0)
+            DisorderSpec("gaussian", 0.1, "a")
         with pytest.raises(ValueError):
-            DisorderSpec("uniform", -0.1, "a", 0)
+            DisorderSpec("uniform", -0.1, "a")
         with pytest.raises(ValueError):
-            DisorderSpec("uniform", 0.1, "c", 0)
+            DisorderSpec("uniform", 0.1, "c")
 
 
-class TestEvolve:
+def hadamard_stepper(amps, step):
+    return hadamard_step(amps)
+
+
+class TestTrajectory:
     def test_zero_steps_returns_input(self):
         s = make_single_state(LatticeWindow(3), 0, (1, 0))
-        final, records = evolve(s, lambda st, t: hadamard_step(st), 0, {"norm": lambda st: st.norm()})
-        assert final is s
-        assert records["norm"] == [1.0]
+        states = list(trajectory(s, hadamard_stepper, 0))
+        assert len(states) == 1 and states[0] is s
+        assert [np.linalg.norm(a) for a in states] == [1.0]
 
     def test_rejects_negative_step_count(self):
         s = make_single_state(LatticeWindow(3), 0, (1, 0))
         with pytest.raises(ValueError):
-            evolve(s, lambda st, t: hadamard_step(st), -1)
+            next(trajectory(s, hadamard_stepper, -1))
 
     def test_observer_series_length(self):
         s = make_single_state(LatticeWindow(12), 0, (1, 0))
-        _, records = evolve(s, lambda st, t: hadamard_step(st), 10, {"entropy": coin_entropy})
-        assert len(records["entropy"]) == 11
+        entropy = [coin_entropy(a) for a in trajectory(s, hadamard_stepper, 10)]
+        assert len(entropy) == 11
 
     def test_hadamard_entropy_asymptote(self):
         s = make_single_state(window_for_steps(100), 0, (1, 0))
-        _, records = evolve(s, lambda st, t: hadamard_step(st), 100, {"entropy": coin_entropy})
-        assert abs(records["entropy"][100] - 0.87) < 0.02
+        entropy = [coin_entropy(a) for a in trajectory(s, hadamard_stepper, 100)]
+        assert abs(entropy[100] - 0.87) < 0.02
 
     def test_norm_violation_raises(self):
         s = make_single_state(LatticeWindow(3), 0, (1, 0))
 
-        def bad_stepper(state, step):
-            return SingleParticleState(state.window, state.amps * 1.001)
+        def bad_stepper(amps, step):
+            return amps * 1.001
 
         with pytest.raises(NumericalError):
-            evolve(s, bad_stepper, 3)
+            list(trajectory(s, bad_stepper, 3))
 
     def test_nan_state_fails_the_norm_check(self):
         s = make_single_state(LatticeWindow(3), 0, (1, 0))
 
-        def nan_stepper(state, step):
-            return SingleParticleState(state.window, state.amps * np.nan)
+        def nan_stepper(amps, step):
+            return amps * np.nan
 
         with pytest.raises(NumericalError):
-            evolve(s, nan_stepper, 3)
+            list(trajectory(s, nan_stepper, 3))
 
     def test_nan_angle_fails_the_edge_check(self):
         # a NaN coin angle turns the edge amplitude into NaN, which must not pass as zero
@@ -376,10 +391,11 @@ class TestEvolve:
         if kind == "clean":
             field = constant_angle_field(*ANGLES_WINDING_1, 100, win)
         else:
-            maker = DisorderSpec.weak if kind == "weak" else DisorderSpec.strong
-            dis = maker(derive_seed(MASTER_SEED, 0), "a")
-            field = sample_angle_field(ANGLES_WINDING_1, dis, 100, win, "a")
+            half_width = WEAK_HALF_WIDTH if kind == "weak" else STRONG_HALF_WIDTH
+            dis = DisorderSpec("uniform", half_width, "a")
+            field = sample_angle_field(ANGLES_WINDING_1, dis, 100, win, "a", derive_seed(MASTER_SEED, 0))
         s = make_single_state(win, 0, (1, 0))
-        _, records = evolve(s, lambda st, t: split_step(st, field, t), 100, {"entropy": coin_entropy})
+        states = trajectory(s, lambda amps, t: split_step(amps, field, t), 100)
+        entropy = [coin_entropy(a) for a in states]
         for step, expected in SINGLE_WALKER_ENTROPY[kind].items():
-            assert_allclose(records["entropy"][step], expected, atol=1e-9)
+            assert_allclose(entropy[step], expected, atol=1e-9)
