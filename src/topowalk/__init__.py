@@ -18,13 +18,10 @@ from .states import (
     window_for_steps,
 )
 from .walk import (
-    AngleField,
     BoundarySpec,
     DisorderSpec,
     STRONG_HALF_WIDTH,
     WEAK_HALF_WIDTH,
-    boundary_angle_field,
-    constant_angle_field,
     hadamard_coin,
     hadamard_step,
     randomize_field,
@@ -41,10 +38,8 @@ from .pair import (
     pair_coin_density_from_singles,
 )
 from .topology import (
-    BandPoint,
     PhaseDiagram,
     PhaseVerdict,
-    band_point,
     momentum_unitary,
     phase_diagram,
     winding_number,

@@ -77,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="coin scheme (default hadamard)")
     pair = subs.add_parser("pair", help="two-particle walk (tptpw, or tptbw with --boundary)")
     sweep = subs.add_parser("sweep", help="entropy heatmap over two angle axes")
-    sweep.add_argument("--sweep-kind", choices=("tptpw", "tptbw"), dest="sweep_kind")
     phase = subs.add_parser("phase-diagram", help="winding number over the angle plane")
     for sub in (walk, pair, sweep, phase):
         _add_common_flags(sub)
@@ -110,10 +109,6 @@ def _config_data(args: argparse.Namespace) -> dict:
         data.setdefault("run_kind", "tptpw")
     elif args.command == "sweep":
         data["run_kind"] = "entropy_sweep"
-        if getattr(args, "sweep_kind", None):
-            data["sweep_kind"] = args.sweep_kind
-        elif args.boundary is not None:
-            data.setdefault("sweep_kind", "tptbw")
     else:
         data["run_kind"] = "phase_diagram"
 

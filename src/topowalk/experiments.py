@@ -91,7 +91,7 @@ class RunConfig:
     steps: int = 100
     window: int | None = None  # None means auto: steps + 1
     # Per-particle coin angles: (theta1, theta2) tuples, or BoundarySpec for
-    # position-dependent two-phase walks.
+    # position-dependent two-phase walks. Walker b without an entry takes a's.
     angles: dict = field(
         default_factory=lambda: {"a": ANGLES_WINDING_1, "b": ANGLES_WINDING_0}
     )
@@ -102,7 +102,6 @@ class RunConfig:
     master_seed: int = 0
     sweep_grid: list = field(default_factory=list)  # [SweepAxis, SweepAxis]
     sweep_scalar: str = "final"
-    sweep_kind: str = "tptpw"  # walk executed per sweep cell
     outputs: list | None = None
     k_points: int = 1024
     grid_n: int = 64
@@ -244,7 +243,6 @@ _CONFIG_PARSERS = {
     "master_seed": lambda v, f: int(v),
     "sweep_grid": _parse_sweep_grid,
     "sweep_scalar": lambda v, f: str(v),
-    "sweep_kind": lambda v, f: str(v),
     "outputs": lambda v, f: None if v is None else [str(x) for x in v],
     "k_points": lambda v, f: int(v),
     "grid_n": lambda v, f: int(v),
@@ -302,7 +300,6 @@ def config_to_dict(config: RunConfig) -> dict:
             for ax in config.sweep_grid
         ],
         "sweep_scalar": config.sweep_scalar,
-        "sweep_kind": config.sweep_kind,
         "outputs": config.outputs,
         "k_points": config.k_points,
         "grid_n": config.grid_n,
@@ -342,8 +339,6 @@ def validate_config(config: RunConfig) -> RunConfig:
     if config.run_kind == "entropy_sweep":
         if len(config.sweep_grid) != 2:
             raise ConfigError("sweep_grid", "entropy_sweep needs exactly 2 axes")
-        if config.sweep_kind not in ("tptpw", "tptbw"):
-            raise ConfigError("sweep_kind", "must be 'tptpw' or 'tptbw'")
         for ax in config.sweep_grid:
             if ax.name not in SWEEP_PARAMETERS:
                 raise ConfigError(
@@ -357,22 +352,24 @@ def validate_config(config: RunConfig) -> RunConfig:
         for name in config.outputs:
             if name not in OUTPUT_KINDS:
                 raise ConfigError("outputs", f"unknown artifact selector {name!r}")
-    walk_kind = config.sweep_kind if config.run_kind == "entropy_sweep" else config.run_kind
-    if walk_kind in ("tptpw", "tptbw"):
+    if config.run_kind in ("tptpw", "tptbw", "entropy_sweep"):  # pair walks
         half_width = _resolved_window(config).half_width
         if not all(abs(x) < half_width for x in config.initial_state.positions):
             raise ConfigError("initial_state", f"positions must satisfy |x| < {half_width}")
         for particle in ("a", "b"):
             entry = _particle_angles(config, particle)
-            if walk_kind == "tptpw" and isinstance(entry, BoundarySpec):
+            if config.run_kind == "tptpw" and isinstance(entry, BoundarySpec):
                 raise ConfigError(f"angles.{particle}", "tptpw takes plain (theta1, theta2) angles")
     # values that a run kind would ignore are errors, not silent no-ops
     if config.disorder.kind != "none" and config.run_kind in ("hadamard", "phase_diagram"):
         raise ConfigError("disorder", f"{config.run_kind} runs draw no random angles")
     if config.disorder.target == "b" and config.run_kind in ("hadamard", "single_split"):
         raise ConfigError("disorder", "single-walker runs have no walker b to target")
-    if config.ensemble_size > 1 and config.run_kind in ("entropy_sweep", "phase_diagram"):
-        raise ConfigError("ensemble_size", f"{config.run_kind} runs have one replicate")
+    draws = config.disorder.applies_to("a") or config.disorder.applies_to("b")
+    if config.ensemble_size > 1 and not (draws and config.run_kind in ("single_split", "tptpw", "tptbw")):
+        raise ConfigError(
+            "ensemble_size", "only single_split, tptpw and tptbw runs with disorder have random replicates"
+        )
     _check_array_sizes(config)
     return config
 
@@ -398,30 +395,15 @@ def _check_array_sizes(config: RunConfig) -> None:
 
 
 def _particle_angles(config: RunConfig, particle: str):
-    """Angles for one particle; particle b falls back to a's entry for boundary
-    walks (the two-phase field applies to both walkers unless overridden)."""
-    entry = config.angles.get(particle)
-    if config.run_kind == "tptbw" or (
-        config.run_kind == "entropy_sweep" and config.sweep_kind == "tptbw"
-    ):
-        if isinstance(entry, BoundarySpec):
-            return entry
-        other = config.angles.get("a")
-        if isinstance(other, BoundarySpec):
-            return other
-        if entry is not None:  # uniform angles act as a degenerate boundary
-            return BoundarySpec(tuple(entry), tuple(entry))
-        raise ConfigError(f"angles.{particle}", "tptbw needs boundary angles for at least particle a")
-    if entry is None:
-        raise ConfigError(f"angles.{particle}", "missing angles")
-    return entry
+    """One walker's angle entry: its own, else walker a's."""
+    if "a" not in config.angles:
+        raise ConfigError("angles.a", "missing angles")
+    return config.angles.get(particle, config.angles["a"])
 
 
 def _with_axis_value(angles: dict, name: str, value: float) -> dict:
     particle, component, side = SWEEP_PARAMETERS[name]
-    entry = angles.get(particle)
-    if entry is None:
-        raise ConfigError("sweep_grid", f"axis {name!r} targets particle {particle!r} with no angles")
+    entry = angles[particle]
     updated = dict(angles)
     if isinstance(entry, BoundarySpec):
         minus = list(entry.theta_minus)
@@ -484,11 +466,10 @@ def _run_single(config: RunConfig) -> RunArtifacts:
     )
 
 
-def _pair_trajectory(config: RunConfig, replicate: int):
-    """Lone-walker trajectory (see iter_product_walkers) of one pair replicate,
-    under the fields drawn from derive_seed(master_seed, replicate)."""
+def _pair_trajectory(config: RunConfig, seed: int):
+    """Lone-walker trajectory (see iter_product_walkers) of one pair run,
+    under the fields drawn from seed."""
     window = _resolved_window(config)
-    seed = derive_seed(config.master_seed, replicate)
     field_a, field_b = (
         sample_angle_field(_particle_angles(config, p), config.disorder, config.steps, window, p, seed)
         for p in ("a", "b")
@@ -502,7 +483,7 @@ def _run_pair(config: RunConfig) -> RunArtifacts:
     joint_sum = None
     for r in range(config.ensemble_size):
         entropy = []
-        for amps_a, amps_b in _pair_trajectory(config, r):
+        for amps_a, amps_b in _pair_trajectory(config, derive_seed(config.master_seed, r)):
             rho = pair_coin_density_from_singles(amps_a, amps_b, coefficients)
             entropy.append(von_neumann_entropy(rho))
         entropy_runs.append(entropy)
@@ -524,23 +505,18 @@ def _run_pair(config: RunConfig) -> RunArtifacts:
 
 
 def _sweep_cell_scalar(config: RunConfig, cell_angles: dict, cell_seed: int) -> float:
-    """Pair coin entropy for one sweep cell: replicate 0 of the cell's pair run.
+    """Pair coin entropy for one sweep cell: the pair run under cell_angles,
+    seeded as replicate 0 of cell_seed.
 
     "final" is the entropy after the last step; "longmean" its mean over the
     last 25% of steps.
     """
-    cell = replace(
-        config,
-        run_kind=config.sweep_kind,
-        angles=cell_angles,
-        master_seed=cell_seed,
-        sweep_grid=[],
-    )
-    coefficients = coin_coefficients(cell.initial_state)
-    tail = 1 if config.sweep_scalar == "final" else max(1, cell.steps // 4)
+    coefficients = coin_coefficients(config.initial_state)
+    tail = 1 if config.sweep_scalar == "final" else max(1, config.steps // 4)
+    cell = _pair_trajectory(replace(config, angles=cell_angles), derive_seed(cell_seed, 0))
     samples = []
-    for step, (amps_a, amps_b) in enumerate(_pair_trajectory(cell, 0)):
-        if step > cell.steps - tail:
+    for step, (amps_a, amps_b) in enumerate(cell):
+        if step > config.steps - tail:
             rho = pair_coin_density_from_singles(amps_a, amps_b, coefficients)
             samples.append(von_neumann_entropy(rho))
     return float(np.mean(samples))
@@ -553,9 +529,10 @@ def entropy_sweep(config: RunConfig) -> RunArtifacts:
         raise ConfigError("run_kind", "entropy_sweep() needs run_kind == 'entropy_sweep'")
     ax1, ax2 = config.sweep_grid
     vals1, vals2 = ax1.values(), ax2.values()
+    angles = {p: _particle_angles(config, p) for p in ("a", "b")}
     grid = np.empty((len(vals1), len(vals2)), dtype=float)
     for i, v1 in enumerate(vals1):
-        row_angles = _with_axis_value(config.angles, ax1.name, float(v1))
+        row_angles = _with_axis_value(angles, ax1.name, float(v1))
         for j, v2 in enumerate(vals2):
             cell_angles = _with_axis_value(row_angles, ax2.name, float(v2))
             grid[i, j] = _sweep_cell_scalar(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .states import LatticeWindow, make_single_state
-from .walk import AngleField, split_step, trajectory
+from .walk import split_step, trajectory
 
 PAIR_KIND_ALIASES = {
     "psi+": "psi_plus",
@@ -64,19 +64,19 @@ def coin_coefficients(init: InitialPairState) -> np.ndarray:
 def iter_product_walkers(
     init: InitialPairState,
     window: LatticeWindow,
-    field_a: AngleField,
-    field_b: AngleField,
+    field_a: np.ndarray,
+    field_b: np.ndarray,
     n_steps: int,
 ):
     """Iterate (amps_a, amps_b) at step 0 and after each of n_steps steps.
 
     amps_x[:, :, c] is particle x's lone walker started in coin |c> at its site
-    in init.positions and stepped under field_x: an array of shape
-    (size, coin, start coin). Both coin starts of a particle share one kernel
-    call, and each particle runs on its own walk.trajectory.
+    in init.positions and stepped under the (2, site, step) angle field_x: an
+    array of shape (size, coin, start coin). Both coin starts of a particle
+    share one kernel call, and each particle runs on its own walk.trajectory.
     """
 
-    def lone_walkers(x: int, field: AngleField):
+    def lone_walkers(x: int, field: np.ndarray):
         start = np.stack([make_single_state(window, x, c) for c in ((1, 0), (0, 1))], axis=-1)
         return trajectory(start, lambda amps, step: split_step(amps, field, step), n_steps)
 

@@ -17,28 +17,15 @@ from .walk import rotation_coin
 
 GAP_THRESHOLD = 1e-6
 PLANARITY_TOL = 1e-6
-SIN_E_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class BandPoint:
-    """Quasienergy and rotation axis at one quasimomentum; axis is None when E(k)
-    is too close to 0 or pi for the axis to be defined."""
-
-    k: float
-    quasienergy: float
-    axis: np.ndarray | None
 
 
 @dataclass(frozen=True)
 class PhaseVerdict:
     """Winding verdict for one (theta1, theta2); winding is None below the gap
-    threshold (phase boundary). total_angle is the signed axis rotation, for
-    diagnostics."""
+    threshold (phase boundary)."""
 
     winding: int | None
     gap: float
-    total_angle: float = 0.0
 
 
 @dataclass
@@ -76,18 +63,6 @@ def _pauli_components(u: np.ndarray):
     return a0, ax, ay, az
 
 
-def band_point(u: np.ndarray, k: float = 0.0) -> BandPoint:
-    """Quasienergy in [0, pi] and unit rotation axis of a single 2x2 unitary."""
-    a0, ax, ay, az = _pauli_components(np.asarray(u, dtype=complex))
-    energy = float(np.arccos(np.clip(a0.real, -1.0, 1.0)))
-    sin_e = np.sin(energy)
-    if sin_e <= SIN_E_TOL:
-        return BandPoint(float(k), energy, None)
-    axis = -np.array([ax.imag, ay.imag, az.imag]) / sin_e
-    axis = axis / np.linalg.norm(axis)
-    return BandPoint(float(k), energy, axis)
-
-
 def winding_number(theta1: float, theta2: float, k_points: int = 1024) -> PhaseVerdict:
     """Turns of the rotation axis across the Brillouin zone, 0 or 1.
 
@@ -120,8 +95,7 @@ def winding_number(theta1: float, theta2: float, k_points: int = 1024) -> PhaseV
     phi = np.arctan2(axes @ e2, axes @ e1)
     steps = np.diff(phi, append=phi[:1])  # closes the loop across the zone edge
     steps = (steps + np.pi) % (2.0 * np.pi) - np.pi
-    total = float(steps.sum())
-    return PhaseVerdict(int(round(abs(total) / (2.0 * np.pi))), gap, total)
+    return PhaseVerdict(int(round(abs(float(steps.sum())) / (2.0 * np.pi))), gap)
 
 
 def phase_diagram(grid_n: int = 64, k_points: int = 1024) -> PhaseDiagram:

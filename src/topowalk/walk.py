@@ -5,8 +5,10 @@ operator acts first: S0 moves every coin-0 amplitude one site right and S1
 moves every coin-1 amplitude one site left. The Hadamard walk is the same
 kernel with the Hadamard coin first and the identity second. Coin angles may
 depend on site and step; each coin reads the angle at the site where the
-amplitude currently sits. Walkers are arrays with axes (site, coin, *walkers),
-as in states.py; trajectory() steps any of them and checks every walker's norm.
+amplitude currently sits. A walker's angle field is a (2, site, step) array
+holding the theta1 and theta2 planes. Walkers are arrays with axes
+(site, coin, *walkers), as in states.py; trajectory() steps any of them and
+checks every walker's norm.
 """
 
 from __future__ import annotations
@@ -87,71 +89,22 @@ class BoundarySpec:
     theta_plus: tuple[float, float]
 
 
-@dataclass
-class AngleField:
-    """Coin angles per (site, step) for one walker."""
-
-    theta1: np.ndarray  # (n_positions, n_steps)
-    theta2: np.ndarray
-
-    def __post_init__(self):
-        self.theta1 = np.asarray(self.theta1, dtype=float)
-        self.theta2 = np.asarray(self.theta2, dtype=float)
-        if self.theta1.shape != self.theta2.shape or self.theta1.ndim != 2:
-            raise ValueError(
-                f"theta1/theta2 must share a 2D shape, got {self.theta1.shape} and {self.theta2.shape}"
-            )
-
-    @property
-    def n_positions(self) -> int:
-        return self.theta1.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        return self.theta1.shape[1]
-
-    def angles_at(self, step: int) -> tuple[np.ndarray, np.ndarray]:
-        if not 0 <= step < self.n_steps:
-            raise ValueError(f"field covers steps 0..{self.n_steps - 1}, got {step}")
-        return self.theta1[:, step], self.theta2[:, step]
-
-
-def constant_angle_field(
-    theta1: float, theta2: float, n_steps: int, window: LatticeWindow
-) -> AngleField:
-    shape = (window.size, n_steps)
-    return AngleField(np.full(shape, theta1), np.full(shape, theta2))
-
-
-def boundary_angle_field(
-    spec: BoundarySpec, n_steps: int, window: LatticeWindow
-) -> AngleField:
-    """Static two-phase field: theta_minus on x < 0, theta_plus on x >= 0."""
-    minus = window.positions() < 0
-    th1 = np.where(minus, spec.theta_minus[0], spec.theta_plus[0])
-    th2 = np.where(minus, spec.theta_minus[1], spec.theta_plus[1])
-    return AngleField(
-        np.repeat(th1[:, None], n_steps, axis=1),
-        np.repeat(th2[:, None], n_steps, axis=1),
-    )
-
-
-def randomize_field(field: AngleField, disorder: DisorderSpec, particle: str, seed: int) -> AngleField:
+def randomize_field(field: np.ndarray, disorder: DisorderSpec, particle: str, seed: int) -> np.ndarray:
     """Add i.i.d. uniform noise to every (site, step) angle when the particle is targeted.
 
-    Streams are keyed by (seed, particle, angle index) so theta1/theta2 noise
-    for each particle is independent and reproducible regardless of host state.
+    field is a (2, site, step) array of (theta1, theta2) planes. Streams are
+    keyed by (seed, particle, angle index) so theta1/theta2 noise for each
+    particle is independent and reproducible regardless of host state.
     """
     if not disorder.applies_to(particle):
         return field
     p = _PARTICLE_INDEX[particle]
     w = disorder.half_width
-    shifted = []
-    for substep, base in enumerate((field.theta1, field.theta2)):
+    noise = np.empty_like(field)
+    for substep in range(2):
         seq = np.random.SeedSequence(seed, spawn_key=(p, substep))
-        noise = np.random.default_rng(seq).uniform(-w, w, size=base.shape)
-        shifted.append(base + noise)
-    return AngleField(shifted[0], shifted[1])
+        noise[substep] = np.random.default_rng(seq).uniform(-w, w, size=field.shape[1:])
+    return field + noise
 
 
 def sample_angle_field(
@@ -161,14 +114,20 @@ def sample_angle_field(
     window: LatticeWindow,
     particle: str,
     seed: int,
-) -> AngleField:
-    """One particle's field: constant (theta1, theta2) angles or a two-phase
-    boundary, randomized per the disorder spec from the given seed."""
+) -> np.ndarray:
+    """One particle's (2, site, step) field of (theta1, theta2) angles.
+
+    A BoundarySpec entry puts theta_minus on x < 0 and theta_plus on x >= 0; a
+    plain (theta1, theta2) pair is the boundary with both sides equal. The
+    field is then randomized per the disorder spec from the given seed.
+    """
     if isinstance(entry, BoundarySpec):
-        field = boundary_angle_field(entry, n_steps, window)
+        minus, plus = entry.theta_minus, entry.theta_plus
     else:
-        field = constant_angle_field(entry[0], entry[1], n_steps, window)
-    return randomize_field(field, disorder, particle, seed)
+        minus = plus = entry
+    minus, plus = (np.asarray(side, dtype=float).reshape(2, 1, 1) for side in (minus, plus))
+    sides = np.where(window.positions()[:, None] < 0, minus, plus)  # (2, site, 1)
+    return randomize_field(np.repeat(sides, n_steps, axis=2), disorder, particle, seed)
 
 
 # -- split-step evolution --------------------------------------------------------
@@ -221,11 +180,13 @@ def _rotation_entries(theta: np.ndarray, ndim: int) -> tuple:
     return c, -s, s, c
 
 
-def split_step(amps: np.ndarray, field: AngleField, step: int) -> np.ndarray:
-    """One split step with the field's site-dependent angles at `step`."""
-    if field.n_positions != amps.shape[0]:
+def split_step(amps: np.ndarray, field: np.ndarray, step: int) -> np.ndarray:
+    """One split step with the site-dependent angles field[:, :, step] of a (2, site, step) field."""
+    if field.shape[1] != amps.shape[0]:
         raise ValueError("angle field does not match the lattice window")
-    th1, th2 = field.angles_at(step)
+    if not 0 <= step < field.shape[2]:
+        raise ValueError(f"field covers steps 0..{field.shape[2] - 1}, got {step}")
+    th1, th2 = field[:, :, step]
     return _step_amps(amps, _rotation_entries(th1, amps.ndim), _rotation_entries(th2, amps.ndim))
 
 

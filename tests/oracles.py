@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from topowalk import (
-    AngleField,
     EntropySeries,
     InitialPairState,
     LatticeWindow,
@@ -162,7 +161,7 @@ def make_pair_state(init: InitialPairState, window: LatticeWindow) -> TwoParticl
 
 
 def pair_split_step(
-    state: TwoParticleState, field_a: AngleField, field_b: AngleField, step: int
+    state: TwoParticleState, field_a: np.ndarray, field_b: np.ndarray, step: int
 ) -> TwoParticleState:
     """One product step: A's split step on (x_a, c_a), then B's on (x_b, c_b)."""
     amps = split_step(state.amps, field_a, step)
@@ -174,8 +173,8 @@ def pair_split_step(
 
 def evolve_pair(
     state: TwoParticleState,
-    field_a: AngleField,
-    field_b: AngleField,
+    field_a: np.ndarray,
+    field_b: np.ndarray,
     n_steps: int,
     observers=None,
 ):
@@ -198,7 +197,7 @@ def evolve_pair(
 
 
 def iter_pair_trajectory(
-    state: TwoParticleState, field_a: AngleField, field_b: AngleField, n_steps: int
+    state: TwoParticleState, field_a: np.ndarray, field_b: np.ndarray, n_steps: int
 ):
     """Yield the pair state at step 0 and after each of n_steps steps."""
     yield state

@@ -19,16 +19,13 @@ from topowalk import (
     LatticeWindow,
     STRONG_HALF_WIDTH,
     WEAK_HALF_WIDTH,
-    boundary_angle_field,
     coin_coefficients,
-    constant_angle_field,
     distribution_sigma,
     hadamard_step,
     joint_distribution_interference,
     load_config,
     make_single_state,
     position_distribution,
-    randomize_field,
     reduce_to_coin,
     rotation_coin,
     run,
@@ -128,8 +125,8 @@ def boundary_vs_uniform(n_steps: int, disorder_key: str):
         ("boundary", BoundarySpec(ANGLES_WINDING_1, ANGLES_WINDING_0)),
         ("uniform", BoundarySpec(ANGLES_WINDING_1, ANGLES_WINDING_1)),
     ):
-        field_a = randomize_field(boundary_angle_field(spec, n_steps, window), disorder, "a", seed)
-        field_b = randomize_field(boundary_angle_field(spec, n_steps, window), disorder, "b", seed)
+        field_a = sample_angle_field(spec, disorder, n_steps, window, "a", seed)
+        field_b = sample_angle_field(spec, disorder, n_steps, window, "b", seed)
         state = make_pair_state(InitialPairState("psi+"), window)
         final, _ = evolve_pair(state, field_a, field_b, n_steps)
         joints[name] = joint_distribution_direct(final).values
@@ -283,8 +280,8 @@ def test_criterion_6_disorder_localization_and_boundary_destruction():
     seed = derive_seed(MASTER_SEED, 0)
 
     def marginal_mass(disorder):
-        field_a = randomize_field(constant_angle_field(*ANGLES_WINDING_1, 100, window), disorder, "a", seed)
-        field_b = randomize_field(constant_angle_field(*ANGLES_WINDING_0, 100, window), disorder, "b", seed)
+        field_a = sample_angle_field(ANGLES_WINDING_1, disorder, 100, window, "a", seed)
+        field_b = sample_angle_field(ANGLES_WINDING_0, disorder, 100, window, "b", seed)
         state = make_pair_state(InitialPairState("psi+"), window)
         final, _ = evolve_pair(state, field_a, field_b, 100)
         mass_a, _ = marginals(joint_distribution_direct(final))

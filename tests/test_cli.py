@@ -123,6 +123,14 @@ class TestSweepCommand:
     def test_malformed_axis_is_config_error(self, tmp_path):
         assert main(["sweep", "--axis", "theta1a:0:1", "--out", str(tmp_path)]) == 2
 
+    def test_sweep_kind_flag_is_gone(self, tmp_path, capsys):
+        # the angles alone set each cell's walk
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--sweep-kind", "tptbw", "--axis", "theta1a:0:1:2", "--axis", "theta2a:0:1:2",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --sweep-kind" in capsys.readouterr().err
+
 
 class TestBadNumbers:
     @pytest.mark.parametrize(
@@ -163,6 +171,8 @@ class TestIgnoredOrOversizedValues:
             # arrays over MAX_ARRAY_ELEMENTS
             (["walk", "--steps", str(10**11)], "steps"),
             (["phase-diagram", "--k-points", str(10**30)], "k_points"),
+            # replicates of a walk with no random angles
+            (["walk", "--steps", "5", "--ensemble", "3"], "ensemble_size"),
         ],
     )
     def test_config_error_and_no_data_files(self, tmp_path, capsys, argv, field):
@@ -251,7 +261,6 @@ _PLAUSIBLE = {
         max_size=2,
     ),
     "sweep_scalar": st.sampled_from(["final", "longmean"]),
-    "sweep_kind": st.sampled_from(["tptpw", "tptbw"]),
     "outputs": st.none() | st.lists(st.sampled_from(["entropy", "joint", "phase"]), max_size=2),
 }
 

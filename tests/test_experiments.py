@@ -13,15 +13,13 @@ from topowalk import (
     RunConfig,
     SweepAxis,
     WindowOverflowError,
-    boundary_angle_field,
     config_from_dict,
     config_to_dict,
-    constant_angle_field,
     derive_seed,
     entropy_sweep,
     load_config,
-    randomize_field,
     run,
+    sample_angle_field,
     von_neumann_entropy,
     write_artifacts,
 )
@@ -171,6 +169,18 @@ class TestConfigParsing:
                 },
                 "ensemble_size",
             ),
+            # replicates of a run with no random angles are all the same walk
+            ({"ensemble_size": 3}, "ensemble_size"),
+            ({"run_kind": "hadamard", "ensemble_size": 3}, "ensemble_size"),
+            ({"run_kind": "single_split", "ensemble_size": 2}, "ensemble_size"),
+            (
+                {"ensemble_size": 2, "disorder": {"kind": "uniform", "half_width": 0.0}},
+                "ensemble_size",
+            ),
+            # the walk of a sweep cell follows from the angles alone
+            ({"run_kind": "entropy_sweep", "sweep_kind": "tptbw"}, "sweep_kind"),
+            # a pair walk needs walker a's angles, which walker b falls back to
+            ({"angles": {"b": [0, 0]}}, "angles.a"),
         ],
     )
     def test_validation_errors_name_the_field(self, patch, field):
@@ -232,6 +242,21 @@ class TestSeeding:
 
 
 class TestParticleAngles:
+    def test_walker_b_shares_walker_a_entry_by_default(self):
+        for run_kind in ("tptpw", "tptbw"):
+            cfg = config_from_dict(minimal_pair_dict(run_kind=run_kind, angles={"a": [-PI / 2, PI / 4]}))
+            assert _particle_angles(cfg, "b") == _particle_angles(cfg, "a") == (-PI / 2, PI / 4)
+
+    def test_plain_b_beside_a_boundary_is_kept(self):
+        cfg = config_from_dict(
+            minimal_pair_dict(
+                run_kind="tptbw",
+                angles={"a": BOUNDARY_ANGLES, "b": [0.1, 0.2]},
+            )
+        )
+        assert _particle_angles(cfg, "b") == (0.1, 0.2)
+        assert isinstance(_particle_angles(cfg, "a"), BoundarySpec)
+
     def test_boundary_walk_shares_field_by_default(self):
         cfg = config_from_dict(
             minimal_pair_dict(
@@ -252,6 +277,14 @@ class TestParticleAngles:
             )
         )
         assert _particle_angles(cfg, "b").theta_minus == (0.1, 0.2)
+
+    def test_tptpw_with_walker_a_only_matches_explicit_b(self):
+        a_only = run(config_from_dict(minimal_pair_dict(angles={"a": [-PI / 2, PI / 4]})))
+        both = run(
+            config_from_dict(minimal_pair_dict(angles={"a": [-PI / 2, PI / 4], "b": [-PI / 2, PI / 4]}))
+        )
+        assert a_only.entropy.entropy_bits == both.entropy.entropy_bits
+        assert np.array_equal(a_only.joint, both.joint)
 
     def test_axis_value_on_plain_angles(self):
         angles = {"a": (-1.0, 0.5), "b": (0.0, 0.0)}
@@ -345,6 +378,11 @@ PAIR_SETUPS = {
         "angles": {"a": BOUNDARY_ANGLES},
         "disorder": {"kind": "weak", "target": "b"},
     },
+    "tptbw_plain_b": {
+        "run_kind": "tptbw",
+        "angles": {"a": BOUNDARY_ANGLES, "b": [-PI / 2, 3 * PI / 4]},
+        "disorder": {"kind": "weak", "target": "b"},
+    },
 }
 
 
@@ -356,14 +394,10 @@ def dense_pair_run(cfg):
     entropy, joints = [], []
     for r in range(cfg.ensemble_size):
         seed = derive_seed(cfg.master_seed, r)
-        fields = []
-        for particle in ("a", "b"):
-            entry = cfg.angles.get(particle, cfg.angles["a"])
-            if isinstance(entry, BoundarySpec):
-                base = boundary_angle_field(entry, n, window)
-            else:
-                base = constant_angle_field(entry[0], entry[1], n, window)
-            fields.append(randomize_field(base, cfg.disorder, particle, seed))
+        fields = [
+            sample_angle_field(cfg.angles.get(particle, cfg.angles["a"]), cfg.disorder, n, window, particle, seed)
+            for particle in ("a", "b")
+        ]
         final, records = evolve_pair(
             make_pair_state(cfg.initial_state, window), *fields, n,
             {"entropy": lambda s: von_neumann_entropy(reduce_pair_to_coin(s))},
@@ -382,6 +416,12 @@ class TestPairRouteAgainstDenseOracle:
     def test_run_matches_dense_tensor(self, state, setup, ensemble):
         data = minimal_pair_dict(steps=12, master_seed=31, ensemble_size=ensemble)
         data.update(PAIR_SETUPS[setup], initial_state={"kind": state})
+        if setup == "clean" and ensemble > 1:
+            # a clean walk draws nothing, so its replicates would all be equal
+            with pytest.raises(ConfigError) as err:
+                config_from_dict(data)
+            assert err.value.field == "ensemble_size"
+            return
         cfg = config_from_dict(data)
         art = run(cfg)
         entropy, std, joint = dense_pair_run(cfg)
@@ -445,6 +485,12 @@ class TestSingleRouteAgainstDenseOracle:
     @pytest.mark.parametrize("setup", sorted(SETUPS))
     def test_run_matches_dense_unitary(self, setup, ensemble):
         data = {"steps": 20, "master_seed": 31, "ensemble_size": ensemble, "coin_amps": [0.6, [0, 0.8]]}
+        if setup in ("hadamard", "split_clean") and ensemble > 1:
+            # a walk without disorder draws nothing, so its replicates would all be equal
+            with pytest.raises(ConfigError) as err:
+                config_from_dict({**data, **self.SETUPS[setup]})
+            assert err.value.field == "ensemble_size"
+            return
         cfg = config_from_dict({**data, **self.SETUPS[setup]})
         art = run(cfg)
         entropy, std, dist = dense_single_run(cfg)
@@ -461,7 +507,6 @@ class TestEntropySweep:
     def sweep_config(self, **overrides):
         data = {
             "run_kind": "entropy_sweep",
-            "sweep_kind": "tptpw",
             "steps": 10,
             "angles": {"a": [-PI / 2, PI / 4], "b": [-PI / 2, 3 * PI / 4]},
             "initial_state": {"kind": "psi+"},
@@ -513,6 +558,35 @@ class TestEntropySweep:
     def test_run_dispatches_sweep(self):
         art = run(self.sweep_config())
         assert art.heatmap is not None
+
+    def test_walker_b_axis_with_a_boundary_moves_the_heatmap(self):
+        # walker b keeps its own plain angles beside walker a's boundary, so
+        # sweeping them changes the cells
+        cfg = self.sweep_config(
+            angles={"a": BOUNDARY_ANGLES, "b": [-PI / 2, 3 * PI / 4]},
+            sweep_grid=[
+                {"name": "theta1b", "min": -PI, "max": PI, "count": 3},
+                {"name": "theta2a_plus", "min": -PI, "max": PI, "count": 2},
+            ],
+        )
+        grid = entropy_sweep(cfg).heatmap.values
+        assert np.ptp(grid[:, 0]) > 1e-3 and np.ptp(grid[:, 1]) > 1e-3
+
+    def test_sweep_resolves_walker_b_before_the_axes(self):
+        # with no entry of its own, walker b starts from walker a's angles,
+        # and a walker-b axis then moves only walker b
+        cfg = self.sweep_config(
+            angles={"a": [-PI / 2, PI / 4]},
+            sweep_grid=[
+                {"name": "theta2b", "min": 3 * PI / 4, "max": 3 * PI / 4, "count": 1},
+                {"name": "theta1a", "min": -PI / 2, "max": -PI / 2, "count": 1},
+            ],
+        )
+        explicit = self.sweep_config(
+            angles={"a": [-PI / 2, PI / 4], "b": [-PI / 2, 3 * PI / 4]},
+            sweep_grid=cfg.sweep_grid,
+        )
+        assert np.array_equal(entropy_sweep(cfg).heatmap.values, entropy_sweep(explicit).heatmap.values)
 
 
 class TestPhaseDiagramRun:
@@ -617,7 +691,6 @@ class TestWriteArtifacts:
         cfg = config_from_dict(
             {
                 "run_kind": "entropy_sweep",
-                "sweep_kind": "tptpw",
                 "steps": 5,
                 "angles": {"a": [-PI / 2, PI / 4], "b": [-PI / 2, 3 * PI / 4]},
                 "sweep_grid": [

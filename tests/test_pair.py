@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from topowalk import (
-    AngleField,
     DisorderSpec,
     InitialPairState,
     LatticeWindow,
@@ -127,7 +126,7 @@ class TestEvolvePair:
     def test_each_particle_sees_its_own_field(self):
         # zero angles transport A's coin-0 right and B's coin-1 left
         win = LatticeWindow(3)
-        zeros = AngleField(np.zeros((win.size, 1)), np.zeros((win.size, 1)))
+        zeros = np.zeros((2, win.size, 1))
         pair = make_pair_state(InitialPairState("sep"), win)
         out = pair_split_step(pair, zeros, zeros, 0)
         assert out.amps[win.index(1), 0, win.index(-1), 1] == 1.0
@@ -210,8 +209,8 @@ class TestJointDistributionInterference:
         rng = np.random.default_rng(seed)
         win = window_for_steps(n_steps)
         shape = (win.size, n_steps)
-        fa = AngleField(rng.uniform(-np.pi, np.pi, shape), rng.uniform(-np.pi, np.pi, shape))
-        fb = AngleField(rng.uniform(-np.pi, np.pi, shape), rng.uniform(-np.pi, np.pi, shape))
+        fa = np.stack([rng.uniform(-np.pi, np.pi, shape), rng.uniform(-np.pi, np.pi, shape)])
+        fb = np.stack([rng.uniform(-np.pi, np.pi, shape), rng.uniform(-np.pi, np.pi, shape)])
         kind = "psi+" if sign > 0 else "psi-"
         final, _ = evolve_pair(make_pair_state(InitialPairState(kind), win), fa, fb, n_steps)
         direct = joint_distribution_direct(final).values
@@ -473,11 +472,11 @@ class TestProductDecomposition:
         rng = np.random.default_rng(seed)
         n = 6
         win = window_for_steps(n)
-        fa = AngleField(
-            rng.uniform(-np.pi, np.pi, (win.size, n)), rng.uniform(-np.pi, np.pi, (win.size, n))
+        fa = np.stack(
+            [rng.uniform(-np.pi, np.pi, (win.size, n)), rng.uniform(-np.pi, np.pi, (win.size, n))]
         )
-        fb = AngleField(
-            rng.uniform(-np.pi, np.pi, (win.size, n)), rng.uniform(-np.pi, np.pi, (win.size, n))
+        fb = np.stack(
+            [rng.uniform(-np.pi, np.pi, (win.size, n)), rng.uniform(-np.pi, np.pi, (win.size, n))]
         )
         init = InitialPairState("psi+")
         final, _ = evolve_pair(make_pair_state(init, win), fa, fb, n)

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from topowalk import band_point, momentum_unitary, phase_diagram, winding_number
+from topowalk import momentum_unitary, phase_diagram, winding_number
 from topowalk.topology import GAP_THRESHOLD, PLANARITY_TOL
-from oracles import PAULI, axis_from_eigendecomposition
+from oracles import axis_from_eigendecomposition
 
 ANCHOR_WINDING_1 = (-np.pi / 2, np.pi / 4)
 ANCHOR_WINDING_0 = (-np.pi / 2, 3 * np.pi / 4)
@@ -42,36 +42,6 @@ class TestMomentumUnitary:
         u = momentum_unitary(0.3, -0.7, k)
         assert u.shape == (17, 2, 2)
         assert_allclose(u[3], momentum_unitary(0.3, -0.7, float(k[3])), atol=1e-15)
-
-
-class TestBandPoint:
-    def test_identity_is_gapless(self):
-        bp = band_point(np.eye(2, dtype=complex))
-        assert bp.quasienergy == 0.0
-        assert bp.axis is None
-
-    def test_sigma_x_quarter_turn(self):
-        u = -1j * PAULI[0]
-        bp = band_point(u)
-        assert_allclose(bp.quasienergy, np.pi / 2, atol=1e-14)
-        assert_allclose(bp.axis, [1.0, 0.0, 0.0], atol=1e-14)
-
-    def test_axis_matches_eigendecomposition(self):
-        u = momentum_unitary(*ANCHOR_WINDING_1, np.pi / 2)
-        bp = band_point(u, np.pi / 2)
-        assert_allclose(bp.axis, axis_from_eigendecomposition(u), atol=1e-10)
-
-    @given(angle_st, angle_st, angle_st)
-    @settings(max_examples=100, deadline=None)
-    def test_reconstruction_invariant(self, t1, t2, k):
-        u = momentum_unitary(t1, t2, k)
-        bp = band_point(u, k)
-        if bp.axis is None:
-            return
-        recon = np.cos(bp.quasienergy) * np.eye(2) - 1j * np.sin(bp.quasienergy) * sum(
-            n * s for n, s in zip(bp.axis, PAULI)
-        )
-        assert np.abs(recon - u).max() < 1e-10
 
 
 class TestWindingNumber:
@@ -114,11 +84,11 @@ class TestWindingNumber:
         assert fine.winding == coarse.winding
 
     def test_shifted_grid_origin_gives_same_verdict(self):
-        # recompute the axis walk from band points on a rigidly shifted grid
+        # recompute the axis walk from eigendecomposition axes on a rigidly shifted grid
         for t1, t2, expected in (ANCHOR_WINDING_1 + (1,), ANCHOR_WINDING_0 + (0,)):
             shift = np.pi / 7
             k = -np.pi + shift + 2 * np.pi * np.arange(257) / 257
-            axes = np.array([band_point(momentum_unitary(t1, t2, kk), kk).axis for kk in k])
+            axes = np.array([axis_from_eigendecomposition(momentum_unitary(t1, t2, kk)) for kk in k])
             _, eigvecs = np.linalg.eigh(axes.T @ axes)
             normal = eigvecs[:, 0]
             e1 = axes[0]
@@ -131,15 +101,13 @@ class TestWindingNumber:
     @given(angle_st, angle_st)
     @settings(max_examples=40, deadline=None)
     def test_axes_coplanar_when_gapped(self, t1, t2):
-        k = -np.pi + 2 * np.pi * np.arange(128) / 128
-        u = momentum_unitary(t1, t2, k)
-        points = [band_point(u[i], k[i]) for i in range(128)]
-        if any(p.axis is None for p in points):
-            return
+        # the verdict's gap covers the same 128 k-points, so every axis is defined
         verdict = winding_number(t1, t2, 128)
         if verdict.winding is None or verdict.gap < 1e-3:
             return
-        axes = np.array([p.axis for p in points])
+        k = -np.pi + 2 * np.pi * np.arange(128) / 128
+        u = momentum_unitary(t1, t2, k)
+        axes = np.array([axis_from_eigendecomposition(u[i]) for i in range(128)])
         _, eigvecs = np.linalg.eigh(axes.T @ axes)
         assert np.abs(axes @ eigvecs[:, 0]).max() < PLANARITY_TOL
 

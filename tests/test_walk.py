@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from topowalk import (
-    AngleField,
     BoundarySpec,
     DisorderSpec,
     LatticeWindow,
@@ -13,8 +12,6 @@ from topowalk import (
     STRONG_HALF_WIDTH,
     WEAK_HALF_WIDTH,
     WindowOverflowError,
-    boundary_angle_field,
-    constant_angle_field,
     hadamard_coin,
     hadamard_step,
     make_single_state,
@@ -50,6 +47,10 @@ SINGLE_WALKER_ENTROPY = {
 
 def coin_entropy(amps):
     return von_neumann_entropy(reduce_to_coin(amps))
+
+
+def constant_field(theta1, theta2, n_steps, window):
+    return sample_angle_field((theta1, theta2), DisorderSpec(), n_steps, window, "a", 0)
 
 
 class TestCoins:
@@ -152,13 +153,13 @@ class TestHadamardStep:
 class TestSplitStep:
     def test_zero_angles_transport_coin0(self):
         win = LatticeWindow(3)
-        field = constant_angle_field(0.0, 0.0, 1, win)
+        field = constant_field(0.0, 0.0, 1, win)
         s = split_step(make_single_state(win, 0, (1, 0)), field, 0)
         assert s[win.index(1), 0] == 1.0
 
     def test_zero_angles_transport_coin1(self):
         win = LatticeWindow(3)
-        field = constant_angle_field(0.0, 0.0, 1, win)
+        field = constant_field(0.0, 0.0, 1, win)
         s = split_step(make_single_state(win, 0, (0, 1)), field, 0)
         assert s[win.index(-1), 1] == 1.0
 
@@ -170,7 +171,7 @@ class TestSplitStep:
         rng = np.random.default_rng(17)
         th1 = rng.uniform(-np.pi, np.pi, win.size)
         th2 = rng.uniform(-np.pi, np.pi, win.size)
-        field = AngleField(np.repeat(th1[:, None], 3, 1), np.repeat(th2[:, None], 3, 1))
+        field = np.stack([np.repeat(th1[:, None], 3, 1), np.repeat(th2[:, None], 3, 1)])
         u = dense_split_unitary(th1, th2)
         s = random_single_state(win, 23)
         s[:2] = 0.0
@@ -186,7 +187,7 @@ class TestSplitStep:
         # (edge columns differ only by the oracle's wraparound convention)
         win = LatticeWindow(8)
         theta1, theta2 = 0.9, -2.1
-        field = constant_angle_field(theta1, theta2, 1, win)
+        field = constant_field(theta1, theta2, 1, win)
         dense = dense_split_unitary(np.full(win.size, theta1), np.full(win.size, theta2))
         dim = 2 * win.size
         built = np.zeros((dim, dim), dtype=complex)
@@ -204,7 +205,7 @@ class TestSplitStep:
         n_steps = 50
         win = window_for_steps(n_steps)
         theta1, theta2 = ANGLES_WINDING_1
-        field = constant_angle_field(theta1, theta2, n_steps, win)
+        field = constant_field(theta1, theta2, n_steps, win)
         s = make_single_state(win, 0, (1, 0))
         for step in range(n_steps):
             s = split_step(s, field, step)
@@ -224,10 +225,10 @@ class TestSplitStep:
     def test_reachability_random_angles(self, seed, n_steps):
         rng = np.random.default_rng(seed)
         win = LatticeWindow(n_steps + 1)
-        field = AngleField(
+        field = np.stack([
             rng.uniform(-np.pi, np.pi, (win.size, n_steps)),
             rng.uniform(-np.pi, np.pi, (win.size, n_steps)),
-        )
+        ])
         s = make_single_state(win, 0, (1, 0))
         for step in range(n_steps):
             s = split_step(s, field, step)
@@ -242,10 +243,10 @@ class TestSplitStep:
     def test_norm_preserved_random_fields(self, seed):
         rng = np.random.default_rng(seed)
         win = LatticeWindow(12)
-        field = AngleField(
+        field = np.stack([
             rng.uniform(-np.pi, np.pi, (win.size, 10)),
             rng.uniform(-np.pi, np.pi, (win.size, 10)),
-        )
+        ])
         s = make_single_state(win, 0, (1 / np.sqrt(2), -1j / np.sqrt(2)))
         for step in range(10):
             s = split_step(s, field, step)
@@ -257,72 +258,92 @@ class TestAngleFields:
         win = LatticeWindow(4)
         dis = DisorderSpec("uniform", 0.0, "a")
         field = sample_angle_field((0.3, 0.7), dis, 6, win, "a", 5)
-        assert np.all(field.theta1 == 0.3)
-        assert np.all(field.theta2 == 0.7)
+        assert np.all(field[0] == 0.3)
+        assert np.all(field[1] == 0.7)
 
     def test_same_seed_bit_identical(self):
         win = LatticeWindow(4)
         dis = DisorderSpec("uniform", WEAK_HALF_WIDTH, "a")
         f1 = sample_angle_field((0.3, 0.7), dis, 6, win, "a", 42)
         f2 = sample_angle_field((0.3, 0.7), dis, 6, win, "a", 42)
-        assert np.array_equal(f1.theta1, f2.theta1)
-        assert np.array_equal(f1.theta2, f2.theta2)
+        assert np.array_equal(f1[0], f2[0])
+        assert np.array_equal(f1[1], f2[1])
 
     def test_weak_disorder_interval(self):
         win = LatticeWindow(40)
         dis = DisorderSpec("uniform", WEAK_HALF_WIDTH, "a")
         field = sample_angle_field((0.3, 0.7), dis, 50, win, "a", 7)
-        assert field.theta1.min() >= 0.3 - WEAK_HALF_WIDTH
-        assert field.theta1.max() <= 0.3 + WEAK_HALF_WIDTH
-        assert field.theta2.min() >= 0.7 - WEAK_HALF_WIDTH
-        assert field.theta2.max() <= 0.7 + WEAK_HALF_WIDTH
+        assert field[0].min() >= 0.3 - WEAK_HALF_WIDTH
+        assert field[0].max() <= 0.3 + WEAK_HALF_WIDTH
+        assert field[1].min() >= 0.7 - WEAK_HALF_WIDTH
+        assert field[1].max() <= 0.7 + WEAK_HALF_WIDTH
         # both bounds are actually approached
-        assert field.theta1.max() > 0.3 + 0.9 * WEAK_HALF_WIDTH
-        assert field.theta1.min() < 0.3 - 0.9 * WEAK_HALF_WIDTH
+        assert field[0].max() > 0.3 + 0.9 * WEAK_HALF_WIDTH
+        assert field[0].min() < 0.3 - 0.9 * WEAK_HALF_WIDTH
 
     def test_theta_components_independent(self):
         win = LatticeWindow(10)
         dis = DisorderSpec("uniform", WEAK_HALF_WIDTH, "a")
         field = sample_angle_field((0.0, 0.0), dis, 10, win, "a", 7)
-        assert not np.array_equal(field.theta1, field.theta2)
+        assert not np.array_equal(field[0], field[1])
 
     def test_target_selects_particle(self):
         win = LatticeWindow(4)
-        base = constant_angle_field(0.1, 0.2, 5, win)
+        base = constant_field(0.1, 0.2, 5, win)
         dis = DisorderSpec("uniform", WEAK_HALF_WIDTH, "a")
-        assert not np.array_equal(randomize_field(base, dis, "a", 3).theta1, base.theta1)
-        assert np.array_equal(randomize_field(base, dis, "b", 3).theta1, base.theta1)
+        assert not np.array_equal(randomize_field(base, dis, "a", 3)[0], base[0])
+        assert np.array_equal(randomize_field(base, dis, "b", 3)[0], base[0])
         both = DisorderSpec("uniform", WEAK_HALF_WIDTH, "both")
-        assert not np.array_equal(randomize_field(base, both, "b", 3).theta1, base.theta1)
+        assert not np.array_equal(randomize_field(base, both, "b", 3)[0], base[0])
 
     def test_particle_streams_differ(self):
         win = LatticeWindow(4)
-        base = constant_angle_field(0.0, 0.0, 5, win)
+        base = constant_field(0.0, 0.0, 5, win)
         dis = DisorderSpec("uniform", WEAK_HALF_WIDTH, "both")
         fa = randomize_field(base, dis, "a", 3)
         fb = randomize_field(base, dis, "b", 3)
-        assert not np.array_equal(fa.theta1, fb.theta1)
+        assert not np.array_equal(fa[0], fb[0])
 
     def test_boundary_field_convention(self):
         win = LatticeWindow(4)
         spec = BoundarySpec((0.1, 0.2), (0.3, 0.4))
-        field = boundary_angle_field(spec, 3, win)
-        assert field.theta1[win.index(-1), 0] == 0.1
-        assert field.theta1[win.index(0), 0] == 0.3
-        assert field.theta2[win.index(-1), 2] == 0.2
-        assert field.theta2[win.index(0), 2] == 0.4
+        field = sample_angle_field(spec, DisorderSpec(), 3, win, "a", 0)
+        assert field.shape == (2, win.size, 3)
+        assert field[0, win.index(-1), 0] == 0.1
+        assert field[0, win.index(0), 0] == 0.3
+        assert field[1, win.index(-1), 2] == 0.2
+        assert field[1, win.index(0), 2] == 0.4
 
     def test_degenerate_boundary_is_constant(self):
         win = LatticeWindow(4)
         spec = BoundarySpec((0.5, 0.6), (0.5, 0.6))
-        field = boundary_angle_field(spec, 3, win)
-        assert np.all(field.theta1 == 0.5)
-        assert np.all(field.theta2 == 0.6)
+        field = sample_angle_field(spec, DisorderSpec(), 3, win, "a", 0)
+        assert np.all(field[0] == 0.5)
+        assert np.all(field[1] == 0.6)
+        # a plain pair is the boundary with equal sides
+        assert np.array_equal(field, constant_field(0.5, 0.6, 3, win))
 
-    def test_angles_at_out_of_range(self):
-        field = constant_angle_field(0.0, 0.0, 3, LatticeWindow(2))
+    def test_split_step_rejects_steps_outside_the_field(self):
+        win = LatticeWindow(2)
+        field = constant_field(0.0, 0.0, 3, win)
+        for step in (3, -1):
+            with pytest.raises(ValueError):
+                split_step(make_single_state(win, 0, (1, 0)), field, step)
+
+    def test_split_step_rejects_a_field_of_another_window(self):
+        field = constant_field(0.0, 0.0, 3, LatticeWindow(3))
         with pytest.raises(ValueError):
-            field.angles_at(3)
+            split_step(make_single_state(LatticeWindow(2), 0, (1, 0)), field, 0)
+
+    def test_noise_planes_follow_the_seeded_streams(self):
+        # each (site, step) plane draws from the stream (seed, particle index, angle index)
+        win = LatticeWindow(3)
+        dis = DisorderSpec("uniform", WEAK_HALF_WIDTH, "b")
+        field = sample_angle_field((0.1, 0.2), dis, 4, win, "b", 9)
+        for index, base in enumerate((0.1, 0.2)):
+            rng = np.random.default_rng(np.random.SeedSequence(9, spawn_key=(1, index)))
+            expected = base + rng.uniform(-WEAK_HALF_WIDTH, WEAK_HALF_WIDTH, (win.size, 4))
+            assert np.array_equal(field[index], expected)
 
     def test_disorder_spec_validation(self):
         with pytest.raises(ValueError):
@@ -380,7 +401,7 @@ class TestTrajectory:
     def test_nan_angle_fails_the_edge_check(self):
         # a NaN coin angle turns the edge amplitude into NaN, which must not pass as zero
         win = LatticeWindow(3)
-        field = constant_angle_field(np.nan, 0.5, 1, win)
+        field = constant_field(np.nan, 0.5, 1, win)
         with pytest.raises(WindowOverflowError):
             split_step(make_single_state(win, 0, (1, 0)), field, 0)
 
@@ -389,7 +410,7 @@ class TestTrajectory:
         # seeded reference series; also pins that disorder changes the dynamics
         win = window_for_steps(100)
         if kind == "clean":
-            field = constant_angle_field(*ANGLES_WINDING_1, 100, win)
+            field = constant_field(*ANGLES_WINDING_1, 100, win)
         else:
             half_width = WEAK_HALF_WIDTH if kind == "weak" else STRONG_HALF_WIDTH
             dis = DisorderSpec("uniform", half_width, "a")
