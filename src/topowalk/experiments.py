@@ -403,7 +403,7 @@ def _particle_angles(config: RunConfig, particle: str):
 
 def _with_axis_value(angles: dict, name: str, value: float) -> dict:
     particle, component, side = SWEEP_PARAMETERS[name]
-    entry = angles[particle]
+    entry = angles.get(particle, angles["a"])
     updated = dict(angles)
     if isinstance(entry, BoundarySpec):
         minus = list(entry.theta_minus)
@@ -529,12 +529,15 @@ def entropy_sweep(config: RunConfig) -> RunArtifacts:
         raise ConfigError("run_kind", "entropy_sweep() needs run_kind == 'entropy_sweep'")
     ax1, ax2 = config.sweep_grid
     vals1, vals2 = ax1.values(), ax2.values()
-    angles = {p: _particle_angles(config, p) for p in ("a", "b")}
+    # walker a's axis goes in first: a walker b with no entry of its own then
+    # follows a's cell angles, and a walker-b axis starts from them
+    by_walker = lambda item: SWEEP_PARAMETERS[item[0]][0]
     grid = np.empty((len(vals1), len(vals2)), dtype=float)
     for i, v1 in enumerate(vals1):
-        row_angles = _with_axis_value(angles, ax1.name, float(v1))
         for j, v2 in enumerate(vals2):
-            cell_angles = _with_axis_value(row_angles, ax2.name, float(v2))
+            cell_angles = config.angles
+            for name, value in sorted([(ax1.name, v1), (ax2.name, v2)], key=by_walker):
+                cell_angles = _with_axis_value(cell_angles, name, float(value))
             grid[i, j] = _sweep_cell_scalar(
                 config, cell_angles, derive_seed(config.master_seed, i, j)
             )

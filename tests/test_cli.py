@@ -123,6 +123,34 @@ class TestSweepCommand:
     def test_malformed_axis_is_config_error(self, tmp_path):
         assert main(["sweep", "--axis", "theta1a:0:1", "--out", str(tmp_path)]) == 2
 
+    def test_boundary_flag_sweeps_both_walkers(self, tmp_path):
+        # --boundary gives the boundary to both walkers, so a walker-a axis
+        # moves walker b too: each cell is the pair run under the swept boundary
+        common = ["--steps", "6", "--disorder", "weak", "--disorder-target", "both"]
+        out = tmp_path / "sweep"
+        code = main(
+            [
+                "sweep", *common, "--seed", "3", "--boundary=-1.5708,0.7854,-1.5708,2.3562",
+                "--axis", "theta1a_minus:-1:1:2", "--axis", "theta2a_plus:0.5:2.5:2",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        rows = (out / "heatmap.csv").read_text().strip().splitlines()[1:]
+        cells = [(i, j, t1, t2) for i, t1 in enumerate((-1, 1)) for j, t2 in enumerate((0.5, 2.5))]
+        for row, (i, j, t1, t2) in zip(rows, cells, strict=True):
+            pair_out = tmp_path / f"pair{i}{j}"
+            seed = str(topowalk.derive_seed(3, i, j))
+            code = main(
+                [
+                    "pair", *common, "--seed", seed, f"--boundary={t1},0.7854,-1.5708,{t2}",
+                    "--out", str(pair_out),
+                ]
+            )
+            assert code == 0
+            last = (pair_out / "entropy.csv").read_text().strip().splitlines()[-1]
+            assert row.split(",")[2] == last.split(",")[1]
+
     def test_sweep_kind_flag_is_gone(self, tmp_path, capsys):
         # the angles alone set each cell's walk
         with pytest.raises(SystemExit) as exc:
@@ -280,9 +308,23 @@ _REPLACEMENTS = st.lists(
     ),
     max_size=2,
 ).map(dict)
+
+
+def _one_replicate_unless_random(cfg):
+    # ensemble_size above 1 is valid only on a single_split, tptpw or tptbw
+    # run whose disorder draws angles; elsewhere a plausible config runs one
+    disorder = cfg.get("disorder", {"kind": "none"})
+    draws = disorder["kind"] in ("weak", "strong") or (
+        disorder["kind"] == "uniform" and disorder.get("half_width", 0.0) > 0
+    )
+    if draws and cfg.get("run_kind") in ("single_split", "tptpw", "tptbw"):
+        return cfg
+    return {**cfg, "ensemble_size": 1}
+
+
 _CONFIGS = st.builds(
     lambda plausible, replaced: {**plausible, **replaced},
-    st.fixed_dictionaries(_SIZES, optional=_PLAUSIBLE),
+    st.fixed_dictionaries(_SIZES, optional=_PLAUSIBLE).map(_one_replicate_unless_random),
     _REPLACEMENTS,
 )
 

@@ -572,18 +572,40 @@ class TestEntropySweep:
         grid = entropy_sweep(cfg).heatmap.values
         assert np.ptp(grid[:, 0]) > 1e-3 and np.ptp(grid[:, 1]) > 1e-3
 
-    def test_sweep_resolves_walker_b_before_the_axes(self):
-        # with no entry of its own, walker b starts from walker a's angles,
-        # and a walker-b axis then moves only walker b
+    def test_walker_b_without_entry_follows_walker_a_axes(self):
+        # the rule applies to each cell, so a walker b with no entry of its own
+        # walks under walker a's swept angles
+        cfg = self.sweep_config(
+            angles={"a": BOUNDARY_ANGLES},
+            disorder={"kind": "weak", "target": "both"},
+            sweep_grid=[
+                {"name": "theta1a_minus", "min": -1.0, "max": 1.0, "count": 2},
+                {"name": "theta2a_plus", "min": 0.5, "max": 2.5, "count": 2},
+            ],
+        )
+        grid = entropy_sweep(cfg).heatmap.values
+        for i, t1 in enumerate((-1.0, 1.0)):
+            for j, t2 in enumerate((0.5, 2.5)):
+                swept = {"minus": [t1, PI / 4], "plus": [-PI / 2, t2]}
+                pair = config_from_dict({
+                    "run_kind": "tptbw", "steps": 10, "initial_state": {"kind": "psi+"},
+                    "angles": {"a": swept, "b": swept}, "disorder": {"kind": "weak", "target": "both"},
+                    "master_seed": derive_seed(cfg.master_seed, i, j),
+                })
+                assert grid[i, j] == run(pair).entropy.entropy_bits[-1]
+
+    def test_walker_b_axis_starts_from_walker_a_cell_entry(self):
+        # walker a's axis goes in first whatever the axis order, and a walker-b
+        # axis then moves only walker b
         cfg = self.sweep_config(
             angles={"a": [-PI / 2, PI / 4]},
             sweep_grid=[
                 {"name": "theta2b", "min": 3 * PI / 4, "max": 3 * PI / 4, "count": 1},
-                {"name": "theta1a", "min": -PI / 2, "max": -PI / 2, "count": 1},
+                {"name": "theta1a", "min": 0.3, "max": 0.3, "count": 1},
             ],
         )
         explicit = self.sweep_config(
-            angles={"a": [-PI / 2, PI / 4], "b": [-PI / 2, 3 * PI / 4]},
+            angles={"a": [-PI / 2, PI / 4], "b": [0.3, 3 * PI / 4]},
             sweep_grid=cfg.sweep_grid,
         )
         assert np.array_equal(entropy_sweep(cfg).heatmap.values, entropy_sweep(explicit).heatmap.values)
