@@ -2,7 +2,8 @@
 """Run every documented figure config and emit its data files.
 
 Each JSON in configs/ is a self-contained experiment; outputs land in
-<out>/<config-stem>/. The whole set runs at desk scale in a few minutes.
+<out>/<config-stem>/. The whole set takes about 20 s on a 2-vCPU host, the
+six fig5 sweeps most of it.
 """
 
 import argparse

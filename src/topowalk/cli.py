@@ -12,7 +12,9 @@ import json
 import sys
 
 from .errors import ConfigError, NumericalError, WindowOverflowError
-from .experiments import RunConfig, config_from_dict, run, write_artifacts
+from .experiments import (
+    RUN_KIND_ALIASES, RUN_KINDS, RunConfig, config_from_dict, run, write_artifacts,
+)
 
 
 def _parse_disorder_flag(text: str) -> dict:
@@ -47,24 +49,36 @@ def _parse_axis_flag(text: str) -> dict:
         raise ConfigError("sweep_grid", f"bad axis spec {text!r}")
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON run config; flags override its fields")
-    sub.add_argument("--seed", type=int, help="master seed (u64)")
-    sub.add_argument("--steps", type=int, help="number of time steps")
-    sub.add_argument("--window", type=int, help="lattice half-width (default: steps + 1)")
-    sub.add_argument("--disorder", help="none|weak|strong|width=<radians>")
-    sub.add_argument("--disorder-target", choices=("a", "b", "both"), dest="disorder_target")
-    sub.add_argument("--state", choices=("psi+", "psi-", "sep"), help="initial pair state")
-    for name in ("theta1a", "theta2a", "theta1b", "theta2b"):
-        sub.add_argument(f"--{name}", type=float, help=f"{name} in radians")
-    sub.add_argument("--boundary", help="t1-,t2-,t1+,t2+ boundary angles (both particles)")
-    sub.add_argument("--ensemble", type=int, help="disorder realizations to average")
-    sub.add_argument("--out", default="out", help="output directory (default: ./out)")
-    sub.add_argument("--axis", action="append", dest="axes",
-                     help="sweep axis name:min:max:count (give twice)")
-    sub.add_argument("--sweep-scalar", choices=("final", "longmean"), dest="sweep_scalar")
-    sub.add_argument("--k-points", type=int, dest="k_points")
-    sub.add_argument("--grid-n", type=int, dest="grid_n")
+# subcommand -> (help, its run kinds); the first kind is the default
+_SUBCOMMANDS = {
+    "walk": ("single-particle walk", ("hadamard", "single_split")),
+    "pair": ("two-particle walk", ("pair",)),
+    "sweep": ("entropy heatmap over two angle axes", ("entropy_sweep",)),
+    "phase-diagram": ("winding number over the angle plane", ("phase_diagram",)),
+}
+
+# flag -> (config fields, argparse keywords). A subcommand takes the flag when
+# one of its run kinds reads every field named; the flag sets the first. Walker
+# b's flags also name initial_state, since only pair runs have a walker b. A
+# flag whose dest is its field's name sets that field as given.
+_FLAGS = {
+    "--seed": (("master_seed",), dict(type=int, dest="master_seed", help="master seed (u64)")),
+    "--steps": (("steps",), dict(type=int, dest="steps", help="number of time steps")),
+    "--window": (("window",), dict(type=int, dest="window", help="lattice half-width (default steps + 1)")),
+    "--disorder": (("disorder",), dict(help="none|weak|strong|width=<radians>")),
+    "--disorder-target": (("disorder",), dict(choices=("a", "b", "both"))),
+    "--state": (("initial_state",), dict(choices=("psi+", "psi-", "sep"), help="initial pair state")),
+    "--theta1a": (("angles",), dict(type=float, help="theta1a in radians")),
+    "--theta2a": (("angles",), dict(type=float, help="theta2a in radians")),
+    "--theta1b": (("angles", "initial_state"), dict(type=float, help="theta1b in radians")),
+    "--theta2b": (("angles", "initial_state"), dict(type=float, help="theta2b in radians")),
+    "--boundary": (("angles",), dict(help="t1-,t2-,t1+,t2+ boundary angles (every walker)")),
+    "--ensemble": (("ensemble_size",), dict(type=int, dest="ensemble_size", help="replicates to average")),
+    "--axis": (("sweep_grid",), dict(action="append", dest="axes", help="name:min:max:count, twice")),
+    "--sweep-scalar": (("sweep_scalar",), dict(choices=("final", "longmean"), dest="sweep_scalar")),
+    "--k-points": (("k_points",), dict(type=int, dest="k_points")),
+    "--grid-n": (("grid_n",), dict(type=int, dest="grid_n")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,14 +86,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="topowalk", description="Split-step quantum walk experiments"
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    walk = subs.add_parser("walk", help="single-particle walk")
-    walk.add_argument("--kind", choices=("hadamard", "split"), default=None,
-                      help="coin scheme (default hadamard)")
-    pair = subs.add_parser("pair", help="two-particle walk (tptpw, or tptbw with --boundary)")
-    sweep = subs.add_parser("sweep", help="entropy heatmap over two angle axes")
-    phase = subs.add_parser("phase-diagram", help="winding number over the angle plane")
-    for sub in (walk, pair, sweep, phase):
-        _add_common_flags(sub)
+    for command, (text, kinds) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(command, help=text)
+        sub.add_argument("--config", help="JSON run config; flags override its fields")
+        sub.add_argument("--out", default="out", help="output directory (default: ./out)")
+        if command == "walk":
+            sub.add_argument("--kind", choices=("hadamard", "split"), help="coin scheme (default hadamard)")
+        for flag, (fields, keywords) in _FLAGS.items():
+            if any(set(fields) <= set(RUN_KINDS[kind][0]) for kind in kinds):
+                sub.add_argument(flag, **keywords)
     return parser
 
 
@@ -99,39 +114,23 @@ def _config_data(args: argparse.Namespace) -> dict:
         if not isinstance(data, dict):
             raise ConfigError("config", "config file must hold a JSON object")
 
-    if args.command == "walk":
-        if args.kind is not None:
-            data["run_kind"] = "hadamard" if args.kind == "hadamard" else "single_split"
-        data.setdefault("run_kind", "hadamard")
-    elif args.command == "pair":
-        if args.boundary is not None:
-            data["run_kind"] = "tptbw"
-        data.setdefault("run_kind", "tptpw")
-    elif args.command == "sweep":
-        data["run_kind"] = "entropy_sweep"
-    else:
-        data["run_kind"] = "phase_diagram"
+    flags = vars(args)  # holds only the flags of this subcommand
+    kinds = _SUBCOMMANDS[args.command][1]
+    if flags.get("kind") is not None:
+        data["run_kind"] = "hadamard" if args.kind == "hadamard" else "single_split"
+    kind = str(data.setdefault("run_kind", kinds[0]))
+    if RUN_KIND_ALIASES.get(kind, kind) not in kinds:
+        raise ConfigError("run_kind", f"{args.command} runs {' or '.join(kinds)}, not {kind!r}")
 
-    if args.seed is not None:
-        data["master_seed"] = args.seed
-    if args.steps is not None:
-        data["steps"] = args.steps
-    if args.window is not None:
-        data["window"] = args.window
-    if args.ensemble is not None:
-        data["ensemble_size"] = args.ensemble
-    if args.sweep_scalar is not None:
-        data["sweep_scalar"] = args.sweep_scalar
-    if args.k_points is not None:
-        data["k_points"] = args.k_points
-    if args.grid_n is not None:
-        data["grid_n"] = args.grid_n
-    if args.state is not None:
+    for fields, keywords in _FLAGS.values():
+        if keywords.get("dest") == fields[0] and flags.get(fields[0]) is not None:
+            data[fields[0]] = flags[fields[0]]
+    if flags.get("state") is not None:
         state = dict(data.get("initial_state") or {}) if isinstance(data.get("initial_state"), dict) else {}
         state["kind"] = args.state
         data["initial_state"] = state
 
-    if args.disorder is not None or args.disorder_target is not None:
+    if flags.get("disorder") is not None or flags.get("disorder_target") is not None:
         disorder = _file_mapping(data, "disorder", {})
         if args.disorder is not None:
             disorder.update(_parse_disorder_flag(args.disorder))
@@ -141,15 +140,14 @@ def _config_data(args: argparse.Namespace) -> dict:
 
     theta_updates: dict = {}
     for name in ("theta1a", "theta2a", "theta1b", "theta2b"):
-        value = getattr(args, name)
-        if value is not None:
-            theta_updates.setdefault(name[-1], {})[name[:-1]] = value
-    if args.boundary is not None or theta_updates:
+        if flags.get(name) is not None:
+            theta_updates.setdefault(name[-1], {})[name[:-1]] = flags[name]
+    if flags.get("boundary") is not None or theta_updates:
         # a flag overrides only the angle it names; the others keep the file's or RunConfig's values
         angles = _file_mapping(data, "angles", RunConfig().angles)
-        if args.boundary is not None:
+        if flags.get("boundary") is not None:
             angles["a"] = _parse_boundary_flag(args.boundary)
-            angles.pop("b", None)  # boundary flag applies to both particles
+            angles.pop("b", None)  # boundary flag applies to every walker
         for particle, comps in theta_updates.items():
             entry = angles.get(particle)
             pair = list(entry) if isinstance(entry, (list, tuple)) else [None, None]
@@ -164,7 +162,7 @@ def _config_data(args: argparse.Namespace) -> dict:
             angles[particle] = pair
         data["angles"] = angles
 
-    if args.axes:
+    if flags.get("axes"):
         data["sweep_grid"] = [_parse_axis_flag(a) for a in args.axes]
     return data
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,22 @@ from .walk import (
 ANGLES_WINDING_1 = (-np.pi / 2.0, np.pi / 4.0)
 ANGLES_WINDING_0 = (-np.pi / 2.0, 3.0 * np.pi / 4.0)
 
-RUN_KINDS = ("hadamard", "single_split", "tptpw", "tptbw", "entropy_sweep", "phase_diagram")
+# Run kind -> (the config fields it reads, the artifact kinds it writes). Every
+# other field keeps its RunConfig default, and the manifest writes only these.
+_WALK = ("steps", "window", "master_seed", "outputs")
+_PAIR_WALK = (*_WALK, "angles", "initial_state", "disorder")
+RUN_KINDS = {
+    "hadamard": ((*_WALK, "coin_amps"), ("entropy", "distribution")),
+    "single_split": (
+        (*_WALK, "coin_amps", "angles", "disorder", "ensemble_size"), ("entropy", "distribution")
+    ),
+    "pair": ((*_PAIR_WALK, "ensemble_size"), ("entropy", "distribution", "joint")),
+    "entropy_sweep": ((*_PAIR_WALK, "sweep_grid", "sweep_scalar"), ("heatmap",)),
+    "phase_diagram": (("master_seed", "outputs", "k_points", "grid_n"), ("phase",)),
+}
+# The paper's names for the pair walk on plain and on boundary angles; a
+# config's run_kind parses them as "pair".
+RUN_KIND_ALIASES = {"tptpw": "pair", "tptbw": "pair"}
 SWEEP_SCALARS = ("final", "longmean")
 
 # Sweep axis name -> (particle, angle index, boundary side). Side None means the
@@ -65,8 +80,6 @@ SWEEP_PARAMETERS = {
     "theta2b_minus": ("b", 1, "minus"),
     "theta2b_plus": ("b", 1, "plus"),
 }
-
-OUTPUT_KINDS = ("entropy", "distribution", "joint", "heatmap", "phase")
 
 _FLOAT_FMT = "{:.16e}"
 
@@ -143,15 +156,31 @@ def derive_seed(master_seed: int, *key: int) -> int:
 # -- config parsing and validation ------------------------------------------------
 
 
+def _integer(value, field_name: str) -> int:
+    """value as an int; a bool, a string or a number with a fractional part is an error."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(field_name, f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _check_keys(value, field_name: str, required: tuple, optional: tuple = ()) -> None:
+    """Check that value is a mapping with every required key and no key outside both sets."""
+    if not isinstance(value, dict):
+        raise ConfigError(field_name, f"expected a mapping, got {value!r}")
+    missing = [key for key in required if key not in value]
+    unknown = [key for key in value if key not in (*required, *optional)]
+    if missing or unknown:
+        raise ConfigError(field_name, f"missing keys {missing}, unknown keys {unknown}")
+
+
 def _parse_angle_entry(value, field_name: str):
     if isinstance(value, BoundarySpec):
         return value
     if isinstance(value, dict):
-        try:
-            minus = value["minus"]
-            plus = value["plus"]
-        except KeyError as exc:
-            raise ConfigError(field_name, f"boundary angles need 'minus' and 'plus': missing {exc}")
+        _check_keys(value, field_name, ("minus", "plus"))
+        minus, plus = value["minus"], value["plus"]
         if len(minus) != 2 or len(plus) != 2:
             raise ConfigError(field_name, "boundary angle pairs must have 2 entries")
         return BoundarySpec(
@@ -165,22 +194,19 @@ def _parse_angle_entry(value, field_name: str):
 def _parse_disorder(value, field_name: str) -> DisorderSpec:
     if isinstance(value, DisorderSpec):
         return value
-    if not isinstance(value, dict):
-        raise ConfigError(field_name, f"expected a mapping, got {value!r}")
-    if "seed" in value:
+    if isinstance(value, dict) and "seed" in value:
         raise ConfigError(
             field_name, "disorder takes no seed: every random draw derives from master_seed"
         )
+    _check_keys(value, field_name, (), ("kind", "half_width", "target"))
     kind = value.get("kind", "none")
     target = value.get("target", "a")
     presets = {"weak": WEAK_HALF_WIDTH, "strong": STRONG_HALF_WIDTH}
-    try:
-        if kind in presets:
-            return DisorderSpec("uniform", presets[kind], target)
-        half_width = float(value.get("half_width", 0.0))
-        return DisorderSpec(kind, half_width, target)
-    except ValueError as exc:
-        raise ConfigError(field_name, str(exc))
+    if kind not in presets:
+        return DisorderSpec(kind, float(value.get("half_width", 0.0)), target)
+    if "half_width" in value:
+        raise ConfigError(field_name, f"the {kind} preset sets its own half_width")
+    return DisorderSpec("uniform", presets[kind], target)
 
 
 def _parse_initial_state(value, field_name: str) -> InitialPairState:
@@ -188,34 +214,22 @@ def _parse_initial_state(value, field_name: str) -> InitialPairState:
         return value
     if isinstance(value, str):
         value = {"kind": value}
-    if not isinstance(value, dict):
-        raise ConfigError(field_name, f"expected a mapping or state name, got {value!r}")
-    try:
-        positions = value.get("positions", (0, 0))
-        return InitialPairState(value.get("kind", "psi_plus"), tuple(positions))
-    except (ValueError, TypeError, IndexError, OverflowError) as exc:
-        raise ConfigError(field_name, str(exc))
+    _check_keys(value, field_name, (), ("kind", "positions"))
+    positions = value.get("positions", (0, 0))
+    if not isinstance(positions, (list, tuple)) or len(positions) != 2:
+        raise ConfigError(field_name, f"positions must be two integers, got {positions!r}")
+    positions = tuple(_integer(x, field_name) for x in positions)
+    return InitialPairState(value.get("kind", "psi_plus"), positions)
 
 
 def _parse_sweep_grid(value, field_name: str) -> list:
     axes = []
-    for i, item in enumerate(value):
-        if isinstance(item, SweepAxis):
-            axes.append(item)
-            continue
-        if not isinstance(item, dict):
-            raise ConfigError(field_name, f"axis {i} must be a mapping, got {item!r}")
-        try:
-            axes.append(
-                SweepAxis(
-                    str(item["name"]),
-                    float(item["min"]),
-                    float(item["max"]),
-                    int(item["count"]),
-                )
-            )
-        except KeyError as exc:
-            raise ConfigError(field_name, f"axis {i} is missing key {exc}")
+    for item in value:
+        if not isinstance(item, SweepAxis):
+            _check_keys(item, field_name, ("name", "min", "max", "count"))
+            count = _integer(item["count"], field_name)
+            item = SweepAxis(str(item["name"]), float(item["min"]), float(item["max"]), count)
+        axes.append(item)
     return axes
 
 
@@ -231,21 +245,35 @@ def _parse_coin_amps(value, field_name: str) -> tuple:
     raise ConfigError(field_name, "coin_amps must be two components, each [re, im] or a number")
 
 
-_CONFIG_PARSERS = {
-    "run_kind": lambda v, f: str(v),
-    "steps": lambda v, f: int(v),
-    "window": lambda v, f: None if v in (None, "auto") else int(v),
-    "angles": lambda v, f: {p: _parse_angle_entry(e, f"{f}.{p}") for p, e in v.items()},
-    "initial_state": _parse_initial_state,
-    "coin_amps": _parse_coin_amps,
-    "disorder": _parse_disorder,
-    "ensemble_size": lambda v, f: int(v),
-    "master_seed": lambda v, f: int(v),
-    "sweep_grid": _parse_sweep_grid,
-    "sweep_scalar": lambda v, f: str(v),
-    "outputs": lambda v, f: None if v is None else [str(x) for x in v],
-    "k_points": lambda v, f: int(v),
-    "grid_n": lambda v, f: int(v),
+def _dump_angle_entry(entry):
+    if isinstance(entry, BoundarySpec):
+        return {"minus": list(entry.theta_minus), "plus": list(entry.theta_plus)}
+    return [entry[0], entry[1]]
+
+
+# Config field -> (parse(value, field name), dump(value)), in RunConfig's order:
+# config_from_dict parses a mapping's values, config_to_dict dumps them back.
+_FIELDS = {
+    "run_kind": (lambda v, f: RUN_KIND_ALIASES.get(str(v), str(v)), str),
+    "steps": (_integer, int),
+    "window": (lambda v, f: None if v in (None, "auto") else _integer(v, f), lambda w: w or "auto"),
+    "angles": (
+        lambda v, f: {p: _parse_angle_entry(e, f"{f}.{p}") for p, e in v.items()},
+        lambda angles: {p: _dump_angle_entry(e) for p, e in angles.items()},
+    ),
+    "initial_state": (_parse_initial_state, lambda s: {"kind": s.kind, "positions": list(s.positions)}),
+    "coin_amps": (_parse_coin_amps, lambda amps: [[c.real, c.imag] for c in amps]),
+    "disorder": (_parse_disorder, asdict),
+    "ensemble_size": (_integer, int),
+    "master_seed": (_integer, int),
+    "sweep_grid": (
+        _parse_sweep_grid,
+        lambda axes: [{"name": ax.name, "min": ax.lo, "max": ax.hi, "count": ax.count} for ax in axes],
+    ),
+    "sweep_scalar": (lambda v, f: str(v), str),
+    "outputs": (lambda v, f: None if v is None else [str(x) for x in v], lambda outputs: outputs),
+    "k_points": (_integer, int),
+    "grid_n": (_integer, int),
 }
 
 
@@ -253,11 +281,10 @@ def config_from_dict(data: dict) -> RunConfig:
     """Build and validate a RunConfig from a JSON-style mapping."""
     kwargs = {}
     for key, value in data.items():
-        parser = _CONFIG_PARSERS.get(key)
-        if parser is None:
+        if key not in _FIELDS:
             raise ConfigError(key, "unknown config field")
         try:
-            kwargs[key] = parser(value, key)
+            kwargs[key] = _FIELDS[key][0](value, key)
         except ConfigError:
             raise
         except (TypeError, ValueError, AttributeError, OverflowError) as exc:
@@ -271,62 +298,37 @@ def load_config(path) -> RunConfig:
 
 
 def config_to_dict(config: RunConfig) -> dict:
-    """JSON-able mapping that round-trips through config_from_dict."""
-
-    def angle_entry(entry):
-        if isinstance(entry, BoundarySpec):
-            return {"minus": list(entry.theta_minus), "plus": list(entry.theta_plus)}
-        return [entry[0], entry[1]]
-
+    """JSON-able mapping of run_kind and the fields that kind reads; it
+    round-trips through config_from_dict."""
+    reads = RUN_KINDS[config.run_kind][0]
     return {
-        "run_kind": config.run_kind,
-        "steps": config.steps,
-        "window": "auto" if config.window is None else config.window,
-        "angles": {p: angle_entry(e) for p, e in config.angles.items()},
-        "initial_state": {
-            "kind": config.initial_state.kind,
-            "positions": list(config.initial_state.positions),
-        },
-        "coin_amps": [[c.real, c.imag] for c in config.coin_amps],
-        "disorder": {
-            "kind": config.disorder.kind,
-            "half_width": config.disorder.half_width,
-            "target": config.disorder.target,
-        },
-        "ensemble_size": config.ensemble_size,
-        "master_seed": config.master_seed,
-        "sweep_grid": [
-            {"name": ax.name, "min": ax.lo, "max": ax.hi, "count": ax.count}
-            for ax in config.sweep_grid
-        ],
-        "sweep_scalar": config.sweep_scalar,
-        "outputs": config.outputs,
-        "k_points": config.k_points,
-        "grid_n": config.grid_n,
+        name: dump(getattr(config, name))
+        for name, (_, dump) in _FIELDS.items()
+        if name == "run_kind" or name in reads
     }
 
 
 def validate_config(config: RunConfig) -> RunConfig:
     if config.run_kind not in RUN_KINDS:
-        raise ConfigError("run_kind", f"must be one of {RUN_KINDS}, got {config.run_kind!r}")
-    if config.steps < 0:
-        raise ConfigError("steps", "must be >= 0")
+        raise ConfigError("run_kind", f"must be one of {tuple(RUN_KINDS)}, got {config.run_kind!r}")
+    reads, writes = RUN_KINDS[config.run_kind]
+    defaults = RunConfig()
+    for name in _FIELDS:
+        # a value that the run kind would ignore is an error, not a silent no-op
+        if name not in (*reads, "run_kind") and getattr(config, name) != getattr(defaults, name):
+            raise ConfigError(name, f"{config.run_kind} runs do not read it; leave it out")
+    minimums = {"steps": 0, "ensemble_size": 1, "master_seed": 0, "k_points": 64, "grid_n": 16}
+    for name, least in minimums.items():
+        if getattr(config, name) < least:
+            raise ConfigError(name, f"must be >= {least}")
     if config.window is not None and config.window < 1:
         raise ConfigError("window", "must be >= 1 (or auto)")
-    if config.ensemble_size < 1:
-        raise ConfigError("ensemble_size", "must be >= 1")
-    if config.master_seed < 0:
-        raise ConfigError("master_seed", "must be >= 0")
     if not np.isfinite(config.disorder.half_width):
         raise ConfigError("disorder", "half_width must be finite")
     if not abs(float(np.sum(np.abs(config.coin_amps) ** 2)) - 1.0) <= NORM_TOL:
         raise ConfigError("coin_amps", "components must be finite and normalized")
     if config.sweep_scalar not in SWEEP_SCALARS:
         raise ConfigError("sweep_scalar", f"must be one of {SWEEP_SCALARS}")
-    if config.k_points < 64:
-        raise ConfigError("k_points", "must be >= 64")
-    if config.grid_n < 16:
-        raise ConfigError("grid_n", "must be >= 16")
     for particle, entry in config.angles.items():
         if particle not in ("a", "b"):
             raise ConfigError(f"angles.{particle}", "particles are 'a' and 'b'")
@@ -336,6 +338,8 @@ def validate_config(config: RunConfig) -> RunConfig:
             values = tuple(entry)
         if not np.all(np.isfinite(values)):
             raise ConfigError(f"angles.{particle}", f"angles must be finite, got {entry!r}")
+    if "a" not in config.angles:  # walker b falls back to walker a's entry
+        raise ConfigError("angles.a", "missing angles")
     if config.run_kind == "entropy_sweep":
         if len(config.sweep_grid) != 2:
             raise ConfigError("sweep_grid", "entropy_sweep needs exactly 2 axes")
@@ -348,28 +352,18 @@ def validate_config(config: RunConfig) -> RunConfig:
                 raise ConfigError("sweep_grid", f"axis {ax.name!r} count must be >= 1")
             if not (np.isfinite(ax.lo) and np.isfinite(ax.hi)):
                 raise ConfigError("sweep_grid", f"axis {ax.name!r} bounds must be finite")
-    if config.outputs is not None:
-        for name in config.outputs:
-            if name not in OUTPUT_KINDS:
-                raise ConfigError("outputs", f"unknown artifact selector {name!r}")
-    if config.run_kind in ("tptpw", "tptbw", "entropy_sweep"):  # pair walks
+    for name in config.outputs or ():
+        if name not in writes:
+            raise ConfigError("outputs", f"{config.run_kind} runs write {list(writes)}, not {name!r}")
+    if "initial_state" in reads:  # pair walks
         half_width = _resolved_window(config).half_width
         if not all(abs(x) < half_width for x in config.initial_state.positions):
             raise ConfigError("initial_state", f"positions must satisfy |x| < {half_width}")
-        for particle in ("a", "b"):
-            entry = _particle_angles(config, particle)
-            if config.run_kind == "tptpw" and isinstance(entry, BoundarySpec):
-                raise ConfigError(f"angles.{particle}", "tptpw takes plain (theta1, theta2) angles")
-    # values that a run kind would ignore are errors, not silent no-ops
-    if config.disorder.kind != "none" and config.run_kind in ("hadamard", "phase_diagram"):
-        raise ConfigError("disorder", f"{config.run_kind} runs draw no random angles")
-    if config.disorder.target == "b" and config.run_kind in ("hadamard", "single_split"):
-        raise ConfigError("disorder", "single-walker runs have no walker b to target")
+    if config.disorder.target == "b" and config.run_kind == "single_split":
+        raise ConfigError("disorder", "a single walker is walker a; it has no walker b to target")
     draws = config.disorder.applies_to("a") or config.disorder.applies_to("b")
-    if config.ensemble_size > 1 and not (draws and config.run_kind in ("single_split", "tptpw", "tptbw")):
-        raise ConfigError(
-            "ensemble_size", "only single_split, tptpw and tptbw runs with disorder have random replicates"
-        )
+    if config.ensemble_size > 1 and not draws:
+        raise ConfigError("ensemble_size", "replicates need disorder that draws random angles")
     _check_array_sizes(config)
     return config
 
@@ -378,7 +372,7 @@ def _check_array_sizes(config: RunConfig) -> None:
     """Reject a config whose largest array would exceed MAX_ARRAY_ELEMENTS, naming its field."""
     size = _resolved_window(config).size
     # walker arrays grow with the window, and a pair run's joint distribution with its square
-    sites = size * size if config.run_kind in ("tptpw", "tptbw") else size
+    sites = size * size if config.run_kind == "pair" else size
     counts = (
         ("steps" if config.window is None else "window", sites),
         ("steps", size * config.steps),  # each angle field is (site, step)
@@ -396,8 +390,6 @@ def _check_array_sizes(config: RunConfig) -> None:
 
 def _particle_angles(config: RunConfig, particle: str):
     """One walker's angle entry: its own, else walker a's."""
-    if "a" not in config.angles:
-        raise ConfigError("angles.a", "missing angles")
     return config.angles.get(particle, config.angles["a"])
 
 
@@ -552,7 +544,7 @@ def run(config: RunConfig) -> RunArtifacts:
     config = validate_config(config)
     if config.run_kind in ("hadamard", "single_split"):
         return _run_single(config)
-    if config.run_kind in ("tptpw", "tptbw"):
+    if config.run_kind == "pair":
         return _run_pair(config)
     if config.run_kind == "entropy_sweep":
         return entropy_sweep(config)

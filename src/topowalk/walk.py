@@ -72,6 +72,8 @@ class DisorderSpec:
             raise ValueError(f"unknown disorder target {self.target!r}")
         if self.half_width < 0:
             raise ValueError("half_width must be >= 0")
+        if self.kind == "none" and self.half_width != 0:
+            raise ValueError("disorder of kind 'none' has no half_width")
 
     def applies_to(self, particle: str) -> bool:
         return (

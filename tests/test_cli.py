@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import topowalk
 from topowalk.cli import main
+from topowalk.experiments import RUN_KIND_ALIASES, RUN_KINDS
 
 PI = np.pi
 
@@ -70,7 +71,7 @@ class TestPairCommand:
         assert (out / "joint.csv").exists()
         assert (out / "distribution_a.csv").exists()
         assert (out / "distribution_b.csv").exists()
-        assert read_manifest(out)["config"]["run_kind"] == "tptpw"
+        assert read_manifest(out)["config"]["run_kind"] == "pair"
 
     def test_boundary_flag_selects_boundary_walk(self, tmp_path):
         out = tmp_path / "run"
@@ -78,7 +79,7 @@ class TestPairCommand:
         code = main(["pair", "--steps", "10", boundary, "--out", str(out)])
         assert code == 0
         manifest = read_manifest(out)
-        assert manifest["config"]["run_kind"] == "tptbw"
+        assert manifest["config"]["run_kind"] == "pair"
         assert manifest["config"]["angles"]["a"]["plus"] == [-PI / 2, 3 * PI / 4]
 
     def test_malformed_boundary_is_config_error(self, tmp_path):
@@ -194,8 +195,7 @@ class TestIgnoredOrOversizedValues:
             # values the run kind would ignore
             (["walk", "--disorder", "strong"], "disorder"),
             (["walk", "--kind", "split", "--disorder", "strong", "--disorder-target", "b"], "disorder"),
-            (["sweep", *AXES, "--ensemble", "5"], "ensemble_size"),
-            (["phase-diagram", "--disorder", "strong"], "disorder"),
+            (["walk", "--theta1a=0.3", "--theta2a=0.4"], "angles"),
             # arrays over MAX_ARRAY_ELEMENTS
             (["walk", "--steps", str(10**11)], "steps"),
             (["phase-diagram", "--k-points", str(10**30)], "k_points"),
@@ -208,6 +208,56 @@ class TestIgnoredOrOversizedValues:
         assert main([*argv, "--out", str(out)]) == 2
         assert f"config field '{field}'" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # flags of fields that no run kind of the subcommand reads
+            ["walk", "--kind", "split", "--steps", "5", "--state", "psi-", "--k-points", "99", "--theta1b=0.3"],
+            ["walk", "--kind", "split", "--state", "psi-"],
+            ["walk", "--k-points", "99"],
+            ["walk", "--kind", "split", "--theta1b=0.3"],
+            ["pair", "--axis", "theta1a:0:1:2"],
+            ["pair", "--grid-n", "16"],
+            ["sweep", *AXES, "--ensemble", "5"],
+            ["phase-diagram", "--disorder", "strong"],
+            ["phase-diagram", "--steps", "5"],
+        ],
+    )
+    def test_flag_of_an_unread_field_is_unrecognized(self, tmp_path, capsys, argv):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,cfg",
+        [
+            ("walk", {"run_kind": "phase_diagram", "grid_n": 16, "k_points": 64}),
+            ("pair", {"run_kind": "hadamard", "steps": 5}),
+            ("sweep", {"run_kind": "tptbw", "steps": 5}),
+            ("phase-diagram", {"run_kind": "entropy_sweep"}),
+            ("walk", {"run_kind": []}),
+            ("pair", {"run_kind": {"kind": "pair"}}),
+        ],
+    )
+    def test_config_of_another_subcommand_is_config_error(self, tmp_path, capsys, command, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert "config field 'run_kind'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_the_run_kind_does_not_write_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"run_kind": "tptpw", "steps": 5, "outputs": ["heatmap"]}))
+        out = tmp_path / "run"
+        assert main(["pair", "--config", str(path), "--out", str(out)]) == 2
+        assert "config field 'outputs'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigFileValues:
@@ -243,11 +293,19 @@ class TestConfigFileValues:
 
 
 # Any JSON object as a config file must end in exit 0, 2 or 3, never a raw
-# exception. A drawn config is a plausible one with up to two fields replaced
-# by arbitrary JSON values. Plain-int sizes are capped, in the plausible draws
-# and the replacements alike, so that every run stays small: the runs are real,
-# and a size below the MAX_ARRAY_ELEMENTS bound can still take long (the
-# bound itself is tested in TestIgnoredOrOversizedValues and test_experiments).
+# exception. A draw picks a subcommand and one of the run_kind values its
+# configs give, then a plausible config holding only fields that kind reads,
+# with up to two fields replaced by arbitrary JSON values. Plain-int sizes are
+# capped, in the plausible draws and the replacements alike, so that every run
+# stays small: the runs are real, and a size below the MAX_ARRAY_ELEMENTS bound
+# can still take long (the bound itself is tested in
+# TestIgnoredOrOversizedValues and test_experiments).
+_COMMAND_KINDS = {
+    "walk": ["hadamard", "single_split"],
+    "pair": ["pair", "tptpw", "tptbw"],
+    "sweep": ["entropy_sweep"],
+    "phase-diagram": ["phase_diagram"],
+}
 _SIZES = {
     "steps": st.integers(0, 12), "ensemble_size": st.integers(1, 3),
     "grid_n": st.integers(16, 18), "k_points": st.integers(64, 80),
@@ -258,28 +316,24 @@ _JSON_VALUES = st.recursive(
     max_leaves=8,
 )
 _FINITE_ANGLE = st.floats(-10, 10)
-_ANGLE = _FINITE_ANGLE | _FINITE_ANGLE | _FINITE_ANGLE | st.sampled_from([float("nan"), float("inf")])
-_ANGLE_PAIR = st.lists(_ANGLE, min_size=2, max_size=2)
+_ANGLE_PAIR = st.lists(_FINITE_ANGLE, min_size=2, max_size=2)
+_ANGLE_ENTRY = _ANGLE_PAIR | st.fixed_dictionaries({"minus": _ANGLE_PAIR, "plus": _ANGLE_PAIR})
+_TARGET = st.sampled_from(["a", "b", "both"])
 _PLAUSIBLE = {
     "window": st.just("auto") | st.integers(1, 14),
-    "run_kind": st.sampled_from(
-        ["hadamard", "single_split", "tptpw", "tptbw", "entropy_sweep", "phase_diagram"]
-    ),
-    "angles": st.dictionaries(
-        st.sampled_from(["a", "b"]),
-        _ANGLE_PAIR | st.fixed_dictionaries({"minus": _ANGLE_PAIR, "plus": _ANGLE_PAIR}),
-        max_size=2,
-    ),
+    "angles": st.fixed_dictionaries({"a": _ANGLE_ENTRY}, optional={"b": _ANGLE_ENTRY}),
     "initial_state": st.fixed_dictionaries(
         {"kind": st.sampled_from(["psi+", "psi-", "sep", "psi_plus"])},
-        optional={"positions": st.lists(st.integers(-15, 15), min_size=2, max_size=2)},
+        optional={"positions": st.lists(st.integers(-4, 4), min_size=2, max_size=2)},
     ),
     "coin_amps": st.sampled_from([[1, 0], [0, [0, 1]], [0.6, 0.8], [1, 1]]),
+    # a preset sets its own half_width
     "disorder": st.fixed_dictionaries(
-        {"kind": st.sampled_from(["none", "weak", "strong", "uniform"])},
-        optional={"half_width": st.floats(0, 7), "target": st.sampled_from(["a", "b", "both"])},
+        {"kind": st.sampled_from(["none", "weak", "strong"])}, optional={"target": _TARGET}
+    ) | st.fixed_dictionaries(
+        {"kind": st.just("uniform")}, optional={"half_width": st.floats(0, 7), "target": _TARGET}
     ),
-    "master_seed": st.integers(-2, 2**70),
+    "master_seed": st.integers(0, 2**70),
     "sweep_grid": st.lists(
         st.fixed_dictionaries({
             "name": st.sampled_from(["theta1a", "theta2a", "theta2b", "theta1a_plus"]),
@@ -289,7 +343,6 @@ _PLAUSIBLE = {
         max_size=2,
     ),
     "sweep_scalar": st.sampled_from(["final", "longmean"]),
-    "outputs": st.none() | st.lists(st.sampled_from(["entropy", "joint", "phase"]), max_size=2),
 }
 
 
@@ -303,7 +356,7 @@ def _replacement(key):
 
 
 _REPLACEMENTS = st.lists(
-    st.sampled_from([*_SIZES, *_PLAUSIBLE, "bogus_field"]).flatmap(
+    st.sampled_from([*_SIZES, *_PLAUSIBLE, "run_kind", "outputs", "bogus_field"]).flatmap(
         lambda key: st.tuples(st.just(key), _replacement(key))
     ),
     max_size=2,
@@ -311,33 +364,49 @@ _REPLACEMENTS = st.lists(
 
 
 def _one_replicate_unless_random(cfg):
-    # ensemble_size above 1 is valid only on a single_split, tptpw or tptbw
-    # run whose disorder draws angles; elsewhere a plausible config runs one
+    # ensemble_size above 1 is valid only when the disorder draws angles
     disorder = cfg.get("disorder", {"kind": "none"})
     draws = disorder["kind"] in ("weak", "strong") or (
         disorder["kind"] == "uniform" and disorder.get("half_width", 0.0) > 0
     )
-    if draws and cfg.get("run_kind") in ("single_split", "tptpw", "tptbw"):
+    if draws or "ensemble_size" not in cfg:
         return cfg
     return {**cfg, "ensemble_size": 1}
 
 
-_CONFIGS = st.builds(
-    lambda plausible, replaced: {**plausible, **replaced},
-    st.fixed_dictionaries(_SIZES, optional=_PLAUSIBLE).map(_one_replicate_unless_random),
-    _REPLACEMENTS,
-)
+def _config(kind):
+    """A config of run kind `kind`: only fields it reads, then up to two replaced."""
+    reads, writes = RUN_KINDS[RUN_KIND_ALIASES.get(kind, kind)]
+    # sizes are always drawn, and a sweep has no default axes
+    required = {"run_kind": st.just(kind), **_SIZES, "sweep_grid": _PLAUSIBLE["sweep_grid"]}
+    optional = {**_PLAUSIBLE, "outputs": st.none() | st.lists(st.sampled_from(writes), max_size=2)}
+    plausible = st.fixed_dictionaries(
+        {key: s for key, s in required.items() if key == "run_kind" or key in reads},
+        optional={key: s for key, s in optional.items() if key in reads and key not in required},
+    ).map(_one_replicate_unless_random)
+    return st.builds(lambda drawn, replaced: {**drawn, **replaced}, plausible, _REPLACEMENTS)
+
+
+def _draw(command):
+    """(command, config, another command) for one of command's run kinds."""
+    config = st.sampled_from(_COMMAND_KINDS[command]).flatmap(_config)
+    return st.tuples(st.just(command), config, st.sampled_from([c for c in _COMMAND_KINDS if c != command]))
+
+
+_DRAWS = st.sampled_from(list(_COMMAND_KINDS)).flatmap(_draw)
 
 
 class TestAnyConfigFile:
-    @given(cfg=_CONFIGS)
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_main_returns_an_exit_code(self, tmp_path, cfg):
+    @given(draw=_DRAWS)
+    @settings(max_examples=160, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_main_returns_an_exit_code(self, tmp_path, draw):
+        # each config runs through its own subcommand and through another one
+        command, cfg, other = draw
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        for command in ("walk", "pair", "sweep", "phase-diagram"):
-            code = main([command, "--config", str(path), "--out", str(tmp_path / "run")])
-            assert code in (0, 2, 3), command
+        for name in (command, other):
+            code = main([name, "--config", str(path), "--out", str(tmp_path / "run")])
+            assert code in (0, 2, 3), name
 
 
 class TestPhaseDiagramCommand:

@@ -1,5 +1,7 @@
+import copy
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from topowalk import (
 from topowalk.experiments import (
     ANGLES_WINDING_0,
     ANGLES_WINDING_1,
+    RUN_KINDS,
     _particle_angles,
     _sweep_cell_scalar,
     _with_axis_value,
@@ -40,18 +43,62 @@ from oracles import (
 )
 
 PI = np.pi
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
-
-def minimal_pair_dict(**overrides):
-    data = {
-        "run_kind": "tptpw",
+# A small valid config of each run kind, holding only fields that kind reads.
+KIND_BASES = {
+    "hadamard": {"run_kind": "hadamard", "steps": 10, "master_seed": 7},
+    "single_split": {
+        "run_kind": "single_split", "steps": 10, "angles": {"a": [-PI / 2, PI / 4]}, "master_seed": 7,
+    },
+    "pair": {
+        "run_kind": "pair",
         "steps": 10,
         "angles": {"a": [-PI / 2, PI / 4], "b": [-PI / 2, 3 * PI / 4]},
         "initial_state": {"kind": "psi+"},
         "master_seed": 7,
-    }
-    data.update(overrides)
-    return data
+    },
+    "entropy_sweep": {
+        "run_kind": "entropy_sweep",
+        "steps": 4,
+        "angles": {"a": [-PI / 2, PI / 4], "b": [-PI / 2, 3 * PI / 4]},
+        "initial_state": {"kind": "psi+"},
+        "master_seed": 7,
+        "sweep_grid": [
+            {"name": "theta1a", "min": 0, "max": 1, "count": 2},
+            {"name": "theta2a", "min": 0, "max": 1, "count": 2},
+        ],
+    },
+    "phase_diagram": {"run_kind": "phase_diagram", "grid_n": 16, "k_points": 64, "master_seed": 7},
+}
+
+
+def minimal_dict(kind, **overrides):
+    return {**copy.deepcopy(KIND_BASES[kind]), **overrides}
+
+
+def minimal_pair_dict(**overrides):
+    return minimal_dict("pair", **overrides)
+
+
+# config_to_dict(RunConfig()) as manifests wrote it before each run kind named
+# the fields it reads: all 14 fields, the unread ones at their defaults.
+EVERY_FIELD_AT_DEFAULT = {
+    "run_kind": "hadamard",
+    "steps": 100,
+    "window": "auto",
+    "angles": {"a": [-PI / 2, PI / 4], "b": [-PI / 2, 3 * PI / 4]},
+    "initial_state": {"kind": "psi_plus", "positions": [0, 0]},
+    "coin_amps": [[1.0, 0.0], [0.0, 0.0]],
+    "disorder": {"kind": "none", "half_width": 0.0, "target": "a"},
+    "ensemble_size": 1,
+    "master_seed": 0,
+    "sweep_grid": [],
+    "sweep_scalar": "final",
+    "outputs": None,
+    "k_points": 1024,
+    "grid_n": 64,
+}
 
 
 class TestConfigParsing:
@@ -67,7 +114,6 @@ class TestConfigParsing:
 
     def test_boundary_angles_parse(self):
         data = minimal_pair_dict(
-            run_kind="tptbw",
             angles={"a": {"minus": [-PI / 2, PI / 4], "plus": [-PI / 2, 3 * PI / 4]}},
         )
         cfg = config_from_dict(data)
@@ -89,26 +135,20 @@ class TestConfigParsing:
             ({"steps": -1}, "steps"),
             ({"ensemble_size": 0}, "ensemble_size"),
             ({"window": 0}, "window"),
-            ({"sweep_scalar": "median"}, "sweep_scalar"),
-            ({"k_points": 32}, "k_points"),
-            ({"grid_n": 4}, "grid_n"),
+            ({"run_kind": "entropy_sweep", "sweep_scalar": "median"}, "sweep_scalar"),
+            ({"run_kind": "phase_diagram", "k_points": 32}, "k_points"),
+            ({"run_kind": "phase_diagram", "grid_n": 4}, "grid_n"),
             ({"outputs": ["entropy", "plots"]}, "outputs"),
             ({"disorder": {"kind": "gaussian"}}, "disorder"),
             ({"initial_state": {"kind": "bell"}}, "initial_state"),
             ({"angles": {"c": [0, 0]}}, "angles.c"),
             ({"angles": {"a": [float("nan"), PI / 4], "b": [0, 0]}}, "angles.a"),
             ({"angles": {"a": [0, 0], "b": [0, float("inf")]}}, "angles.b"),
-            (
-                {
-                    "run_kind": "tptbw",
-                    "angles": {"a": {"minus": [0, 0], "plus": [float("-inf"), 0]}},
-                },
-                "angles.a",
-            ),
+            ({"angles": {"a": {"minus": [0, 0], "plus": [float("-inf"), 0]}}}, "angles.a"),
             ({"disorder": {"kind": "uniform", "half_width": float("nan")}}, "disorder"),
             ({"disorder": {"kind": "uniform", "half_width": float("inf")}}, "disorder"),
-            ({"coin_amps": [float("nan"), 0]}, "coin_amps"),
-            ({"coin_amps": [1, 1]}, "coin_amps"),
+            ({"run_kind": "hadamard", "coin_amps": [float("nan"), 0]}, "coin_amps"),
+            ({"run_kind": "hadamard", "coin_amps": [1, 1]}, "coin_amps"),
             ({"initial_state": {"kind": "psi+", "positions": [11, 0]}}, "initial_state"),
             ({"master_seed": -3}, "master_seed"),
             (
@@ -135,14 +175,14 @@ class TestConfigParsing:
             ),
             ({"initial_state": {"kind": "psi+", "positions": [float("inf"), 0]}}, "initial_state"),
             ({"ensemble_size": float("inf")}, "ensemble_size"),
-            ({"k_points": float("inf")}, "k_points"),
-            ({"grid_n": float("inf")}, "grid_n"),
+            ({"run_kind": "phase_diagram", "k_points": float("inf")}, "k_points"),
+            ({"run_kind": "phase_diagram", "grid_n": float("inf")}, "grid_n"),
             # arrays over MAX_ARRAY_ELEMENTS
             ({"steps": 10**11}, "steps"),
             ({"window": 10**11}, "window"),
             ({"window": 5000}, "window"),  # the pair joint distribution has 10001**2 entries
-            ({"k_points": 10**30}, "k_points"),
-            ({"grid_n": 10**9}, "grid_n"),
+            ({"run_kind": "phase_diagram", "k_points": 10**30}, "k_points"),
+            ({"run_kind": "phase_diagram", "grid_n": 10**9}, "grid_n"),
             (
                 {
                     "run_kind": "entropy_sweep",
@@ -181,11 +221,64 @@ class TestConfigParsing:
             ({"run_kind": "entropy_sweep", "sweep_kind": "tptbw"}, "sweep_kind"),
             # a pair walk needs walker a's angles, which walker b falls back to
             ({"angles": {"b": [0, 0]}}, "angles.a"),
+            # integer fields take only integers
+            ({"steps": 5.9}, "steps"),
+            ({"steps": True}, "steps"),
+            ({"steps": "5"}, "steps"),
+            ({"window": 12.5}, "window"),
+            ({"master_seed": False}, "master_seed"),
+            ({"run_kind": "phase_diagram", "grid_n": 16.5}, "grid_n"),
+            (
+                {
+                    "run_kind": "entropy_sweep",
+                    "sweep_grid": [
+                        {"name": "theta1a", "min": 0, "max": 1, "count": 2.5},
+                        {"name": "theta2a", "min": 0, "max": 1, "count": 2},
+                    ],
+                },
+                "sweep_grid",
+            ),
+            ({"initial_state": {"kind": "psi+", "positions": [1.5, 0]}}, "initial_state"),
+            ({"initial_state": {"kind": "psi+", "positions": [True, 0]}}, "initial_state"),
+            ({"initial_state": {"kind": "psi+", "positions": [0, 0, 1]}}, "initial_state"),
+            # nested mappings take only the keys they read
+            ({"disorder": {"kind": "weak", "targt": "b", "half_width": 2.0}}, "disorder"),
+            ({"disorder": {"kind": "weak", "targt": "b"}}, "disorder"),
+            ({"disorder": {"kind": "weak", "half_width": 2.0}}, "disorder"),
+            ({"disorder": {"kind": "none", "half_width": 0.7}}, "disorder"),
+            ({"initial_state": {"position": [1, 1]}}, "initial_state"),
+            (
+                {"run_kind": "single_split", "angles": {"a": {"minus": [0, 0], "plus": [1, 1], "zero": [2, 2]}}},
+                "angles.a",
+            ),
+            (
+                {
+                    "run_kind": "entropy_sweep",
+                    "sweep_grid": [
+                        {"name": "theta1a", "min": 0, "max": 1, "count": 2, "side": "plus"},
+                        {"name": "theta2a", "min": 0, "max": 1, "count": 2},
+                    ],
+                },
+                "sweep_grid",
+            ),
+            # fields that the run kind does not read
+            ({"coin_amps": [0, 1]}, "coin_amps"),
+            ({"sweep_scalar": "longmean"}, "sweep_scalar"),
+            ({"outputs": ["heatmap"]}, "outputs"),
+            ({"run_kind": "tptpw", "outputs": ["heatmap"]}, "outputs"),
+            ({"run_kind": "hadamard", "angles": {"a": [0.1, 0.2]}}, "angles"),
+            ({"run_kind": "hadamard", "outputs": ["joint"]}, "outputs"),
+            ({"run_kind": "single_split", "initial_state": "psi-"}, "initial_state"),
+            ({"run_kind": "entropy_sweep", "ensemble_size": 1, "k_points": 99}, "k_points"),
+            ({"run_kind": "phase_diagram", "steps": 5}, "steps"),
+            ({"run_kind": "phase_diagram", "window": 12}, "window"),
         ],
     )
     def test_validation_errors_name_the_field(self, patch, field):
+        # the base of the patch's run kind; a bogus kind or an alias takes the pair base
+        base = patch.get("run_kind") if patch.get("run_kind") in KIND_BASES else "pair"
         with pytest.raises(ConfigError) as err:
-            config_from_dict(minimal_pair_dict(**patch))
+            config_from_dict(minimal_dict(base, **patch))
         assert err.value.field == field
 
     def test_disorder_seed_key_is_rejected(self):
@@ -216,19 +309,39 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             config_from_dict(data)
 
-    def test_tptpw_rejects_boundary_angles(self):
-        data = minimal_pair_dict(
-            angles={"a": {"minus": [0, 0], "plus": [1, 1]}, "b": [0, 0]}
-        )
-        with pytest.raises(ConfigError):
-            config_from_dict(data)
-
     def test_load_config_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(minimal_pair_dict()))
         cfg = load_config(path)
-        assert cfg.run_kind == "tptpw"
+        assert cfg.run_kind == "pair"
         assert cfg.steps == 10
+
+    @pytest.mark.parametrize("kind", sorted(KIND_BASES))
+    def test_every_field_at_its_default_loads(self, kind):
+        # a manifest that wrote every field, the unread ones at their defaults
+        cfg = config_from_dict({**EVERY_FIELD_AT_DEFAULT, **minimal_dict(kind)})
+        assert cfg == config_from_dict(minimal_dict(kind))
+        assert list(config_to_dict(cfg)) == [
+            name for name in EVERY_FIELD_AT_DEFAULT if name == "run_kind" or name in RUN_KINDS[kind][0]
+        ]
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+    def test_figure_configs_set_only_fields_their_kind_reads(self, path):
+        data = json.loads(path.read_text())
+        cfg = config_from_dict(data)
+        assert set(data) - {"run_kind"} <= set(RUN_KINDS[cfg.run_kind][0])
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+
+    @pytest.mark.parametrize("stem", ["fig3a_4c_tptpw_strong", "fig3b_4f_tptbw_strong"])
+    def test_paper_names_run_the_pair_kind(self, tmp_path, stem):
+        data = json.loads((CONFIG_DIR / f"{stem}.json").read_text())
+        assert data["run_kind"] in ("tptpw", "tptbw")
+        write_artifacts(run(config_from_dict(data)), tmp_path / "alias")
+        write_artifacts(run(config_from_dict({**data, "run_kind": "pair"})), tmp_path / "pair")
+        names = sorted(p.name for p in (tmp_path / "alias").iterdir() if p.name != "manifest.json")
+        assert names == ["distribution_a.csv", "distribution_b.csv", "entropy.csv", "joint.csv"]
+        for name in names:
+            assert (tmp_path / "alias" / name).read_bytes() == (tmp_path / "pair" / name).read_bytes()
 
 
 class TestSeeding:
