@@ -216,10 +216,9 @@ def _parse_initial_state(value, field_name: str) -> InitialPairState:
         value = {"kind": value}
     _check_keys(value, field_name, (), ("kind", "positions"))
     positions = value.get("positions", (0, 0))
-    if not isinstance(positions, (list, tuple)) or len(positions) != 2:
+    if not isinstance(positions, (list, tuple)):
         raise ConfigError(field_name, f"positions must be two integers, got {positions!r}")
-    positions = tuple(_integer(x, field_name) for x in positions)
-    return InitialPairState(value.get("kind", "psi_plus"), positions)
+    return InitialPairState(value.get("kind", "psi_plus"), tuple(positions))  # checks the two integers
 
 
 def _parse_sweep_grid(value, field_name: str) -> list:
@@ -301,11 +300,14 @@ def config_to_dict(config: RunConfig) -> dict:
     """JSON-able mapping of run_kind and the fields that kind reads; it
     round-trips through config_from_dict."""
     reads = RUN_KINDS[config.run_kind][0]
-    return {
+    data = {
         name: dump(getattr(config, name))
         for name, (_, dump) in _FIELDS.items()
         if name == "run_kind" or name in reads
     }
+    if config.run_kind == "single_split":  # a single walker reads walker a's entry only
+        data["angles"] = {"a": data["angles"]["a"]}
+    return data
 
 
 def validate_config(config: RunConfig) -> RunConfig:
@@ -317,6 +319,9 @@ def validate_config(config: RunConfig) -> RunConfig:
         # a value that the run kind would ignore is an error, not a silent no-op
         if name not in (*reads, "run_kind") and getattr(config, name) != getattr(defaults, name):
             raise ConfigError(name, f"{config.run_kind} runs do not read it; leave it out")
+    default_b = defaults.angles["b"]
+    if config.run_kind == "single_split" and config.angles.get("b", default_b) != default_b:
+        raise ConfigError("angles.b", "a single walker is walker a; leave walker b's angles out")
     minimums = {"steps": 0, "ensemble_size": 1, "master_seed": 0, "k_points": 64, "grid_n": 16}
     for name, least in minimums.items():
         if getattr(config, name) < least:

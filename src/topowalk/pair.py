@@ -45,6 +45,13 @@ class InitialPairState:
         canonical = PAIR_KIND_ALIASES.get(self.kind)
         if canonical is None:
             raise ValueError(f"unknown pair state kind {self.kind!r}")
+        integral = [  # as experiments._integer: no bools, no fractional parts
+            isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+            or isinstance(x, float) and x.is_integer()
+            for x in self.positions
+        ]
+        if len(integral) != 2 or not all(integral):
+            raise ValueError(f"positions must be two integers, got {self.positions!r}")
         object.__setattr__(self, "kind", canonical)
         object.__setattr__(self, "positions", (int(self.positions[0]), int(self.positions[1])))
 

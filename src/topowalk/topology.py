@@ -9,6 +9,7 @@ axis makes across the Brillouin zone is the walk's topological invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,21 +38,29 @@ class PhaseDiagram:
 
 
 def momentum_unitary(theta1: float, theta2: float, k) -> np.ndarray:
-    """Step operator at quasimomentum k; k may be an array (batched result).
+    """Step operator at quasimomentum k; k may be an array (batched result)."""
+    return _unitary_at_phase(theta1, theta2, np.exp(1j * np.asarray(k, dtype=float)))
 
-    The conditional shifts become diag(e^{ik}, 1) for the coin-0 move and
-    diag(1, e^{-ik}) for the coin-1 move, sandwiching the two coin rotations.
-    """
-    k = np.asarray(k, dtype=float)
+
+def _unitary_at_phase(theta1: float, theta2: float, phase: np.ndarray) -> np.ndarray:
+    """momentum_unitary at phase = e^{ik}: the coin-0 shift diag(e^{ik}, 1) and the coin-1
+    shift diag(1, e^{-ik}) sandwich the two coin rotations."""
     r1 = rotation_coin(theta1)
     r2 = rotation_coin(theta2)
-    phase = np.exp(1j * k)
-    m = np.empty(k.shape + (2, 2), dtype=complex)
+    m = np.empty(phase.shape + (2, 2), dtype=complex)
     m[..., 0, :] = phase[..., None] * r1[0, :]
     m[..., 1, :] = r1[1, :]
-    m = np.einsum("ab,...bc->...ac", r2, m)
+    m = r2[:, 0, None] * m[..., None, 0, :] + r2[:, 1, None] * m[..., None, 1, :]  # r2 @ m
     m[..., 1, :] = phase.conj()[..., None] * m[..., 1, :]
     return m
+
+
+@lru_cache(maxsize=8)
+def _zone_phase(k_points: int) -> np.ndarray:
+    """e^{ik} on the uniform k grid over [-pi, pi); read-only, as every call shares it."""
+    phase = np.exp(1j * (-np.pi + 2.0 * np.pi * np.arange(k_points) / k_points))
+    phase.flags.writeable = False
+    return phase
 
 
 def _pauli_components(u: np.ndarray):
@@ -72,27 +81,29 @@ def winding_number(theta1: float, theta2: float, k_points: int = 1024) -> PhaseV
     """
     if k_points < 64:
         raise ValueError("k_points must be >= 64")
-    k = -np.pi + 2.0 * np.pi * np.arange(k_points) / k_points
-    u = momentum_unitary(theta1, theta2, k)
-    a0, ax, ay, az = _pauli_components(u)
+    a0, ax, ay, az = _pauli_components(_unitary_at_phase(theta1, theta2, _zone_phase(k_points)))
     energy = np.arccos(np.clip(a0.real, -1.0, 1.0))
     gap = float(min(energy.min(), np.pi - energy.max()))
+    if not np.isfinite(gap):
+        raise NumericalError(f"quasienergy gap is {gap} at angles ({theta1}, {theta2})")
     if gap <= GAP_THRESHOLD:
         return PhaseVerdict(None, gap)
 
-    axes = -np.stack([ax.imag, ay.imag, az.imag], axis=-1) / np.sin(energy)[:, None]
-    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    # n(k) = -Im(ax, ay, az) / sin E, normalized; written out, as np.stack and norm are call-bound
+    axes = np.empty((energy.size, 3))
+    axes[:, 0], axes[:, 1], axes[:, 2] = -ax.imag, -ay.imag, -az.imag
+    axes /= np.sin(energy)[:, None]
+    axes /= np.sqrt(axes[:, 0] ** 2 + axes[:, 1] ** 2 + axes[:, 2] ** 2)[:, None]
 
     # Common plane normal: the least-squares direction orthogonal to every axis.
-    _, eigvecs = np.linalg.eigh(axes.T @ axes)
-    normal = eigvecs[:, 0]
+    normal = np.linalg.eigh(axes.T @ axes)[1][:, 0]
     out_of_plane = float(np.max(np.abs(axes @ normal)))
-    if out_of_plane > PLANARITY_TOL:
+    if not out_of_plane <= PLANARITY_TOL:  # a NaN fails it too
         raise NumericalError(f"axis samples deviate {out_of_plane:.3e} from a common plane")
 
-    e1 = axes[0]
-    e2 = np.cross(normal, e1)
-    phi = np.arctan2(axes @ e2, axes @ e1)
+    (n0, n1, n2), (x0, x1, x2) = normal.tolist(), axes[0].tolist()
+    e2 = np.array([n1 * x2 - n2 * x1, n2 * x0 - n0 * x2, n0 * x1 - n1 * x0])  # normal x axes[0]
+    phi = np.arctan2(axes @ e2, axes @ axes[0])
     steps = np.diff(phi, append=phi[:1])  # closes the loop across the zone edge
     steps = (steps + np.pi) % (2.0 * np.pi) - np.pi
     return PhaseVerdict(int(round(abs(float(steps.sum())) / (2.0 * np.pi))), gap)
@@ -108,9 +119,8 @@ def phase_diagram(grid_n: int = 64, k_points: int = 1024) -> PhaseDiagram:
     thetas = -np.pi + 2.0 * np.pi * np.arange(grid_n) / grid_n
     winding = np.empty((grid_n, grid_n), dtype=int)
     gap = np.empty((grid_n, grid_n), dtype=float)
-    for i, t1 in enumerate(thetas):
-        for j, t2 in enumerate(thetas):
-            verdict = winding_number(float(t1), float(t2), k_points)
-            winding[i, j] = -1 if verdict.winding is None else verdict.winding
-            gap[i, j] = verdict.gap
+    for i, j in np.ndindex(grid_n, grid_n):
+        verdict = winding_number(float(thetas[i]), float(thetas[j]), k_points)
+        winding[i, j] = -1 if verdict.winding is None else verdict.winding
+        gap[i, j] = verdict.gap
     return PhaseDiagram(thetas.copy(), thetas.copy(), winding, gap)

@@ -22,7 +22,8 @@ from topowalk import (
     split_step,
     von_neumann_entropy,
 )
-from topowalk.walk import RUNTIME_NORM_TOL
+from topowalk.topology import GAP_THRESHOLD, PLANARITY_TOL
+from topowalk.walk import RUNTIME_NORM_TOL, rotation_coin
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -106,6 +107,67 @@ def axis_from_eigendecomposition(u: np.ndarray) -> np.ndarray:
     plus = eigvecs[:, int(np.argmin(phases))]
     n_sigma = 2.0 * np.outer(plus, plus.conj()) - np.eye(2)
     return np.array([np.trace(s @ n_sigma).real / 2.0 for s in PAULI])
+
+
+# -- momentum-space reference ---------------------------------------------------
+# The phase diagram's arithmetic as written before its 2x2 product, k grid and
+# 3-vector helpers were written out: a generic einsum for r2 @ m, a fresh k grid
+# per call, np.stack / np.linalg.norm / np.cross on the axes. The package must
+# give the same winding verdicts and a byte-equal gap from less work.
+
+
+def reference_momentum_unitary(theta1: float, theta2: float, k) -> np.ndarray:
+    k = np.asarray(k, dtype=float)
+    r1 = rotation_coin(theta1)
+    r2 = rotation_coin(theta2)
+    phase = np.exp(1j * k)
+    m = np.empty(k.shape + (2, 2), dtype=complex)
+    m[..., 0, :] = phase[..., None] * r1[0, :]
+    m[..., 1, :] = r1[1, :]
+    m = np.einsum("ab,...bc->...ac", r2, m)
+    m[..., 1, :] = phase.conj()[..., None] * m[..., 1, :]
+    return m
+
+
+def reference_winding_number(theta1: float, theta2: float, k_points: int = 1024):
+    """(winding or None, gap) for one angle pair, computed point by point."""
+    k = -np.pi + 2.0 * np.pi * np.arange(k_points) / k_points
+    u = reference_momentum_unitary(theta1, theta2, k)
+    a0 = (u[..., 0, 0] + u[..., 1, 1]) / 2.0
+    ax = (u[..., 0, 1] + u[..., 1, 0]) / 2.0
+    ay = 1j * (u[..., 0, 1] - u[..., 1, 0]) / 2.0
+    az = (u[..., 0, 0] - u[..., 1, 1]) / 2.0
+    energy = np.arccos(np.clip(a0.real, -1.0, 1.0))
+    gap = float(min(energy.min(), np.pi - energy.max()))
+    if gap <= GAP_THRESHOLD:
+        return None, gap
+
+    axes = -np.stack([ax.imag, ay.imag, az.imag], axis=-1) / np.sin(energy)[:, None]
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    _, eigvecs = np.linalg.eigh(axes.T @ axes)
+    normal = eigvecs[:, 0]
+    out_of_plane = float(np.max(np.abs(axes @ normal)))
+    if out_of_plane > PLANARITY_TOL:
+        raise NumericalError(f"axis samples deviate {out_of_plane:.3e} from a common plane")
+
+    e1 = axes[0]
+    e2 = np.cross(normal, e1)
+    phi = np.arctan2(axes @ e2, axes @ e1)
+    steps = np.diff(phi, append=phi[:1])
+    steps = (steps + np.pi) % (2.0 * np.pi) - np.pi
+    return int(round(abs(float(steps.sum())) / (2.0 * np.pi))), gap
+
+
+def reference_phase_grids(grid_n: int, k_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """(winding, gap) grids over phase_diagram's angle grid; -1 marks boundary cells."""
+    thetas = -np.pi + 2.0 * np.pi * np.arange(grid_n) / grid_n
+    winding = np.empty((grid_n, grid_n), dtype=int)
+    gap = np.empty((grid_n, grid_n), dtype=float)
+    for i, t1 in enumerate(thetas):
+        for j, t2 in enumerate(thetas):
+            w, gap[i, j] = reference_winding_number(float(t1), float(t2), k_points)
+            winding[i, j] = -1 if w is None else w
+    return winding, gap
 
 
 # -- dense pair route ------------------------------------------------------------

@@ -43,6 +43,19 @@ class TestWalkCommand:
         assert manifest["config"]["run_kind"] == "single_split"
         assert manifest["master_seed"] == 42
 
+    def test_split_manifest_holds_walker_a_angles_only(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["walk", "--kind", "split", "--steps", "3", "--out", str(out)]) == 0
+        assert read_manifest(out)["config"]["angles"] == {"a": [-PI / 2, PI / 4]}
+
+    def test_split_config_with_walker_b_angles_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"run_kind": "single_split", "angles": {"a": [0.1, 0.2], "b": [0.3, 0.4]}}))
+        out = tmp_path / "run"
+        assert main(["walk", "--config", str(path), "--steps", "3", "--out", str(out)]) == 2
+        assert "angles.b" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_disorder_width_flag(self, tmp_path):
         out = tmp_path / "run"
         argv = ["walk", "--kind", "split", "--steps", "5", "--disorder", "width=0.5", "--out", str(out)]

@@ -272,6 +272,7 @@ class TestConfigParsing:
             ({"run_kind": "entropy_sweep", "ensemble_size": 1, "k_points": 99}, "k_points"),
             ({"run_kind": "phase_diagram", "steps": 5}, "steps"),
             ({"run_kind": "phase_diagram", "window": 12}, "window"),
+            ({"run_kind": "single_split", "angles": {"a": [0.1, 0.2], "b": [0.3, 0.4]}}, "angles.b"),
         ],
     )
     def test_validation_errors_name_the_field(self, patch, field):
@@ -331,6 +332,18 @@ class TestConfigParsing:
         cfg = config_from_dict(data)
         assert set(data) - {"run_kind"} <= set(RUN_KINDS[cfg.run_kind][0])
         assert config_from_dict(config_to_dict(cfg)) == cfg
+
+    @pytest.mark.parametrize("stem", ["fig6c_single_weak", "fig6d_single_strong"])
+    def test_single_walker_configs_round_trip_walker_a_only(self, stem):
+        data = json.loads((CONFIG_DIR / f"{stem}.json").read_text())
+        cfg = config_from_dict(data)
+        assert config_to_dict(cfg)["angles"] == data["angles"] == {"a": [-PI / 2, PI / 4]}
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+
+    def test_single_walker_accepts_default_walker_b_and_drops_it(self):
+        # walker b's RunConfig default, as a manifest written before this rule holds it
+        cfg = config_from_dict(minimal_dict("single_split", angles={"a": [0.1, 0.2], "b": [-PI / 2, 3 * PI / 4]}))
+        assert config_to_dict(cfg)["angles"] == {"a": [0.1, 0.2]}
 
     @pytest.mark.parametrize("stem", ["fig3a_4c_tptpw_strong", "fig3b_4f_tptbw_strong"])
     def test_paper_names_run_the_pair_kind(self, tmp_path, stem):

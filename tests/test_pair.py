@@ -96,6 +96,17 @@ class TestMakePairState:
         with pytest.raises(ValueError):
             InitialPairState("bell")
 
+    @pytest.mark.parametrize(
+        "positions", [(1.5, True), (True, 0), (0, 2.5), (0, "1"), (np.bool_(1), 0), (1, 2, 3), (1,)]
+    )
+    def test_rejects_positions_that_are_not_two_integers(self, positions):
+        with pytest.raises(ValueError, match="positions must be two integers"):
+            InitialPairState("sep", positions)
+
+    def test_keeps_integral_positions(self):
+        assert InitialPairState("sep", (np.int64(2), np.int32(-3))).positions == (2, -3)
+        assert InitialPairState("sep", (2.0, -1)).positions == (2, -1)
+
 
 class TestEvolvePair:
     def test_zero_steps(self):

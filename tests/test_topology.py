@@ -1,12 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from topowalk import momentum_unitary, phase_diagram, winding_number
+from topowalk import NumericalError, momentum_unitary, phase_diagram, topology, winding_number
 from topowalk.topology import GAP_THRESHOLD, PLANARITY_TOL
-from oracles import axis_from_eigendecomposition
+from oracles import (
+    axis_from_eigendecomposition,
+    reference_momentum_unitary,
+    reference_phase_grids,
+)
 
 ANCHOR_WINDING_1 = (-np.pi / 2, np.pi / 4)
 ANCHOR_WINDING_0 = (-np.pi / 2, 3 * np.pi / 4)
@@ -43,6 +49,13 @@ class TestMomentumUnitary:
         assert u.shape == (17, 2, 2)
         assert_allclose(u[3], momentum_unitary(0.3, -0.7, float(k[3])), atol=1e-15)
 
+    def test_equals_the_einsum_reference(self):
+        # the written-out 2x2 product gives the generic einsum's values exactly
+        rng = np.random.default_rng(7)
+        k = -np.pi + 2 * np.pi * np.arange(256) / 256
+        for t1, t2 in rng.uniform(-2 * np.pi, 2 * np.pi, (200, 2)):
+            assert np.array_equal(momentum_unitary(t1, t2, k), reference_momentum_unitary(t1, t2, k))
+
 
 class TestWindingNumber:
     def test_anchor_winding_one(self):
@@ -73,6 +86,24 @@ class TestWindingNumber:
         s = np.sin(t1 / 2) * np.sin(t2 / 2)
         expected_gap = min(np.arccos(min(abs(c) + abs(s), 1.0)), np.pi - np.arccos(max(-abs(c) - abs(s), -1.0)))
         assert_allclose(verdict.gap, expected_gap, atol=1e-6)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("angles", [(float("nan"), 0.0), (float("inf"), 0.3), (0.2, -float("inf"))])
+    def test_non_finite_angle_is_numerical_error(self, angles):
+        with pytest.raises(NumericalError, match="gap is nan"):
+            winding_number(*angles)
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])  # a NaN comparison fails the guard
+    def test_axes_off_a_common_plane_are_numerical_error(self, monkeypatch, tol):
+        monkeypatch.setattr(topology, "PLANARITY_TOL", tol)
+        with pytest.raises(NumericalError, match="common plane"):
+            winding_number(*ANCHOR_WINDING_1)
+
+    def test_zone_phase_is_shared_and_read_only(self):
+        phase = topology._zone_phase(1024)
+        assert topology._zone_phase(1024) is phase
+        with pytest.raises(ValueError):
+            phase[0] = 1.0
 
     @given(angle_st, angle_st)
     @settings(max_examples=40, deadline=None)
@@ -164,3 +195,21 @@ class TestPhaseDiagram:
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
             phase_diagram(8)
+
+    def test_equals_the_per_point_reference(self):
+        # same verdicts and the same gap bytes as the einsum / np.cross arithmetic
+        pd = phase_diagram(24, 1024)
+        winding, gap = reference_phase_grids(24, 1024)
+        assert np.array_equal(pd.winding, winding)
+        assert pd.gap.tobytes() == gap.tobytes()
+
+    def test_peak_memory_stays_flat(self):
+        # one grid point at a time peaks at ~0.3 MiB; 16-point batches take ~5 MiB
+        phase_diagram(16, 1024)
+        tracemalloc.start()
+        try:
+            phase_diagram(16, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
