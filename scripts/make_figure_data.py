@@ -3,7 +3,8 @@
 
 Each JSON in configs/ is a self-contained experiment; outputs land in
 <out>/<config-stem>/. The whole set takes about 20 s on a 2-vCPU host, the
-six fig5 sweeps most of it.
+six fig5 sweeps most of it; each 100-step pair config, data files included,
+takes about 0.1 s, and the fig2 phase diagram under 2 s.
 """
 
 import argparse

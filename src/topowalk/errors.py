@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types, and the integer rule, shared across the package."""
+
+import numpy as np
 
 
 class TopowalkError(Exception):
@@ -20,3 +22,12 @@ class ConfigError(TopowalkError):
         self.field = field
         self.message = message
         super().__init__(f"config field '{field}': {message}")
+
+
+def as_integer(value, name: str) -> int:
+    """value as an int; a bool, a string or a fractional number is a ValueError naming name."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -10,12 +10,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__
-from .errors import ConfigError
+from .errors import ConfigError, as_integer
 from .pair import (
     InitialPairState,
     coin_coefficients,
@@ -80,8 +81,6 @@ SWEEP_PARAMETERS = {
     "theta2b_minus": ("b", 1, "minus"),
     "theta2b_plus": ("b", 1, "plus"),
 }
-
-_FLOAT_FMT = "{:.16e}"
 
 # Largest array a config may ask for, in elements (512 MiB of float64).
 MAX_ARRAY_ELEMENTS = 2**26
@@ -156,15 +155,6 @@ def derive_seed(master_seed: int, *key: int) -> int:
 # -- config parsing and validation ------------------------------------------------
 
 
-def _integer(value, field_name: str) -> int:
-    """value as an int; a bool, a string or a number with a fractional part is an error."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(field_name, f"expected an integer, got {value!r}")
-    return int(value)
-
-
 def _check_keys(value, field_name: str, required: tuple, optional: tuple = ()) -> None:
     """Check that value is a mapping with every required key and no key outside both sets."""
     if not isinstance(value, dict):
@@ -226,7 +216,7 @@ def _parse_sweep_grid(value, field_name: str) -> list:
     for item in value:
         if not isinstance(item, SweepAxis):
             _check_keys(item, field_name, ("name", "min", "max", "count"))
-            count = _integer(item["count"], field_name)
+            count = as_integer(item["count"], f"{field_name}.count")
             item = SweepAxis(str(item["name"]), float(item["min"]), float(item["max"]), count)
         axes.append(item)
     return axes
@@ -254,8 +244,8 @@ def _dump_angle_entry(entry):
 # config_from_dict parses a mapping's values, config_to_dict dumps them back.
 _FIELDS = {
     "run_kind": (lambda v, f: RUN_KIND_ALIASES.get(str(v), str(v)), str),
-    "steps": (_integer, int),
-    "window": (lambda v, f: None if v in (None, "auto") else _integer(v, f), lambda w: w or "auto"),
+    "steps": (as_integer, int),
+    "window": (lambda v, f: None if v in (None, "auto") else as_integer(v, f), lambda w: w or "auto"),
     "angles": (
         lambda v, f: {p: _parse_angle_entry(e, f"{f}.{p}") for p, e in v.items()},
         lambda angles: {p: _dump_angle_entry(e) for p, e in angles.items()},
@@ -263,16 +253,16 @@ _FIELDS = {
     "initial_state": (_parse_initial_state, lambda s: {"kind": s.kind, "positions": list(s.positions)}),
     "coin_amps": (_parse_coin_amps, lambda amps: [[c.real, c.imag] for c in amps]),
     "disorder": (_parse_disorder, asdict),
-    "ensemble_size": (_integer, int),
-    "master_seed": (_integer, int),
+    "ensemble_size": (as_integer, int),
+    "master_seed": (as_integer, int),
     "sweep_grid": (
         _parse_sweep_grid,
         lambda axes: [{"name": ax.name, "min": ax.lo, "max": ax.hi, "count": ax.count} for ax in axes],
     ),
     "sweep_scalar": (lambda v, f: str(v), str),
     "outputs": (lambda v, f: None if v is None else [str(x) for x in v], lambda outputs: outputs),
-    "k_points": (_integer, int),
-    "grid_n": (_integer, int),
+    "k_points": (as_integer, int),
+    "grid_n": (as_integer, int),
 }
 
 
@@ -560,21 +550,109 @@ def run(config: RunConfig) -> RunArtifacts:
 # -- artifact files ----------------------------------------------------------------
 
 
-_COLUMN_KINDS = {"i": (np.int64, "{}"), "f": (float, _FLOAT_FMT)}
+# A float cell is "%.16e" % v. For a normal nonzero v its 17 digits are N = round(|v| * 10^p),
+# p = 16 - floor(log10|v|), which _decimal_digits forms as a double-double product and proves
+# unless v is zero, subnormal, nan or inf, the product lies within 1e-6 of a half-integer, or
+# N is outside (10^16, 10^17): a misjudged decade (N = 10^16 may come from the decade below).
+# "%" formats every cell it does not prove.
+_POW10_RANGE = (-310, 345)  # covers p = 16 - k for every normal double, k in [-308, 308]
+_FLOAT_WIDTH = 24  # "-d.dddddddddddddddde+ddd"
+
+
+@lru_cache(maxsize=1)
+def _pow10_table() -> tuple:
+    """(hi, lo, E) arrays over p in _POW10_RANGE, (hi + lo) * 2^E = 10^p with hi in [1, 2): integer
+    true division rounds correctly, so hi is 10^p / 2^E rounded and lo the rounded remainder."""
+    rows = []
+    for p in range(_POW10_RANGE[0], _POW10_RANGE[1] + 1):
+        e = (10**p).bit_length() - 1 if p >= 0 else -(10**-p - 1).bit_length()  # 2^e <= 10^p < 2^(e+1)
+        num, den = 10 ** max(p, 0) << max(-e, 0), 10 ** max(-p, 0) << max(e, 0)
+        hi = num / den
+        rows.append((hi, (num * 2**52 - int(hi * 2**52) * den) / (den * 2**52), e))
+    return tuple(np.array(column) for column in zip(*rows))
+
+
+def _veltkamp(x: np.ndarray) -> tuple:
+    """x = hi + lo with 26-bit hi, so that products of the halves are exact."""
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _decimal_digits(values: np.ndarray) -> tuple:
+    """(N, k, proven) per value: where proven is set, "%.16e" % v is sign(v) times the
+    17 digits of N times 10^(k - 16)."""
+    hi_table, lo_table, exp_table = _pow10_table()
+    mag = np.abs(values)
+    proven = np.isfinite(mag) & (mag >= 2.2250738585072014e-308)  # the least normal double
+    mag[~proven] = 1.0
+    k = np.floor(np.log10(mag)).astype(np.int64)
+    index = 16 - k - _POW10_RANGE[0]
+    a = np.ldexp(mag, exp_table[index])  # |v| * 10^p = a * (hi + lo)
+    hi, lo = hi_table[index], lo_table[index]
+    (a_hi, a_lo), (h_hi, h_lo) = _veltkamp(a), _veltkamp(hi)
+    # a * (hi + lo) - fl(a * hi), with Dekker's exact product for a * hi
+    tail = (((a_hi * h_hi - a * hi) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo) + a * lo
+    proven &= np.abs(tail - np.floor(tail) - 0.5) >= 1e-6
+    digits = (a * hi).astype(np.int64) + np.rint(tail).astype(np.int64)  # fl(a * hi) >= 2^53 is whole
+    proven &= (digits > 10**16) & (digits < 10**17)
+    return digits, k, proven
+
+
+def _float_cells(values: np.ndarray, cells: np.ndarray) -> None:
+    """Write "%.16e" % v for each value into the NUL-padded rows of cells, whose first
+    byte holds the sign."""
+    digits, k, proven = _decimal_digits(values)
+    high, low = np.divmod(digits, 10**8)  # two int32 halves divide faster than int64
+    for part, positions in ((low, range(18, 10, -1)), (high, (*range(10, 2, -1), 1))):
+        part = part.astype(np.int32)
+        for pos in positions:  # d.dddddddddddddddd, last digit first
+            part, cells[:, pos] = np.divmod(part, 10)
+            cells[:, pos] += 48
+    k_abs = np.abs(k)
+    cells[:, 2], cells[:, 19] = 46, 101  # ".", "e"
+    cells[:, 20] = np.where(k < 0, 45, 43)  # "-", "+"
+    cells[:, 21] = np.where(k_abs >= 100, k_abs // 100 + 48, 0)
+    cells[:, 22] = k_abs // 10 % 10 + 48
+    cells[:, 23] = k_abs % 10 + 48
+    slow = np.flatnonzero(~proven)
+    text = np.array(["%.16e" % v for v in values[slow].tolist()], dtype=f"S{_FLOAT_WIDTH}")
+    cells[slow] = text.view(np.uint8).reshape(slow.size, _FLOAT_WIDTH)
+
+
+def _int_cells(values: np.ndarray, cells: np.ndarray) -> None:
+    """Write str(v) for each value into the NUL-padded rows of cells, after their sign byte."""
+    magnitude = np.abs(values).astype(np.uint64)  # exact for the int64 minimum too
+    cells[:, -1] = magnitude % 10 + 48
+    for pos in range(cells.shape[1] - 2, 0, -1):
+        magnitude = magnitude // 10
+        cells[:, pos] = np.where(magnitude > 0, magnitude % 10 + 48, 0)
 
 
 def _write_table(path: Path, header: str, kinds: str, *columns) -> None:
-    """Write a CSV file in one call: the header, then one line per row.
+    """Write a CSV file: the header, then one line per row.
 
-    kinds has one letter per column: "i" writes an integer, "f" a float in
-    _FLOAT_FMT. Columns are equal-length array-likes.
+    kinds has one letter per column: "i" writes str(v) of an integer, "f" writes
+    "%.16e" % v of a float. Columns are equal-length array-likes. Each cell fills a
+    NUL-padded slot of one uint8 matrix, followed by its "," or "\n"; the file is the
+    matrix without its NULs, so lines end in "\n" on every platform.
     """
-    line = (",".join(_COLUMN_KINDS[k][1] for k in kinds) + "\n").format
-    values = [
-        np.ravel(np.asarray(c, dtype=_COLUMN_KINDS[k][0])).tolist() for k, c in zip(kinds, columns)
+    arrays = [np.ravel(np.asarray(c, dtype=float if k == "f" else np.int64)) for k, c in zip(kinds, columns)]
+    widths = [
+        _FLOAT_WIDTH if k == "f" else 1 + len(str(max(-int(a.min(initial=0)), int(a.max(initial=0)))))
+        for k, a in zip(kinds, arrays)
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n" + "".join(map(line, *values)))
+    table = np.zeros((arrays[0].size, sum(widths) + len(widths)), dtype=np.uint8)
+    start = 0
+    for kind, values, width in zip(kinds, arrays, widths):
+        table[:, start] = np.where(values < 0, 45, 0)  # each slot starts with the sign: "-" or NUL
+        (_float_cells if kind == "f" else _int_cells)(values, table[:, start : start + width])
+        table[:, start + width] = 44  # ","
+        start += width + 1
+    table[:, -1] = 10  # "\n" in place of the last ","
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        fh.write(table[table != 0])
 
 
 def write_artifacts(artifacts: RunArtifacts, out_dir) -> list[Path]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, as_integer
 from .states import LatticeWindow, make_single_state
 from .walk import split_step, trajectory
 
@@ -45,15 +45,12 @@ class InitialPairState:
         canonical = PAIR_KIND_ALIASES.get(self.kind)
         if canonical is None:
             raise ValueError(f"unknown pair state kind {self.kind!r}")
-        integral = [  # as experiments._integer: no bools, no fractional parts
-            isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-            or isinstance(x, float) and x.is_integer()
-            for x in self.positions
-        ]
-        if len(integral) != 2 or not all(integral):
-            raise ValueError(f"positions must be two integers, got {self.positions!r}")
+        try:
+            x_a, x_b = (as_integer(x, "positions") for x in self.positions)
+        except ValueError:  # a value that is not an integer, or not two of them
+            raise ValueError(f"positions must be two integers, got {self.positions!r}") from None
         object.__setattr__(self, "kind", canonical)
-        object.__setattr__(self, "positions", (int(self.positions[0]), int(self.positions[1])))
+        object.__setattr__(self, "positions", (x_a, x_b))
 
 
 def coin_coefficients(init: InitialPairState) -> np.ndarray:

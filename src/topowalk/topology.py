@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, as_integer
 from .walk import rotation_coin
 
 GAP_THRESHOLD = 1e-6
@@ -79,6 +79,7 @@ def winding_number(theta1: float, theta2: float, k_points: int = 1024) -> PhaseV
     accumulates the signed in-plane angle around the zone. Gapless parameters
     (E(k) reaching 0 or pi) get winding None.
     """
+    k_points = as_integer(k_points, "k_points")
     if k_points < 64:
         raise ValueError("k_points must be >= 64")
     a0, ax, ay, az = _pauli_components(_unitary_at_phase(theta1, theta2, _zone_phase(k_points)))
@@ -114,6 +115,7 @@ def phase_diagram(grid_n: int = 64, k_points: int = 1024) -> PhaseDiagram:
 
     Boundary (gapless) cells are stored as -1 in the winding grid.
     """
+    grid_n = as_integer(grid_n, "grid_n")
     if grid_n < 16:
         raise ValueError("grid_n must be >= 16")
     thetas = -np.pi + 2.0 * np.pi * np.arange(grid_n) / grid_n

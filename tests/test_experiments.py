@@ -1,10 +1,14 @@
 import copy
 import json
+import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from topowalk import (
@@ -29,9 +33,11 @@ from topowalk.experiments import (
     ANGLES_WINDING_0,
     ANGLES_WINDING_1,
     RUN_KINDS,
+    _decimal_digits,
     _particle_angles,
     _sweep_cell_scalar,
     _with_axis_value,
+    _write_table,
 )
 from oracles import (
     dense_hadamard_unitary,
@@ -787,6 +793,26 @@ class TestWriteArtifacts:
             for b, j in enumerate(art.positions)
         ]
         assert lines == ["i,j,probability", *expected]
+        art = run(config_from_dict({"run_kind": "phase_diagram", "grid_n": 16, "k_points": 64}))
+        write_artifacts(art, tmp_path)
+        ph = art.phase
+        expected = [
+            f"{t1:.16e},{t2:.16e},{ph.winding[a, b]},{ph.gap[a, b]:.16e}"
+            for a, t1 in enumerate(ph.theta1_values)
+            for b, t2 in enumerate(ph.theta2_values)
+        ]
+        lines = (tmp_path / "phase.csv").read_text().splitlines()
+        assert lines == ["theta1,theta2,winding,gap", *expected]
+        assert ph.theta1_values.min() < 0 and ph.winding.min() == -1
+        art = run(config_from_dict(minimal_dict("entropy_sweep")))
+        write_artifacts(art, tmp_path)
+        hm = art.heatmap
+        expected = [
+            f"{v1:.16e},{v2:.16e},{hm.values[a, b]:.16e}"
+            for a, v1 in enumerate(hm.axis1_values)
+            for b, v2 in enumerate(hm.axis2_values)
+        ]
+        assert (tmp_path / "heatmap.csv").read_text().splitlines() == ["axis1,axis2,scalar", *expected]
 
     def test_manifest_echoes_seed_and_reruns(self, tmp_path):
         cfg = config_from_dict(minimal_pair_dict(steps=5, master_seed=99))
@@ -853,3 +879,81 @@ class TestWriteArtifacts:
         assert len(lines) - 1 == 6
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["heatmap_axes"] == ["theta1a", "theta2a"]
+
+
+def table_cells(kind: str, values) -> list[str]:
+    """The cells _write_table writes for a one-column table of values."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        _write_table(path, "v", kind, values)
+        data = path.read_bytes()
+    assert data.endswith(b"\n") and b"\r" not in data and b"\0" not in data
+    return data.decode().splitlines()[1:]
+
+
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, float("nan"), float("inf"), float("-inf"),
+    *(10.0**e for e in range(-323, 309)), *(-(10.0**e) for e in (-5, 0, 5, 22, 23)),
+    9.99999999999999999e-5, 9.9999999999999999e22, 0.5, 1.0, 1.5, 0.1, 1 / 3,
+    123456789012345678.0, 2.0**53, 2.0**53 + 2, 2.0**-1074 * 3,
+]
+
+
+class TestTableCells:
+    """Every float cell is "%.16e" % v and every int cell str(v), whichever path formats it."""
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(8).integers(0, 2**64, 200_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        assert table_cells("f", values) == ["%.16e" % v for v in values.tolist()]
+
+    def test_edge_floats(self):
+        values = np.array(EDGE_FLOATS)
+        with np.errstate(over="ignore"):  # the largest double's upper neighbour is inf
+            near = [np.nextafter(v, toward) for v in values for toward in (-np.inf, np.inf)]
+        values = np.concatenate([values, near])
+        assert table_cells("f", values) == ["%.16e" % v for v in values.tolist()]
+
+    def test_edge_ints(self):
+        values = [0, 1, -1, 9, -9, 10, -10, 99, -100, 123456, -2**63, 2**63 - 1, -(2**63 - 1)]
+        assert table_cells("i", values) == [str(v) for v in values]
+
+    @given(st.lists(st.floats(), min_size=1, max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_any_floats(self, values):
+        assert table_cells("f", values) == ["%.16e" % v for v in values]
+
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=50))
+    @settings(max_examples=100, deadline=None)
+    def test_any_ints(self, values):
+        assert table_cells("i", values) == [str(v) for v in values]
+
+    def test_mixed_columns_and_header(self, tmp_path):
+        _write_table(tmp_path / "t.csv", "a,b,c", "ifi", [-3, 0, 12], [0.25, -0.0, 2.0**1000], [7, -1, 0])
+        assert (tmp_path / "t.csv").read_bytes() == (
+            b"a,b,c\n-3,2.5000000000000000e-01,7\n0,-0.0000000000000000e+00,-1\n"
+            b"12,1.0715086071862673e+301,0\n"
+        )
+
+
+class TestWriterCost:
+    @pytest.fixture(scope="class")
+    def pair_100(self):
+        return run(load_config(CONFIG_DIR / "fig3a_4a_tptpw_clean.json"))
+
+    def test_few_joint_cells_take_the_fallback(self, pair_100):
+        # an all-"%" writer would pass every byte test and lose the speed
+        proven = _decimal_digits(np.ravel(pair_100.joint))[2]
+        assert proven.size == 203**2
+        assert np.mean(~proven) < 0.05
+
+    def test_peak_memory_of_write_artifacts(self, pair_100, tmp_path):
+        write_artifacts(pair_100, tmp_path)  # warm: the power-of-ten table is built once
+        tracemalloc.start()
+        try:
+            write_artifacts(pair_100, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * 2**20

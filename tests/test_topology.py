@@ -78,6 +78,16 @@ class TestWindingNumber:
         with pytest.raises(ValueError):
             winding_number(0.1, 0.2, k_points=32)
 
+    @pytest.mark.parametrize("k_points", [100.5, True, "100"])
+    def test_rejects_a_k_points_that_is_not_an_integer(self, k_points):
+        # 100.5 points spaced 2 pi / 100.5 would not close the zone
+        with pytest.raises(ValueError, match="k_points must be an integer"):
+            winding_number(*ANCHOR_WINDING_1, k_points)
+
+    @pytest.mark.parametrize("k_points", [100.0, np.int32(100), np.uint64(100)])
+    def test_integral_k_points_of_any_type_match_the_int(self, k_points):
+        assert winding_number(*ANCHOR_WINDING_1, k_points) == winding_number(*ANCHOR_WINDING_1, 100)
+
     def test_gap_value(self):
         # cos E = cos(t1/2) cos(t2/2) cos k - sin(t1/2) sin(t2/2), extremal at cos k = +-1
         t1, t2 = ANCHOR_WINDING_1
@@ -195,6 +205,22 @@ class TestPhaseDiagram:
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
             phase_diagram(8)
+
+    @pytest.mark.parametrize("grid_n", [16.5, False, "16"])
+    def test_rejects_a_grid_n_that_is_not_an_integer(self, grid_n):
+        with pytest.raises(ValueError, match="grid_n must be an integer"):
+            phase_diagram(grid_n, 64)
+
+    def test_rejects_a_fractional_k_points(self):
+        with pytest.raises(ValueError, match="k_points must be an integer"):
+            phase_diagram(16, 64.5)
+
+    def test_integral_grid_n_of_any_type_matches_the_int(self):
+        expected = phase_diagram(16, 64)
+        for grid_n in (16.0, np.int64(16)):
+            pd = phase_diagram(grid_n, 64)
+            assert np.array_equal(pd.winding, expected.winding)
+            assert pd.gap.tobytes() == expected.gap.tobytes()
 
     def test_equals_the_per_point_reference(self):
         # same verdicts and the same gap bytes as the einsum / np.cross arithmetic
