@@ -28,6 +28,7 @@ from .walk import (
     rotation_coin,
     sample_angle_field,
     split_step,
+    split_stepper,
     trajectory,
 )
 from .pair import (

@@ -40,7 +40,7 @@ from .walk import (
     WEAK_HALF_WIDTH,
     hadamard_step,
     sample_angle_field,
-    split_step,
+    split_stepper,
     trajectory,
 )
 
@@ -368,9 +368,11 @@ def _check_array_sizes(config: RunConfig) -> None:
     size = _resolved_window(config).size
     # walker arrays grow with the window, and a pair run's joint distribution with its square
     sites = size * size if config.run_kind == "pair" else size
+    walkers = 2 if "initial_state" in RUN_KINDS[config.run_kind][0] else 1  # pair walks
     counts = (
         ("steps" if config.window is None else "window", sites),
-        ("steps", size * config.steps),  # each angle field is (site, step)
+        # a run's coin table holds rows (-s, c, s) of 2 angles per walker, site and step
+        ("steps", 3 * 2 * walkers * size * config.steps),
         ("sweep_grid", math.prod(ax.count for ax in config.sweep_grid)),
         ("k_points", config.k_points),
         ("grid_n", config.grid_n**2),
@@ -436,7 +438,7 @@ def _run_single(config: RunConfig) -> RunArtifacts:
         else:
             entry, seed = _particle_angles(config, "a"), derive_seed(config.master_seed, r)
             fld = sample_angle_field(entry, config.disorder, config.steps, window, "a", seed)
-            stepper = lambda amps, step: split_step(amps, fld, step)
+            stepper = split_stepper(fld)
         entropy = []
         for amps in trajectory(make_single_state(window, 0, config.coin_amps), stepper, config.steps):
             entropy.append(von_neumann_entropy(reduce_to_coin(amps)))
@@ -469,11 +471,10 @@ def _run_pair(config: RunConfig) -> RunArtifacts:
     entropy_runs = []
     joint_sum = None
     for r in range(config.ensemble_size):
-        entropy = []
+        rhos = []
         for amps_a, amps_b in _pair_trajectory(config, derive_seed(config.master_seed, r)):
-            rho = pair_coin_density_from_singles(amps_a, amps_b, coefficients)
-            entropy.append(von_neumann_entropy(rho))
-        entropy_runs.append(entropy)
+            rhos.append(pair_coin_density_from_singles(amps_a, amps_b, coefficients))
+        entropy_runs.append(von_neumann_entropy(np.array(rhos)))
         # the loop leaves amps_a/b at the last step
         joint = joint_distribution_interference(amps_a, amps_b, coefficients)
         joint_sum = joint if joint_sum is None else joint_sum + joint
@@ -501,12 +502,12 @@ def _sweep_cell_scalar(config: RunConfig, cell_angles: dict, cell_seed: int) -> 
     coefficients = coin_coefficients(config.initial_state)
     tail = 1 if config.sweep_scalar == "final" else max(1, config.steps // 4)
     cell = _pair_trajectory(replace(config, angles=cell_angles), derive_seed(cell_seed, 0))
-    samples = []
-    for step, (amps_a, amps_b) in enumerate(cell):
-        if step > config.steps - tail:
-            rho = pair_coin_density_from_singles(amps_a, amps_b, coefficients)
-            samples.append(von_neumann_entropy(rho))
-    return float(np.mean(samples))
+    rhos = [
+        pair_coin_density_from_singles(amps_a, amps_b, coefficients)
+        for step, (amps_a, amps_b) in enumerate(cell)
+        if step > config.steps - tail
+    ]
+    return float(np.mean(von_neumann_entropy(np.array(rhos))))
 
 
 def entropy_sweep(config: RunConfig) -> RunArtifacts:

@@ -4,7 +4,7 @@ A noninteracting pair started in a superposition of coin products stays a
 superposition of products of single-walker states, so pair observables are
 assembled from four lone walkers: the coin-|0> and coin-|1> starts of each
 particle, stepped under that particle's field. Each particle's walkers are one
-array with axes (site, coin, start coin).
+array with axes (site, coin, start coin), and both particles step together.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NumericalError, as_integer
 from .states import LatticeWindow, make_single_state
-from .walk import split_step, trajectory
+from .walk import split_stepper, trajectory
 
 PAIR_KIND_ALIASES = {
     "psi+": "psi_plus",
@@ -47,7 +47,7 @@ class InitialPairState:
             raise ValueError(f"unknown pair state kind {self.kind!r}")
         try:
             x_a, x_b = (as_integer(x, "positions") for x in self.positions)
-        except ValueError:  # a value that is not an integer, or not two of them
+        except (TypeError, ValueError):  # not a sequence, not two values, or not integers
             raise ValueError(f"positions must be two integers, got {self.positions!r}") from None
         object.__setattr__(self, "kind", canonical)
         object.__setattr__(self, "positions", (x_a, x_b))
@@ -76,15 +76,17 @@ def iter_product_walkers(
 
     amps_x[:, :, c] is particle x's lone walker started in coin |c> at its site
     in init.positions and stepped under the (2, site, step) angle field_x: an
-    array of shape (size, coin, start coin). Both coin starts of a particle
-    share one kernel call, and each particle runs on its own walk.trajectory.
+    array of shape (size, coin, start coin). Both particles are one
+    (size, coin, start coin, particle) array stepped by one walk.trajectory
+    under the stacked fields; amps_a and amps_b are views of it.
     """
-
-    def lone_walkers(x: int, field: np.ndarray):
-        start = np.stack([make_single_state(window, x, c) for c in ((1, 0), (0, 1))], axis=-1)
-        return trajectory(start, lambda amps, step: split_step(amps, field, step), n_steps)
-
-    return zip(lone_walkers(init.positions[0], field_a), lone_walkers(init.positions[1], field_b))
+    starts = [
+        np.stack([make_single_state(window, x, c) for c in ((1, 0), (0, 1))], axis=-1)
+        for x in init.positions
+    ]
+    stepper = split_stepper(np.stack([field_a, field_b], axis=-1))
+    walkers = trajectory(np.stack(starts, axis=-1), stepper, n_steps)
+    return ((amps[..., 0], amps[..., 1]) for amps in walkers)
 
 
 def pair_coin_density_from_singles(

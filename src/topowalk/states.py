@@ -77,22 +77,33 @@ def reduce_to_coin(amps: np.ndarray) -> np.ndarray:
     return amps.T @ amps.conj()
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
+def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
     """Entropy -sum(lam * log2(lam)) of a Hermitian unit-trace matrix, in bits.
 
-    Eigenvalues in [-EIGENVALUE_TOL, 0) are rounding noise and are clipped to
-    zero; anything more negative means the input is not a density matrix.
+    rho is one (n, n) matrix, giving a float, or a stack (..., n, n), giving
+    an array of entropies; every guard applies to every matrix, and an error
+    names the first bad one. Eigenvalues in [-EIGENVALUE_TOL, 0) are rounding
+    noise and are clipped to zero; anything more negative means the input is
+    not a density matrix.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho)):
-        raise NumericalError("density matrix has non-finite entries")
-    if not np.max(np.abs(rho - rho.conj().T)) <= HERMITICITY_TOL:
-        raise NumericalError("density matrix is not Hermitian")
+
+    def check(ok: np.ndarray, problem: str) -> None:
+        if not np.all(ok):  # name the first failing matrix of a stack
+            at = tuple(int(i) for i in np.unravel_index(np.argmin(ok), ok.shape))
+            where = f" {at}" if at else ""
+            raise NumericalError(f"density matrix{where} {problem}")
+
+    check(np.all(np.isfinite(rho), axis=(-2, -1)), "has non-finite entries")
+    skew = np.max(np.abs(rho - rho.conj().swapaxes(-2, -1)), axis=(-2, -1))
+    check(skew <= HERMITICITY_TOL, "is not Hermitian")
     evals = np.linalg.eigvalsh(rho)
-    if not float(evals.min()) >= -EIGENVALUE_TOL:
-        raise NumericalError(f"invalid density matrix: eigenvalue {evals.min():.3e} < 0")
+    low = evals.min(axis=-1)
+    check(low >= -EIGENVALUE_TOL, f"is invalid: eigenvalue {low.min():.3e} < 0")
     lam = np.clip(evals, 0.0, 1.0)
-    lam = lam[lam > 0.0]
-    return float(-(lam * np.log2(lam)).sum())
+    # a zero eigenvalue adds a +0.0 term, as if it were left out of the sum
+    logs = np.log2(lam, out=np.zeros_like(lam), where=lam > 0.0)
+    entropy = -(lam * logs).sum(axis=-1)
+    return float(entropy) if rho.ndim == 2 else entropy

@@ -135,10 +135,11 @@ def sample_angle_field(
 # -- split-step evolution --------------------------------------------------------
 
 
-# The stepping kernel. Amplitudes have leading axes (position, coin) and any
-# trailing axes, so one call can step several walkers. Each coin is its four
-# real per-site entries (m00, m01, m10, m11), shaped to broadcast against one
-# coin plane: (size,) + (1,) * (amps.ndim - 2).
+# The stepping kernel works on site-last memory (coin, *walkers, site): it takes
+# and returns walker arrays with axes (site, coin, *walkers) as transposed views
+# of that memory, so a trajectory copies no walker array after its start. Each
+# coin is its two columns ([m00, m10], [m01, m11]), shaped (2, 1..., *batch,
+# site) to broadcast against the memory; the batch axes are the last walker axes.
 
 
 def _check_edge(leaving: np.ndarray, where: str) -> None:
@@ -148,55 +149,72 @@ def _check_edge(leaving: np.ndarray, where: str) -> None:
 
 
 def _step_amps(amps: np.ndarray, coin1, coin2) -> np.ndarray:
-    """One split step on raw amplitudes, with each coin+shift pair fused.
+    """One split step on site-last memory: coin1, shift coin-0 right, coin2, shift coin-1 left.
 
-    Equivalent to coin1, shift coin-0 right, coin2, shift coin-1 left, but
-    writes each shifted coin plane directly (the coins are real, so plain
-    broadcasting does the 2x2 product).
+    Each coin acts on every site at once as col0 * (coin-0 plane) + col1 *
+    (coin-1 plane); the coins are real, so plain broadcasting does the 2x2
+    product. Each shift is a slice copy along the site axis plus a zeroed row.
     """
-    m00, m01, m10, m11 = coin1
-    a0, a1 = amps[:, 0], amps[:, 1]
+    mem = np.ascontiguousarray(amps.transpose(*range(1, amps.ndim), 0))  # copies only a site-first start
+    col0, col1 = coin1
+    mid = col0 * mem[:1] + col1 * mem[1:]
+    _check_edge(mid[0, ..., -1], "coin-0 amplitude at the right edge")
+    mid[0, ..., 1:] = mid[0, ..., :-1]
+    mid[0, ..., 0] = 0.0
 
-    # coin1 then move the coin-0 plane one site right
-    _check_edge(m00[-1] * a0[-1] + m01[-1] * a1[-1], "coin-0 amplitude at the right edge")
-    mid = np.empty_like(amps)
-    mid[1:, 0] = m00[:-1] * a0[:-1] + m01[:-1] * a1[:-1]
-    mid[0, 0] = 0.0
-    mid[:, 1] = m10 * a0 + m11 * a1
-
-    # coin2 then move the coin-1 plane one site left
-    m00, m01, m10, m11 = coin2
-    b0, b1 = mid[:, 0], mid[:, 1]
-    _check_edge(m10[0] * b0[0] + m11[0] * b1[0], "coin-1 amplitude at the left edge")
-    out = np.empty_like(amps)
-    out[:, 0] = m00 * b0 + m01 * b1
-    out[:-1, 1] = m10[1:] * b0[1:] + m11[1:] * b1[1:]
-    out[-1, 1] = 0.0
-    return out
+    col0, col1 = coin2
+    out = col0 * mid[:1] + col1 * mid[1:]
+    _check_edge(out[1, ..., 0], "coin-1 amplitude at the left edge")
+    out[1, ..., :-1] = out[1, ..., 1:]
+    out[1, ..., -1] = 0.0
+    return out.transpose(-1, *range(amps.ndim - 1))
 
 
-def _rotation_entries(theta: np.ndarray, ndim: int) -> tuple:
-    """Entries (m00, m01, m10, m11) of rotation_coin(theta), shaped for amps of ndim axes."""
-    shape = (theta.shape[0],) + (1,) * (ndim - 2)
-    c, s = np.cos(theta / 2.0).reshape(shape), np.sin(theta / 2.0).reshape(shape)
-    return c, -s, s, c
+def _check_step(step: int, n_steps: int) -> None:
+    if not 0 <= step < n_steps:
+        raise ValueError(f"field covers steps 0..{n_steps - 1}, got {step}")
+
+
+def split_stepper(field: np.ndarray):
+    """Stepper (amps, step) -> amps for trajectory() under a (2, site, step, *batch) field.
+
+    amps has axes (site, coin, *walkers) whose last axes match the batch axes,
+    so each batch entry steps its walkers under its own angles. Every coin of
+    the field is built once, as the rows (-s, c, s) of the half angles: the
+    coin columns ([c, s], [-s, c]) are then the views rows[1:3] and rows[0:2].
+    """
+    shape = (3, field.shape[2], 2, *field.shape[3:], field.shape[1])
+    rows = np.empty(shape)
+    np.divide(field.transpose(2, 0, *range(3, field.ndim), 1), 2.0, out=rows[0])
+    np.cos(rows[0], out=rows[1])
+    np.sin(rows[0], out=rows[2])
+    np.negative(rows[2], out=rows[0])
+
+    def stepper(amps: np.ndarray, step: int) -> np.ndarray:
+        if amps.shape[0] != shape[-1]:
+            raise ValueError("angle field does not match the lattice window")
+        _check_step(step, shape[1])
+        broadcast = (2,) + (1,) * (amps.ndim + 2 - len(shape)) + shape[3:]
+        coin1, coin2 = (
+            (rows[1:3, step, k].reshape(broadcast), rows[0:2, step, k].reshape(broadcast)) for k in (0, 1)
+        )
+        return _step_amps(amps, coin1, coin2)
+
+    return stepper
 
 
 def split_step(amps: np.ndarray, field: np.ndarray, step: int) -> np.ndarray:
-    """One split step with the site-dependent angles field[:, :, step] of a (2, site, step) field."""
-    if field.shape[1] != amps.shape[0]:
-        raise ValueError("angle field does not match the lattice window")
-    if not 0 <= step < field.shape[2]:
-        raise ValueError(f"field covers steps 0..{field.shape[2] - 1}, got {step}")
-    th1, th2 = field[:, :, step]
-    return _step_amps(amps, _rotation_entries(th1, amps.ndim), _rotation_entries(th2, amps.ndim))
+    """One split step with the site-dependent angles field[:, :, step] of a (2, site, step, *batch) field."""
+    _check_step(step, field.shape[2])
+    return split_stepper(field[:, :, step : step + 1])(amps, 0)
 
 
 def hadamard_step(amps: np.ndarray) -> np.ndarray:
     """One step of the plain Hadamard walk: both shifts after a single coin."""
-    h = np.full((amps.shape[0],) + (1,) * (amps.ndim - 2), 1.0 / np.sqrt(2.0))
-    one, zero = np.ones_like(h), np.zeros_like(h)
-    return _step_amps(amps, (h, h, h, -h), (one, zero, zero, one))
+    shape = (2, 2) + (1,) * (amps.ndim - 1)
+    h = (np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)).reshape(shape)
+    one = np.eye(2).reshape(shape)
+    return _step_amps(amps, (h[:, 0], h[:, 1]), (one[:, 0], one[:, 1]))
 
 
 def trajectory(amps: np.ndarray, stepper, n_steps: int):

@@ -488,3 +488,18 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert (out / "entropy.csv").exists()
+
+
+def test_figure_script_runs_from_a_checkout_that_is_not_installed(tmp_path):
+    # the script finds the package under the checkout's src/, with no PYTHONPATH
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_figure_data.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(script), "--only", "fig1", "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "fig1_hadamard" / "entropy.csv").exists()

@@ -288,6 +288,14 @@ class TestConfigParsing:
             config_from_dict(minimal_dict(base, **patch))
         assert err.value.field == field
 
+    def test_coin_table_over_the_limit_names_steps(self):
+        # a pair run's coin table holds 12 values per (site, step): rows (-s, c, s)
+        # of 2 angles of 2 walkers; here 12 * 4001 * 1500 entries pass the limit
+        config_from_dict(minimal_pair_dict(steps=1300, window=2000))
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(minimal_pair_dict(steps=1500, window=2000))
+        assert err.value.field == "steps"
+
     def test_disorder_seed_key_is_rejected(self):
         # master_seed is the only root of randomness; a per-disorder seed had no effect
         with pytest.raises(ConfigError) as err:
@@ -947,6 +955,18 @@ class TestWriterCost:
         proven = _decimal_digits(np.ravel(pair_100.joint))[2]
         assert proven.size == 203**2
         assert np.mean(~proven) < 0.05
+
+    def test_peak_memory_of_a_pair_run(self):
+        # the per-run coin table is about 2 MB of it
+        config = load_config(CONFIG_DIR / "fig3a_4a_tptpw_clean.json")
+        run(config)  # warm
+        tracemalloc.start()
+        try:
+            run(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 2**20
 
     def test_peak_memory_of_write_artifacts(self, pair_100, tmp_path):
         write_artifacts(pair_100, tmp_path)  # warm: the power-of-ten table is built once

@@ -97,7 +97,8 @@ class TestMakePairState:
             InitialPairState("bell")
 
     @pytest.mark.parametrize(
-        "positions", [(1.5, True), (True, 0), (0, 2.5), (0, "1"), (np.bool_(1), 0), (1, 2, 3), (1,)]
+        "positions",
+        [(1.5, True), (True, 0), (0, 2.5), (0, "1"), (np.bool_(1), 0), (1, 2, 3), (1,), 5, None],
     )
     def test_rejects_positions_that_are_not_two_integers(self, positions):
         with pytest.raises(ValueError, match="positions must be two integers"):
@@ -441,14 +442,23 @@ class TestProductDecomposition:
     def test_walker_norm_drift_raises(self, monkeypatch, scale):
         import topowalk.pair as pair_module
 
-        kernel = pair_module.split_step
-        monkeypatch.setattr(
-            pair_module, "split_step", lambda amps, field, step: kernel(amps, field, step) * scale
-        )
+        make_stepper = pair_module.split_stepper
+
+        def drifting_stepper(field):
+            stepper = make_stepper(field)
+            return lambda amps, step: stepper(amps, step) * scale
+
+        monkeypatch.setattr(pair_module, "split_stepper", drifting_stepper)
         win = LatticeWindow(4)
         fa, fb = clean_fields(win, 2)
         with pytest.raises(NumericalError):
             list(iter_product_walkers(InitialPairState("psi+"), win, fa, fb, 2))
+
+    def test_steps_beyond_the_fields_raise(self):
+        win = LatticeWindow(4)
+        fa, fb = clean_fields(win, 2)
+        with pytest.raises(ValueError, match="field covers steps 0..1"):
+            list(iter_product_walkers(InitialPairState("psi+"), win, fa, fb, 3))
 
     def test_walker_reaching_the_edge_raises(self):
         win = LatticeWindow(3)

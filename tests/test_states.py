@@ -191,6 +191,42 @@ class TestVonNeumannEntropy:
         with pytest.raises(NumericalError):
             von_neumann_entropy(np.full((2, 2), bad))
 
+    def test_stack_equals_single_calls_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        stack = np.empty((200, 4, 4), dtype=complex)
+        for k in range(200):
+            if k % 20 == 0:  # exact pure states, whose entropy is -0.0
+                stack[k] = np.diag(np.eye(4)[k % 4])
+            else:  # mixed states of rank 1 to 4
+                a = rng.standard_normal((4, 1 + k % 4)) + 1j * rng.standard_normal((4, 1 + k % 4))
+                stack[k] = a @ a.conj().T / np.vdot(a, a).real
+        singles = np.array([von_neumann_entropy(rho) for rho in stack])
+        batched = von_neumann_entropy(stack)
+        assert batched.shape == (200,)
+        assert np.array_equal(batched, singles)
+        assert np.array_equal(np.signbit(batched), np.signbit(singles))
+        assert np.signbit(batched[::20]).all()
+        assert np.array_equal(von_neumann_entropy(stack.reshape(10, 20, 4, 4)), batched.reshape(10, 20))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.full((4, 4), np.nan),
+            np.triu(np.full((4, 4), 0.25)),  # not Hermitian
+            np.diag([1.1, -0.1, 0.0, 0.0]),  # a negative eigenvalue
+        ],
+    )
+    def test_stack_with_one_bad_matrix_raises(self, bad):
+        stack = np.repeat(np.diag([0.25] * 4)[None], 9, axis=0).astype(complex)
+        stack[4] = bad
+        with pytest.raises(NumericalError, match=r"density matrix \(4,\)"):
+            von_neumann_entropy(stack)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (5, 3, 4), (4,)])
+    def test_rejects_non_square_or_one_dimensional_input(self, shape):
+        with pytest.raises(ValueError):
+            von_neumann_entropy(np.zeros(shape))
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_bounds(self, seed):

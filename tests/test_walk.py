@@ -21,6 +21,7 @@ from topowalk import (
     rotation_coin,
     sample_angle_field,
     split_step,
+    split_stepper,
     trajectory,
     von_neumann_entropy,
     window_for_steps,
@@ -126,6 +127,15 @@ class TestHadamardStep:
         for w in range(3):
             assert np.array_equal(out[:, :, w], hadamard_step(walkers[:, :, w]))
 
+    def test_particle_axis_steps_each_walker_as_a_lone_walker(self):
+        win = LatticeWindow(6)
+        walkers = pair_shaped_walkers(win)
+        out = hadamard_step(walkers)
+        for s in range(2):
+            for p in range(2):
+                assert np.array_equal(out[:, :, s, p], hadamard_step(walkers[:, :, s, p]))
+        assert np.moveaxis(out, 0, -1).flags.c_contiguous
+
     def test_hundred_step_peak_matches_dense_oracle(self):
         # the 100-step walk from coin |0> is asymmetric with its ballistic peak
         # near |x| = 70; the peak location is pinned by the dense-matrix run
@@ -150,7 +160,43 @@ class TestHadamardStep:
         assert dist[win.index(peak)] > 4 * dist[win.index(-peak)]  # asymmetry
 
 
+def pair_shaped_walkers(win):
+    """(site, coin, start, particle) walkers of random states, zero near both edges."""
+    walkers = np.stack(
+        [np.stack([random_single_state(win, 10 * p + s) for s in range(2)], axis=-1) for p in range(2)],
+        axis=-1,
+    )
+    walkers[:3] = walkers[-3:] = 0.0
+    return walkers
+
+
 class TestSplitStep:
+    def test_particle_field_axis_steps_each_walker_as_a_lone_walker(self):
+        # a (2, site, step, particle) field steps walker [..., s, p] under field[..., p]
+        win = LatticeWindow(7)
+        field = np.random.default_rng(5).uniform(-np.pi, np.pi, (2, win.size, 3, 2))
+        walkers = pair_shaped_walkers(win)
+        lone = {(s, p): walkers[:, :, s, p] for s in range(2) for p in range(2)}
+        for step in range(3):
+            walkers = split_step(walkers, field, step)
+            # walkers keep their (site, coin, *walkers) axes over site-last memory
+            assert np.moveaxis(walkers, 0, -1).flags.c_contiguous
+            for (s, p), amps in lone.items():
+                lone[s, p] = split_step(amps, field[..., p], step)
+                assert np.array_equal(walkers[:, :, s, p], lone[s, p])
+
+    def test_stepper_equals_split_steps(self):
+        win = LatticeWindow(7)
+        field = np.random.default_rng(6).uniform(-np.pi, np.pi, (2, win.size, 3))
+        stepper = split_stepper(field)
+        walkers = expected = random_single_state(win, 4)
+        walkers[:3] = walkers[-3:] = 0.0
+        for step in range(3):
+            walkers, expected = stepper(walkers, step), split_step(expected, field, step)
+            assert np.array_equal(walkers, expected)
+        with pytest.raises(ValueError, match="field covers steps 0..2"):
+            stepper(walkers, 3)
+
     def test_zero_angles_transport_coin0(self):
         win = LatticeWindow(3)
         field = constant_field(0.0, 0.0, 1, win)
