@@ -374,7 +374,7 @@ def _check_array_sizes(config: RunConfig) -> None:
         # a run's coin table holds rows (-s, c, s) of 2 angles per walker, site and step
         ("steps", 3 * 2 * walkers * size * config.steps),
         ("sweep_grid", math.prod(ax.count for ax in config.sweep_grid)),
-        ("k_points", config.k_points),
+        ("k_points", 3 * config.k_points),  # a grid point's Bloch axes, a (3, k_points) array
         ("grid_n", config.grid_n**2),
     )
     for name, count in counts:
@@ -439,10 +439,10 @@ def _run_single(config: RunConfig) -> RunArtifacts:
             entry, seed = _particle_angles(config, "a"), derive_seed(config.master_seed, r)
             fld = sample_angle_field(entry, config.disorder, config.steps, window, "a", seed)
             stepper = split_stepper(fld)
-        entropy = []
+        rhos = []
         for amps in trajectory(make_single_state(window, 0, config.coin_amps), stepper, config.steps):
-            entropy.append(von_neumann_entropy(reduce_to_coin(amps)))
-        entropy_runs.append(entropy)
+            rhos.append(reduce_to_coin(amps))
+        entropy_runs.append(von_neumann_entropy(np.array(rhos)))
         dist = position_distribution(amps)  # the loop leaves amps at the last step
         dist_sum = dist if dist_sum is None else dist_sum + dist
     entropy, std = _aggregate_entropy(entropy_runs)

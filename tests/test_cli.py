@@ -214,6 +214,8 @@ class TestIgnoredOrOversizedValues:
             (["phase-diagram", "--k-points", str(10**30)], "k_points"),
             # replicates of a walk with no random angles
             (["walk", "--steps", "5", "--ensemble", "3"], "ensemble_size"),
+            # k_points passes on its own, but one grid point's (3, k_points) axes would not
+            (["phase-diagram", "--grid-n", "16", "--k-points", str(2**26)], "k_points"),
         ],
     )
     def test_config_error_and_no_data_files(self, tmp_path, capsys, argv, field):

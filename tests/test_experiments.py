@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import tempfile
 import tracemalloc
@@ -23,15 +24,21 @@ from topowalk import (
     config_to_dict,
     derive_seed,
     entropy_sweep,
+    hadamard_step,
     load_config,
+    make_single_state,
+    reduce_to_coin,
     run,
     sample_angle_field,
+    split_stepper,
+    trajectory,
     von_neumann_entropy,
     write_artifacts,
 )
 from topowalk.experiments import (
     ANGLES_WINDING_0,
     ANGLES_WINDING_1,
+    MAX_ARRAY_ELEMENTS,
     RUN_KINDS,
     _decimal_digits,
     _particle_angles,
@@ -295,6 +302,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             config_from_dict(minimal_pair_dict(steps=1500, window=2000))
         assert err.value.field == "steps"
+
+    def test_k_points_counts_the_bloch_axes(self):
+        # one grid point holds the (3, k_points) axes, so the limit is a third of the bound
+        config_from_dict(minimal_dict("phase_diagram", k_points=MAX_ARRAY_ELEMENTS // 3))
+        for k_points in (MAX_ARRAY_ELEMENTS // 3 + 1, MAX_ARRAY_ELEMENTS):
+            with pytest.raises(ConfigError) as err:
+                config_from_dict(minimal_dict("phase_diagram", k_points=k_points))
+            assert err.value.field == "k_points"
 
     def test_disorder_seed_key_is_rejected(self):
         # master_seed is the only root of randomness; a per-disorder seed had no effect
@@ -613,6 +628,23 @@ def dense_single_run(cfg):
     return entropy.mean(axis=0), std, np.mean(dists, axis=0)
 
 
+class TestSingleWalkerEntropy:
+    @pytest.mark.parametrize("kind", ["hadamard", "single_split"])
+    def test_stacked_entropy_equals_one_call_per_step(self, kind):
+        # run() takes one stacked entropy call per replicate; each value keeps its bits
+        cfg = config_from_dict(minimal_dict(kind, steps=40))
+        window = LatticeWindow(41)
+        if kind == "hadamard":
+            stepper = lambda amps, step: hadamard_step(amps)
+        else:
+            stepper = split_stepper(sample_angle_field(cfg.angles["a"], cfg.disorder, 40, window, "a", 0))
+        start = make_single_state(window, 0, cfg.coin_amps)
+        per_step = [von_neumann_entropy(reduce_to_coin(amps)) for amps in trajectory(start, stepper, 40)]
+        # the mean over one replicate, as run() reports it, turns the step-0 entropy -0.0 into 0.0
+        expected = np.mean([per_step], axis=0)
+        assert np.array(run(cfg).entropy.entropy_bits).tobytes() == expected.tobytes()
+
+
 class TestSingleRouteAgainstDenseOracle:
     SETUPS = {
         "hadamard": {"run_kind": "hadamard"},
@@ -756,6 +788,13 @@ class TestPhaseDiagramRun:
         art = run(config_from_dict({"run_kind": "phase_diagram", "grid_n": 16, "k_points": 64}))
         assert art.phase.winding.shape == (16, 16)
         assert set(np.unique(art.phase.winding)).issubset({-1, 0, 1})
+
+    def test_fig2_phase_csv_bytes_are_pinned(self, tmp_path):
+        # pinned with numpy 2.4.6 on x86_64; a change to the topology arithmetic that
+        # moves one gap bit or one winding verdict changes this digest
+        write_artifacts(run(load_config(CONFIG_DIR / "fig2_phase_diagram.json")), tmp_path)
+        digest = hashlib.sha256((tmp_path / "phase.csv").read_bytes()).hexdigest()
+        assert digest == "9311599826eba9ac0c40df57f989de60807528a8677f5df4d7808c013aaf75be"
 
 
 class TestHeatmapPhaseIndependence:
