@@ -6,7 +6,7 @@ Each JSON in configs/ is a self-contained experiment; outputs land in
 script runs without installing it. The whole set takes about 10 s on a 2-vCPU
 host, the six fig5 sweeps most of it (about 1 s each); each 100-step pair
 config, data files included, takes under 0.1 s, and the fig2 phase diagram
-(64×64 points, 1,024 k-points) about 0.5 s.
+(64×64 points, 1,024 k-points) about 0.2 s.
 """
 
 import argparse

@@ -64,7 +64,10 @@ _SUBCOMMANDS = {
 _FLAGS = {
     "--seed": (("master_seed",), dict(type=int, dest="master_seed", help="master seed (u64)")),
     "--steps": (("steps",), dict(type=int, dest="steps", help="number of time steps")),
-    "--window": (("window",), dict(type=int, dest="window", help="lattice half-width (default steps + 1)")),
+    "--window": (
+        ("window",),
+        dict(type=int, dest="window", help="lattice half-width (default steps + 1 + max |start position|)"),
+    ),
     "--disorder": (("disorder",), dict(help="none|weak|strong|width=<radians>")),
     "--disorder-target": (("disorder",), dict(choices=("a", "b", "both"))),
     "--state": (("initial_state",), dict(choices=("psi+", "psi-", "sep"), help="initial pair state")),

@@ -101,7 +101,7 @@ class SweepAxis:
 class RunConfig:
     run_kind: str = "hadamard"
     steps: int = 100
-    window: int | None = None  # None means auto: steps + 1
+    window: int | None = None  # None means auto: steps + 1 + the largest |x| a walker starts at
     # Per-particle coin angles: (theta1, theta2) tuples, or BoundarySpec for
     # position-dependent two-phase walks. Walker b without an entry takes a's.
     angles: dict = field(
@@ -316,6 +316,8 @@ def validate_config(config: RunConfig) -> RunConfig:
     for name, least in minimums.items():
         if getattr(config, name) < least:
             raise ConfigError(name, f"must be >= {least}")
+    if config.k_points % 2:
+        raise ConfigError("k_points", "must be even; an odd k grid skips k = 0, where the gap can close")
     if config.window is not None and config.window < 1:
         raise ConfigError("window", "must be >= 1 (or auto)")
     if not np.isfinite(config.disorder.half_width):
@@ -369,12 +371,15 @@ def _check_array_sizes(config: RunConfig) -> None:
     # walker arrays grow with the window, and a pair run's joint distribution with its square
     sites = size * size if config.run_kind == "pair" else size
     walkers = 2 if "initial_state" in RUN_KINDS[config.run_kind][0] else 1  # pair walks
+    # an auto window grows with the steps and with the farthest start; name the larger
+    start = max(abs(x) for x in config.initial_state.positions)
+    auto_field = "initial_state" if start > config.steps else "steps"
     counts = (
-        ("steps" if config.window is None else "window", sites),
+        (auto_field if config.window is None else "window", sites),
         # a run's coin table holds rows (-s, c, s) of 2 angles per walker, site and step
         ("steps", 3 * 2 * walkers * size * config.steps),
         ("sweep_grid", math.prod(ax.count for ax in config.sweep_grid)),
-        ("k_points", 3 * config.k_points),  # a grid point's Bloch axes, a (3, k_points) array
+        ("k_points", 3 * config.k_points),  # a grid point's e^{ik} and U(k)'s two diagonal entries
         ("grid_n", config.grid_n**2),
     )
     for name, count in counts:
@@ -417,7 +422,10 @@ def _with_axis_value(angles: dict, name: str, value: float) -> dict:
 
 
 def _resolved_window(config: RunConfig) -> LatticeWindow:
-    return LatticeWindow(config.window if config.window is not None else config.steps + 1)
+    """The config's window; auto leaves the edge sites empty, as support grows one site per step."""
+    if config.window is not None:
+        return LatticeWindow(config.window)
+    return LatticeWindow(config.steps + 1 + max(abs(x) for x in config.initial_state.positions))
 
 
 def _aggregate_entropy(series_list: list) -> tuple[EntropySeries, np.ndarray | None]:

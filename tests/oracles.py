@@ -22,8 +22,10 @@ from topowalk import (
     split_step,
     von_neumann_entropy,
 )
-from topowalk.topology import GAP_THRESHOLD, PLANARITY_TOL
+from topowalk.topology import GAP_THRESHOLD
 from topowalk.walk import RUNTIME_NORM_TOL, rotation_coin
+
+PLANARITY_TOL = 1e-6  # largest out-of-plane component the numerical winding accepts
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -110,10 +112,11 @@ def axis_from_eigendecomposition(u: np.ndarray) -> np.ndarray:
 
 
 # -- momentum-space reference ---------------------------------------------------
-# The phase diagram's arithmetic as written before its 2x2 product, k grid and
-# 3-vector helpers were written out: a generic einsum for r2 @ m, a fresh k grid
-# per call, np.stack / np.linalg.norm / np.cross on the axes. The package must
-# give the same winding verdicts and a byte-equal gap from less work.
+# The phase diagram's arithmetic as written before its 2x2 product and k grid were
+# written out and its verdict put in closed form: a generic einsum for r2 @ m, a
+# fresh k grid per call, and the winding counted numerically, as the turns of the
+# Bloch axes n(k) around the normal of their common plane. The package must give
+# the same winding verdicts and a byte-equal gap from less work.
 
 
 def reference_momentum_unitary(theta1: float, theta2: float, k) -> np.ndarray:

@@ -214,8 +214,10 @@ class TestIgnoredOrOversizedValues:
             (["phase-diagram", "--k-points", str(10**30)], "k_points"),
             # replicates of a walk with no random angles
             (["walk", "--steps", "5", "--ensemble", "3"], "ensemble_size"),
-            # k_points passes on its own, but one grid point's (3, k_points) axes would not
+            # k_points passes on its own, but one grid point's three k_points-long arrays would not
             (["phase-diagram", "--grid-n", "16", "--k-points", str(2**26)], "k_points"),
+            # an odd k grid skips k = 0, where the gap closes on theta1 = -theta2
+            (["phase-diagram", "--grid-n", "16", "--k-points", "257"], "k_points"),
         ],
     )
     def test_config_error_and_no_data_files(self, tmp_path, capsys, argv, field):
@@ -323,7 +325,7 @@ _COMMAND_KINDS = {
 }
 _SIZES = {
     "steps": st.integers(0, 12), "ensemble_size": st.integers(1, 3),
-    "grid_n": st.integers(16, 18), "k_points": st.integers(64, 80),
+    "grid_n": st.integers(16, 18), "k_points": st.integers(32, 40).map(lambda n: 2 * n),  # even, as required
 }
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=6),

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -162,7 +162,7 @@ class TestConfigParsing:
             ({"disorder": {"kind": "uniform", "half_width": float("inf")}}, "disorder"),
             ({"run_kind": "hadamard", "coin_amps": [float("nan"), 0]}, "coin_amps"),
             ({"run_kind": "hadamard", "coin_amps": [1, 1]}, "coin_amps"),
-            ({"initial_state": {"kind": "psi+", "positions": [11, 0]}}, "initial_state"),
+            ({"window": 11, "initial_state": {"kind": "psi+", "positions": [11, 0]}}, "initial_state"),
             ({"master_seed": -3}, "master_seed"),
             (
                 {
@@ -286,6 +286,11 @@ class TestConfigParsing:
             ({"run_kind": "phase_diagram", "steps": 5}, "steps"),
             ({"run_kind": "phase_diagram", "window": 12}, "window"),
             ({"run_kind": "single_split", "angles": {"a": [0.1, 0.2], "b": [0.3, 0.4]}}, "angles.b"),
+            # an odd k grid skips k = 0, where the gap closes on theta1 = -theta2
+            ({"run_kind": "phase_diagram", "k_points": 65}, "k_points"),
+            ({"run_kind": "phase_diagram", "k_points": 1023}, "k_points"),
+            # the auto window grows with the farthest start, which oversizes the joint distribution
+            ({"initial_state": {"kind": "psi+", "positions": [0, -(10**6)]}}, "initial_state"),
         ],
     )
     def test_validation_errors_name_the_field(self, patch, field):
@@ -304,8 +309,8 @@ class TestConfigParsing:
         assert err.value.field == "steps"
 
     def test_k_points_counts_the_bloch_axes(self):
-        # one grid point holds the (3, k_points) axes, so the limit is a third of the bound
-        config_from_dict(minimal_dict("phase_diagram", k_points=MAX_ARRAY_ELEMENTS // 3))
+        # the limit is a third of the bound; k_points must be even, and MAX_ARRAY_ELEMENTS // 3 is odd
+        config_from_dict(minimal_dict("phase_diagram", k_points=MAX_ARRAY_ELEMENTS // 3 - 1))
         for k_points in (MAX_ARRAY_ELEMENTS // 3 + 1, MAX_ARRAY_ELEMENTS):
             with pytest.raises(ConfigError) as err:
                 config_from_dict(minimal_dict("phase_diagram", k_points=k_points))
@@ -515,6 +520,26 @@ class TestRunDeterminism:
         cfg = config_from_dict(minimal_pair_dict(steps=10, window=5))
         with pytest.raises(WindowOverflowError):
             run(cfg)
+
+    @given(
+        st.integers(0, 20),
+        st.tuples(st.integers(-25, 25), st.integers(-25, 25)),
+        st.sampled_from(["psi+", "psi-", "sep"]),
+        st.lists(st.sampled_from([0.0, PI, -PI, PI / 2]) | st.floats(-2 * PI, 2 * PI), min_size=4, max_size=4),
+        st.sampled_from(["none", "weak", "strong"]),
+    )
+    @example(100, (20, -20), "psi+", [-PI / 2, PI / 4, -PI / 2, 3 * PI / 4], "none")
+    @settings(max_examples=40, deadline=None)
+    def test_auto_window_fits_any_start(self, steps, positions, kind, angles, disorder):
+        # the auto window grows with the farthest start, so no walker reaches its edge
+        data = minimal_pair_dict(
+            steps=steps,
+            initial_state={"kind": kind, "positions": list(positions)},
+            angles={"a": angles[:2], "b": angles[2:]},
+            disorder={"kind": disorder},
+        )
+        art = run(config_from_dict(data))
+        assert abs(art.joint.sum() - 1.0) < 1e-10
 
     def test_pair_marginals_sum_to_one(self):
         art = run(config_from_dict(minimal_pair_dict(steps=12)))

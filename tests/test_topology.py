@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from topowalk import NumericalError, momentum_unitary, phase_diagram, topology, winding_number
-from topowalk.topology import GAP_THRESHOLD, PLANARITY_TOL
+from topowalk.topology import GAP_THRESHOLD
 from oracles import (
+    PLANARITY_TOL,
     axis_from_eigendecomposition,
     reference_momentum_unitary,
     reference_phase_grids,
+    reference_winding_number,
 )
 
 ANCHOR_WINDING_1 = (-np.pi / 2, np.pi / 4)
@@ -21,6 +23,10 @@ ANCHOR_WINDING_0 = (-np.pi / 2, 3 * np.pi / 4)
 DIAGRAM_COUNTS_64 = {-1: 126, 0: 1985, 1: 1985}
 
 angle_st = st.floats(-np.pi, np.pi, allow_nan=False)
+wide_angle_st = st.floats(-2 * np.pi, 2 * np.pi, exclude_max=True)
+even_k_st = st.sampled_from([64, 100, 256, 1024])
+# 1e-6 to 1e-2 in size, log-uniform, either sign
+offset_st = st.builds(lambda e, sign: sign * 10.0**e, st.floats(-6, -2), st.sampled_from([-1, 1]))
 
 
 class TestMomentumUnitary:
@@ -113,11 +119,11 @@ class TestWindingNumber:
         with pytest.raises(NumericalError, match="gap is nan"):
             winding_number(*angles)
 
-    @pytest.mark.parametrize("tol", [-1.0, float("nan")])  # a NaN comparison fails the guard
-    def test_axes_off_a_common_plane_are_numerical_error(self, monkeypatch, tol):
-        monkeypatch.setattr(topology, "PLANARITY_TOL", tol)
-        with pytest.raises(NumericalError, match="common plane"):
-            winding_number(*ANCHOR_WINDING_1)
+    @pytest.mark.parametrize("k_points", [65, 257, 1023])
+    def test_rejects_an_odd_k_points(self, k_points):
+        # an odd grid skips k = 0, where the gap closes on theta1 = -theta2
+        with pytest.raises(ValueError, match="k_points must be even"):
+            winding_number(*ANCHOR_WINDING_1, k_points)
 
     def test_zone_phase_is_shared_and_read_only(self):
         phase = topology._zone_phase(1024)
@@ -161,6 +167,44 @@ class TestWindingNumber:
         axes = np.array([axis_from_eigendecomposition(u[i]) for i in range(128)])
         _, eigvecs = np.linalg.eigh(axes.T @ axes)
         assert np.abs(axes @ eigvecs[:, 0]).max() < PLANARITY_TOL
+
+
+class TestClosedFormVerdict:
+    """The closed-form verdict against the numerical turning-angle count of the oracle."""
+
+    @staticmethod
+    def assert_matches_the_oracle(t1, t2, k_points):
+        verdict = winding_number(t1, t2, k_points)
+        winding, gap = reference_winding_number(t1, t2, k_points)
+        assert verdict.winding == winding
+        assert np.float64(verdict.gap).tobytes() == np.float64(gap).tobytes()
+
+    @given(wide_angle_st, wide_angle_st, even_k_st)
+    @settings(max_examples=150, deadline=None)
+    def test_random_angles(self, t1, t2, k_points):
+        self.assert_matches_the_oracle(t1, t2, k_points)
+
+    @given(
+        wide_angle_st,
+        st.sampled_from([1, -1]),
+        st.sampled_from([-2 * np.pi, 0.0, 2 * np.pi]),
+        offset_st,
+        even_k_st,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_near_the_phase_boundaries(self, t1, sign, shift, offset, k_points):
+        # the gap closes on theta2 = +-theta1 and theta2 = +-theta1 +- 2 pi
+        self.assert_matches_the_oracle(t1, sign * t1 + shift + offset, k_points)
+
+    @given(
+        st.sampled_from([(0.0, 0.0), (np.pi, np.pi), (np.pi, -np.pi), (-np.pi, np.pi), (-np.pi, -np.pi)]),
+        offset_st,
+        offset_st,
+        even_k_st,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_near_the_corners_where_the_boundaries_cross(self, corner, d1, d2, k_points):
+        self.assert_matches_the_oracle(corner[0] + d1, corner[1] + d2, k_points)
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +269,11 @@ class TestPhaseDiagram:
         with pytest.raises(ValueError, match="k_points must be an integer"):
             phase_diagram(16, 64.5)
 
+    def test_rejects_an_odd_k_points(self):
+        # at 257 k-points the theta1 = -theta2 cells (1, 15), (5, 11) and (13, 3) look gapped
+        with pytest.raises(ValueError, match="k_points must be even"):
+            phase_diagram(16, 257)
+
     def test_integral_grid_n_of_any_type_matches_the_int(self):
         expected = phase_diagram(16, 64)
         for grid_n in (16.0, np.int64(16)):
@@ -239,7 +288,7 @@ class TestPhaseDiagram:
         assert np.array_equal(pd.winding, winding)
         assert pd.gap.tobytes() == gap.tobytes()
 
-    @pytest.mark.parametrize("grid_n,k_points", [(16, 64), (20, 257), (16, 1000)])
+    @pytest.mark.parametrize("grid_n,k_points", [(16, 64), (20, 258), (16, 1000)])
     def test_ragged_k_grids_equal_the_per_point_reference(self, grid_n, k_points):
         # k counts off a multiple of the SIMD width run the vector loops' tails
         pd = phase_diagram(grid_n, k_points)
@@ -248,7 +297,7 @@ class TestPhaseDiagram:
         assert pd.gap.tobytes() == gap.tobytes()
 
     def test_peak_memory_stays_flat(self):
-        # one grid point at a time peaks at ~0.15 MiB; a prototype of 16-point batches took ~5 MiB
+        # one grid point at a time peaks at ~0.07 MiB; a prototype of 16-point batches took ~5 MiB
         phase_diagram(16, 1024)
         tracemalloc.start()
         try:
