@@ -3,10 +3,10 @@
 
 Each JSON in configs/ is a self-contained experiment; outputs land in
 <out>/<config-stem>/. The package is imported from the checkout's src/, so the
-script runs without installing it. The whole set takes about 10 s on a 2-vCPU
-host, the six fig5 sweeps most of it (about 1 s each); each 100-step pair
-config, data files included, takes under 0.1 s, and the fig2 phase diagram
-(64×64 points, 1,024 k-points) about 0.2 s.
+script runs without installing it. The whole set takes about 4 s on a 2-vCPU
+host, the six fig5 sweeps about 2.6 s of it (0.3–0.5 s each); each 100-step
+pair config, data files included, takes under 0.1 s, and the fig2 phase
+diagram (64×64 points, 1,024 k-points) about 0.2 s.
 """
 
 import argparse

@@ -22,7 +22,6 @@ from .walk import (
     DisorderSpec,
     STRONG_HALF_WIDTH,
     WEAK_HALF_WIDTH,
-    hadamard_coin,
     hadamard_step,
     randomize_field,
     rotation_coin,
@@ -41,7 +40,6 @@ from .pair import (
 from .topology import (
     PhaseDiagram,
     PhaseVerdict,
-    momentum_unitary,
     phase_diagram,
     winding_number,
 )
@@ -53,7 +51,6 @@ from .experiments import (
     config_from_dict,
     config_to_dict,
     derive_seed,
-    entropy_sweep,
     load_config,
     run,
     write_artifacts,

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -390,14 +391,14 @@ def _check_array_sizes(config: RunConfig) -> None:
 # -- angle plumbing ---------------------------------------------------------------
 
 
-def _particle_angles(config: RunConfig, particle: str):
+def _particle_angles(angles: dict, particle: str):
     """One walker's angle entry: its own, else walker a's."""
-    return config.angles.get(particle, config.angles["a"])
+    return angles.get(particle, angles["a"])
 
 
 def _with_axis_value(angles: dict, name: str, value: float) -> dict:
     particle, component, side = SWEEP_PARAMETERS[name]
-    entry = angles.get(particle, angles["a"])
+    entry = _particle_angles(angles, particle)
     updated = dict(angles)
     if isinstance(entry, BoundarySpec):
         minus = list(entry.theta_minus)
@@ -444,7 +445,7 @@ def _run_single(config: RunConfig) -> RunArtifacts:
         if config.run_kind == "hadamard":
             stepper = lambda amps, step: hadamard_step(amps)
         else:
-            entry, seed = _particle_angles(config, "a"), derive_seed(config.master_seed, r)
+            entry, seed = _particle_angles(config.angles, "a"), derive_seed(config.master_seed, r)
             fld = sample_angle_field(entry, config.disorder, config.steps, window, "a", seed)
             stepper = split_stepper(fld)
         rhos = []
@@ -463,83 +464,83 @@ def _run_single(config: RunConfig) -> RunArtifacts:
     )
 
 
-def _pair_trajectory(config: RunConfig, seed: int):
-    """Lone-walker trajectory (see iter_product_walkers) of one pair run,
-    under the fields drawn from seed."""
+def _pair_entropies(config: RunConfig, cells, first_step: int = 0):
+    """Step cells (angles, seed) in chunks; yield each chunk's pair coin entropies and final walkers.
+
+    A cell is the pair run under its angles, with fields drawn from its seed. A chunk's cells step
+    together on a trailing cell axis; it yields a (cell, step) entropy array from first_step on and
+    each particle's (site, coin, start coin, cell) walkers after the last step. A chunk holds at
+    most 32 cells (more ran slower), fewer if their coin tables would exceed MAX_ARRAY_ELEMENTS.
+    """
     window = _resolved_window(config)
-    field_a, field_b = (
-        sample_angle_field(_particle_angles(config, p), config.disorder, config.steps, window, p, seed)
-        for p in ("a", "b")
-    )
-    return iter_product_walkers(config.initial_state, window, field_a, field_b, config.steps)
+    coefficients = coin_coefficients(config.initial_state)
+    cell_table = 3 * 2 * 2 * window.size * config.steps  # as counted in _check_array_sizes
+    chunk_size = max(1, min(32, MAX_ARRAY_ELEMENTS // max(cell_table, 1)))
+
+    def field(angles: dict, seed: int, p: str) -> np.ndarray:
+        return sample_angle_field(_particle_angles(angles, p), config.disorder, config.steps, window, p, seed)
+
+    cells = iter(cells)
+    while chunk := list(islice(cells, chunk_size)):
+        field_a, field_b = (np.stack([field(*cell, p) for cell in chunk], axis=-1) for p in ("a", "b"))
+        walkers = iter_product_walkers(config.initial_state, window, field_a, field_b, config.steps)
+        rhos = []
+        for amps_a, amps_b in islice(walkers, first_step, None):  # leaves amps_a/b at the last step
+            rhos.append(pair_coin_density_from_singles(amps_a, amps_b, coefficients))
+        yield von_neumann_entropy(np.array(rhos)).T.copy(), amps_a, amps_b  # a contiguous row per cell
 
 
 def _run_pair(config: RunConfig) -> RunArtifacts:
     coefficients = coin_coefficients(config.initial_state)
+    cells = ((config.angles, derive_seed(config.master_seed, r)) for r in range(config.ensemble_size))
     entropy_runs = []
     joint_sum = None
-    for r in range(config.ensemble_size):
-        rhos = []
-        for amps_a, amps_b in _pair_trajectory(config, derive_seed(config.master_seed, r)):
-            rhos.append(pair_coin_density_from_singles(amps_a, amps_b, coefficients))
-        entropy_runs.append(von_neumann_entropy(np.array(rhos)))
-        # the loop leaves amps_a/b at the last step
-        joint = joint_distribution_interference(amps_a, amps_b, coefficients)
-        joint_sum = joint if joint_sum is None else joint_sum + joint
+    for entropies, amps_a, amps_b in _pair_entropies(config, cells):
+        entropy_runs.extend(entropies)
+        for c in range(len(entropies)):
+            joint = joint_distribution_interference(amps_a[..., c], amps_b[..., c], coefficients)
+            joint_sum = joint if joint_sum is None else joint_sum + joint
     entropy, std = _aggregate_entropy(entropy_runs)
     joint_mean = joint_sum / config.ensemble_size
-    marg_a = joint_mean.sum(axis=1)
-    marg_b = joint_mean.sum(axis=0)
     return RunArtifacts(
         config=config,
         positions=_resolved_window(config).positions(),
         entropy=entropy,
         entropy_std=std,
-        distributions={"a": marg_a, "b": marg_b},
+        distributions={"a": joint_mean.sum(axis=1), "b": joint_mean.sum(axis=0)},
         joint=joint_mean,
     )
 
 
-def _sweep_cell_scalar(config: RunConfig, cell_angles: dict, cell_seed: int) -> float:
-    """Pair coin entropy for one sweep cell: the pair run under cell_angles,
-    seeded as replicate 0 of cell_seed.
+def _run_sweep(config: RunConfig) -> RunArtifacts:
+    """Scalar pair coin entropy over a 2-axis angle grid.
 
-    "final" is the entropy after the last step; "longmean" its mean over the
-    last 25% of steps.
+    Cell (i, j) is replicate 0 of the pair run seeded with derive_seed(master_seed,
+    i, j). "final" is its entropy after the last step; "longmean" the mean over
+    the last 25% of steps.
     """
-    coefficients = coin_coefficients(config.initial_state)
-    tail = 1 if config.sweep_scalar == "final" else max(1, config.steps // 4)
-    cell = _pair_trajectory(replace(config, angles=cell_angles), derive_seed(cell_seed, 0))
-    rhos = [
-        pair_coin_density_from_singles(amps_a, amps_b, coefficients)
-        for step, (amps_a, amps_b) in enumerate(cell)
-        if step > config.steps - tail
-    ]
-    return float(np.mean(von_neumann_entropy(np.array(rhos))))
-
-
-def entropy_sweep(config: RunConfig) -> RunArtifacts:
-    """Scalar entropy over a 2-axis angle grid; cells are seeded independently."""
-    config = validate_config(config)
-    if config.run_kind != "entropy_sweep":
-        raise ConfigError("run_kind", "entropy_sweep() needs run_kind == 'entropy_sweep'")
     ax1, ax2 = config.sweep_grid
     vals1, vals2 = ax1.values(), ax2.values()
     # walker a's axis goes in first: a walker b with no entry of its own then
     # follows a's cell angles, and a walker-b axis starts from them
     by_walker = lambda item: SWEEP_PARAMETERS[item[0]][0]
-    grid = np.empty((len(vals1), len(vals2)), dtype=float)
-    for i, v1 in enumerate(vals1):
-        for j, v2 in enumerate(vals2):
-            cell_angles = config.angles
-            for name, value in sorted([(ax1.name, v1), (ax2.name, v2)], key=by_walker):
-                cell_angles = _with_axis_value(cell_angles, name, float(value))
-            grid[i, j] = _sweep_cell_scalar(
-                config, cell_angles, derive_seed(config.master_seed, i, j)
-            )
-    heatmap = HeatmapResult(
-        (ax1.name, ax2.name), vals1, vals2, grid, config.sweep_scalar
+
+    def cell(i: int, j: int) -> tuple:
+        angles = config.angles
+        for name, value in sorted([(ax1.name, vals1[i]), (ax2.name, vals2[j])], key=by_walker):
+            angles = _with_axis_value(angles, name, float(value))
+        return angles, derive_seed(derive_seed(config.master_seed, i, j), 0)
+
+    shape = (len(vals1), len(vals2))
+    tail = 1 if config.sweep_scalar == "final" else max(1, config.steps // 4)
+    cells = (cell(i, j) for i, j in np.ndindex(shape))
+    scalars = (
+        np.mean(series)  # each cell's own 1-D series, so the sum runs as for a lone cell
+        for entropies, _, _ in _pair_entropies(config, cells, config.steps + 1 - tail)
+        for series in entropies
     )
+    grid = np.fromiter(scalars, dtype=float, count=math.prod(shape)).reshape(shape)
+    heatmap = HeatmapResult((ax1.name, ax2.name), vals1, vals2, grid, config.sweep_scalar)
     return RunArtifacts(config=config, heatmap=heatmap)
 
 
@@ -551,7 +552,7 @@ def run(config: RunConfig) -> RunArtifacts:
     if config.run_kind == "pair":
         return _run_pair(config)
     if config.run_kind == "entropy_sweep":
-        return entropy_sweep(config)
+        return _run_sweep(config)
     diagram = phase_diagram(config.grid_n, config.k_points)
     return RunArtifacts(config=config, phase=diagram)
 

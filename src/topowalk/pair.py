@@ -75,15 +75,18 @@ def iter_product_walkers(
     """Iterate (amps_a, amps_b) at step 0 and after each of n_steps steps.
 
     amps_x[:, :, c] is particle x's lone walker started in coin |c> at its site
-    in init.positions and stepped under the (2, site, step) angle field_x: an
-    array of shape (size, coin, start coin). Both particles are one
-    (size, coin, start coin, particle) array stepped by one walk.trajectory
-    under the stacked fields; amps_a and amps_b are views of it.
+    in init.positions and stepped under the (2, site, step, *cells) angle
+    field_x: an array of shape (size, coin, start coin, *cells), each cell a
+    run from the same start. Both particles are one (size, coin, start coin,
+    *cells, particle) array stepped by one walk.trajectory under the stacked
+    fields; amps_a and amps_b are views of it.
     """
+    cells = field_a.shape[3:]
     starts = [
         np.stack([make_single_state(window, x, c) for c in ((1, 0), (0, 1))], axis=-1)
         for x in init.positions
     ]
+    starts = [np.broadcast_to(s.reshape(s.shape + (1,) * len(cells)), s.shape + cells) for s in starts]
     stepper = split_stepper(np.stack([field_a, field_b], axis=-1))
     walkers = trajectory(np.stack(starts, axis=-1), stepper, n_steps)
     return ((amps[..., 0], amps[..., 1]) for amps in walkers)
@@ -92,19 +95,19 @@ def iter_product_walkers(
 def pair_coin_density_from_singles(
     amps_a: np.ndarray, amps_b: np.ndarray, coefficients: np.ndarray
 ) -> np.ndarray:
-    """4x4 coin density matrix of the evolved pair, from per-particle walks.
+    """4x4 coin density matrix of the evolved pair per cell, a (*cells, 4, 4) array.
 
-    amps_x is particle x's (site, coin, start coin) walker array, as yielded by
-    iter_product_walkers; coefficients is C[c_a, c_b] (see coin_coefficients).
-    Tracing the positions of a product superposition reduces to the Gram
-    tensor G_x[s, c, t, d] = sum_i amps_x[i, c, s] conj(amps_x[i, d, t])
-    between the coin-0 and coin-1 starts of each particle.
+    amps_x is particle x's (site, coin, start coin, *cells) walker array, as
+    yielded by iter_product_walkers; coefficients is C[c_a, c_b] (see
+    coin_coefficients). Tracing the positions of a product superposition
+    reduces to the Gram tensor G_x[s, c, t, d] = sum_i amps_x[i, c, s]
+    conj(amps_x[i, d, t]) between the coin-0 and coin-1 starts of each particle.
     """
     c = coefficients
-    ga = np.einsum("ics,idt->sctd", amps_a, amps_a.conj())
-    gb = np.einsum("ics,idt->sctd", amps_b, amps_b.conj())
+    ga = np.einsum("ics...,idt...->...sctd", amps_a, amps_a.conj())
+    gb = np.einsum("ics...,idt...->...sctd", amps_b, amps_b.conj())
     # rho[(ca, cb), (ca', cb')] = sum C[s, s'] conj(C[t, t']) Ga[s, ca, t, ca'] Gb[s', cb, t', cb']
-    return np.einsum("ab,cd,aecf,bgdh->egfh", c, c.conj(), ga, gb).reshape(4, 4)
+    return np.einsum("ab,cd,...aecf,...bgdh->...egfh", c, c.conj(), ga, gb).reshape(*ga.shape[:-4], 4, 4)
 
 
 def joint_distribution_interference(

@@ -43,17 +43,10 @@ class PhaseDiagram:
     gap: np.ndarray
 
 
-def momentum_unitary(theta1: float, theta2: float, k) -> np.ndarray:
-    """Step operator at quasimomentum k; k may be an array (batched result)."""
-    k = np.asarray(k, dtype=float)  # raveled, as numpy's scalar math rounds unlike its array loops
-    coins, phase = (rotation_coin(theta1), rotation_coin(theta2)), np.exp(1j * k.ravel())
-    entries = [_unitary_entry(*coins, phase, a, b) for a in (0, 1) for b in (0, 1)]
-    return np.stack(entries, -1).reshape(k.shape + (2, 2))
-
-
 def _unitary_entry(r1: np.ndarray, r2: np.ndarray, phase: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Entry (a, b) of momentum_unitary at phase = e^{ik} from the coins r1, r2 of theta1, theta2:
-    u = diag(1, e^{-ik}) r2 diag(e^{ik}, 1) r1, the coin-1 and coin-0 shifts around the rotations."""
+    """Entry (a, b) of the step operator U(k) at phase = e^{ik}, from the coins r1, r2 of theta1, theta2:
+    u = diag(1, e^{-ik}) r2 diag(e^{ik}, 1) r1, the coin-1 and coin-0 shifts around the rotations.
+    winding_number reads the diagonal entries, whose trace gives the gap."""
     # column b of diag(e^{ik}, 1) r1 is (phase * r1[0, b], r1[1, b]), then row a of r2 times it; the
     # coins are real, so the scalar product r2[a, 1] * r1[1, b] rounds as numpy's array loops would
     u = r2[a, 0] * (phase * r1[0, b]) + r2[a, 1] * r1[1, b]

@@ -29,9 +29,8 @@ STRONG_HALF_WIDTH = 2.0 * np.pi
 
 _PARTICLE_INDEX = {"a": 0, "b": 1}
 
-
-def hadamard_coin() -> np.ndarray:
-    return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+HADAMARD.flags.writeable = False
 
 
 def rotation_coin(theta) -> np.ndarray:
@@ -212,7 +211,7 @@ def split_step(amps: np.ndarray, field: np.ndarray, step: int) -> np.ndarray:
 def hadamard_step(amps: np.ndarray) -> np.ndarray:
     """One step of the plain Hadamard walk: both shifts after a single coin."""
     shape = (2, 2) + (1,) * (amps.ndim - 1)
-    h = (np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)).reshape(shape)
+    h = HADAMARD.reshape(shape)
     one = np.eye(2).reshape(shape)
     return _step_amps(amps, (h[:, 0], h[:, 1]), (one[:, 0], one[:, 1]))
 

@@ -22,11 +22,14 @@ from topowalk import (
     WindowOverflowError,
     config_from_dict,
     config_to_dict,
+    coin_coefficients,
     derive_seed,
-    entropy_sweep,
     hadamard_step,
+    iter_product_walkers,
+    joint_distribution_interference,
     load_config,
     make_single_state,
+    pair_coin_density_from_singles,
     reduce_to_coin,
     run,
     sample_angle_field,
@@ -35,6 +38,7 @@ from topowalk import (
     von_neumann_entropy,
     write_artifacts,
 )
+from topowalk import experiments
 from topowalk.experiments import (
     ANGLES_WINDING_0,
     ANGLES_WINDING_1,
@@ -42,7 +46,6 @@ from topowalk.experiments import (
     RUN_KINDS,
     _decimal_digits,
     _particle_angles,
-    _sweep_cell_scalar,
     _with_axis_value,
     _write_table,
 )
@@ -405,7 +408,7 @@ class TestParticleAngles:
     def test_walker_b_shares_walker_a_entry_by_default(self):
         for run_kind in ("tptpw", "tptbw"):
             cfg = config_from_dict(minimal_pair_dict(run_kind=run_kind, angles={"a": [-PI / 2, PI / 4]}))
-            assert _particle_angles(cfg, "b") == _particle_angles(cfg, "a") == (-PI / 2, PI / 4)
+            assert _particle_angles(cfg.angles, "b") == _particle_angles(cfg.angles, "a") == (-PI / 2, PI / 4)
 
     def test_plain_b_beside_a_boundary_is_kept(self):
         cfg = config_from_dict(
@@ -414,8 +417,8 @@ class TestParticleAngles:
                 angles={"a": BOUNDARY_ANGLES, "b": [0.1, 0.2]},
             )
         )
-        assert _particle_angles(cfg, "b") == (0.1, 0.2)
-        assert isinstance(_particle_angles(cfg, "a"), BoundarySpec)
+        assert _particle_angles(cfg.angles, "b") == (0.1, 0.2)
+        assert isinstance(_particle_angles(cfg.angles, "a"), BoundarySpec)
 
     def test_boundary_walk_shares_field_by_default(self):
         cfg = config_from_dict(
@@ -424,7 +427,7 @@ class TestParticleAngles:
                 angles={"a": {"minus": [-PI / 2, PI / 4], "plus": [-PI / 2, 3 * PI / 4]}},
             )
         )
-        assert _particle_angles(cfg, "b") == _particle_angles(cfg, "a")
+        assert _particle_angles(cfg.angles, "b") == _particle_angles(cfg.angles, "a")
 
     def test_boundary_walk_per_particle_override(self):
         cfg = config_from_dict(
@@ -436,7 +439,7 @@ class TestParticleAngles:
                 },
             )
         )
-        assert _particle_angles(cfg, "b").theta_minus == (0.1, 0.2)
+        assert _particle_angles(cfg.angles, "b").theta_minus == (0.1, 0.2)
 
     def test_tptpw_with_walker_a_only_matches_explicit_b(self):
         a_only = run(config_from_dict(minimal_pair_dict(angles={"a": [-PI / 2, PI / 4]})))
@@ -615,6 +618,64 @@ class TestPairRouteAgainstDenseOracle:
         assert np.abs(art.distributions["b"] - joint.sum(axis=0)).max() < 1e-12
 
 
+class TestPairReplicates:
+    def test_replicates_equal_the_lone_replicate_loop(self):
+        # 33 replicates step in chunks of 32; each must keep the bits of a run on its own
+        cfg = config_from_dict(
+            minimal_pair_dict(steps=12, ensemble_size=33, disorder={"kind": "strong", "target": "both"})
+        )
+        art = run(cfg)
+        window = LatticeWindow(cfg.steps + 1)
+        coefficients = coin_coefficients(cfg.initial_state)
+        series, joint_sum = [], None
+        for r in range(cfg.ensemble_size):
+            seed = derive_seed(cfg.master_seed, r)
+            fields = [
+                sample_angle_field(cfg.angles.get(p, cfg.angles["a"]), cfg.disorder, cfg.steps, window, p, seed)
+                for p in ("a", "b")
+            ]
+            rhos = []
+            for amps_a, amps_b in iter_product_walkers(cfg.initial_state, window, *fields, cfg.steps):
+                rhos.append(pair_coin_density_from_singles(amps_a, amps_b, coefficients))
+            series.append(von_neumann_entropy(np.array(rhos)))
+            joint = joint_distribution_interference(amps_a, amps_b, coefficients)
+            joint_sum = joint if joint_sum is None else joint_sum + joint
+        series = np.array(series)
+        assert art.entropy.entropy_bits == [float(v) for v in series.mean(axis=0)]
+        assert art.entropy_std.tobytes() == series.std(axis=0).tobytes()
+        assert art.joint.tobytes() == (joint_sum / cfg.ensemble_size).tobytes()
+
+    @pytest.mark.parametrize("kind", ["pair", "entropy_sweep"])
+    def test_chunks_keep_the_coin_table_within_the_limit(self, kind, monkeypatch):
+        # room for three cells' coin tables: 7 cells step as 3 + 3 + 1, with the same bits as one chunk
+        data = minimal_dict(kind, steps=10, disorder={"kind": "weak", "target": "both"})
+        if kind == "pair":
+            data["ensemble_size"] = 7
+        else:
+            data["sweep_grid"] = [
+                {"name": "theta1a", "min": -1, "max": 1, "count": 7},
+                {"name": "theta2a", "min": 0, "max": 2, "count": 1},
+            ]
+        whole = run(config_from_dict(data))
+        cell_table = 3 * 2 * 2 * LatticeWindow(11).size * 10
+        monkeypatch.setattr(experiments, "MAX_ARRAY_ELEMENTS", 3 * cell_table + 2)
+        chunks = []
+
+        def walkers(init, window, field_a, field_b, n_steps):
+            chunks.append(field_a.shape[-1])
+            return iter_product_walkers(init, window, field_a, field_b, n_steps)
+
+        monkeypatch.setattr(experiments, "iter_product_walkers", walkers)
+        chunked = run(config_from_dict(data))
+        assert chunks == [3, 3, 1]
+        if kind == "pair":
+            assert chunked.entropy.entropy_bits == whole.entropy.entropy_bits
+            assert chunked.entropy_std.tobytes() == whole.entropy_std.tobytes()
+            assert chunked.joint.tobytes() == whole.joint.tobytes()
+        else:
+            assert chunked.heatmap.values.tobytes() == whole.heatmap.values.tobytes()
+
+
 def dense_single_run(cfg):
     """Reference single-walker observables: the flattened (2 * size) state vector
     stepped by dense_hadamard_unitary or dense_split_unitary. Each replicate's
@@ -723,33 +784,43 @@ class TestEntropySweep:
                 {"name": "theta2a", "min": PI / 4, "max": PI / 4, "count": 2},
             ]
         )
-        grid = entropy_sweep(cfg).heatmap.values
+        grid = run(cfg).heatmap.values
         assert np.ptp(grid) == 0.0
 
     def test_grid_shape_and_axes(self):
-        art = entropy_sweep(self.sweep_config())
+        art = run(self.sweep_config())
         assert art.heatmap.values.shape == (3, 4)
         assert art.heatmap.axis_names == ("theta1a", "theta2a")
 
-    def test_cell_value_independent_of_evaluation_order(self):
-        cfg = self.sweep_config()
-        art = entropy_sweep(cfg)
-        # recompute one cell in isolation with its derived seed
-        i, j = 1, 2
-        angles = _with_axis_value(cfg.angles, "theta1a", float(cfg.sweep_grid[0].values()[i]))
-        angles = _with_axis_value(angles, "theta2a", float(cfg.sweep_grid[1].values()[j]))
-        lone = _sweep_cell_scalar(cfg, angles, derive_seed(cfg.master_seed, i, j))
-        assert_allclose(art.heatmap.values[i, j], lone, atol=1e-14)
+    @pytest.mark.parametrize("scalar", ["final", "longmean"])
+    @pytest.mark.parametrize("disorder", [{"kind": "none"}, {"kind": "strong", "target": "both"}])
+    def test_each_cell_equals_its_lone_pair_run(self, disorder, scalar):
+        # 36 cells step in chunks of 32, so cells past the first chunk are checked too
+        axes = [
+            {"name": "theta1a", "min": -PI, "max": PI, "count": 6},
+            {"name": "theta2a", "min": -PI, "max": PI, "count": 6},
+        ]
+        cfg = self.sweep_config(sweep_grid=axes, disorder=disorder, sweep_scalar=scalar)
+        grid = run(cfg).heatmap.values
+        tail = 1 if scalar == "final" else cfg.steps // 4
+        for i, t1 in enumerate(cfg.sweep_grid[0].values()):
+            for j, t2 in enumerate(cfg.sweep_grid[1].values()):
+                lone = config_from_dict({
+                    "run_kind": "pair", "steps": 10, "initial_state": {"kind": "psi+"},
+                    "angles": {"a": [t1, t2], "b": [-PI / 2, 3 * PI / 4]}, "disorder": disorder,
+                    "master_seed": derive_seed(cfg.master_seed, i, j),
+                })
+                assert grid[i, j] == np.mean(run(lone).entropy.entropy_bits[-tail:])
 
     def test_longmean_scalar(self):
-        art = entropy_sweep(self.sweep_config(sweep_scalar="longmean"))
+        art = run(self.sweep_config(sweep_scalar="longmean"))
         assert art.heatmap.scalar == "longmean"
         assert np.all(art.heatmap.values >= 0)
 
     def test_disordered_sweep_deterministic(self):
         cfg_data = dict(disorder={"kind": "strong", "target": "a"})
-        a = entropy_sweep(self.sweep_config(**cfg_data)).heatmap.values
-        b = entropy_sweep(self.sweep_config(**cfg_data)).heatmap.values
+        a = run(self.sweep_config(**cfg_data)).heatmap.values
+        b = run(self.sweep_config(**cfg_data)).heatmap.values
         assert np.array_equal(a, b)
 
     def test_run_dispatches_sweep(self):
@@ -766,7 +837,7 @@ class TestEntropySweep:
                 {"name": "theta2a_plus", "min": -PI, "max": PI, "count": 2},
             ],
         )
-        grid = entropy_sweep(cfg).heatmap.values
+        grid = run(cfg).heatmap.values
         assert np.ptp(grid[:, 0]) > 1e-3 and np.ptp(grid[:, 1]) > 1e-3
 
     def test_walker_b_without_entry_follows_walker_a_axes(self):
@@ -780,7 +851,7 @@ class TestEntropySweep:
                 {"name": "theta2a_plus", "min": 0.5, "max": 2.5, "count": 2},
             ],
         )
-        grid = entropy_sweep(cfg).heatmap.values
+        grid = run(cfg).heatmap.values
         for i, t1 in enumerate((-1.0, 1.0)):
             for j, t2 in enumerate((0.5, 2.5)):
                 swept = {"minus": [t1, PI / 4], "plus": [-PI / 2, t2]}
@@ -805,7 +876,7 @@ class TestEntropySweep:
             angles={"a": [-PI / 2, PI / 4], "b": [0.3, 3 * PI / 4]},
             sweep_grid=cfg.sweep_grid,
         )
-        assert np.array_equal(entropy_sweep(cfg).heatmap.values, entropy_sweep(explicit).heatmap.values)
+        assert np.array_equal(run(cfg).heatmap.values, run(explicit).heatmap.values)
 
 
 class TestPhaseDiagramRun:
@@ -820,6 +891,32 @@ class TestPhaseDiagramRun:
         write_artifacts(run(load_config(CONFIG_DIR / "fig2_phase_diagram.json")), tmp_path)
         digest = hashlib.sha256((tmp_path / "phase.csv").read_bytes()).hexdigest()
         assert digest == "9311599826eba9ac0c40df57f989de60807528a8677f5df4d7808c013aaf75be"
+
+
+class TestPinnedFigureBytes:
+    # pinned with numpy 2.4.6 on x86_64, as the fig2 pin: one changed bit in a clean or a
+    # disordered sweep cell, or in a disordered pair run, changes a digest
+    @pytest.mark.parametrize(
+        "stem, digests",
+        [
+            ("fig5a_sweep_zb0", {"heatmap.csv": "a761aefbb7d156367546f03ebf0bc613a921b58417f13ccedae94dbb9bbcb040"}),
+            (
+                "fig5d_sweep_zb1_strong",
+                {"heatmap.csv": "e899328e9381ebf0edfab9e01ef5b68b45a619d4aa7a82d831ab367d56263303"},
+            ),
+            (
+                "fig3a_4c_tptpw_strong",
+                {
+                    "entropy.csv": "fe822eb620f4eec9c40c0119b5a3fdd38fb25dfa497fd48fb3ae3cf1a5af0b1a",
+                    "joint.csv": "316fa5faada7a8ae0ab6df24e93344c194ad296d7a494ece02145f9f4770cd0b",
+                },
+            ),
+        ],
+    )
+    def test_pair_and_sweep_csv_bytes_are_pinned(self, tmp_path, stem, digests):
+        write_artifacts(run(load_config(CONFIG_DIR / f"{stem}.json")), tmp_path)
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 class TestHeatmapPhaseIndependence:

@@ -12,7 +12,6 @@ from topowalk import (
     STRONG_HALF_WIDTH,
     WEAK_HALF_WIDTH,
     WindowOverflowError,
-    hadamard_coin,
     hadamard_step,
     make_single_state,
     position_distribution,
@@ -27,6 +26,7 @@ from topowalk import (
     window_for_steps,
 )
 from topowalk.experiments import ANGLES_WINDING_1, derive_seed
+from topowalk.walk import HADAMARD
 from conftest import random_single_state
 from oracles import (
     dense_hadamard_unitary,
@@ -36,6 +36,8 @@ from oracles import (
 )
 
 MASTER_SEED = 20250809
+
+H = HADAMARD.astype(complex)  # the Hadamard coin as a complex matrix
 
 # frozen from a reference run at seed derive_seed(20250809, 0), base angles
 # (-pi/2, pi/4), disorder on the walker's own field
@@ -56,15 +58,14 @@ def constant_field(theta1, theta2, n_steps, window):
 
 class TestCoins:
     def test_hadamard_on_coin_zero(self):
-        out = hadamard_coin() @ np.array([1, 0])
+        out = H @ np.array([1, 0])
         assert_allclose(out, np.array([1, 1]) / np.sqrt(2), atol=1e-15)
 
     def test_hadamard_involutory(self):
-        h = hadamard_coin()
-        assert_allclose(h @ h, np.eye(2), atol=1e-15)
+        assert_allclose(H @ H, np.eye(2), atol=1e-15)
 
     def test_hadamard_determinant(self):
-        assert_allclose(np.linalg.det(hadamard_coin()), -1.0, atol=1e-15)
+        assert_allclose(np.linalg.det(H), -1.0, atol=1e-15)
 
     def test_rotation_zero_is_identity(self):
         assert_allclose(rotation_coin(0.0), np.eye(2), atol=1e-15)
@@ -85,8 +86,7 @@ class TestCoins:
         for theta in rng.uniform(-4 * np.pi, 4 * np.pi, 1000):
             c = rotation_coin(theta)
             assert np.abs(c.conj().T @ c - np.eye(2)).max() < 1e-14
-        h = hadamard_coin()
-        assert np.abs(h.conj().T @ h - np.eye(2)).max() < 1e-14
+        assert np.abs(H.conj().T @ H - np.eye(2)).max() < 1e-14
 
 
 class TestHadamardStep:
