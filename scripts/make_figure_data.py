@@ -3,10 +3,12 @@
 
 Each JSON in configs/ is a self-contained experiment; outputs land in
 <out>/<config-stem>/. The package is imported from the checkout's src/, so the
-script runs without installing it. The whole set takes about 4 s on a 2-vCPU
-host, the six fig5 sweeps about 2.6 s of it (0.3–0.5 s each); each 100-step
-pair config, data files included, takes under 0.1 s, and the fig2 phase
-diagram (64×64 points, 1,024 k-points) about 0.2 s.
+script runs without installing it. Each line gives a config's time, split
+into run() and write_artifacts(). On a 2-vCPU host the whole set takes 2–4 s,
+with the load of the host, most of it the six fig5 sweeps (0.3–0.7 s each);
+each 100-step pair config takes 0.05–0.1 s, 0.02–0.05 s of it writing its
+data files (the 41,209-row joint.csv most of that), and the fig2 phase
+diagram (64×64 points, 1,024 k-points) 0.1–0.3 s.
 """
 
 import argparse
@@ -37,9 +39,11 @@ def main() -> int:
     for path in paths:
         t0 = time.perf_counter()
         artifacts = run(load_config(path))
+        t1 = time.perf_counter()
         out_dir = Path(args.out) / path.stem
         write_artifacts(artifacts, out_dir)
-        print(f"{path.stem:28s} {time.perf_counter() - t0:6.1f}s -> {out_dir}")
+        t2 = time.perf_counter()
+        print(f"{path.stem:28s} {t2 - t0:6.2f}s (run {t1 - t0:.2f}s write {t2 - t1:.2f}s) -> {out_dir}")
     print(f"total {time.perf_counter() - total:.1f}s")
     return 0
 

@@ -10,7 +10,6 @@ from ._version import __version__
 from .errors import ConfigError, NumericalError, TopowalkError, WindowOverflowError
 from .states import (
     LatticeWindow,
-    distribution_sigma,
     make_single_state,
     position_distribution,
     reduce_to_coin,
@@ -26,7 +25,6 @@ from .walk import (
     randomize_field,
     rotation_coin,
     sample_angle_field,
-    split_step,
     split_stepper,
     trajectory,
 )

@@ -66,12 +66,6 @@ def position_distribution(amps: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(amps) ** 2, axis=1)
 
 
-def distribution_sigma(positions: np.ndarray, probs: np.ndarray) -> float:
-    """Standard deviation of a position distribution."""
-    mean = float(np.dot(probs, positions))
-    return float(np.sqrt(np.dot(probs, positions.astype(float) ** 2) - mean**2))
-
-
 def reduce_to_coin(amps: np.ndarray) -> np.ndarray:
     """2x2 coin density matrix of a (size, 2) walker after tracing out the position."""
     return amps.T @ amps.conj()

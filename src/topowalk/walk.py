@@ -202,12 +202,6 @@ def split_stepper(field: np.ndarray):
     return stepper
 
 
-def split_step(amps: np.ndarray, field: np.ndarray, step: int) -> np.ndarray:
-    """One split step with the site-dependent angles field[:, :, step] of a (2, site, step, *batch) field."""
-    _check_step(step, field.shape[2])
-    return split_stepper(field[:, :, step : step + 1])(amps, 0)
-
-
 def hadamard_step(amps: np.ndarray) -> np.ndarray:
     """One step of the plain Hadamard walk: both shifts after a single coin."""
     shape = (2, 2) + (1,) * (amps.ndim - 1)

@@ -19,11 +19,11 @@ from topowalk import (
     InitialPairState,
     LatticeWindow,
     NumericalError,
-    split_step,
+    split_stepper,
     von_neumann_entropy,
 )
 from topowalk.topology import GAP_THRESHOLD
-from topowalk.walk import RUNTIME_NORM_TOL, rotation_coin
+from topowalk.walk import RUNTIME_NORM_TOL, _check_step, rotation_coin
 
 PLANARITY_TOL = 1e-6  # largest out-of-plane component the numerical winding accepts
 
@@ -32,6 +32,18 @@ PAULI = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
+
+
+def split_step(amps: np.ndarray, field: np.ndarray, step: int) -> np.ndarray:
+    """One split step with the site-dependent angles field[:, :, step] of a (2, site, step, *batch) field."""
+    _check_step(step, field.shape[2])
+    return split_stepper(field[:, :, step : step + 1])(amps, 0)
+
+
+def distribution_sigma(positions: np.ndarray, probs: np.ndarray) -> float:
+    """Standard deviation of a position distribution."""
+    mean = float(np.dot(probs, positions))
+    return float(np.sqrt(np.dot(probs, positions.astype(float) ** 2) - mean**2))
 
 
 def dense_coin_block(coins) -> np.ndarray:

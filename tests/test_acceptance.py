@@ -20,7 +20,6 @@ from topowalk import (
     STRONG_HALF_WIDTH,
     WEAK_HALF_WIDTH,
     coin_coefficients,
-    distribution_sigma,
     hadamard_step,
     joint_distribution_interference,
     load_config,
@@ -30,7 +29,6 @@ from topowalk import (
     rotation_coin,
     run,
     sample_angle_field,
-    split_step,
     trajectory,
     von_neumann_entropy,
     winding_number,
@@ -40,11 +38,13 @@ from topowalk import (
 from topowalk.experiments import ANGLES_WINDING_0, ANGLES_WINDING_1, derive_seed
 from conftest import random_pair_state, random_single_state
 from oracles import (
+    distribution_sigma,
     evolve_pair,
     joint_distribution_direct,
     make_pair_state,
     marginals,
     reduce_pair_to_coin,
+    split_step,
     walker_amps,
 )
 

@@ -1,6 +1,9 @@
 import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -45,6 +48,7 @@ from topowalk.experiments import (
     MAX_ARRAY_ELEMENTS,
     RUN_KINDS,
     _decimal_digits,
+    _digit_words,
     _particle_angles,
     _with_axis_value,
     _write_table,
@@ -895,7 +899,7 @@ class TestPhaseDiagramRun:
 
 class TestPinnedFigureBytes:
     # pinned with numpy 2.4.6 on x86_64, as the fig2 pin: one changed bit in a clean or a
-    # disordered sweep cell, or in a disordered pair run, changes a digest
+    # disordered sweep cell, or in any pair run's entropy, marginals or joint, changes a digest
     @pytest.mark.parametrize(
         "stem, digests",
         [
@@ -905,10 +909,57 @@ class TestPinnedFigureBytes:
                 {"heatmap.csv": "e899328e9381ebf0edfab9e01ef5b68b45a619d4aa7a82d831ab367d56263303"},
             ),
             (
+                "fig3a_4a_tptpw_clean",
+                {
+                    "entropy.csv": "9f654c1ba112f3c411d321c92f5981531e9a3bcfd606991a7ac8045a6ba303fc",
+                    "distribution_a.csv": "739d6ffc4d34ea8cd76ebadd75b43ce29313aacaf776ac93fdb588e4d2ede05c",
+                    "distribution_b.csv": "ed331e4807e50119969d6a03b166ff8edc1198bb9438546066091125a6d6af4a",
+                    "joint.csv": "ebbd6ef2636e1dc56a6d6eb0e0e7e1977f4975ad10c5dac8448bf48c9c7474d8",
+                },
+            ),
+            (
                 "fig3a_4c_tptpw_strong",
                 {
                     "entropy.csv": "fe822eb620f4eec9c40c0119b5a3fdd38fb25dfa497fd48fb3ae3cf1a5af0b1a",
+                    "distribution_a.csv": "85409e01a98e5d96411754fee0f39f7f94e01ead23d7b8a14e4abaa525f9a368",
+                    "distribution_b.csv": "3880a574bcca51b5e18fcc52f88c25929dedb33ace011d410a17a9657e329906",
                     "joint.csv": "316fa5faada7a8ae0ab6df24e93344c194ad296d7a494ece02145f9f4770cd0b",
+                },
+            ),
+            (
+                "fig3b_4d_tptbw_clean",
+                {
+                    "entropy.csv": "ca01bc4ad764bd1abb5cacc961731e453b7e8c06b98e866e04d7886f40f06cc2",
+                    "distribution_a.csv": "ed10816241b4079a057922db299f7098ce13493c1b37852158762beaf263bb5e",
+                    "distribution_b.csv": "2472ba2acc8502de434a40832c0b634fab9175bc0eaba7dcf4adf7c43419df79",
+                    "joint.csv": "dde921b2aace024e3f223cb8413e77ee52d979b7bdb6e72ff7e4b044f1d371d8",
+                },
+            ),
+            (
+                "fig3b_4f_tptbw_strong",
+                {
+                    "entropy.csv": "d85304f9e9b69119c331ff33b5a4d660733dd1506588cbb0bba6a0dfbb030ce9",
+                    "distribution_a.csv": "989e3905cc1c0e496d66467f876d1035f0aa145dcdf5a0fe37e4e480946bb7ed",
+                    "distribution_b.csv": "f669d879cb5f3065664393b30dd7ffa148211b695056b95bdd97e1c584ff4f6d",
+                    "joint.csv": "69061cc9788f7aaf3177b38fac8ccde4d0f9c0951073534073a0e713c1795345",
+                },
+            ),
+            (
+                "fig4b_tptpw_weak",
+                {
+                    "entropy.csv": "7126b4e0a1fd0c79f3cdc8a59a7e1d00796792e44d92cebd7440bf826870a307",
+                    "distribution_a.csv": "8019edf45f43d48693ae721935e7cb6471ad2fbff43027fb02e72b609862edba",
+                    "distribution_b.csv": "db1d76e77881ee103266979799ccca27ac4a2f57225ac90c06a1d62331be34aa",
+                    "joint.csv": "719b055dc19bde0d435e7827d42cb1287f4fa076e544ab9348114ed2d1829ad9",
+                },
+            ),
+            (
+                "fig4e_tptbw_weak",
+                {
+                    "entropy.csv": "08526920fd4ef1353028bbc4df4554aa0a41ebc7a459de2c8e5a99f23692acd5",
+                    "distribution_a.csv": "a8122d89ef4c84c115457487d9a8e5668e505a247bc155f2d70bbc8b55fa0201",
+                    "distribution_b.csv": "d712a183bf7bd4e988fec891c533855dcef7dbbd9c02a0885b372e9dbda00e4b",
+                    "joint.csv": "c12fc007810895fe0c24c6ae7010e71b20ef11c2f427f40bee4ef6b7f2dc1c73",
                 },
             ),
         ],
@@ -1088,6 +1139,47 @@ class TestTableCells:
         values = [0, 1, -1, 9, -9, 10, -10, 99, -100, 123456, -2**63, 2**63 - 1, -(2**63 - 1)]
         assert table_cells("i", values) == [str(v) for v in values]
 
+    @pytest.mark.parametrize("top", [9999, 10**4, 10**8 - 1, 10**8, 10**12, 2**63 - 1])
+    def test_ints_at_group_boundaries(self, top):
+        # the widest value sets the column's group count; narrower ones leave whole groups NUL
+        values = [v for v in (0, 1, 9999, 10**4, 10**8 - 1, 10**8, 10**12 - 1, 10**12) if v < top]
+        values = [*values, top, *(-v for v in values), -top]
+        if top == 2**63 - 1:
+            values.append(-(2**63))
+        assert table_cells("i", values) == [str(v) for v in values]
+
+    def test_floats_whose_groups_start_with_zeros(self):
+        values = np.array(
+            [1.0000000000000002, 1.0000000100000001, 1e-5, 1.0000000000010001, 1.0001, 9.0000500000000001]
+        )
+        near = [np.nextafter(v, toward) for v in values for toward in (-np.inf, np.inf)]
+        values = np.concatenate([values, -values, near])
+        assert table_cells("f", values) == ["%.16e" % v for v in values.tolist()]
+
+    def test_digit_words_are_percent_formatted(self):
+        expected = b"".join(b"%04d" % g for g in range(10**4))
+        expected += b"".join((b"%4d" % g).replace(b" ", b"\0") for g in range(10**4)) + b"\0" * 4
+        assert _digit_words().tobytes() == expected
+        assert not _digit_words().flags.writeable
+
+    def test_import_builds_no_table(self):
+        # the tables are built on the first write, so importing the package stays cheap
+        code = (
+            "import topowalk\n"
+            "from topowalk.experiments import _digit_words, _pow10_table\n"
+            "print(_digit_words.cache_info().currsize, _pow10_table.cache_info().currsize)"
+        )
+        package_root = str(Path(experiments.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]
+
     @given(st.lists(st.floats(), min_size=1, max_size=50))
     @settings(max_examples=200, deadline=None)
     def test_any_floats(self, values):
@@ -1130,7 +1222,7 @@ class TestWriterCost:
         assert peak <= 4.5 * 2**20
 
     def test_peak_memory_of_write_artifacts(self, pair_100, tmp_path):
-        write_artifacts(pair_100, tmp_path)  # warm: the power-of-ten table is built once
+        write_artifacts(pair_100, tmp_path)  # warm: the power-of-ten and digit tables are built once
         tracemalloc.start()
         try:
             write_artifacts(pair_100, tmp_path)

@@ -17,7 +17,6 @@ from topowalk import (
     pair_coin_density_from_singles,
     position_distribution,
     sample_angle_field,
-    split_step,
     von_neumann_entropy,
     window_for_steps,
 )
@@ -33,6 +32,7 @@ from oracles import (
     pair_entropy_series,
     pair_split_step,
     reduce_pair_to_coin,
+    split_step,
     tensor_pair,
     walker_amps,
 )

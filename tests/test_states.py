@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from topowalk import (
     LatticeWindow,
     NumericalError,
-    distribution_sigma,
     hadamard_step,
     make_single_state,
     position_distribution,
@@ -16,7 +15,7 @@ from topowalk import (
     window_for_steps,
 )
 from conftest import random_pair_state, random_single_state
-from oracles import reduce_pair_to_coin, tensor_pair
+from oracles import distribution_sigma, reduce_pair_to_coin, tensor_pair
 
 
 class TestLatticeWindow:

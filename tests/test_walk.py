@@ -19,7 +19,6 @@ from topowalk import (
     reduce_to_coin,
     rotation_coin,
     sample_angle_field,
-    split_step,
     split_stepper,
     trajectory,
     von_neumann_entropy,
@@ -33,6 +32,7 @@ from oracles import (
     dense_split_unitary,
     hadamard_reachable,
     split_reachable,
+    split_step,
 )
 
 MASTER_SEED = 20250809
