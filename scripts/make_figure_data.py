@@ -8,7 +8,7 @@ into run() and write_artifacts(). On a 2-vCPU host the whole set takes 2–4 s,
 with the load of the host, most of it the six fig5 sweeps (0.3–0.7 s each);
 each 100-step pair config takes 0.05–0.1 s, 0.02–0.05 s of it writing its
 data files (the 41,209-row joint.csv most of that), and the fig2 phase
-diagram (64×64 points, 1,024 k-points) 0.1–0.3 s.
+diagram (64×64 points, 1,024 k-points) 0.15–0.2 s.
 """
 
 import argparse

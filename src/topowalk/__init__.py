@@ -23,7 +23,6 @@ from .walk import (
     WEAK_HALF_WIDTH,
     hadamard_step,
     randomize_field,
-    rotation_coin,
     sample_angle_field,
     split_stepper,
     trajectory,

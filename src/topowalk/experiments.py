@@ -562,9 +562,9 @@ def run(config: RunConfig) -> RunArtifacts:
 
 # A float cell is "%.16e" % v. For a normal nonzero v its 17 digits are N = round(|v| * 10^p),
 # p = 16 - floor(log10|v|), which _decimal_digits forms as a double-double product and proves
-# unless v is zero, subnormal, nan or inf, the product lies within 1e-6 of a half-integer, or
-# N is outside (10^16, 10^17): a misjudged decade (N = 10^16 may come from the decade below).
-# "%" formats every cell it does not prove.
+# unless v is subnormal, nan or inf, the product lies within 1e-6 of a half-integer, or N is
+# outside (10^16, 10^17): a misjudged decade (N = 10^16 may come from the decade below). A zero
+# is proven as N = 0, k = 0. "%" formats every cell it does not prove.
 _POW10_RANGE = (-310, 345)  # covers p = 16 - k for every normal double, k in [-308, 308]
 _FLOAT_WIDTH = 24  # "-d.dddddddddddddddde+ddd"
 
@@ -606,7 +606,9 @@ def _decimal_digits(values: np.ndarray) -> tuple:
     proven &= np.abs(tail - np.floor(tail) - 0.5) >= 1e-6
     digits = (a * hi).astype(np.int64) + np.rint(tail).astype(np.int64)  # fl(a * hi) >= 2^53 is whole
     proven &= (digits > 10**16) & (digits < 10**17)
-    return digits, k, proven
+    zero = values == 0  # k is already 0, from the stand-in magnitude 1.0
+    digits[zero] = 0
+    return digits, k, proven | zero
 
 
 @lru_cache(maxsize=1)
@@ -676,7 +678,7 @@ def _write_table(path: Path, header: str, kinds: str, *columns) -> None:
     table = np.zeros((arrays[0].size, sum(widths) + len(widths)), dtype=np.uint8)
     start = 0
     for kind, values, width in zip(kinds, arrays, widths):
-        table[:, start] = np.where(values < 0, 45, 0)  # each slot starts with the sign: "-" or NUL
+        table[:, start] = np.signbit(values).view(np.uint8) * 45  # the sign, "-" or NUL; -0.0 keeps its "-"
         (_float_cells if kind == "f" else _int_cells)(values, table[:, start : start + width])
         table[:, start + width] = 44  # ","
         start += width + 1

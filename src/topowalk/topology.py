@@ -10,18 +10,19 @@ PRA 82, 033429, 2010): the gap closes at k = 0 or k = pi exactly on the lines
 |theta1| = |theta2| (mod 2 pi), and off them the axis winds once when
 cos theta1 < cos theta2, else not at all. So a grid point computes only the gap,
 from the diagonal of U(k) on a uniform k grid, and the grid must be even to
-hold both k = 0 and k = pi. Per grid point the arrays keep k innermost.
+hold both k = 0 and k = pi. Per grid point the arrays keep k innermost, and the
+coins are the four floats cos and sin of theta1/2 and theta2/2, from math.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import NumericalError, as_integer
-from .walk import rotation_coin
 
 GAP_THRESHOLD = 1e-6
 
@@ -43,14 +44,16 @@ class PhaseDiagram:
     gap: np.ndarray
 
 
-def _unitary_entry(r1: np.ndarray, r2: np.ndarray, phase: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Entry (a, b) of the step operator U(k) at phase = e^{ik}, from the coins r1, r2 of theta1, theta2:
-    u = diag(1, e^{-ik}) r2 diag(e^{ik}, 1) r1, the coin-1 and coin-0 shifts around the rotations.
-    winding_number reads the diagonal entries, whose trace gives the gap."""
-    # column b of diag(e^{ik}, 1) r1 is (phase * r1[0, b], r1[1, b]), then row a of r2 times it; the
-    # coins are real, so the scalar product r2[a, 1] * r1[1, b] rounds as numpy's array loops would
-    u = r2[a, 0] * (phase * r1[0, b]) + r2[a, 1] * r1[1, b]
-    return phase.conj() * u if a else u
+def _diagonal(theta1: float, theta2: float, phase: np.ndarray) -> tuple:
+    """U(k)'s diagonal entries (u00, u11) at phase = e^{ik}: u = diag(1, e^{-ik}) r2 diag(e^{ik}, 1) r1,
+    the coin-1 and coin-0 shifts around the real rotations r = [[c, -s], [s, c]] of the half angles.
+    winding_number reads their trace, which gives the gap."""
+    c1, s1, c2, s2 = math.cos(theta1 / 2), math.sin(theta1 / 2), math.cos(theta2 / 2), math.sin(theta2 / 2)
+    # numpy casts each float coin entry to c + 0j and runs the complex loops a complex coin ran, and a
+    # product of two coin entries is a real product either way, so the bytes match complex coins
+    u00 = c2 * (phase * c1) + (-s2) * s1
+    u11 = phase.conj() * (s2 * (phase * -s1) + c2 * c1)
+    return u00, u11
 
 
 @lru_cache(maxsize=8)
@@ -73,17 +76,19 @@ def winding_number(theta1: float, theta2: float, k_points: int = 1024) -> PhaseV
         raise ValueError("k_points must be >= 64")
     if k_points % 2:  # an odd grid misses k = 0, where the gap closes on theta1 = -theta2
         raise ValueError("k_points must be even")
-    coins, phase = (rotation_coin(theta1), rotation_coin(theta2)), _zone_phase(k_points)
-    u00, u11 = (_unitary_entry(*coins, phase, a, a) for a in (0, 1))  # U's trace is all the gap reads
+    theta1, theta2 = float(theta1), float(theta2)
+    if not (math.isfinite(theta1) and math.isfinite(theta2)):  # math.cos(inf) would raise ValueError
+        raise NumericalError(f"quasienergy gap is nan at angles ({theta1}, {theta2})")
+    u00, u11 = _diagonal(theta1, theta2, _zone_phase(k_points))
     energy = u00.real + u11.real  # cos E = Re(u00 + u11) / 2
     energy *= 0.5
-    np.arccos(np.clip(energy, -1.0, 1.0, out=energy), out=energy)
+    np.maximum(energy, -1.0, out=energy)  # clipped in place, without np.clip's wrapper
+    np.minimum(energy, 1.0, out=energy)
+    np.arccos(energy, out=energy)
     gap = float(min(energy.min(), np.pi - energy.max()))
-    if not np.isfinite(gap):
-        raise NumericalError(f"quasienergy gap is {gap} at angles ({theta1}, {theta2})")
     if gap <= GAP_THRESHOLD:
         return PhaseVerdict(None, gap)
-    return PhaseVerdict(int(np.cos(theta1) < np.cos(theta2)), gap)
+    return PhaseVerdict(int(math.cos(theta1) < math.cos(theta2)), gap)
 
 
 def phase_diagram(grid_n: int = 64, k_points: int = 1024) -> PhaseDiagram:

@@ -33,22 +33,6 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 HADAMARD.flags.writeable = False
 
 
-def rotation_coin(theta) -> np.ndarray:
-    """Real spin rotation by theta; half-angle entries, so the period in theta is 4*pi.
-
-    Accepts a scalar (returns 2x2) or an array of angles (returns shape + (2, 2)).
-    """
-    theta = np.asarray(theta, dtype=float)
-    c = np.cos(theta / 2.0)
-    s = np.sin(theta / 2.0)
-    m = np.empty(theta.shape + (2, 2), dtype=complex)
-    m[..., 0, 0] = c
-    m[..., 0, 1] = -s
-    m[..., 1, 0] = s
-    m[..., 1, 1] = c
-    return m
-
-
 # -- angle fields ---------------------------------------------------------------
 
 

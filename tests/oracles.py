@@ -23,7 +23,7 @@ from topowalk import (
     von_neumann_entropy,
 )
 from topowalk.topology import GAP_THRESHOLD
-from topowalk.walk import RUNTIME_NORM_TOL, _check_step, rotation_coin
+from topowalk.walk import RUNTIME_NORM_TOL, _check_step
 
 PLANARITY_TOL = 1e-6  # largest out-of-plane component the numerical winding accepts
 
@@ -32,6 +32,22 @@ PAULI = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
+
+
+def rotation_coin(theta) -> np.ndarray:
+    """Real spin rotation by theta; half-angle entries, so the period in theta is 4*pi.
+
+    Accepts a scalar (returns 2x2) or an array of angles (returns shape + (2, 2)).
+    """
+    theta = np.asarray(theta, dtype=float)
+    c = np.cos(theta / 2.0)
+    s = np.sin(theta / 2.0)
+    m = np.empty(theta.shape + (2, 2), dtype=complex)
+    m[..., 0, 0] = c
+    m[..., 0, 1] = -s
+    m[..., 1, 0] = s
+    m[..., 1, 1] = c
+    return m
 
 
 def split_step(amps: np.ndarray, field: np.ndarray, step: int) -> np.ndarray:

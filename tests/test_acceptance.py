@@ -26,7 +26,6 @@ from topowalk import (
     make_single_state,
     position_distribution,
     reduce_to_coin,
-    rotation_coin,
     run,
     sample_angle_field,
     trajectory,
@@ -44,6 +43,7 @@ from oracles import (
     make_pair_state,
     marginals,
     reduce_pair_to_coin,
+    rotation_coin,
     split_step,
     walker_amps,
 )

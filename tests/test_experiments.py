@@ -1156,6 +1156,20 @@ class TestTableCells:
         values = np.concatenate([values, -values, near])
         assert table_cells("f", values) == ["%.16e" % v for v in values.tolist()]
 
+    def test_signed_zeros_take_the_digit_path(self):
+        # zeros are proven as N = 0, k = 0, so no "%" fallback formats them; -0.0 keeps its "-"
+        near = [np.nextafter(z, toward) for z in (0.0, -0.0) for toward in (-np.inf, np.inf)]  # +-5e-324
+        tiny = 2.2250738585072014e-308  # the least normal double
+        values = np.array([0.0, -0.0, *near, 1e-323, tiny, -tiny, 1.0, -1.0])
+        digits, k, proven = _decimal_digits(values)
+        zero = values == 0
+        assert proven[zero].all() and not digits[zero].any() and not k[zero].any()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            _write_table(path, "v", "f", values)
+            data = path.read_bytes()
+        assert data == b"v\n" + "".join("%.16e\n" % v for v in values.tolist()).encode()
+
     def test_digit_words_are_percent_formatted(self):
         expected = b"".join(b"%04d" % g for g in range(10**4))
         expected += b"".join((b"%4d" % g).replace(b" ", b"\0") for g in range(10**4)) + b"\0" * 4

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from topowalk import NumericalError, phase_diagram, rotation_coin, topology, winding_number
+from topowalk import NumericalError, phase_diagram, topology, winding_number
 from topowalk.topology import GAP_THRESHOLD
 from oracles import (
     PLANARITY_TOL,
@@ -32,8 +32,7 @@ offset_st = st.builds(lambda e, sign: sign * 10.0**e, st.floats(-6, -2), st.samp
 def diagonal(theta1, theta2, k):
     """U(k)'s two diagonal entries, (..., 2) over k, as winding_number builds them."""
     k = np.asarray(k, dtype=float)  # raveled, as numpy's scalar math rounds unlike its array loops
-    coins, phase = (rotation_coin(theta1), rotation_coin(theta2)), np.exp(1j * k.ravel())
-    entries = [topology._unitary_entry(*coins, phase, a, a) for a in (0, 1)]
+    entries = topology._diagonal(theta1, theta2, np.exp(1j * k.ravel()))
     return np.stack(entries, -1).reshape(k.shape + (2,))
 
 
@@ -131,11 +130,29 @@ class TestWindingNumber:
         expected_gap = min(np.arccos(min(abs(c) + abs(s), 1.0)), np.pi - np.arccos(max(-abs(c) - abs(s), -1.0)))
         assert_allclose(verdict.gap, expected_gap, atol=1e-6)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    @pytest.mark.parametrize("angles", [(float("nan"), 0.0), (float("inf"), 0.3), (0.2, -float("inf"))])
+    @pytest.mark.parametrize(
+        "angles",
+        [
+            (float("nan"), 0.0),
+            (float("inf"), 0.3),
+            (0.2, -float("inf")),
+            (float("nan"), float("nan")),
+            (-float("inf"), float("inf")),
+        ],
+    )
     def test_non_finite_angle_is_numerical_error(self, angles):
+        # checked before the coins are built: math.cos(inf) raises ValueError
         with pytest.raises(NumericalError, match="gap is nan"):
             winding_number(*angles)
+
+    @pytest.mark.parametrize("angle_type", [int, np.float64, np.float32])
+    def test_angle_types_match_the_float(self, angle_type):
+        # the float32 values are exact in float64, so the float they convert to is the reference
+        for t1, t2 in (ANCHOR_WINDING_1, ANCHOR_WINDING_0, (3.0, -1.0), (0.0, 2.0), (-3.0, 3.0), (1.0, 1.0)):
+            a1, a2 = angle_type(t1), angle_type(t2)
+            verdict, expected = winding_number(a1, a2, 256), winding_number(float(a1), float(a2), 256)
+            assert verdict.winding == expected.winding
+            assert np.float64(verdict.gap).tobytes() == np.float64(expected.gap).tobytes()
 
     @pytest.mark.parametrize("k_points", [65, 257, 1023])
     def test_rejects_an_odd_k_points(self, k_points):
@@ -269,6 +286,20 @@ class TestPhaseDiagram:
         boundary = diagram64.winding < 0
         assert np.all(diagram64.gap[boundary] <= GAP_THRESHOLD)
         assert np.all(diagram64.gap[~boundary] > GAP_THRESHOLD)
+
+    def test_calls_winding_number_once_per_point(self, monkeypatch):
+        # each grid point is one public winding_number call, which the benchmark's tracer counts
+        expected, calls = phase_diagram(16, 64), []
+
+        def counting(*args):
+            calls.append(args)
+            return winding_number(*args)
+
+        monkeypatch.setattr(topology, "winding_number", counting)
+        pd = phase_diagram(16, 64)
+        assert len(calls) == 256
+        assert np.array_equal(pd.winding, expected.winding)
+        assert pd.gap.tobytes() == expected.gap.tobytes()
 
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):

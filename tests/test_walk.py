@@ -17,7 +17,6 @@ from topowalk import (
     position_distribution,
     randomize_field,
     reduce_to_coin,
-    rotation_coin,
     sample_angle_field,
     split_stepper,
     trajectory,
@@ -31,6 +30,7 @@ from oracles import (
     dense_hadamard_unitary,
     dense_split_unitary,
     hadamard_reachable,
+    rotation_coin,
     split_reachable,
     split_step,
 )
