@@ -962,12 +962,51 @@ class TestPinnedFigureBytes:
                     "joint.csv": "c12fc007810895fe0c24c6ae7010e71b20ef11c2f427f40bee4ef6b7f2dc1c73",
                 },
             ),
+            ("fig5b_sweep_zb1", {"heatmap.csv": "0434bfd5e7188a12fac4b6c722bc834003b2a359e1faa4521a91883c9427031e"}),
+            (
+                "fig5c_sweep_zb1_weak",
+                {"heatmap.csv": "0ef03eb9d0fc50fc4c31682a826ec598725ae1ec475e5ae4fbd49fb965b4261e"},
+            ),
+            (
+                "fig5e_sweep_boundary",
+                {"heatmap.csv": "eacbec2d4b023e7978cd5a6dfeec5ea7576ae7bcd49c457b6551d252b668ed1f"},
+            ),
+            (
+                "fig5f_sweep_boundary",
+                {"heatmap.csv": "6746786bd0924c12aebdd6bba0ebd9fa2d478428d9e3577d95fd16197bb695ae"},
+            ),
         ],
     )
     def test_pair_and_sweep_csv_bytes_are_pinned(self, tmp_path, stem, digests):
         write_artifacts(run(load_config(CONFIG_DIR / f"{stem}.json")), tmp_path)
         for name, digest in digests.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    # with the pins above and fig2's, every data file that make_figure_data.py writes is pinned
+    @pytest.mark.parametrize(
+        "stem, entropy_digest, distribution_digest",
+        [
+            (
+                "fig1_hadamard",
+                "427c1a511ccf461220348e3bf45a5b5679e4e89a1f6dde87defb7ff80b54f2a1",
+                "31d7f897999da3cb15c0bff7efc2af1e863f0f268cdc19b427475ba4ccdcf325",
+            ),
+            (
+                "fig6c_single_weak",
+                "af80ef4334c48d641c325020ca249d4484c355d04a0bbda8ad16d354ca182acb",
+                "9d567d2923b44edb48a4a611d6d8e906d5e3cd34da72c23a086e321f1cd4d0f3",
+            ),
+            (
+                "fig6d_single_strong",
+                "9f9372e7735c926cb75ad71f0c65f5d94ef14c2d4a02c08ec9992dc145019d78",
+                "28a5ebdb55c406e4ba531c833093e0da2312c8a85da0cd597d3b56c793164da7",
+            ),
+        ],
+    )
+    def test_single_walker_csv_bytes_are_pinned(self, tmp_path, stem, entropy_digest, distribution_digest):
+        write_artifacts(run(load_config(CONFIG_DIR / f"{stem}.json")), tmp_path)
+        assert hashlib.sha256((tmp_path / "entropy.csv").read_bytes()).hexdigest() == entropy_digest
+        assert hashlib.sha256((tmp_path / "distribution.csv").read_bytes()).hexdigest() == distribution_digest
 
 
 class TestHeatmapPhaseIndependence:
