@@ -14,7 +14,6 @@ from .states import (
     position_distribution,
     reduce_to_coin,
     von_neumann_entropy,
-    window_for_steps,
 )
 from .walk import (
     BoundarySpec,
@@ -41,7 +40,6 @@ from .topology import (
     winding_number,
 )
 from .experiments import (
-    EntropySeries,
     RunArtifacts,
     RunConfig,
     SweepAxis,

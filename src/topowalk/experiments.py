@@ -7,6 +7,7 @@ CSV data files plus a manifest that suffices to re-run the experiment.
 
 from __future__ import annotations
 
+import datetime
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -121,29 +122,14 @@ class RunConfig:
 
 
 @dataclass
-class EntropySeries:
-    steps: list[int] = field(default_factory=list)
-    entropy_bits: list[float] = field(default_factory=list)
-
-
-@dataclass
-class HeatmapResult:
-    axis_names: tuple[str, str]
-    axis1_values: np.ndarray
-    axis2_values: np.ndarray
-    values: np.ndarray  # (len(axis1), len(axis2))
-    scalar: str
-
-
-@dataclass
 class RunArtifacts:
     config: RunConfig
     positions: np.ndarray | None = None
-    entropy: EntropySeries | None = None
+    entropy: np.ndarray | None = None  # (steps + 1,) bits, the mean over replicates
     entropy_std: np.ndarray | None = None
-    distributions: dict = field(default_factory=dict)  # label -> (size,) probs
+    distribution: np.ndarray | None = None  # a single walker's P(x)
     joint: np.ndarray | None = None
-    heatmap: HeatmapResult | None = None
+    heatmap: np.ndarray | None = None  # (count1, count2) over config.sweep_grid
     phase: PhaseDiagram | None = None
 
 
@@ -371,14 +357,12 @@ def _check_array_sizes(config: RunConfig) -> None:
     size = _resolved_window(config).size
     # walker arrays grow with the window, and a pair run's joint distribution with its square
     sites = size * size if config.run_kind == "pair" else size
-    walkers = 2 if "initial_state" in RUN_KINDS[config.run_kind][0] else 1  # pair walks
     # an auto window grows with the steps and with the farthest start; name the larger
     start = max(abs(x) for x in config.initial_state.positions)
     auto_field = "initial_state" if start > config.steps else "steps"
     counts = (
         (auto_field if config.window is None else "window", sites),
-        # a run's coin table holds rows (-s, c, s) of 2 angles per walker, site and step
-        ("steps", 3 * 2 * walkers * size * config.steps),
+        ("steps", _coin_table_size(config)),
         ("sweep_grid", math.prod(ax.count for ax in config.sweep_grid)),
         ("k_points", 3 * config.k_points),  # a grid point's e^{ik} and U(k)'s two diagonal entries
         ("grid_n", config.grid_n**2),
@@ -386,6 +370,12 @@ def _check_array_sizes(config: RunConfig) -> None:
     for name, count in counts:
         if not count <= MAX_ARRAY_ELEMENTS:
             raise ConfigError(name, f"needs a {count}-element array; the limit is {MAX_ARRAY_ELEMENTS}")
+
+
+def _coin_table_size(config: RunConfig) -> int:
+    """Elements of one cell's coin table: rows (-s, c, s) of 2 angles per walker, site and step."""
+    walkers = 2 if "initial_state" in RUN_KINDS[config.run_kind][0] else 1  # pair walks
+    return 3 * 2 * walkers * _resolved_window(config).size * config.steps
 
 
 # -- angle plumbing ---------------------------------------------------------------
@@ -429,12 +419,11 @@ def _resolved_window(config: RunConfig) -> LatticeWindow:
     return LatticeWindow(config.steps + 1 + max(abs(x) for x in config.initial_state.positions))
 
 
-def _aggregate_entropy(series_list: list) -> tuple[EntropySeries, np.ndarray | None]:
+def _aggregate_entropy(series_list: list) -> tuple[np.ndarray, np.ndarray | None]:
     stacked = np.array(series_list, dtype=float)
     mean = stacked.mean(axis=0)
     std = stacked.std(axis=0) if stacked.shape[0] > 1 else None
-    series = EntropySeries(list(range(stacked.shape[1])), [float(v) for v in mean])
-    return series, std
+    return mean, std
 
 
 def _run_single(config: RunConfig) -> RunArtifacts:
@@ -460,7 +449,7 @@ def _run_single(config: RunConfig) -> RunArtifacts:
         positions=window.positions(),
         entropy=entropy,
         entropy_std=std,
-        distributions={"walk": dist_sum / config.ensemble_size},
+        distribution=dist_sum / config.ensemble_size,
     )
 
 
@@ -474,16 +463,16 @@ def _pair_entropies(config: RunConfig, cells, first_step: int = 0):
     """
     window = _resolved_window(config)
     coefficients = coin_coefficients(config.initial_state)
-    cell_table = 3 * 2 * 2 * window.size * config.steps  # as counted in _check_array_sizes
-    chunk_size = max(1, min(32, MAX_ARRAY_ELEMENTS // max(cell_table, 1)))
-
-    def field(angles: dict, seed: int, p: str) -> np.ndarray:
-        return sample_angle_field(_particle_angles(angles, p), config.disorder, config.steps, window, p, seed)
-
+    chunk_size = max(1, min(32, MAX_ARRAY_ELEMENTS // max(_coin_table_size(config), 1)))
     cells = iter(cells)
     while chunk := list(islice(cells, chunk_size)):
-        field_a, field_b = (np.stack([field(*cell, p) for cell in chunk], axis=-1) for p in ("a", "b"))
-        walkers = iter_product_walkers(config.initial_state, window, field_a, field_b, config.steps)
+        fields = np.empty((2, window.size, config.steps, len(chunk), 2))  # each angle copied in once
+        for c, (angles, seed) in enumerate(chunk):
+            for p, particle in enumerate("ab"):
+                fields[..., c, p] = sample_angle_field(
+                    _particle_angles(angles, particle), config.disorder, config.steps, window, particle, seed
+                )
+        walkers = iter_product_walkers(config.initial_state, window, fields, config.steps)
         rhos = []
         for amps_a, amps_b in islice(walkers, first_step, None):  # leaves amps_a/b at the last step
             rhos.append(pair_coin_density_from_singles(amps_a, amps_b, coefficients))
@@ -501,14 +490,12 @@ def _run_pair(config: RunConfig) -> RunArtifacts:
             joint = joint_distribution_interference(amps_a[..., c], amps_b[..., c], coefficients)
             joint_sum = joint if joint_sum is None else joint_sum + joint
     entropy, std = _aggregate_entropy(entropy_runs)
-    joint_mean = joint_sum / config.ensemble_size
     return RunArtifacts(
         config=config,
         positions=_resolved_window(config).positions(),
         entropy=entropy,
         entropy_std=std,
-        distributions={"a": joint_mean.sum(axis=1), "b": joint_mean.sum(axis=0)},
-        joint=joint_mean,
+        joint=joint_sum / config.ensemble_size,
     )
 
 
@@ -540,8 +527,7 @@ def _run_sweep(config: RunConfig) -> RunArtifacts:
         for series in entropies
     )
     grid = np.fromiter(scalars, dtype=float, count=math.prod(shape)).reshape(shape)
-    heatmap = HeatmapResult((ax1.name, ax2.name), vals1, vals2, grid, config.sweep_scalar)
-    return RunArtifacts(config=config, heatmap=heatmap)
+    return RunArtifacts(config=config, heatmap=grid)
 
 
 def run(config: RunConfig) -> RunArtifacts:
@@ -713,46 +699,38 @@ def write_artifacts(artifacts: RunArtifacts, out_dir) -> list[Path]:
         return [*np.meshgrid(axis1, axis2, indexing="ij"), *values]
 
     if artifacts.entropy is not None and wanted("entropy"):
-        series = artifacts.entropy
+        columns = [np.arange(artifacts.entropy.size), artifacts.entropy]
         if artifacts.entropy_std is None:
-            table("entropy.csv", "step,entropy_bits", "if", series.steps, series.entropy_bits)
+            table("entropy.csv", "step,entropy_bits", "if", *columns)
         else:
-            table(
-                "entropy.csv", "step,entropy_bits,std", "iff",
-                series.steps, series.entropy_bits, artifacts.entropy_std,
-            )
+            table("entropy.csv", "step,entropy_bits,std", "iff", *columns, artifacts.entropy_std)
 
-    if artifacts.distributions and wanted("distribution"):
-        for label, dist in sorted(artifacts.distributions.items()):
-            name = "distribution.csv" if label == "walk" else f"distribution_{label}.csv"
-            table(name, "x,probability", "if", artifacts.positions, dist)
+    if wanted("distribution"):
+        if artifacts.distribution is not None:
+            table("distribution.csv", "x,probability", "if", artifacts.positions, artifacts.distribution)
+        if artifacts.joint is not None:  # each particle's marginal
+            for name, axis in (("distribution_a.csv", 1), ("distribution_b.csv", 0)):
+                table(name, "x,probability", "if", artifacts.positions, artifacts.joint.sum(axis=axis))
 
     if artifacts.joint is not None and wanted("joint"):
         columns = grid(artifacts.positions, artifacts.positions, artifacts.joint)
         table("joint.csv", "i,j,probability", "iif", *columns)
 
     if artifacts.heatmap is not None and wanted("heatmap"):
-        hm = artifacts.heatmap
-        columns = grid(hm.axis1_values, hm.axis2_values, hm.values)
+        columns = grid(*(ax.values() for ax in config.sweep_grid), artifacts.heatmap)
         table("heatmap.csv", "axis1,axis2,scalar", "fff", *columns)
 
     if artifacts.phase is not None and wanted("phase"):
         ph = artifacts.phase
-        columns = grid(ph.theta1_values, ph.theta2_values, ph.winding, ph.gap)
+        columns = grid(ph.thetas, ph.thetas, ph.winding, ph.gap)
         table("phase.csv", "theta1,theta2,winding,gap", "ffif", *columns)
-
-    import datetime
 
     manifest = {
         "config": config_to_dict(config),
-        "master_seed": config.master_seed,
         "package_version": __version__,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "files": [p.name for p in written],
     }
-    if artifacts.heatmap is not None:
-        manifest["heatmap_axes"] = list(artifacts.heatmap.axis_names)
-        manifest["heatmap_scalar"] = artifacts.heatmap.scalar
     manifest_path = out / "manifest.json"
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)

@@ -68,26 +68,27 @@ def coin_coefficients(init: InitialPairState) -> np.ndarray:
 def iter_product_walkers(
     init: InitialPairState,
     window: LatticeWindow,
-    field_a: np.ndarray,
-    field_b: np.ndarray,
+    field: np.ndarray,
     n_steps: int,
 ):
     """Iterate (amps_a, amps_b) at step 0 and after each of n_steps steps.
 
-    amps_x[:, :, c] is particle x's lone walker started in coin |c> at its site
-    in init.positions and stepped under the (2, site, step, *cells) angle
-    field_x: an array of shape (size, coin, start coin, *cells), each cell a
-    run from the same start. Both particles are one (size, coin, start coin,
-    *cells, particle) array stepped by one walk.trajectory under the stacked
-    fields; amps_a and amps_b are views of it.
+    field holds both particles' angles, as split_stepper takes them: a
+    (2, site, step, *cells, particle) array, particle a then b. amps_x[:, :, c]
+    is particle x's lone walker started in coin |c> at its site in
+    init.positions and stepped under its field: a (size, coin, start coin,
+    *cells) array, each cell a run from the same start. Both particles are one
+    array stepped by one walk.trajectory; amps_a and amps_b are views of it.
     """
-    cells = field_a.shape[3:]
+    if field.ndim < 4 or field.shape[-1] != 2:
+        raise ValueError(f"field must have a trailing particle axis of 2, got shape {field.shape}")
+    cells = field.shape[3:-1]
     starts = [
         np.stack([make_single_state(window, x, c) for c in ((1, 0), (0, 1))], axis=-1)
         for x in init.positions
     ]
     starts = [np.broadcast_to(s.reshape(s.shape + (1,) * len(cells)), s.shape + cells) for s in starts]
-    stepper = split_stepper(np.stack([field_a, field_b], axis=-1))
+    stepper = split_stepper(field)
     walkers = trajectory(np.stack(starts, axis=-1), stepper, n_steps)
     return ((amps[..., 0], amps[..., 1]) for amps in walkers)
 

@@ -42,11 +42,6 @@ class LatticeWindow:
         return x + self.half_width
 
 
-def window_for_steps(n_steps: int) -> LatticeWindow:
-    """Window guaranteed to contain an origin walk: support grows one site per step."""
-    return LatticeWindow(n_steps + 1)
-
-
 def make_single_state(window: LatticeWindow, x0: int, coin_amps) -> np.ndarray:
     """(size, 2) walker localized at x0 with the given normalized 2-component coin state."""
     coin = np.asarray(coin_amps, dtype=complex)

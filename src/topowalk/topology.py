@@ -38,8 +38,7 @@ class PhaseVerdict:
 
 @dataclass
 class PhaseDiagram:
-    theta1_values: np.ndarray
-    theta2_values: np.ndarray
+    thetas: np.ndarray  # the grid of theta1 values, and of theta2 values
     winding: np.ndarray  # (n1, n2) int; -1 marks boundary cells
     gap: np.ndarray
 
@@ -106,4 +105,4 @@ def phase_diagram(grid_n: int = 64, k_points: int = 1024) -> PhaseDiagram:
         verdict = winding_number(float(thetas[i]), float(thetas[j]), k_points)
         winding[i, j] = -1 if verdict.winding is None else verdict.winding
         gap[i, j] = verdict.gap
-    return PhaseDiagram(thetas.copy(), thetas.copy(), winding, gap)
+    return PhaseDiagram(thetas, winding, gap)

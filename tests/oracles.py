@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from topowalk import (
-    EntropySeries,
     InitialPairState,
     LatticeWindow,
     NumericalError,
@@ -310,13 +309,9 @@ def marginals(joint: JointDistribution) -> tuple[np.ndarray, np.ndarray]:
     return joint.values.sum(axis=1), joint.values.sum(axis=0)
 
 
-def pair_entropy_series(trajectory) -> EntropySeries:
-    """Coin entanglement entropy of each state in a trajectory, in bits."""
-    series = EntropySeries()
-    for step, state in enumerate(trajectory):
-        series.steps.append(step)
-        series.entropy_bits.append(von_neumann_entropy(reduce_pair_to_coin(state)))
-    return series
+def pair_entropy_series(trajectory) -> np.ndarray:
+    """Coin entanglement entropy of each state in a trajectory, in bits, one entry per step."""
+    return np.array([von_neumann_entropy(reduce_pair_to_coin(state)) for state in trajectory])
 
 
 def walker_amps(coin0: np.ndarray, coin1: np.ndarray) -> np.ndarray:

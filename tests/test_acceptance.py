@@ -31,7 +31,6 @@ from topowalk import (
     trajectory,
     von_neumann_entropy,
     winding_number,
-    window_for_steps,
     write_artifacts,
 )
 from topowalk.experiments import ANGLES_WINDING_0, ANGLES_WINDING_1, derive_seed
@@ -112,7 +111,7 @@ def near_origin_either_mass(joint_values, positions, radius):
 def boundary_vs_uniform(n_steps: int, disorder_key: str):
     """Near-origin mass of the two-phase boundary pair walk and its
     uniform-phase control (the x < 0 phase extended everywhere)."""
-    window = window_for_steps(n_steps)
+    window = LatticeWindow(n_steps + 1)
     positions = window.positions()
     seed = derive_seed(MASTER_SEED, 0)
     if disorder_key == "none":
@@ -136,7 +135,7 @@ def boundary_vs_uniform(n_steps: int, disorder_key: str):
 
 def test_criterion_1_hadamard_entropy_asymptote():
     t0 = time.perf_counter()
-    state = make_single_state(window_for_steps(100), 0, (1, 0))
+    state = make_single_state(LatticeWindow(101), 0, (1, 0))
     entropy = [coin_entropy(s) for s in trajectory(state, lambda s, t: hadamard_step(s), 100)]
     elapsed = time.perf_counter() - t0
     final_entropy = entropy[100]
@@ -151,7 +150,7 @@ def test_criterion_1_hadamard_entropy_asymptote():
 
 
 def test_criterion_2_ballistic_vs_subballistic_spreading():
-    window = window_for_steps(100)
+    window = LatticeWindow(101)
     positions = window.positions()
 
     state = make_single_state(window, 0, (1, 0))
@@ -207,7 +206,7 @@ def test_criterion_3_interference_formula_equivalence():
         "weak disorder": (ANGLES_WINDING_1, ANGLES_WINDING_0, weak),
     }
     for n_steps in (1, 2, 5, 10, 20):
-        window = window_for_steps(n_steps)
+        window = LatticeWindow(n_steps + 1)
         for base_a, base_b, disorder in setups.values():
             field_a = sample_angle_field(base_a, disorder, n_steps, window, "a", seed)
             field_b = sample_angle_field(base_b, disorder, n_steps, window, "b", seed)
@@ -274,7 +273,7 @@ def test_criterion_5_boundary_state():
 
 
 def test_criterion_6_disorder_localization_and_boundary_destruction():
-    window = window_for_steps(100)
+    window = LatticeWindow(101)
     positions = window.positions()
 
     seed = derive_seed(MASTER_SEED, 0)
@@ -317,8 +316,8 @@ def test_criterion_7_entropy_magnitudes():
     # in natural-log units (the pair coin ceiling is 2 bits = 1.386 nats, and
     # the walks here nearly saturate it); the bit-valued maxima are pinned as
     # frozen regressions. See the acceptance notes in the repository docs.
-    tptpw = run(load_config(CONFIG_DIR / "fig5a_sweep_zb0.json")).heatmap.values
-    tptbw = run(load_config(CONFIG_DIR / "fig5f_sweep_boundary.json")).heatmap.values
+    tptpw = run(load_config(CONFIG_DIR / "fig5a_sweep_zb0.json")).heatmap
+    tptbw = run(load_config(CONFIG_DIR / "fig5f_sweep_boundary.json")).heatmap
     tptpw_nats = tptpw.max() * np.log(2.0)
     tptbw_nats = tptbw.max() * np.log(2.0)
     _report(
@@ -344,7 +343,7 @@ def test_criterion_8_invariant_suites():
     rng = np.random.default_rng(MASTER_SEED)
 
     # unitarity: norm drift below 1e-12 over 100 steps, clean and disordered
-    window = window_for_steps(100)
+    window = LatticeWindow(101)
     state = make_single_state(window, 0, (1, 0))
     for step in range(100):
         state = hadamard_step(state)
@@ -408,7 +407,7 @@ def test_criterion_8_invariant_suites():
 
     # determinism under repeated seeded execution, plus pair norm drift
     def seeded_run():
-        window_d = window_for_steps(40)
+        window_d = LatticeWindow(41)
         dis = DisorderSpec("uniform", STRONG_HALF_WIDTH, "both")
         seed = derive_seed(MASTER_SEED, 11)
         field_a = sample_angle_field(ANGLES_WINDING_1, dis, 40, window_d, "a", seed)

@@ -41,7 +41,7 @@ class TestWalkCommand:
         assert code == 0
         manifest = read_manifest(out)
         assert manifest["config"]["run_kind"] == "single_split"
-        assert manifest["master_seed"] == 42
+        assert manifest["config"]["master_seed"] == 42
 
     def test_split_manifest_holds_walker_a_angles_only(self, tmp_path):
         out = tmp_path / "run"

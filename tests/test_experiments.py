@@ -450,7 +450,7 @@ class TestParticleAngles:
         both = run(
             config_from_dict(minimal_pair_dict(angles={"a": [-PI / 2, PI / 4], "b": [-PI / 2, PI / 4]}))
         )
-        assert a_only.entropy.entropy_bits == both.entropy.entropy_bits
+        assert np.array_equal(a_only.entropy, both.entropy)
         assert np.array_equal(a_only.joint, both.joint)
 
     def test_axis_value_on_plain_angles(self):
@@ -495,16 +495,16 @@ class TestRunDeterminism:
     def test_repeated_runs_identical(self, data):
         a = run(config_from_dict(data))
         b = run(config_from_dict(data))
-        assert a.entropy.entropy_bits == b.entropy.entropy_bits
-        for label in a.distributions:
-            assert np.array_equal(a.distributions[label], b.distributions[label])
-        if a.joint is not None:
+        assert np.array_equal(a.entropy, b.entropy)
+        if a.distribution is not None:
+            assert np.array_equal(a.distribution, b.distribution)
+        if a.joint is not None:  # a pair run's marginals are the joint's sums
             assert np.array_equal(a.joint, b.joint)
 
     def test_zero_steps_snapshot(self):
         art = run(config_from_dict({"run_kind": "hadamard", "steps": 0}))
-        assert art.entropy.steps == [0]
-        dist = art.distributions["walk"]
+        assert len(art.entropy) == 1  # step 0 only
+        dist = art.distribution
         assert dist[art.positions == 0] == 1.0
 
     def test_ensemble_reports_std(self):
@@ -550,8 +550,8 @@ class TestRunDeterminism:
 
     def test_pair_marginals_sum_to_one(self):
         art = run(config_from_dict(minimal_pair_dict(steps=12)))
-        assert abs(art.distributions["a"].sum() - 1.0) < 1e-10
-        assert abs(art.distributions["b"].sum() - 1.0) < 1e-10
+        assert abs(art.joint.sum(axis=1).sum() - 1.0) < 1e-10  # marginal a, as write_artifacts writes it
+        assert abs(art.joint.sum(axis=0).sum() - 1.0) < 1e-10
         assert abs(art.joint.sum() - 1.0) < 1e-10
 
 
@@ -612,14 +612,14 @@ class TestPairRouteAgainstDenseOracle:
         cfg = config_from_dict(data)
         art = run(cfg)
         entropy, std, joint = dense_pair_run(cfg)
-        assert np.abs(np.array(art.entropy.entropy_bits) - entropy).max() < 1e-12
+        assert np.abs(art.entropy - entropy).max() < 1e-12
         if ensemble == 1:
             assert art.entropy_std is None and std is None
         else:
             assert np.abs(art.entropy_std - std).max() < 1e-12
         assert np.abs(art.joint - joint).max() < 1e-12
-        assert np.abs(art.distributions["a"] - joint.sum(axis=1)).max() < 1e-12
-        assert np.abs(art.distributions["b"] - joint.sum(axis=0)).max() < 1e-12
+        assert np.abs(art.joint.sum(axis=1) - joint.sum(axis=1)).max() < 1e-12
+        assert np.abs(art.joint.sum(axis=0) - joint.sum(axis=0)).max() < 1e-12
 
 
 class TestPairReplicates:
@@ -639,13 +639,14 @@ class TestPairReplicates:
                 for p in ("a", "b")
             ]
             rhos = []
-            for amps_a, amps_b in iter_product_walkers(cfg.initial_state, window, *fields, cfg.steps):
+            field = np.stack(fields, axis=-1)
+            for amps_a, amps_b in iter_product_walkers(cfg.initial_state, window, field, cfg.steps):
                 rhos.append(pair_coin_density_from_singles(amps_a, amps_b, coefficients))
             series.append(von_neumann_entropy(np.array(rhos)))
             joint = joint_distribution_interference(amps_a, amps_b, coefficients)
             joint_sum = joint if joint_sum is None else joint_sum + joint
         series = np.array(series)
-        assert art.entropy.entropy_bits == [float(v) for v in series.mean(axis=0)]
+        assert art.entropy.tobytes() == series.mean(axis=0).tobytes()
         assert art.entropy_std.tobytes() == series.std(axis=0).tobytes()
         assert art.joint.tobytes() == (joint_sum / cfg.ensemble_size).tobytes()
 
@@ -665,19 +666,19 @@ class TestPairReplicates:
         monkeypatch.setattr(experiments, "MAX_ARRAY_ELEMENTS", 3 * cell_table + 2)
         chunks = []
 
-        def walkers(init, window, field_a, field_b, n_steps):
-            chunks.append(field_a.shape[-1])
-            return iter_product_walkers(init, window, field_a, field_b, n_steps)
+        def walkers(init, window, field, n_steps):
+            chunks.append(field.shape[-2])  # the cell axis, before the particle axis
+            return iter_product_walkers(init, window, field, n_steps)
 
         monkeypatch.setattr(experiments, "iter_product_walkers", walkers)
         chunked = run(config_from_dict(data))
         assert chunks == [3, 3, 1]
         if kind == "pair":
-            assert chunked.entropy.entropy_bits == whole.entropy.entropy_bits
+            assert np.array_equal(chunked.entropy, whole.entropy)
             assert chunked.entropy_std.tobytes() == whole.entropy_std.tobytes()
             assert chunked.joint.tobytes() == whole.joint.tobytes()
         else:
-            assert chunked.heatmap.values.tobytes() == whole.heatmap.values.tobytes()
+            assert chunked.heatmap.tobytes() == whole.heatmap.tobytes()
 
 
 def dense_single_run(cfg):
@@ -732,7 +733,7 @@ class TestSingleWalkerEntropy:
         per_step = [von_neumann_entropy(reduce_to_coin(amps)) for amps in trajectory(start, stepper, 40)]
         # the mean over one replicate, as run() reports it, turns the step-0 entropy -0.0 into 0.0
         expected = np.mean([per_step], axis=0)
-        assert np.array(run(cfg).entropy.entropy_bits).tobytes() == expected.tobytes()
+        assert run(cfg).entropy.tobytes() == expected.tobytes()
 
 
 class TestSingleRouteAgainstDenseOracle:
@@ -756,12 +757,12 @@ class TestSingleRouteAgainstDenseOracle:
         cfg = config_from_dict({**data, **self.SETUPS[setup]})
         art = run(cfg)
         entropy, std, dist = dense_single_run(cfg)
-        assert np.abs(np.array(art.entropy.entropy_bits) - entropy).max() < 1e-12
+        assert np.abs(art.entropy - entropy).max() < 1e-12
         if ensemble == 1:
             assert art.entropy_std is None and std is None
         else:
             assert np.abs(art.entropy_std - std).max() < 1e-12
-        assert np.abs(art.distributions["walk"] - dist).max() < 1e-12
+        assert np.abs(art.distribution - dist).max() < 1e-12
         assert np.array_equal(art.positions, LatticeWindow(21).positions())
 
 
@@ -788,13 +789,13 @@ class TestEntropySweep:
                 {"name": "theta2a", "min": PI / 4, "max": PI / 4, "count": 2},
             ]
         )
-        grid = run(cfg).heatmap.values
+        grid = run(cfg).heatmap
         assert np.ptp(grid) == 0.0
 
     def test_grid_shape_and_axes(self):
         art = run(self.sweep_config())
-        assert art.heatmap.values.shape == (3, 4)
-        assert art.heatmap.axis_names == ("theta1a", "theta2a")
+        assert art.heatmap.shape == (3, 4)
+        assert tuple(ax.name for ax in art.config.sweep_grid) == ("theta1a", "theta2a")
 
     @pytest.mark.parametrize("scalar", ["final", "longmean"])
     @pytest.mark.parametrize("disorder", [{"kind": "none"}, {"kind": "strong", "target": "both"}])
@@ -805,7 +806,7 @@ class TestEntropySweep:
             {"name": "theta2a", "min": -PI, "max": PI, "count": 6},
         ]
         cfg = self.sweep_config(sweep_grid=axes, disorder=disorder, sweep_scalar=scalar)
-        grid = run(cfg).heatmap.values
+        grid = run(cfg).heatmap
         tail = 1 if scalar == "final" else cfg.steps // 4
         for i, t1 in enumerate(cfg.sweep_grid[0].values()):
             for j, t2 in enumerate(cfg.sweep_grid[1].values()):
@@ -814,17 +815,17 @@ class TestEntropySweep:
                     "angles": {"a": [t1, t2], "b": [-PI / 2, 3 * PI / 4]}, "disorder": disorder,
                     "master_seed": derive_seed(cfg.master_seed, i, j),
                 })
-                assert grid[i, j] == np.mean(run(lone).entropy.entropy_bits[-tail:])
+                assert grid[i, j] == np.mean(run(lone).entropy[-tail:])
 
     def test_longmean_scalar(self):
         art = run(self.sweep_config(sweep_scalar="longmean"))
-        assert art.heatmap.scalar == "longmean"
-        assert np.all(art.heatmap.values >= 0)
+        assert art.config.sweep_scalar == "longmean"
+        assert np.all(art.heatmap >= 0)
 
     def test_disordered_sweep_deterministic(self):
         cfg_data = dict(disorder={"kind": "strong", "target": "a"})
-        a = run(self.sweep_config(**cfg_data)).heatmap.values
-        b = run(self.sweep_config(**cfg_data)).heatmap.values
+        a = run(self.sweep_config(**cfg_data)).heatmap
+        b = run(self.sweep_config(**cfg_data)).heatmap
         assert np.array_equal(a, b)
 
     def test_run_dispatches_sweep(self):
@@ -841,7 +842,7 @@ class TestEntropySweep:
                 {"name": "theta2a_plus", "min": -PI, "max": PI, "count": 2},
             ],
         )
-        grid = run(cfg).heatmap.values
+        grid = run(cfg).heatmap
         assert np.ptp(grid[:, 0]) > 1e-3 and np.ptp(grid[:, 1]) > 1e-3
 
     def test_walker_b_without_entry_follows_walker_a_axes(self):
@@ -855,7 +856,7 @@ class TestEntropySweep:
                 {"name": "theta2a_plus", "min": 0.5, "max": 2.5, "count": 2},
             ],
         )
-        grid = run(cfg).heatmap.values
+        grid = run(cfg).heatmap
         for i, t1 in enumerate((-1.0, 1.0)):
             for j, t2 in enumerate((0.5, 2.5)):
                 swept = {"minus": [t1, PI / 4], "plus": [-PI / 2, t2]}
@@ -864,7 +865,7 @@ class TestEntropySweep:
                     "angles": {"a": swept, "b": swept}, "disorder": {"kind": "weak", "target": "both"},
                     "master_seed": derive_seed(cfg.master_seed, i, j),
                 })
-                assert grid[i, j] == run(pair).entropy.entropy_bits[-1]
+                assert grid[i, j] == run(pair).entropy[-1]
 
     def test_walker_b_axis_starts_from_walker_a_cell_entry(self):
         # walker a's axis goes in first whatever the axis order, and a walker-b
@@ -880,7 +881,7 @@ class TestEntropySweep:
             angles={"a": [-PI / 2, PI / 4], "b": [0.3, 3 * PI / 4]},
             sweep_grid=cfg.sweep_grid,
         )
-        assert np.array_equal(run(cfg).heatmap.values, run(explicit).heatmap.values)
+        assert np.array_equal(run(cfg).heatmap, run(explicit).heatmap)
 
 
 class TestPhaseDiagramRun:
@@ -1019,8 +1020,8 @@ class TestHeatmapPhaseIndependence:
         from topowalk import load_config
 
         config_dir = Path(__file__).resolve().parent.parent / "configs"
-        zb0 = run(load_config(config_dir / "fig5a_sweep_zb0.json")).heatmap.values
-        zb1 = run(load_config(config_dir / "fig5b_sweep_zb1.json")).heatmap.values
+        zb0 = run(load_config(config_dir / "fig5a_sweep_zb0.json")).heatmap
+        zb1 = run(load_config(config_dir / "fig5b_sweep_zb1.json")).heatmap
         assert abs(zb0.max() - zb1.max()) < 0.05
         assert np.abs(zb0 - zb1).max() < 0.5
 
@@ -1057,19 +1058,19 @@ class TestWriteArtifacts:
         ph = art.phase
         expected = [
             f"{t1:.16e},{t2:.16e},{ph.winding[a, b]},{ph.gap[a, b]:.16e}"
-            for a, t1 in enumerate(ph.theta1_values)
-            for b, t2 in enumerate(ph.theta2_values)
+            for a, t1 in enumerate(ph.thetas)
+            for b, t2 in enumerate(ph.thetas)
         ]
         lines = (tmp_path / "phase.csv").read_text().splitlines()
         assert lines == ["theta1,theta2,winding,gap", *expected]
-        assert ph.theta1_values.min() < 0 and ph.winding.min() == -1
+        assert ph.thetas.min() < 0 and ph.winding.min() == -1
         art = run(config_from_dict(minimal_dict("entropy_sweep")))
         write_artifacts(art, tmp_path)
-        hm = art.heatmap
+        ax1, ax2 = art.config.sweep_grid
         expected = [
-            f"{v1:.16e},{v2:.16e},{hm.values[a, b]:.16e}"
-            for a, v1 in enumerate(hm.axis1_values)
-            for b, v2 in enumerate(hm.axis2_values)
+            f"{v1:.16e},{v2:.16e},{art.heatmap[a, b]:.16e}"
+            for a, v1 in enumerate(ax1.values())
+            for b, v2 in enumerate(ax2.values())
         ]
         assert (tmp_path / "heatmap.csv").read_text().splitlines() == ["axis1,axis2,scalar", *expected]
 
@@ -1077,9 +1078,27 @@ class TestWriteArtifacts:
         cfg = config_from_dict(minimal_pair_dict(steps=5, master_seed=99))
         write_artifacts(run(cfg), tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["master_seed"] == 99
+        assert manifest["config"]["master_seed"] == 99
         rebuilt = config_from_dict(manifest["config"])
         assert config_to_dict(rebuilt) == config_to_dict(cfg)
+
+    @pytest.mark.parametrize(
+        "kind, files",
+        [
+            ("hadamard", ["entropy.csv", "distribution.csv"]),
+            ("single_split", ["entropy.csv", "distribution.csv"]),
+            ("pair", ["entropy.csv", "distribution_a.csv", "distribution_b.csv", "joint.csv"]),
+            ("entropy_sweep", ["heatmap.csv"]),
+            ("phase_diagram", ["phase.csv"]),
+        ],
+    )
+    def test_manifest_holds_each_config_value_once(self, tmp_path, kind, files):
+        # the seed and the sweep axes live under "config" only; files keep their write order
+        written = write_artifacts(run(config_from_dict(minimal_dict(kind))), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert list(manifest) == ["config", "package_version", "created_at", "files"]
+        assert manifest["files"] == files == [p.name for p in written[:-1]]
+        assert manifest["config"] == config_to_dict(config_from_dict(minimal_dict(kind)))
 
     def test_float_format_has_17_significant_digits(self, tmp_path):
         art = run(config_from_dict({"run_kind": "hadamard", "steps": 3}))
@@ -1137,7 +1156,7 @@ class TestWriteArtifacts:
         assert lines[0] == "axis1,axis2,scalar"
         assert len(lines) - 1 == 6
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["heatmap_axes"] == ["theta1a", "theta2a"]
+        assert [ax["name"] for ax in manifest["config"]["sweep_grid"]] == ["theta1a", "theta2a"]
 
 
 def table_cells(kind: str, values) -> list[str]:

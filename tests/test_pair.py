@@ -18,7 +18,6 @@ from topowalk import (
     position_distribution,
     sample_angle_field,
     von_neumann_entropy,
-    window_for_steps,
 )
 from topowalk.errors import NumericalError, WindowOverflowError
 from topowalk.experiments import ANGLES_WINDING_1, ANGLES_WINDING_0
@@ -118,7 +117,7 @@ class TestEvolvePair:
 
     def test_product_input_equals_tensor_of_singles(self):
         n = 12
-        win = window_for_steps(n)
+        win = LatticeWindow(n + 1)
         fa, fb = clean_fields(win, n)
         prod = tensor_pair(make_single_state(win, 0, (1, 0)), make_single_state(win, 0, (0, 1)))
         final, _ = evolve_pair(prod, fa, fb, n)
@@ -127,7 +126,7 @@ class TestEvolvePair:
 
     def test_norm_preserved(self):
         n = 20
-        win = window_for_steps(n)
+        win = LatticeWindow(n + 1)
         dis = DisorderSpec("uniform", STRONG_HALF_WIDTH, "both")
         fa = sample_angle_field(ANGLES_WINDING_1, dis, n, win, "a", 3)
         fb = sample_angle_field(ANGLES_WINDING_0, dis, n, win, "b", 3)
@@ -154,7 +153,7 @@ class TestJointDistributionDirect:
 
     def test_product_state_factorizes(self):
         n = 8
-        win = window_for_steps(n)
+        win = LatticeWindow(n + 1)
         fa, fb = clean_fields(win, n)
         a = run_single(win, (1, 0), fa, n)
         b = run_single(win, (0, 1), fb, n)
@@ -164,7 +163,7 @@ class TestJointDistributionDirect:
 
     def test_separable_factorizes_at_every_step(self):
         n = 10
-        win = window_for_steps(n)
+        win = LatticeWindow(n + 1)
         dis = DisorderSpec("uniform", WEAK_HALF_WIDTH, "both")
         fa = sample_angle_field(ANGLES_WINDING_1, dis, n, win, "a", 5)
         fb = sample_angle_field(ANGLES_WINDING_0, dis, n, win, "b", 5)
@@ -187,7 +186,7 @@ class TestJointDistributionInterference:
     @pytest.mark.parametrize("sign", [+1, -1])
     @pytest.mark.parametrize("n_steps", [1, 2, 5, 10, 20])
     def test_matches_direct_tensor_evolution(self, sign, n_steps):
-        win = window_for_steps(n_steps)
+        win = LatticeWindow(n_steps + 1)
         fa, fb = clean_fields(win, n_steps)
         kind = "psi+" if sign > 0 else "psi-"
         pair = make_pair_state(InitialPairState(kind), win)
@@ -203,7 +202,7 @@ class TestJointDistributionInterference:
 
     def test_normalized_for_any_fields(self):
         n = 7
-        win = window_for_steps(n)
+        win = LatticeWindow(n + 1)
         dis = DisorderSpec("uniform", STRONG_HALF_WIDTH, "both")
         fa = sample_angle_field((0.2, 1.3), dis, n, win, "a", 9)
         fb = sample_angle_field((-1.0, 0.4), dis, n, win, "b", 9)
@@ -219,7 +218,7 @@ class TestJointDistributionInterference:
     @settings(max_examples=15, deadline=None)
     def test_matches_direct_for_arbitrary_fields(self, seed, n_steps, sign):
         rng = np.random.default_rng(seed)
-        win = window_for_steps(n_steps)
+        win = LatticeWindow(n_steps + 1)
         shape = (win.size, n_steps)
         fa = np.stack([rng.uniform(-np.pi, np.pi, shape), rng.uniform(-np.pi, np.pi, shape)])
         fb = np.stack([rng.uniform(-np.pi, np.pi, shape), rng.uniform(-np.pi, np.pi, shape)])
@@ -236,7 +235,7 @@ class TestJointDistributionInterference:
     @pytest.mark.parametrize("kind", ["sep", "psi+", "psi-"])
     def test_coin_coefficients_match_direct(self, kind):
         n = 9
-        win = window_for_steps(n)
+        win = LatticeWindow(n + 1)
         dis = DisorderSpec("uniform", STRONG_HALF_WIDTH, "both")
         fa = sample_angle_field((0.4, -0.9), dis, n, win, "a", 13)
         fb = sample_angle_field((-1.7, 1.1), dis, n, win, "b", 13)
@@ -251,7 +250,7 @@ class TestJointDistributionInterference:
 
     def test_separable_terms_give_the_product_of_marginals(self):
         n = 6
-        win = window_for_steps(n)
+        win = LatticeWindow(n + 1)
         fa, fb = clean_fields(win, n)
         c0_a, c1_a = run_single(win, (1, 0), fa, n), run_single(win, (0, 1), fa, n)
         c0_b, c1_b = run_single(win, (1, 0), fb, n), run_single(win, (0, 1), fb, n)
@@ -278,7 +277,7 @@ class TestJointDistributionInterference:
 
     def test_inconsistent_inputs_fail_normalization(self):
         # walkers evolved for different durations are physically inconsistent
-        win = window_for_steps(6)
+        win = LatticeWindow(7)
         fa, fb = clean_fields(win, 6)
         walkers = walker_amps(run_single(win, (1, 0), fa, 6), run_single(win, (0, 1), fa, 4))
         with pytest.raises(NumericalError):
@@ -290,7 +289,7 @@ class TestCorrelations:
     def test_entangled_pairs_are_correlated(self, sign, kind):
         # the joint distribution must not factorize into its marginals
         n = 6
-        win = window_for_steps(n)
+        win = LatticeWindow(n + 1)
         fa, fb = clean_fields(win, n)
         pair = make_pair_state(InitialPairState(kind), win)
         final, _ = evolve_pair(pair, fa, fb, n)
@@ -301,7 +300,7 @@ class TestCorrelations:
     @pytest.mark.parametrize("kind", ["psi+", "psi-"])
     def test_exchange_symmetry_identical_fields(self, kind):
         n = 15
-        win = window_for_steps(n)
+        win = LatticeWindow(n + 1)
         field = sample_angle_field(ANGLES_WINDING_1, DisorderSpec(), n, win, "a", 0)
         pair = make_pair_state(InitialPairState(kind), win)
         final, _ = evolve_pair(pair, field, field, n)
@@ -331,7 +330,7 @@ class TestMarginals:
 
     def test_marginals_sum_to_one(self):
         n = 8
-        win = window_for_steps(n)
+        win = LatticeWindow(n + 1)
         fa, fb = clean_fields(win, n)
         pair = make_pair_state(InitialPairState("psi+"), win)
         final, _ = evolve_pair(pair, fa, fb, n)
@@ -343,7 +342,7 @@ class TestMarginals:
     def test_entangled_marginals_are_coin_mixtures(self, kind, sign):
         # each walker's marginal is the 50/50 mixture of its coin-0/coin-1 runs
         n = 12
-        win = window_for_steps(n)
+        win = LatticeWindow(n + 1)
         fa, fb = clean_fields(win, n)
         pair = make_pair_state(InitialPairState(kind), win)
         final, _ = evolve_pair(pair, fa, fb, n)
@@ -364,27 +363,27 @@ class TestPairEntropy:
     def test_unevolved_separable_zero(self):
         win = LatticeWindow(4)
         series = pair_entropy_series([make_pair_state(InitialPairState("sep"), win)])
-        assert series.steps == [0]
-        assert series.entropy_bits[0] < 1e-10
+        assert len(series) == 1  # step 0 only
+        assert series[0] < 1e-10
 
     def test_unevolved_psi_plus_zero(self):
         win = LatticeWindow(4)
         series = pair_entropy_series([make_pair_state(InitialPairState("psi+"), win)])
-        assert series.entropy_bits[0] < 1e-10
+        assert series[0] < 1e-10
 
     def test_series_within_bounds(self):
         n = 12
-        win = window_for_steps(n)
+        win = LatticeWindow(n + 1)
         fa, fb = clean_fields(win, n)
         pair = make_pair_state(InitialPairState("psi+"), win)
         series = pair_entropy_series(iter_pair_trajectory(pair, fa, fb, n))
-        assert series.steps == list(range(n + 1))
-        assert all(0.0 <= s <= 2.0 + 1e-12 for s in series.entropy_bits)
+        assert len(series) == n + 1  # steps 0..n
+        assert all(0.0 <= s <= 2.0 + 1e-12 for s in series)
 
     def test_clean_two_phase_regression(self):
         # reference run: final entropy, long-time mean, and late fluctuation envelope
         n = 100
-        win = window_for_steps(n)
+        win = LatticeWindow(n + 1)
         fa, fb = clean_fields(win, n)
         pair = make_pair_state(InitialPairState("psi+"), win)
         _, records = evolve_pair(
@@ -399,7 +398,7 @@ class TestPairEntropy:
     def test_joint_regression_two_phase_walk(self):
         # frozen features of the 100-step clean two-phase joint distribution
         n = 100
-        win = window_for_steps(n)
+        win = LatticeWindow(n + 1)
         fa, fb = clean_fields(win, n)
         pair = make_pair_state(InitialPairState("psi+"), win)
         final, _ = evolve_pair(pair, fa, fb, n)
@@ -423,12 +422,12 @@ class TestProductDecomposition:
     def test_walkers_equal_lone_split_steps(self):
         # the trailing-axis kernel call gives each walker the exact bits of its own split_step run
         n = 11
-        win = window_for_steps(n + 2)
+        win = LatticeWindow(n + 3)
         dis = DisorderSpec("uniform", STRONG_HALF_WIDTH, "both")
         fa = sample_angle_field((0.3, -1.1), dis, n, win, "a", 17)
         fb = sample_angle_field((-2.0, 0.7), dis, n, win, "b", 17)
         init = InitialPairState("psi+", (2, -1))
-        trajectory = list(iter_product_walkers(init, win, fa, fb, n))
+        trajectory = list(iter_product_walkers(init, win, np.stack([fa, fb], axis=-1), n))
         assert len(trajectory) == n + 1
         for particle, field, x0 in ((0, fa, 2), (1, fb, -1)):
             for c, coin in enumerate(((1, 0), (0, 1))):
@@ -450,32 +449,41 @@ class TestProductDecomposition:
 
         monkeypatch.setattr(pair_module, "split_stepper", drifting_stepper)
         win = LatticeWindow(4)
-        fa, fb = clean_fields(win, 2)
+        field = np.stack(clean_fields(win, 2), axis=-1)
         with pytest.raises(NumericalError):
-            list(iter_product_walkers(InitialPairState("psi+"), win, fa, fb, 2))
+            list(iter_product_walkers(InitialPairState("psi+"), win, field, 2))
 
     def test_steps_beyond_the_fields_raise(self):
         win = LatticeWindow(4)
-        fa, fb = clean_fields(win, 2)
+        field = np.stack(clean_fields(win, 2), axis=-1)
         with pytest.raises(ValueError, match="field covers steps 0..1"):
-            list(iter_product_walkers(InitialPairState("psi+"), win, fa, fb, 3))
+            list(iter_product_walkers(InitialPairState("psi+"), win, field, 3))
 
     def test_walker_reaching_the_edge_raises(self):
         win = LatticeWindow(3)
-        fa, fb = clean_fields(win, 6)
+        field = np.stack(clean_fields(win, 6), axis=-1)
         with pytest.raises(WindowOverflowError):
-            list(iter_product_walkers(InitialPairState("psi+"), win, fa, fb, 6))
+            list(iter_product_walkers(InitialPairState("psi+"), win, field, 6))
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_rejects_a_field_without_a_two_particle_axis(self, count):
+        # a length-1 particle axis would broadcast, stepping both particles under one field
+        win = LatticeWindow(4)
+        fa, fb = clean_fields(win, 2)
+        field = fa if count == 0 else np.stack([fa, fb, fa][:count], axis=-1)
+        with pytest.raises(ValueError, match="trailing particle axis of 2"):
+            iter_product_walkers(InitialPairState("psi+"), win, field, 2)
 
     def test_rejects_start_at_edge(self):
         win = LatticeWindow(3)
-        fa, fb = clean_fields(win, 1)
+        field = np.stack(clean_fields(win, 1), axis=-1)
         with pytest.raises(ValueError):
-            next(iter_product_walkers(InitialPairState("sep", (0, 3)), win, fa, fb, 1))
+            next(iter_product_walkers(InitialPairState("sep", (0, 3)), win, field, 1))
 
     @pytest.mark.parametrize("kind", ["psi+", "psi-", "sep"])
     def test_coin_density_matches_direct_reduction(self, kind):
         n = 15
-        win = window_for_steps(n)
+        win = LatticeWindow(n + 1)
         dis = DisorderSpec("uniform", STRONG_HALF_WIDTH, "both")
         fa = sample_angle_field((0.3, -1.1), dis, n, win, "a", 11)
         fb = sample_angle_field((-2.0, 0.7), dis, n, win, "b", 11)
@@ -492,7 +500,7 @@ class TestProductDecomposition:
     def test_coin_density_random_angles(self, seed):
         rng = np.random.default_rng(seed)
         n = 6
-        win = window_for_steps(n)
+        win = LatticeWindow(n + 1)
         fa = np.stack(
             [rng.uniform(-np.pi, np.pi, (win.size, n)), rng.uniform(-np.pi, np.pi, (win.size, n))]
         )

@@ -12,8 +12,8 @@ from topowalk import (
     position_distribution,
     reduce_to_coin,
     von_neumann_entropy,
-    window_for_steps,
 )
+from topowalk.experiments import RunConfig, _resolved_window
 from conftest import random_pair_state, random_single_state
 from oracles import distribution_sigma, reduce_pair_to_coin, tensor_pair
 
@@ -34,8 +34,9 @@ class TestLatticeWindow:
         with pytest.raises(ValueError):
             LatticeWindow(3).index(4)
 
-    def test_window_for_steps_leaves_margin(self):
-        assert window_for_steps(100).half_width == 101
+    def test_auto_window_leaves_margin(self):
+        # an origin walk's support grows one site per step, so the auto window is steps + 1
+        assert _resolved_window(RunConfig(steps=100)).half_width == 101
 
 
 class TestMakeSingleState:

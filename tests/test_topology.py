@@ -246,7 +246,7 @@ def diagram64():
 class TestPhaseDiagram:
     def test_contains_anchor_verdicts(self):
         pd = phase_diagram(16, 256)
-        t = pd.theta1_values
+        t = pd.thetas
         i1 = int(np.argmin(np.abs(t - ANCHOR_WINDING_1[0])))
         j1 = int(np.argmin(np.abs(t - ANCHOR_WINDING_1[1])))
         j0 = int(np.argmin(np.abs(t - ANCHOR_WINDING_0[1])))

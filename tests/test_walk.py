@@ -21,7 +21,6 @@ from topowalk import (
     split_stepper,
     trajectory,
     von_neumann_entropy,
-    window_for_steps,
 )
 from topowalk.experiments import ANGLES_WINDING_1, derive_seed
 from topowalk.walk import HADAMARD
@@ -139,7 +138,7 @@ class TestHadamardStep:
     def test_hundred_step_peak_matches_dense_oracle(self):
         # the 100-step walk from coin |0> is asymmetric with its ballistic peak
         # near |x| = 70; the peak location is pinned by the dense-matrix run
-        win = window_for_steps(100)
+        win = LatticeWindow(101)
         s = make_single_state(win, 0, (1, 0))
         for _ in range(100):
             s = hadamard_step(s)
@@ -249,7 +248,7 @@ class TestSplitStep:
 
     def test_fifty_steps_match_dense_oracle(self):
         n_steps = 50
-        win = window_for_steps(n_steps)
+        win = LatticeWindow(n_steps + 1)
         theta1, theta2 = ANGLES_WINDING_1
         field = constant_field(theta1, theta2, n_steps, win)
         s = make_single_state(win, 0, (1, 0))
@@ -422,7 +421,7 @@ class TestTrajectory:
         assert len(entropy) == 11
 
     def test_hadamard_entropy_asymptote(self):
-        s = make_single_state(window_for_steps(100), 0, (1, 0))
+        s = make_single_state(LatticeWindow(101), 0, (1, 0))
         entropy = [coin_entropy(a) for a in trajectory(s, hadamard_stepper, 100)]
         assert abs(entropy[100] - 0.87) < 0.02
 
@@ -454,7 +453,7 @@ class TestTrajectory:
     @pytest.mark.parametrize("kind", ["clean", "weak", "strong"])
     def test_disordered_entropy_regression(self, kind):
         # seeded reference series; also pins that disorder changes the dynamics
-        win = window_for_steps(100)
+        win = LatticeWindow(101)
         if kind == "clean":
             field = constant_field(*ANGLES_WINDING_1, 100, win)
         else:
