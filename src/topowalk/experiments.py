@@ -466,13 +466,15 @@ def _pair_entropies(config: RunConfig, cells, first_step: int = 0):
     chunk_size = max(1, min(32, MAX_ARRAY_ELEMENTS // max(_coin_table_size(config), 1)))
     cells = iter(cells)
     while chunk := list(islice(cells, chunk_size)):
-        fields = np.empty((2, window.size, config.steps, len(chunk), 2))  # each angle copied in once
+        # each angle is copied in once, each field to a contiguous block (strided writes ran ~10x slower)
+        fields = np.empty((len(chunk), 2, 2, window.size, config.steps))
         for c, (angles, seed) in enumerate(chunk):
             for p, particle in enumerate("ab"):
-                fields[..., c, p] = sample_angle_field(
+                fields[c, p] = sample_angle_field(
                     _particle_angles(angles, particle), config.disorder, config.steps, window, particle, seed
                 )
-        walkers = iter_product_walkers(config.initial_state, window, fields, config.steps)
+        field = fields.transpose(2, 3, 4, 0, 1)  # a (2, site, step, cell, particle) view
+        walkers = iter_product_walkers(config.initial_state, window, field, config.steps)
         rhos = []
         for amps_a, amps_b in islice(walkers, first_step, None):  # leaves amps_a/b at the last step
             rhos.append(pair_coin_density_from_singles(amps_a, amps_b, coefficients))
