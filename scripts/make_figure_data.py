@@ -4,11 +4,11 @@
 Each JSON in configs/ is a self-contained experiment; outputs land in
 <out>/<config-stem>/. The package is imported from the checkout's src/, so the
 script runs without installing it. Each line gives a config's time, split
-into run() and write_artifacts(). On a 2-vCPU host the whole set takes 2–4 s,
-with the load of the host, most of it the six fig5 sweeps (0.3–0.7 s each);
-each 100-step pair config takes 0.05–0.1 s, 0.02–0.05 s of it writing its
-data files (the 41,209-row joint.csv most of that), and the fig2 phase
-diagram (64×64 points, 1,024 k-points) 0.15–0.2 s.
+into run() and write_artifacts(). Three runs on a shared 2-vCPU host took
+2.8–3.0 s for the whole set, most of it the six fig5 sweeps (0.31–0.42 s
+each); each 100-step pair config took 0.07–0.08 s, 0.02–0.03 s of it writing
+its data files (the 41,209-row joint.csv most of that), and the fig2 phase
+diagram (64×64 points, 1,024 k-points) 0.13–0.14 s.
 """
 
 import argparse

@@ -555,6 +555,7 @@ def run(config: RunConfig) -> RunArtifacts:
 # is proven as N = 0, k = 0. "%" formats every cell it does not prove.
 _POW10_RANGE = (-310, 345)  # covers p = 16 - k for every normal double, k in [-308, 308]
 _FLOAT_WIDTH = 24  # "-d.dddddddddddddddde+ddd"
+_TABLE_BLOCK_ROWS = 2**14  # rows formatted per pass: a block's temporaries stay in cache
 
 
 @lru_cache(maxsize=1)
@@ -653,27 +654,31 @@ def _write_table(path: Path, header: str, kinds: str, *columns) -> None:
     """Write a CSV file: the header, then one line per row.
 
     kinds has one letter per column: "i" writes str(v) of an integer, "f" writes
-    "%.16e" % v of a float. Columns are equal-length array-likes. Each cell fills a
-    NUL-padded slot of one uint8 matrix, followed by its "," or "\n"; the file is the
-    matrix's bytes with every NUL deleted by bytes.translate, so lines end in "\n" on
-    every platform.
+    "%.16e" % v of a float. Columns are equal-length array-likes. Rows go to the file in
+    blocks: each cell of a block fills a NUL-padded slot of one uint8 matrix, followed by its
+    "," or "\n", and the block's bytes are written with every NUL deleted by bytes.translate,
+    so lines end in "\n" on every platform.
     """
     arrays = [np.ravel(np.asarray(c, dtype=float if k == "f" else np.int64)) for k, c in zip(kinds, columns)]
+    if len({a.size for a in arrays}) > 1:
+        raise ValueError(f"table columns differ in length: {[a.size for a in arrays]}")
     widths = [
         _FLOAT_WIDTH if k == "f" else 1 + len(str(max(-int(a.min(initial=0)), int(a.max(initial=0)))))
         for k, a in zip(kinds, arrays)
     ]
-    table = np.zeros((arrays[0].size, sum(widths) + len(widths)), dtype=np.uint8)
-    start = 0
-    for kind, values, width in zip(kinds, arrays, widths):
-        table[:, start] = np.signbit(values).view(np.uint8) * 45  # the sign, "-" or NUL; -0.0 keeps its "-"
-        (_float_cells if kind == "f" else _int_cells)(values, table[:, start : start + width])
-        table[:, start + width] = 44  # ","
-        start += width + 1
-    table[:, -1] = 10  # "\n" in place of the last ","
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        fh.write(table.tobytes().translate(None, b"\0"))
+        for first in range(0, arrays[0].size, _TABLE_BLOCK_ROWS):
+            block = [a[first : first + _TABLE_BLOCK_ROWS] for a in arrays]
+            table = np.zeros((block[0].size, sum(widths) + len(widths)), dtype=np.uint8)
+            start = 0
+            for kind, values, width in zip(kinds, block, widths):
+                table[:, start] = np.signbit(values).view(np.uint8) * 45  # the sign: "-" or NUL; -0.0 has "-"
+                (_float_cells if kind == "f" else _int_cells)(values, table[:, start : start + width])
+                table[:, start + width] = 44  # ","
+                start += width + 1
+            table[:, -1] = 10  # "\n" in place of the last ","
+            fh.write(table.tobytes().translate(None, b"\0"))
 
 
 def write_artifacts(artifacts: RunArtifacts, out_dir) -> list[Path]:

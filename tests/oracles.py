@@ -18,6 +18,7 @@ from topowalk import (
     InitialPairState,
     LatticeWindow,
     NumericalError,
+    make_single_state,
     split_stepper,
     von_neumann_entropy,
 )
@@ -157,6 +158,24 @@ def reference_momentum_unitary(theta1: float, theta2: float, k) -> np.ndarray:
     m = np.einsum("ab,...bc->...ac", r2, m)
     m[..., 1, :] = phase.conj()[..., None] * m[..., 1, :]
     return m
+
+
+def momentum_walk(
+    theta1: float, theta2: float, window: LatticeWindow, x0: int, coin, steps: int
+) -> np.ndarray:
+    """(size, 2) walker after steps clean split steps from coin at x0, stepped in momentum space.
+
+    The start is transformed as psi(k) = sum_x e^{ikx} psi(x) at the window's k = 2 pi m / N,
+    stepped as psi(k) <- U(k)^steps psi(k) with U from reference_momentum_unitary, and
+    transformed back. The transform wraps periodically, so it is the window's walk while the
+    walker stays off the window's edges, as it does for |x0| + steps < window.half_width.
+    """
+    x = window.positions()
+    k = 2.0 * np.pi * np.arange(x.size) / x.size
+    fourier = np.exp(1j * np.outer(k, x))  # (k, x)
+    psi = fourier @ make_single_state(window, x0, coin)
+    u = np.linalg.matrix_power(reference_momentum_unitary(theta1, theta2, k), steps)
+    return fourier.conj().T @ np.einsum("kab,kb->ka", u, psi) / x.size
 
 
 def reference_winding_number(theta1: float, theta2: float, k_points: int = 1024):

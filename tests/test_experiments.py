@@ -47,6 +47,7 @@ from topowalk.experiments import (
     ANGLES_WINDING_1,
     MAX_ARRAY_ELEMENTS,
     RUN_KINDS,
+    _TABLE_BLOCK_ROWS,
     _decimal_digits,
     _digit_words,
     _particle_angles,
@@ -1271,6 +1272,34 @@ class TestTableCells:
             b"12,1.0715086071862673e+301,0\n"
         )
 
+    def test_an_empty_table_is_its_header(self, tmp_path):
+        _write_table(tmp_path / "t.csv", "a,b", "if", [], [])
+        assert (tmp_path / "t.csv").read_bytes() == b"a,b\n"
+
+    @pytest.mark.parametrize("short", [[0.5], [0.5, 0.25]])
+    def test_columns_of_unequal_length_are_refused(self, short, tmp_path):
+        # refused before the file opens: a length-1 column would broadcast, a short one fail mid-file
+        with pytest.raises(ValueError, match=rf"\[3, {len(short)}\]"):
+            _write_table(tmp_path / "t.csv", "a,b", "if", [1, 2, 3], short)
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize(
+        "rows", [_TABLE_BLOCK_ROWS - 1, _TABLE_BLOCK_ROWS, _TABLE_BLOCK_ROWS + 1, 2 * _TABLE_BLOCK_ROWS + 1]
+    )
+    def test_rows_across_block_boundaries(self, rows, tmp_path):
+        rng = np.random.default_rng(rows)
+        small = rng.integers(-99, 100, rows)
+        wide = rng.integers(0, 10, rows)
+        wide[-1] = -(10**12)  # the widest int, only in the last block, sets the column's width
+        floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
+        special = [float("nan"), float("inf"), float("-inf"), 5e-324, -1e-310, -0.0, 0.0]  # "%" and sign cells
+        edges = [*range(0, rows, _TABLE_BLOCK_ROWS), rows]  # each block's first row, and the table's end
+        near = sorted({r for e in edges for r in range(e - len(special), e + len(special)) if 0 <= r < rows})
+        floats[near] = np.resize(special, len(near))  # every special on each side of each edge
+        _write_table(tmp_path / "t.csv", "i,j,p", "iif", small, wide, floats)
+        lines = [f"{i},{j},{'%.16e' % v}\n" for i, j, v in zip(small.tolist(), wide.tolist(), floats.tolist())]
+        assert (tmp_path / "t.csv").read_bytes() == ("i,j,p\n" + "".join(lines)).encode()
+
 
 class TestWriterCost:
     @pytest.fixture(scope="class")
@@ -1303,4 +1332,19 @@ class TestWriterCost:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 9 * 2**20
+        assert peak <= 4.5 * 2**20
+
+    def test_table_memory_is_flat_in_rows(self, tmp_path):
+        # a block's temporaries are freed before the next block is formatted
+        def peak(blocks: int) -> int:
+            rows = blocks * _TABLE_BLOCK_ROWS
+            columns = [np.arange(rows) // 203, np.arange(rows) % 203, np.random.default_rng(1).random(rows)]
+            _write_table(tmp_path / "t.csv", "i,j,p", "iif", *columns)  # warm
+            tracemalloc.start()
+            try:
+                _write_table(tmp_path / "t.csv", "i,j,p", "iif", *columns)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4) <= 1.5 * peak(1)

@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,15 +7,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from topowalk import NumericalError, phase_diagram, topology, winding_number
+from topowalk import (
+    DisorderSpec,
+    LatticeWindow,
+    NumericalError,
+    coin_coefficients,
+    load_config,
+    make_single_state,
+    pair_coin_density_from_singles,
+    phase_diagram,
+    run,
+    sample_angle_field,
+    split_stepper,
+    topology,
+    trajectory,
+    von_neumann_entropy,
+    winding_number,
+)
 from topowalk.topology import GAP_THRESHOLD
 from oracles import (
     PLANARITY_TOL,
     axis_from_eigendecomposition,
+    momentum_walk,
     reference_momentum_unitary,
     reference_phase_grids,
     reference_winding_number,
+    walker_amps,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 ANCHOR_WINDING_1 = (-np.pi / 2, np.pi / 4)
 ANCHOR_WINDING_0 = (-np.pi / 2, 3 * np.pi / 4)
@@ -79,6 +100,41 @@ class TestMomentumUnitary:
         for t1, t2 in rng.uniform(-2 * np.pi, 2 * np.pi, (200, 2)):
             reference = np.diagonal(reference_momentum_unitary(t1, t2, k), axis1=-2, axis2=-1)
             assert np.array_equal(diagonal(t1, t2, k), reference)
+
+
+class TestMomentumWalk:
+    """U(k), the operator behind the phase diagram, is the Fourier transform of the walk split_stepper steps."""
+
+    @given(
+        wide_angle_st,
+        wide_angle_st,
+        st.floats(0, np.pi / 2),
+        st.floats(-np.pi, np.pi),
+        st.integers(-5, 5),
+        st.integers(0, 40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_stepped_walk(self, t1, t2, mix, relative_phase, x0, steps):
+        coin = (np.cos(mix), np.exp(1j * relative_phase) * np.sin(mix))
+        window = LatticeWindow(steps + 1 + abs(x0))  # the auto window: the walker never reaches an edge
+        field = sample_angle_field((t1, t2), DisorderSpec(), steps, window, "a", 0)
+        *_, amps = trajectory(make_single_state(window, x0, coin), split_stepper(field), steps)
+        assert_allclose(momentum_walk(t1, t2, window, x0, coin, steps), amps, rtol=0, atol=1e-12)
+
+    def test_clean_pair_entropies_equal_run(self):
+        # the pair route's entropies at every step, from lone walkers stepped in momentum space
+        config = load_config(CONFIG_DIR / "fig3a_4a_tptpw_clean.json")
+        artifacts = run(config)
+        window = LatticeWindow(int(artifacts.positions.max()))
+        coefficients = coin_coefficients(config.initial_state)
+        entropies = []
+        for steps in range(config.steps + 1):
+            walkers = [
+                walker_amps(*(momentum_walk(*config.angles[p], window, x, c, steps) for c in ((1, 0), (0, 1))))
+                for p, x in zip("ab", config.initial_state.positions)
+            ]
+            entropies.append(von_neumann_entropy(pair_coin_density_from_singles(*walkers, coefficients)))
+        assert_allclose(entropies, artifacts.entropy, rtol=0, atol=1e-9)
 
 
 class TestWindingNumber:
