@@ -12,7 +12,6 @@ from .states import (
     LatticeWindow,
     make_single_state,
     position_distribution,
-    reduce_to_coin,
     von_neumann_entropy,
 )
 from .walk import (

@@ -147,7 +147,7 @@ def _config_data(args: argparse.Namespace) -> dict:
             theta_updates.setdefault(name[-1], {})[name[:-1]] = flags[name]
     if flags.get("boundary") is not None or theta_updates:
         # a flag overrides only the angle it names; the others keep the file's or RunConfig's values
-        angles = _file_mapping(data, "angles", RunConfig().angles)
+        angles = _file_mapping(data, "angles", dict(RunConfig().angles))
         if flags.get("boundary") is not None:
             angles["a"] = _parse_boundary_flag(args.boundary)
             angles.pop("b", None)  # boundary flag applies to every walker

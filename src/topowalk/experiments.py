@@ -11,9 +11,10 @@ import datetime
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .states import (
     LatticeWindow,
     position_distribution,
     make_single_state,
-    reduce_to_coin,
     von_neumann_entropy,
 )
 from .topology import PhaseDiagram, phase_diagram
@@ -99,14 +99,14 @@ class SweepAxis:
         return np.linspace(self.lo, self.hi, self.count)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     run_kind: str = "hadamard"
     steps: int = 100
     window: int | None = None  # None means auto: steps + 1 + the largest |x| a walker starts at
     # Per-particle coin angles: (theta1, theta2) tuples, or BoundarySpec for
     # position-dependent two-phase walks. Walker b without an entry takes a's.
-    angles: dict = field(
+    angles: MappingProxyType = field(
         default_factory=lambda: {"a": ANGLES_WINDING_1, "b": ANGLES_WINDING_0}
     )
     initial_state: InitialPairState = field(default_factory=InitialPairState)
@@ -114,11 +114,21 @@ class RunConfig:
     disorder: DisorderSpec = field(default_factory=DisorderSpec)
     ensemble_size: int = 1
     master_seed: int = 0
-    sweep_grid: list = field(default_factory=list)  # [SweepAxis, SweepAxis]
+    sweep_grid: tuple = ()  # (SweepAxis, SweepAxis)
     sweep_scalar: str = "final"
-    outputs: list | None = None
+    outputs: tuple | None = None
     k_points: int = 1024
     grid_n: int = 64
+
+    def __post_init__(self):
+        # read-only containers too, so that written files always match the config that ran
+        object.__setattr__(self, "angles", MappingProxyType(dict(self.angles)))
+        object.__setattr__(self, "sweep_grid", tuple(self.sweep_grid))
+        if self.outputs is not None:
+            object.__setattr__(self, "outputs", tuple(self.outputs))
+
+    def __reduce__(self):  # a mappingproxy does not pickle, so pickle and deepcopy rebuild from a dict
+        return partial(RunConfig, **{**vars(self), "angles": dict(self.angles)}), ()
 
 
 @dataclass
@@ -247,7 +257,7 @@ _FIELDS = {
         lambda axes: [{"name": ax.name, "min": ax.lo, "max": ax.hi, "count": ax.count} for ax in axes],
     ),
     "sweep_scalar": (lambda v, f: str(v), str),
-    "outputs": (lambda v, f: None if v is None else [str(x) for x in v], lambda outputs: outputs),
+    "outputs": (lambda v, f: v if v is None else [str(x) for x in v], lambda o: o if o is None else list(o)),
     "k_points": (as_integer, int),
     "grid_n": (as_integer, int),
 }
@@ -419,85 +429,63 @@ def _resolved_window(config: RunConfig) -> LatticeWindow:
     return LatticeWindow(config.steps + 1 + max(abs(x) for x in config.initial_state.positions))
 
 
-def _aggregate_entropy(series_list: list) -> tuple[np.ndarray, np.ndarray | None]:
-    stacked = np.array(series_list, dtype=float)
-    mean = stacked.mean(axis=0)
-    std = stacked.std(axis=0) if stacked.shape[0] > 1 else None
-    return mean, std
+def _walk_chunks(config: RunConfig, cells, first_step: int = 0):
+    """Step cells (angles, seed) in chunks; yield each chunk's coin entropies and final observables.
 
-
-def _run_single(config: RunConfig) -> RunArtifacts:
-    window = _resolved_window(config)
-    entropy_runs = []
-    dist_sum = None
-    for r in range(config.ensemble_size):
-        if config.run_kind == "hadamard":
-            stepper = lambda amps, step: hadamard_step(amps)
-        else:
-            entry, seed = _particle_angles(config.angles, "a"), derive_seed(config.master_seed, r)
-            fld = sample_angle_field(entry, config.disorder, config.steps, window, "a", seed)
-            stepper = split_stepper(fld)
-        rhos = []
-        for amps in trajectory(make_single_state(window, 0, config.coin_amps), stepper, config.steps):
-            rhos.append(reduce_to_coin(amps))
-        entropy_runs.append(von_neumann_entropy(np.array(rhos)))
-        dist = position_distribution(amps)  # the loop leaves amps at the last step
-        dist_sum = dist if dist_sum is None else dist_sum + dist
-    entropy, std = _aggregate_entropy(entropy_runs)
-    return RunArtifacts(
-        config=config,
-        positions=window.positions(),
-        entropy=entropy,
-        entropy_std=std,
-        distribution=dist_sum / config.ensemble_size,
-    )
-
-
-def _pair_entropies(config: RunConfig, cells, first_step: int = 0):
-    """Step cells (angles, seed) in chunks; yield each chunk's pair coin entropies and final walkers.
-
-    A cell is the pair run under its angles, with fields drawn from its seed. A chunk's cells step
+    A cell is the run under its angles, with fields drawn from its seed. A chunk's cells step
     together on a trailing cell axis; it yields a (cell, step) entropy array from first_step on and
-    each particle's (site, coin, start coin, cell) walkers after the last step. A chunk holds at
-    most 32 cells (more ran slower), fewer if their coin tables would exceed MAX_ARRAY_ELEMENTS.
+    a function of a cell index, to call before the next chunk, giving that cell's observable after
+    the last step: a single walker's P(x), or a pair's joint distribution. A chunk holds at most 32
+    cells (more ran slower), fewer if their coin tables would exceed MAX_ARRAY_ELEMENTS. A Hadamard
+    walk has no angles to sample.
     """
     window = _resolved_window(config)
+    particles = {"hadamard": "", "single_split": "a"}.get(config.run_kind, "ab")
     coefficients = coin_coefficients(config.initial_state)
     chunk_size = max(1, min(32, MAX_ARRAY_ELEMENTS // max(_coin_table_size(config), 1)))
     cells = iter(cells)
     while chunk := list(islice(cells, chunk_size)):
         # each angle is copied in once, each field to a contiguous block (strided writes ran ~10x slower)
-        fields = np.empty((len(chunk), 2, 2, window.size, config.steps))
+        fields = np.empty((len(chunk), len(particles), 2, window.size, config.steps))
         for c, (angles, seed) in enumerate(chunk):
-            for p, particle in enumerate("ab"):
+            for p, particle in enumerate(particles):
                 fields[c, p] = sample_angle_field(
                     _particle_angles(angles, particle), config.disorder, config.steps, window, particle, seed
                 )
         field = fields.transpose(2, 3, 4, 0, 1)  # a (2, site, step, cell, particle) view
-        walkers = iter_product_walkers(config.initial_state, window, field, config.steps)
         rhos = []
-        for amps_a, amps_b in islice(walkers, first_step, None):  # leaves amps_a/b at the last step
-            rhos.append(pair_coin_density_from_singles(amps_a, amps_b, coefficients))
-        yield von_neumann_entropy(np.array(rhos)).T.copy(), amps_a, amps_b  # a contiguous row per cell
+        if len(particles) == 2:
+            walkers = iter_product_walkers(config.initial_state, window, field, config.steps)
+            for amps_a, amps_b in islice(walkers, first_step, None):  # leaves amps_a/b at the last step
+                rhos.append(pair_coin_density_from_singles(amps_a, amps_b, coefficients))
+            final = lambda c: joint_distribution_interference(amps_a[..., c], amps_b[..., c], coefficients)
+        else:
+            stepper = split_stepper(field[..., 0]) if particles else lambda amps, step: hadamard_step(amps)
+            start = make_single_state(window, 0, config.coin_amps)[..., None]
+            walkers = trajectory(np.broadcast_to(start, (*start.shape[:2], len(chunk))), stepper, config.steps)
+            for amps in islice(walkers, first_step, None):  # leaves amps at the last step
+                rows = amps.transpose(2, 1, 0)  # (cell, coin, site)
+                rhos.append(np.matmul(rows, rows.conj().transpose(0, 2, 1)))
+            final = lambda c: position_distribution(amps[..., c])
+        yield von_neumann_entropy(np.array(rhos)).T.copy(), final  # a contiguous row per cell
 
 
-def _run_pair(config: RunConfig) -> RunArtifacts:
-    coefficients = coin_coefficients(config.initial_state)
+def _run_replicates(config: RunConfig) -> RunArtifacts:
+    """Mean coin entropy over replicates, with its spread, and the mean final observable."""
     cells = ((config.angles, derive_seed(config.master_seed, r)) for r in range(config.ensemble_size))
-    entropy_runs = []
-    joint_sum = None
-    for entropies, amps_a, amps_b in _pair_entropies(config, cells):
-        entropy_runs.extend(entropies)
-        for c in range(len(entropies)):
-            joint = joint_distribution_interference(amps_a[..., c], amps_b[..., c], coefficients)
-            joint_sum = joint if joint_sum is None else joint_sum + joint
-    entropy, std = _aggregate_entropy(entropy_runs)
+    series, total = [], None
+    for entropies, final in _walk_chunks(config, cells):
+        series.append(entropies)
+        for c in range(len(entropies)):  # summed one replicate at a time, in replicate order
+            total = final(c) if total is None else total + final(c)
+    series = np.concatenate(series)
+    observable = "joint" if total.ndim == 2 else "distribution"
     return RunArtifacts(
         config=config,
         positions=_resolved_window(config).positions(),
-        entropy=entropy,
-        entropy_std=std,
-        joint=joint_sum / config.ensemble_size,
+        entropy=series.mean(axis=0),
+        entropy_std=series.std(axis=0) if len(series) > 1 else None,
+        **{observable: total / config.ensemble_size},
     )
 
 
@@ -525,7 +513,7 @@ def _run_sweep(config: RunConfig) -> RunArtifacts:
     cells = (cell(i, j) for i, j in np.ndindex(shape))
     scalars = (
         np.mean(series)  # each cell's own 1-D series, so the sum runs as for a lone cell
-        for entropies, _, _ in _pair_entropies(config, cells, config.steps + 1 - tail)
+        for entropies, _ in _walk_chunks(config, cells, config.steps + 1 - tail)
         for series in entropies
     )
     grid = np.fromiter(scalars, dtype=float, count=math.prod(shape)).reshape(shape)
@@ -535,14 +523,11 @@ def _run_sweep(config: RunConfig) -> RunArtifacts:
 def run(config: RunConfig) -> RunArtifacts:
     """Execute any run kind; artifacts are deterministic in (config, master_seed)."""
     config = validate_config(config)
-    if config.run_kind in ("hadamard", "single_split"):
-        return _run_single(config)
-    if config.run_kind == "pair":
-        return _run_pair(config)
     if config.run_kind == "entropy_sweep":
         return _run_sweep(config)
-    diagram = phase_diagram(config.grid_n, config.k_points)
-    return RunArtifacts(config=config, phase=diagram)
+    if config.run_kind == "phase_diagram":
+        return RunArtifacts(config=config, phase=phase_diagram(config.grid_n, config.k_points))
+    return _run_replicates(config)
 
 
 # -- artifact files ----------------------------------------------------------------

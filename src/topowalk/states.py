@@ -61,11 +61,6 @@ def position_distribution(amps: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(amps) ** 2, axis=1)
 
 
-def reduce_to_coin(amps: np.ndarray) -> np.ndarray:
-    """2x2 coin density matrix of a (size, 2) walker after tracing out the position."""
-    return amps.T @ amps.conj()
-
-
 def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
     """Entropy -sum(lam * log2(lam)) of a Hermitian unit-trace matrix, in bits.
 

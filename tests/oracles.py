@@ -56,6 +56,11 @@ def split_step(amps: np.ndarray, field: np.ndarray, step: int) -> np.ndarray:
     return split_stepper(field[:, :, step : step + 1])(amps, 0)
 
 
+def reduce_to_coin(amps: np.ndarray) -> np.ndarray:
+    """2x2 coin density matrix of a (size, 2) walker after tracing out the position."""
+    return amps.T @ amps.conj()
+
+
 def distribution_sigma(positions: np.ndarray, probs: np.ndarray) -> float:
     """Standard deviation of a position distribution."""
     mean = float(np.dot(probs, positions))

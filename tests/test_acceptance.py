@@ -25,7 +25,6 @@ from topowalk import (
     load_config,
     make_single_state,
     position_distribution,
-    reduce_to_coin,
     run,
     sample_angle_field,
     trajectory,
@@ -42,6 +41,7 @@ from oracles import (
     make_pair_state,
     marginals,
     reduce_pair_to_coin,
+    reduce_to_coin,
     rotation_coin,
     split_step,
     walker_amps,

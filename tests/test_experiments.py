@@ -2,11 +2,12 @@ import copy
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from topowalk import (
     load_config,
     make_single_state,
     pair_coin_density_from_singles,
-    reduce_to_coin,
+    position_distribution,
     run,
     sample_angle_field,
     split_stepper,
@@ -61,6 +62,7 @@ from oracles import (
     joint_distribution_direct,
     make_pair_state,
     reduce_pair_to_coin,
+    reduce_to_coin,
 )
 
 PI = np.pi
@@ -653,19 +655,21 @@ class TestPairReplicates:
         assert art.entropy_std.tobytes() == series.std(axis=0).tobytes()
         assert art.joint.tobytes() == (joint_sum / cfg.ensemble_size).tobytes()
 
-    @pytest.mark.parametrize("kind", ["pair", "entropy_sweep"])
+    @pytest.mark.parametrize("kind", ["single_split", "pair", "entropy_sweep"])
     def test_chunks_keep_the_coin_table_within_the_limit(self, kind, monkeypatch):
         # room for three cells' coin tables: 7 cells step as 3 + 3 + 1, with the same bits as one chunk
-        data = minimal_dict(kind, steps=10, disorder={"kind": "weak", "target": "both"})
-        if kind == "pair":
-            data["ensemble_size"] = 7
-        else:
+        target = "a" if kind == "single_split" else "both"
+        data = minimal_dict(kind, steps=10, disorder={"kind": "weak", "target": target})
+        if kind == "entropy_sweep":
             data["sweep_grid"] = [
                 {"name": "theta1a", "min": -1, "max": 1, "count": 7},
                 {"name": "theta2a", "min": 0, "max": 2, "count": 1},
             ]
+        else:
+            data["ensemble_size"] = 7
         whole = run(config_from_dict(data))
-        cell_table = 3 * 2 * 2 * LatticeWindow(11).size * 10
+        walkers_per_cell = 1 if kind == "single_split" else 2
+        cell_table = 3 * 2 * walkers_per_cell * LatticeWindow(11).size * 10
         monkeypatch.setattr(experiments, "MAX_ARRAY_ELEMENTS", 3 * cell_table + 2)
         chunks = []
 
@@ -673,15 +677,51 @@ class TestPairReplicates:
             chunks.append(field.shape[-2])  # the cell axis, before the particle axis
             return iter_product_walkers(init, window, field, n_steps)
 
+        def stepper(field):
+            chunks.append(field.shape[-1])  # a single walker's field ends in the cell axis
+            return split_stepper(field)
+
         monkeypatch.setattr(experiments, "iter_product_walkers", walkers)
+        monkeypatch.setattr(experiments, "split_stepper", stepper)
         chunked = run(config_from_dict(data))
         assert chunks == [3, 3, 1]
-        if kind == "pair":
+        if kind == "entropy_sweep":
+            assert chunked.heatmap.tobytes() == whole.heatmap.tobytes()
+        else:
             assert np.array_equal(chunked.entropy, whole.entropy)
             assert chunked.entropy_std.tobytes() == whole.entropy_std.tobytes()
-            assert chunked.joint.tobytes() == whole.joint.tobytes()
-        else:
-            assert chunked.heatmap.tobytes() == whole.heatmap.tobytes()
+            observable = "distribution" if kind == "single_split" else "joint"
+            assert getattr(chunked, observable).tobytes() == getattr(whole, observable).tobytes()
+
+
+class TestSingleReplicates:
+    @pytest.mark.parametrize(
+        "ensemble, extra",
+        [
+            (33, {"disorder": {"kind": "strong"}, "coin_amps": [0.6, [0, 0.8]]}),
+            (65, {"disorder": {"kind": "weak"}, "angles": {"a": {"minus": [0.3, 1.2], "plus": [-PI / 2, 0.8]}}}),
+        ],
+    )
+    def test_replicates_equal_the_lone_replicate_loop(self, ensemble, extra):
+        # 33 and 65 replicates step in chunks of 32; each must keep the bits of a walker stepped alone
+        cfg = config_from_dict(minimal_dict("single_split", steps=12, ensemble_size=ensemble, **extra))
+        art = run(cfg)
+        window = LatticeWindow(cfg.steps + 1)
+        series, dist_sum = [], None
+        for r in range(cfg.ensemble_size):
+            field = sample_angle_field(
+                cfg.angles["a"], cfg.disorder, cfg.steps, window, "a", derive_seed(cfg.master_seed, r)
+            )
+            rhos = []
+            for amps in trajectory(make_single_state(window, 0, cfg.coin_amps), split_stepper(field), cfg.steps):
+                rhos.append(reduce_to_coin(amps))
+            series.append(von_neumann_entropy(np.array(rhos)))
+            dist = position_distribution(amps)
+            dist_sum = dist if dist_sum is None else dist_sum + dist
+        series = np.array(series)
+        assert art.entropy.tobytes() == series.mean(axis=0).tobytes()
+        assert art.entropy_std.tobytes() == series.std(axis=0).tobytes()
+        assert art.distribution.tobytes() == (dist_sum / cfg.ensemble_size).tobytes()
 
 
 def dense_single_run(cfg):
@@ -725,7 +765,7 @@ def dense_single_run(cfg):
 class TestSingleWalkerEntropy:
     @pytest.mark.parametrize("kind", ["hadamard", "single_split"])
     def test_stacked_entropy_equals_one_call_per_step(self, kind):
-        # run() takes one stacked entropy call per replicate; each value keeps its bits
+        # run() takes one stacked entropy call per chunk of replicates; each value keeps its bits
         cfg = config_from_dict(minimal_dict(kind, steps=40))
         window = LatticeWindow(41)
         if kind == "hadamard":
@@ -1084,6 +1124,38 @@ class TestWriteArtifacts:
         assert manifest["config"]["master_seed"] == 99
         rebuilt = config_from_dict(manifest["config"])
         assert config_to_dict(rebuilt) == config_to_dict(cfg)
+
+    def test_config_cannot_change_between_run_and_write(self, tmp_path):
+        # the data files and the manifest both describe the config that ran
+        cfg = config_from_dict(minimal_dict("entropy_sweep", steps=2, outputs=["heatmap"]))
+        art = run(cfg)
+        with pytest.raises(FrozenInstanceError):
+            cfg.steps = 7
+        with pytest.raises(TypeError):
+            cfg.sweep_grid[0] = SweepAxis("theta1a", 5.0, 6.0, 2)
+        with pytest.raises(TypeError):
+            cfg.angles["a"] = (0.1, 0.2)
+        write_artifacts(art, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        axes = [{"name": name, "min": 0.0, "max": 1.0, "count": 2} for name in ("theta1a", "theta2a")]
+        echo = {
+            "run_kind": "entropy_sweep", "steps": 2, "window": "auto",
+            "angles": {"a": [-PI / 2, PI / 4], "b": [-PI / 2, 3 * PI / 4]},
+            "initial_state": {"kind": "psi_plus", "positions": [0, 0]},
+            "disorder": {"kind": "none", "half_width": 0.0, "target": "a"},
+            "master_seed": 7, "sweep_grid": axes, "sweep_scalar": "final", "outputs": ["heatmap"],
+        }
+        assert json.dumps(manifest["config"]) == json.dumps(echo)
+        axis1 = [line.split(",")[0] for line in (tmp_path / "heatmap.csv").read_text().splitlines()[1:]]
+        assert axis1 == ["0.0000000000000000e+00"] * 2 + ["1.0000000000000000e+00"] * 2
+
+    def test_frozen_config_pickles_and_copies(self):
+        # worker processes receive configs by pickle; the read-only angles must survive it
+        cfg = config_from_dict(minimal_dict("entropy_sweep", outputs=["heatmap"]))
+        for again in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg)):
+            assert again == cfg and config_to_dict(again) == config_to_dict(cfg)
+            with pytest.raises(TypeError):
+                again.angles["a"] = (0.1, 0.2)
 
     @pytest.mark.parametrize(
         "kind, files",

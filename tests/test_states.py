@@ -10,12 +10,11 @@ from topowalk import (
     hadamard_step,
     make_single_state,
     position_distribution,
-    reduce_to_coin,
     von_neumann_entropy,
 )
 from topowalk.experiments import RunConfig, _resolved_window
 from conftest import random_pair_state, random_single_state
-from oracles import distribution_sigma, reduce_pair_to_coin, tensor_pair
+from oracles import distribution_sigma, reduce_pair_to_coin, reduce_to_coin, tensor_pair
 
 
 class TestLatticeWindow:

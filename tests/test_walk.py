@@ -16,7 +16,6 @@ from topowalk import (
     make_single_state,
     position_distribution,
     randomize_field,
-    reduce_to_coin,
     sample_angle_field,
     split_stepper,
     trajectory,
@@ -29,6 +28,7 @@ from oracles import (
     dense_hadamard_unitary,
     dense_split_unitary,
     hadamard_reachable,
+    reduce_to_coin,
     rotation_coin,
     split_reachable,
     split_step,
