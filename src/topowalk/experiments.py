@@ -99,6 +99,14 @@ class SweepAxis:
         return np.linspace(self.lo, self.hi, self.count)
 
 
+# RunConfig's container fields -> (what each must be, its read-only form)
+_CONTAINERS = (
+    ("angles", "a mapping", lambda v: MappingProxyType(dict(v))),
+    ("sweep_grid", "a sequence of axes", tuple),
+    ("outputs", "a sequence of file kinds or None", lambda v: v if v is None else tuple(v)),
+)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     run_kind: str = "hadamard"
@@ -122,10 +130,12 @@ class RunConfig:
 
     def __post_init__(self):
         # read-only containers too, so that written files always match the config that ran
-        object.__setattr__(self, "angles", MappingProxyType(dict(self.angles)))
-        object.__setattr__(self, "sweep_grid", tuple(self.sweep_grid))
-        if self.outputs is not None:
-            object.__setattr__(self, "outputs", tuple(self.outputs))
+        for name, expected, freeze in _CONTAINERS:
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, freeze(value))
+            except (TypeError, ValueError):
+                raise ConfigError(name, f"expected {expected}, got {value!r}") from None
 
     def __reduce__(self):  # a mappingproxy does not pickle, so pickle and deepcopy rebuild from a dict
         return partial(RunConfig, **{**vars(self), "angles": dict(self.angles)}), ()
@@ -382,10 +392,14 @@ def _check_array_sizes(config: RunConfig) -> None:
             raise ConfigError(name, f"needs a {count}-element array; the limit is {MAX_ARRAY_ELEMENTS}")
 
 
+def _particles(config: RunConfig) -> str:
+    """The walkers that step under angle fields: a and b in pair walks, a single walker's a, else none."""
+    return {"single_split": "a", "pair": "ab", "entropy_sweep": "ab"}.get(config.run_kind, "")
+
+
 def _coin_table_size(config: RunConfig) -> int:
     """Elements of one cell's coin table: rows (-s, c, s) of 2 angles per walker, site and step."""
-    walkers = 2 if "initial_state" in RUN_KINDS[config.run_kind][0] else 1  # pair walks
-    return 3 * 2 * walkers * _resolved_window(config).size * config.steps
+    return 3 * 2 * len(_particles(config)) * _resolved_window(config).size * config.steps
 
 
 # -- angle plumbing ---------------------------------------------------------------
@@ -440,7 +454,7 @@ def _walk_chunks(config: RunConfig, cells, first_step: int = 0):
     walk has no angles to sample.
     """
     window = _resolved_window(config)
-    particles = {"hadamard": "", "single_split": "a"}.get(config.run_kind, "ab")
+    particles = _particles(config)
     coefficients = coin_coefficients(config.initial_state)
     chunk_size = max(1, min(32, MAX_ARRAY_ELEMENTS // max(_coin_table_size(config), 1)))
     cells = iter(cells)
@@ -456,9 +470,9 @@ def _walk_chunks(config: RunConfig, cells, first_step: int = 0):
         rhos = []
         if len(particles) == 2:
             walkers = iter_product_walkers(config.initial_state, window, field, config.steps)
-            for amps_a, amps_b in islice(walkers, first_step, None):  # leaves amps_a/b at the last step
-                rhos.append(pair_coin_density_from_singles(amps_a, amps_b, coefficients))
-            final = lambda c: joint_distribution_interference(amps_a[..., c], amps_b[..., c], coefficients)
+            for amps in islice(walkers, first_step, None):  # leaves amps at the last step
+                rhos.append(pair_coin_density_from_singles(amps, coefficients))
+            final = lambda c: joint_distribution_interference(amps[..., c, 0], amps[..., c, 1], coefficients)
         else:
             stepper = split_stepper(field[..., 0]) if particles else lambda amps, step: hadamard_step(amps)
             start = make_single_state(window, 0, config.coin_amps)[..., None]

@@ -3,13 +3,14 @@
 A noninteracting pair started in a superposition of coin products stays a
 superposition of products of single-walker states, so pair observables are
 assembled from four lone walkers: the coin-|0> and coin-|1> starts of each
-particle, stepped under that particle's field. Each particle's walkers are one
-array with axes (site, coin, start coin), and both particles step together.
+particle, stepped under that particle's field. All four are one array with
+axes (site, coin, start coin, particle), and both particles step together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,14 +72,14 @@ def iter_product_walkers(
     field: np.ndarray,
     n_steps: int,
 ):
-    """Iterate (amps_a, amps_b) at step 0 and after each of n_steps steps.
+    """Iterate the pair's lone walkers at step 0 and after each of n_steps steps.
 
     field holds both particles' angles, as split_stepper takes them: a
-    (2, site, step, *cells, particle) array, particle a then b. amps_x[:, :, c]
-    is particle x's lone walker started in coin |c> at its site in
-    init.positions and stepped under its field: a (size, coin, start coin,
-    *cells) array, each cell a run from the same start. Both particles are one
-    array stepped by one walk.trajectory; amps_a and amps_b are views of it.
+    (2, site, step, *cells, particle) array, particle a then b. Each yielded
+    array has axes (site, coin, start coin, *cells, particle): walkers[:, :, c,
+    ..., p] is particle p's lone walker started in coin |c> at its site in
+    init.positions and stepped under its field, each cell a run from the same
+    start. Both particles are one array stepped by one walk.trajectory.
     """
     if field.ndim < 4 or field.shape[-1] != 2:
         raise ValueError(f"field must have a trailing particle axis of 2, got shape {field.shape}")
@@ -88,27 +89,36 @@ def iter_product_walkers(
         for x in init.positions
     ]
     starts = [np.broadcast_to(s.reshape(s.shape + (1,) * len(cells)), s.shape + cells) for s in starts]
-    stepper = split_stepper(field)
-    walkers = trajectory(np.stack(starts, axis=-1), stepper, n_steps)
-    return ((amps[..., 0], amps[..., 1]) for amps in walkers)
+    return trajectory(np.stack(starts, axis=-1), split_stepper(field), n_steps)
 
 
-def pair_coin_density_from_singles(
-    amps_a: np.ndarray, amps_b: np.ndarray, coefficients: np.ndarray
-) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _coin_weights(coefficients: bytes) -> np.ndarray:
+    """K[a, b, c, d] = C[a, b] conj(C[c, d]) for the bytes of a complex C; one per pair state."""
+    c = np.frombuffer(coefficients, dtype=complex).reshape(2, 2)
+    weights = np.einsum("ab,cd->abcd", c, c.conj())
+    weights.flags.writeable = False
+    return weights
+
+
+def pair_coin_density_from_singles(walkers: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     """4x4 coin density matrix of the evolved pair per cell, a (*cells, 4, 4) array.
 
-    amps_x is particle x's (site, coin, start coin, *cells) walker array, as
-    yielded by iter_product_walkers; coefficients is C[c_a, c_b] (see
+    walkers is the (site, coin, start coin, *cells, particle) array that
+    iter_product_walkers yields; coefficients is C[c_a, c_b] (see
     coin_coefficients). Tracing the positions of a product superposition
-    reduces to the Gram tensor G_x[s, c, t, d] = sum_i amps_x[i, c, s]
-    conj(amps_x[i, d, t]) between the coin-0 and coin-1 starts of each particle.
+    reduces to each particle's Gram tensor G[s, c, t, d] = sum_i w[i, c, s]
+    conj(w[i, d, t]) between its coin-0 and coin-1 starts; one einsum over
+    the site-last memory builds both particles' tensors.
     """
-    c = coefficients
-    ga = np.einsum("ics...,idt...->...sctd", amps_a, amps_a.conj())
-    gb = np.einsum("ics...,idt...->...sctd", amps_b, amps_b.conj())
+    if walkers.ndim < 4 or walkers.shape[1:3] != (2, 2) or walkers.shape[-1] != 2:
+        raise ValueError(f"walkers must have axes (site, 2, 2, *cells, 2), got shape {walkers.shape}")
+    mem = walkers.transpose(*range(1, walkers.ndim), 0)  # (coin, start, *cells, particle, site)
+    gram = np.einsum("cs...i,dt...i->...sctd", mem, mem.conj())  # (*cells, particle, s, c, t, d)
+    weights = _coin_weights(np.asarray(coefficients, dtype=complex).tobytes())
     # rho[(ca, cb), (ca', cb')] = sum C[s, s'] conj(C[t, t']) Ga[s, ca, t, ca'] Gb[s', cb, t', cb']
-    return np.einsum("ab,cd,...aecf,...bgdh->...egfh", c, c.conj(), ga, gb).reshape(*ga.shape[:-4], 4, 4)
+    rho = np.einsum("abcd,...aecf,...bgdh->...egfh", weights, gram[..., 0, :, :, :, :], gram[..., 1, :, :, :, :])
+    return rho.reshape(*gram.shape[:-5], 4, 4)
 
 
 def joint_distribution_interference(

@@ -127,7 +127,7 @@ def sample_angle_field(
 
 def _check_edge(leaving: np.ndarray, where: str) -> None:
     """Raise unless the amplitude a shift would push off the window is zero."""
-    if not float(np.max(np.abs(leaving))) <= BOUNDARY_TOL:
+    if not abs(leaving).max() <= BOUNDARY_TOL:
         raise WindowOverflowError(f"{where}; window too small")
 
 
@@ -165,23 +165,32 @@ def split_stepper(field: np.ndarray):
     so each batch entry steps its walkers under its own angles. Every coin of
     the field is built once, as the rows (-s, c, s) of the half angles: the
     coin columns ([c, s], [-s, c]) are then the views rows[1:3] and rows[0:2].
+    A batch entry whose half angles are bitwise the same at every step (a
+    field no disorder touches) takes cos and sin at its first step only, and
+    its later steps copy that step's rows.
     """
     shape = (3, field.shape[2], 2, *field.shape[3:], field.shape[1])
     rows = np.empty(shape)
     np.divide(field.transpose(2, 0, *range(3, field.ndim), 1), 2.0, out=rows[0])
-    np.cos(rows[0], out=rows[1])
-    np.sin(rows[0], out=rows[2])
+    bits = rows[0].view(np.uint64)  # bits, not values, so that -0.0 and 0.0 stay apart
+    steady = (bits == bits[:1]).all(axis=(0, 1, -1), keepdims=True)  # (1, 1, *batch, 1)
+    first = (np.arange(shape[1]) == 0).reshape(-1, *(1,) * (len(shape) - 2))
+    fresh = first | ~steady  # the (step, batch entry) coins computed from their own angles
+    np.cos(rows[0], out=rows[1], where=fresh)
+    np.sin(rows[0], out=rows[2], where=fresh)
+    # from a copy: a view of the same table would make numpy buffer the whole broadcast source
+    np.copyto(rows[1:, 1:], rows[1:, :1].copy(), where=steady)
     np.negative(rows[2], out=rows[0])
+    views = {}  # amps.ndim -> rows shaped (3, step, 2, 1..., *batch, site) to broadcast against it
 
     def stepper(amps: np.ndarray, step: int) -> np.ndarray:
         if amps.shape[0] != shape[-1]:
             raise ValueError("angle field does not match the lattice window")
         _check_step(step, shape[1])
-        broadcast = (2,) + (1,) * (amps.ndim + 2 - len(shape)) + shape[3:]
-        coin1, coin2 = (
-            (rows[1:3, step, k].reshape(broadcast), rows[0:2, step, k].reshape(broadcast)) for k in (0, 1)
-        )
-        return _step_amps(amps, coin1, coin2)
+        r = views.get(amps.ndim)
+        if r is None:
+            r = views[amps.ndim] = rows.reshape(shape[:3] + (1,) * (amps.ndim + 2 - len(shape)) + shape[3:])
+        return _step_amps(amps, (r[1:3, step, 0], r[0:2, step, 0]), (r[1:3, step, 1], r[0:2, step, 1]))
 
     return stepper
 
@@ -205,7 +214,9 @@ def trajectory(amps: np.ndarray, stepper, n_steps: int):
     yield amps
     for step in range(n_steps):
         amps = stepper(amps, step)
-        drift = float(np.max(np.abs(np.linalg.norm(amps, axis=(0, 1)) - 1.0)))
+        # squared norms as a float dot over the site-last memory, real and imaginary parts alike
+        mem = np.ascontiguousarray(amps.transpose(*range(1, amps.ndim), 0)).view(float)
+        drift = abs(np.sqrt(np.einsum("c...i,c...i->...", mem, mem)) - 1.0).max()
         if not drift <= RUNTIME_NORM_TOL:
             raise NumericalError(f"walker norm drifted by {drift:.3e} at step {step + 1}")
         yield amps

@@ -23,7 +23,7 @@ from topowalk import (
     von_neumann_entropy,
 )
 from topowalk.topology import GAP_THRESHOLD
-from topowalk.walk import RUNTIME_NORM_TOL, _check_step
+from topowalk.walk import RUNTIME_NORM_TOL, _check_step, _step_amps
 
 PLANARITY_TOL = 1e-6  # largest out-of-plane component the numerical winding accepts
 
@@ -54,6 +54,31 @@ def split_step(amps: np.ndarray, field: np.ndarray, step: int) -> np.ndarray:
     """One split step with the site-dependent angles field[:, :, step] of a (2, site, step, *batch) field."""
     _check_step(step, field.shape[2])
     return split_stepper(field[:, :, step : step + 1])(amps, 0)
+
+
+def full_table_stepper(field: np.ndarray):
+    """split_stepper with cos and sin taken of every step's angles, steady in the step or not.
+
+    The coin table holds the rows (-s, c, s) of the half angles for every
+    (step, batch entry), all computed from their own angles, and each step
+    feeds its columns to the stepping kernel.
+    """
+    shape = (3, field.shape[2], 2, *field.shape[3:], field.shape[1])
+    rows = np.empty(shape)
+    np.divide(field.transpose(2, 0, *range(3, field.ndim), 1), 2.0, out=rows[0])
+    np.cos(rows[0], out=rows[1])
+    np.sin(rows[0], out=rows[2])
+    np.negative(rows[2], out=rows[0])
+
+    def stepper(amps: np.ndarray, step: int) -> np.ndarray:
+        _check_step(step, shape[1])
+        broadcast = (2,) + (1,) * (amps.ndim + 2 - len(shape)) + shape[3:]
+        coin1, coin2 = (
+            (rows[1:3, step, k].reshape(broadcast), rows[0:2, step, k].reshape(broadcast)) for k in (0, 1)
+        )
+        return _step_amps(amps, coin1, coin2)
+
+    return stepper
 
 
 def reduce_to_coin(amps: np.ndarray) -> np.ndarray:
@@ -341,3 +366,18 @@ def pair_entropy_series(trajectory) -> np.ndarray:
 def walker_amps(coin0: np.ndarray, coin1: np.ndarray) -> np.ndarray:
     """One particle's lone walkers as the product route's (site, coin, start coin) array."""
     return np.stack([coin0, coin1], axis=-1)
+
+
+def two_gram_coin_density(amps_a: np.ndarray, amps_b: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """The pair's (*cells, 4, 4) coin density matrix from one Gram einsum per particle.
+
+    amps_x is particle x's (site, coin, start coin, *cells) walker array and
+    coefficients is C[c_a, c_b]. G_x[s, c, t, d] = sum_i amps_x[i, c, s]
+    conj(amps_x[i, d, t]) is taken on site-first subscripts, and C and conj(C)
+    enter the contraction as two operands.
+    """
+    c = coefficients
+    ga = np.einsum("ics...,idt...->...sctd", amps_a, amps_a.conj())
+    gb = np.einsum("ics...,idt...->...sctd", amps_b, amps_b.conj())
+    # rho[(ca, cb), (ca', cb')] = sum C[s, s'] conj(C[t, t']) Ga[s, ca, t, ca'] Gb[s', cb, t', cb']
+    return np.einsum("ab,cd,...aecf,...bgdh->...egfh", c, c.conj(), ga, gb).reshape(*ga.shape[:-4], 4, 4)

@@ -318,6 +318,19 @@ class TestConfigParsing:
             config_from_dict(minimal_pair_dict(steps=1500, window=2000))
         assert err.value.field == "steps"
 
+    def test_hadamard_runs_count_no_coin_table(self):
+        # a Hadamard walk steps one (8003, 2, 1) walker and builds no coin table
+        config = config_from_dict({"run_kind": "hadamard", "steps": 4000})
+        assert experiments._coin_table_size(config) == 0
+        assert experiments._coin_table_size(replace(config, run_kind="single_split")) == 3 * 2 * 8003 * 4000
+
+    @pytest.mark.parametrize("field, value", [("angles", "x"), ("angles", 5), ("sweep_grid", 5), ("outputs", 5)])
+    def test_malformed_containers_name_the_field(self, field, value):
+        # a RunConfig built in Python, not parsed from a mapping
+        with pytest.raises(ConfigError) as err:
+            RunConfig(**{field: value})
+        assert err.value.field == field
+
     def test_k_points_counts_the_bloch_axes(self):
         # the limit is a third of the bound; k_points must be even, and MAX_ARRAY_ELEMENTS // 3 is odd
         config_from_dict(minimal_dict("phase_diagram", k_points=MAX_ARRAY_ELEMENTS // 3 - 1))
@@ -645,10 +658,10 @@ class TestPairReplicates:
             ]
             rhos = []
             field = np.stack(fields, axis=-1)
-            for amps_a, amps_b in iter_product_walkers(cfg.initial_state, window, field, cfg.steps):
-                rhos.append(pair_coin_density_from_singles(amps_a, amps_b, coefficients))
+            for amps in iter_product_walkers(cfg.initial_state, window, field, cfg.steps):
+                rhos.append(pair_coin_density_from_singles(amps, coefficients))
             series.append(von_neumann_entropy(np.array(rhos)))
-            joint = joint_distribution_interference(amps_a, amps_b, coefficients)
+            joint = joint_distribution_interference(amps[..., 0], amps[..., 1], coefficients)
             joint_sum = joint if joint_sum is None else joint_sum + joint
         series = np.array(series)
         assert art.entropy.tobytes() == series.mean(axis=0).tobytes()

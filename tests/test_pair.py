@@ -33,6 +33,7 @@ from oracles import (
     reduce_pair_to_coin,
     split_step,
     tensor_pair,
+    two_gram_coin_density,
     walker_amps,
 )
 
@@ -433,7 +434,7 @@ class TestProductDecomposition:
             for c, coin in enumerate(((1, 0), (0, 1))):
                 state = make_single_state(win, x0, coin)
                 for step, walkers in enumerate(trajectory):
-                    assert np.array_equal(walkers[particle][:, :, c], state)
+                    assert np.array_equal(walkers[:, :, c, particle], state)
                     if step < n:
                         state = split_step(state, field, step)
 
@@ -492,8 +493,28 @@ class TestProductDecomposition:
         final, _ = evolve_pair(pair, fa, fb, n)
         walkers_a = walker_amps(run_single(win, (1, 0), fa, n), run_single(win, (0, 1), fa, n))
         walkers_b = walker_amps(run_single(win, (1, 0), fb, n), run_single(win, (0, 1), fb, n))
-        rho = pair_coin_density_from_singles(walkers_a, walkers_b, coin_coefficients(init))
+        walkers = np.stack([walkers_a, walkers_b], axis=-1)
+        rho = pair_coin_density_from_singles(walkers, coin_coefficients(init))
         assert np.abs(rho - reduce_pair_to_coin(final)).max() < 1e-12
+
+    @pytest.mark.parametrize("cells", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("kind", ["psi+", "psi-", "sep"])
+    def test_coin_density_equals_the_two_gram_route(self, kind, cells):
+        # one Gram einsum for both particles and the coefficient weights formed once keep every bit
+        rng = np.random.default_rng(len(cells))
+        shape = (2, 2, *cells, 2, 9)  # (coin, start coin, *cells, particle, site), as the kernel leaves it
+        site_last = np.moveaxis(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), -1, 0)
+        coefficients = coin_coefficients(InitialPairState(kind))
+        for walkers in (site_last, np.ascontiguousarray(site_last)):  # stepped walkers, and a site-first start
+            rho = pair_coin_density_from_singles(walkers, coefficients)
+            expected = two_gram_coin_density(walkers[..., 0], walkers[..., 1], coefficients)
+            assert rho.shape == (*cells, 4, 4)
+            assert rho.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(5, 2, 2), (5, 2, 2, 3), (5, 2, 1, 2), (5, 1, 2, 2)])
+    def test_coin_density_rejects_walkers_without_both_particles(self, shape):
+        with pytest.raises(ValueError, match="walkers must have axes"):
+            pair_coin_density_from_singles(np.zeros(shape, dtype=complex), PSI[+1])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None)
@@ -511,5 +532,6 @@ class TestProductDecomposition:
         final, _ = evolve_pair(make_pair_state(init, win), fa, fb, n)
         walkers_a = walker_amps(run_single(win, (1, 0), fa, n), run_single(win, (0, 1), fa, n))
         walkers_b = walker_amps(run_single(win, (1, 0), fb, n), run_single(win, (0, 1), fb, n))
-        rho = pair_coin_density_from_singles(walkers_a, walkers_b, coin_coefficients(init))
+        walkers = np.stack([walkers_a, walkers_b], axis=-1)
+        rho = pair_coin_density_from_singles(walkers, coin_coefficients(init))
         assert np.abs(rho - reduce_pair_to_coin(final)).max() < 1e-12

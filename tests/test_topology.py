@@ -133,7 +133,7 @@ class TestMomentumWalk:
                 walker_amps(*(momentum_walk(*config.angles[p], window, x, c, steps) for c in ((1, 0), (0, 1))))
                 for p, x in zip("ab", config.initial_state.positions)
             ]
-            entropies.append(von_neumann_entropy(pair_coin_density_from_singles(*walkers, coefficients)))
+            entropies.append(von_neumann_entropy(pair_coin_density_from_singles(np.stack(walkers, -1), coefficients)))
         assert_allclose(entropies, artifacts.entropy, rtol=0, atol=1e-9)
 
 

@@ -27,6 +27,7 @@ from conftest import random_single_state
 from oracles import (
     dense_hadamard_unitary,
     dense_split_unitary,
+    full_table_stepper,
     hadamard_reachable,
     reduce_to_coin,
     rotation_coin,
@@ -195,6 +196,40 @@ class TestSplitStep:
             assert np.array_equal(walkers, expected)
         with pytest.raises(ValueError, match="field covers steps 0..2"):
             stepper(walkers, 3)
+
+    def test_steady_entries_equal_the_full_coin_table(self):
+        # an entry whose angles never change with the step takes cos and sin once; the bits stay those
+        # of a table computed at every step
+        n, win = 3, LatticeWindow(12)
+        strong = DisorderSpec("uniform", STRONG_HALF_WIDTH, "a")
+        boundary = BoundarySpec((0.3, 1.2), (-np.pi / 2, 0.8))
+        steady_nan = sample_angle_field((-2.0, 0.7), DisorderSpec(), n, win, "b", 0)
+        steady_nan[0, win.index(1)] = np.nan  # NaN at one site, at every step
+        signed_zero = sample_angle_field((0.0, 0.4), DisorderSpec(), n, win, "a", 0)
+        signed_zero[0, :, 1:] = -0.0  # equal values, but not equal bits
+        step_nan = sample_angle_field((1.1, -0.6), DisorderSpec(), n, win, "b", 0)
+        step_nan[1, win.index(-1), 2] = np.nan  # NaN at one site and step
+        disordered = sample_angle_field((0.3, -1.1), strong, n, win, "a", 7)
+        clean = sample_angle_field((-2.0, 0.7), strong, n, win, "b", 7)  # the disorder targets particle a
+        cells = [
+            (disordered, clean),
+            (sample_angle_field(boundary, DisorderSpec(), n, win, "a", 0), steady_nan),
+            (signed_zero, step_nan),
+        ]
+        # a (2, site, step, cell, particle) field
+        field = np.stack([np.stack(cell, axis=-1) for cell in cells], axis=-2)
+        rng = np.random.default_rng(8)
+        shape = (win.size, 2, 2, 3, 2)  # (site, coin, start coin, cell, particle)
+        walkers = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        walkers[:4] = walkers[-4:] = 0.0
+        walkers[::2, 0] = -0.0  # signed zeros in the coin-0 plane carry the sign of sin(+-0)
+        stepper, reference = split_stepper(field), full_table_stepper(field)
+        for amps in (walkers, walkers[:, :, 1]):  # two walker ranks, so two shapes of coin views
+            expected = amps
+            for step in range(n):
+                amps, expected = stepper(amps, step), reference(expected, step)
+                assert amps.tobytes() == expected.tobytes()
+            assert np.isnan(amps).any() and not np.isnan(amps).all()
 
     def test_zero_angles_transport_coin0(self):
         win = LatticeWindow(3)
