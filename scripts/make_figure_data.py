@@ -5,10 +5,10 @@ Each JSON in configs/ is a self-contained experiment; outputs land in
 <out>/<config-stem>/. The package is imported from the checkout's src/, so the
 script runs without installing it. Each line gives a config's time, split
 into run() and write_artifacts(). Three runs on a shared 2-vCPU host took
-2.8–3.0 s for the whole set, most of it the six fig5 sweeps (0.31–0.42 s
-each); each 100-step pair config took 0.07–0.08 s, 0.02–0.03 s of it writing
+2.0–2.3 s for the whole set, most of it the six fig5 sweeps (0.19–0.39 s
+each); each 100-step pair config took 0.04–0.08 s, 0.02–0.03 s of it writing
 its data files (the 41,209-row joint.csv most of that), and the fig2 phase
-diagram (64×64 points, 1,024 k-points) 0.13–0.14 s.
+diagram (64×64 points, 1,024 k-points) 0.10–0.14 s.
 """
 
 import argparse

@@ -327,8 +327,6 @@ def validate_config(config: RunConfig) -> RunConfig:
         raise ConfigError("k_points", "must be even; an odd k grid skips k = 0, where the gap can close")
     if config.window is not None and config.window < 1:
         raise ConfigError("window", "must be >= 1 (or auto)")
-    if not np.isfinite(config.disorder.half_width):
-        raise ConfigError("disorder", "half_width must be finite")
     if not abs(float(np.sum(np.abs(config.coin_amps) ** 2)) - 1.0) <= NORM_TOL:
         raise ConfigError("coin_amps", "components must be finite and normalized")
     if config.sweep_scalar not in SWEEP_SCALARS:
@@ -467,21 +465,30 @@ def _walk_chunks(config: RunConfig, cells, first_step: int = 0):
                     _particle_angles(angles, particle), config.disorder, config.steps, window, particle, seed
                 )
         field = fields.transpose(2, 3, 4, 0, 1)  # a (2, site, step, cell, particle) view
-        rhos = []
         if len(particles) == 2:
-            walkers = iter_product_walkers(config.initial_state, window, field, config.steps)
-            for amps in islice(walkers, first_step, None):  # leaves amps at the last step
-                rhos.append(pair_coin_density_from_singles(amps, coefficients))
+            blocks = iter_product_walkers(config.initial_state, window, field, config.steps)
+
+            def reduce(block):  # the step axis as one more cell axis, before the particle axis
+                return pair_coin_density_from_singles(block.transpose(1, 2, 3, 0, 4, 5), coefficients)
+
             final = lambda c: joint_distribution_interference(amps[..., c, 0], amps[..., c, 1], coefficients)
         else:
             stepper = split_stepper(field[..., 0]) if particles else lambda amps, step: hadamard_step(amps)
             start = make_single_state(window, 0, config.coin_amps)[..., None]
-            walkers = trajectory(np.broadcast_to(start, (*start.shape[:2], len(chunk))), stepper, config.steps)
-            for amps in islice(walkers, first_step, None):  # leaves amps at the last step
-                rows = amps.transpose(2, 1, 0)  # (cell, coin, site)
-                rhos.append(np.matmul(rows, rows.conj().transpose(0, 2, 1)))
+            blocks = trajectory(np.broadcast_to(start, (*start.shape[:2], len(chunk))), stepper, config.steps)
+
+            def reduce(block):
+                rows = block.transpose(0, 3, 2, 1)  # (step, cell, coin, site)
+                return np.matmul(rows, rows.conj().transpose(0, 1, 3, 2))
+
             final = lambda c: position_distribution(amps[..., c])
-        yield von_neumann_entropy(np.array(rhos)).T.copy(), final  # a contiguous row per cell
+        rhos, step = [], 0
+        for block in blocks:
+            if step + len(block) > first_step:
+                rhos.append(reduce(block[max(first_step - step, 0) :]))
+            step += len(block)
+        amps = block[-1]  # the walkers after the last step
+        yield von_neumann_entropy(np.concatenate(rhos)).T.copy(), final  # a contiguous row per cell
 
 
 def _run_replicates(config: RunConfig) -> RunArtifacts:
@@ -613,6 +620,16 @@ def _digit_words() -> np.ndarray:
     return words
 
 
+@lru_cache(maxsize=1)
+def _exponent_words() -> np.ndarray:
+    """uint32 views of the 4 exponent bytes of "%.16e", "%+03d" % k for k in [-308, 308], with a
+    NUL after the sign for the hundreds digit that |k| < 100 lacks."""
+    text = ("%+03d" % k for k in range(-308, 309))
+    words = np.array([(t[0] + t[1:].rjust(3, "\0")).encode() for t in text], dtype="S4").view(np.uint32)
+    words.setflags(write=False)
+    return words
+
+
 def _float_cells(values: np.ndarray, cells: np.ndarray) -> None:
     """Write "%.16e" % v for each value into the NUL-padded rows of cells, whose first
     byte holds the sign."""
@@ -624,12 +641,8 @@ def _float_cells(values: np.ndarray, cells: np.ndarray) -> None:
     # array and its intp copy raised the process's peak resident memory
     for start, group in zip(range(3, 19, 4), (*np.divmod(high, 10**4), *np.divmod(low, 10**4))):
         cells[:, start : start + 4] = _digit_words().take(group).view(np.uint8).reshape(-1, 4)
-    k_abs = np.abs(k)
     cells[:, 2], cells[:, 19] = 46, 101  # ".", "e"
-    cells[:, 20] = np.where(k < 0, 45, 43)  # "-", "+"
-    cells[:, 21] = np.where(k_abs >= 100, k_abs // 100 + 48, 0)
-    cells[:, 22] = k_abs // 10 % 10 + 48
-    cells[:, 23] = k_abs % 10 + 48
+    cells[:, 20:24] = _exponent_words().take(k + 308).view(np.uint8).reshape(-1, 4)
     slow = np.flatnonzero(~proven)
     text = np.array(["%.16e" % v for v in values[slow].tolist()], dtype=f"S{_FLOAT_WIDTH}")
     cells[slow] = text.view(np.uint8).reshape(slow.size, _FLOAT_WIDTH)
@@ -639,14 +652,17 @@ def _int_cells(values: np.ndarray, cells: np.ndarray) -> None:
     """Write str(v) for each value into the NUL-padded rows of cells, after their sign byte."""
     part = np.abs(values).astype(np.uint64)  # exact for the int64 minimum too
     width = cells.shape[1] - 1
-    words = np.empty((values.size, -(-width // 4)), np.uint32)
-    for group in range(words.shape[1]):  # last 4 digits first
-        index = np.where(part < 10**4, part + 10**4, part % 10**4)  # the leading group is NUL-padded
-        if group:
-            index[part == 0] = 2 * 10**4  # above the top digit: all NUL
-        words[:, -1 - group] = _digit_words().take(index)
-        part = part // 10**4
-    cells[:, 1:] = words.view(np.uint8)[:, -width:]
+    if width <= 4:  # one NUL-padded digit group, as in every int column the program writes
+        words = _digit_words().take(part + 10**4)
+    else:
+        words = np.empty((values.size, -(-width // 4)), np.uint32)
+        for group in range(words.shape[1]):  # last 4 digits first
+            index = np.where(part < 10**4, part + 10**4, part % 10**4)  # the leading group is NUL-padded
+            if group:
+                index[part == 0] = 2 * 10**4  # above the top digit: all NUL
+            words[:, -1 - group] = _digit_words().take(index)
+            part = part // 10**4
+    cells[:, 1:] = words.view(np.uint8).reshape(values.size, -1)[:, -width:]
 
 
 def _write_table(path: Path, header: str, kinds: str, *columns) -> None:

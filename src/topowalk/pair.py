@@ -4,7 +4,8 @@ A noninteracting pair started in a superposition of coin products stays a
 superposition of products of single-walker states, so pair observables are
 assembled from four lone walkers: the coin-|0> and coin-|1> starts of each
 particle, stepped under that particle's field. All four are one array with
-axes (site, coin, start coin, particle), and both particles step together.
+axes (site, coin, start coin, particle), and both particles step together,
+in blocks of consecutive steps.
 """
 
 from __future__ import annotations
@@ -72,14 +73,17 @@ def iter_product_walkers(
     field: np.ndarray,
     n_steps: int,
 ):
-    """Iterate the pair's lone walkers at step 0 and after each of n_steps steps.
+    """Iterate the pair's lone walkers at step 0 and after each of n_steps steps, in blocks of steps.
 
     field holds both particles' angles, as split_stepper takes them: a
-    (2, site, step, *cells, particle) array, particle a then b. Each yielded
-    array has axes (site, coin, start coin, *cells, particle): walkers[:, :, c,
-    ..., p] is particle p's lone walker started in coin |c> at its site in
-    init.positions and stepped under its field, each cell a run from the same
-    start. Both particles are one array stepped by one walk.trajectory.
+    (2, site, step, *cells, particle) array, particle a then b. The walkers
+    are one array with axes (site, coin, start coin, *cells, particle):
+    walkers[:, :, c, ..., p] is particle p's lone walker started in coin |c>
+    at its site in init.positions and stepped under its field, each cell a
+    run from the same start. Both particles are stepped by one
+    walk.trajectory, and each yielded block is its block of consecutive
+    steps, with axes (step, site, coin, start coin, *cells, particle), so
+    block[s] is one step's walkers.
     """
     if field.ndim < 4 or field.shape[-1] != 2:
         raise ValueError(f"field must have a trailing particle axis of 2, got shape {field.shape}")
@@ -104,9 +108,10 @@ def _coin_weights(coefficients: bytes) -> np.ndarray:
 def pair_coin_density_from_singles(walkers: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     """4x4 coin density matrix of the evolved pair per cell, a (*cells, 4, 4) array.
 
-    walkers is the (site, coin, start coin, *cells, particle) array that
-    iter_product_walkers yields; coefficients is C[c_a, c_b] (see
-    coin_coefficients). Tracing the positions of a product superposition
+    walkers is a (site, coin, start coin, *cells, particle) array, one step of
+    what iter_product_walkers yields; a block's step axis moved among the cell
+    axes reduces a whole block of steps in one call. coefficients is C[c_a,
+    c_b] (see coin_coefficients). Tracing the positions of a product superposition
     reduces to each particle's Gram tensor G[s, c, t, d] = sum_i w[i, c, s]
     conj(w[i, d, t]) between its coin-0 and coin-1 starts; one einsum over
     the site-last memory builds both particles' tensors.

@@ -7,12 +7,14 @@ kernel with the Hadamard coin first and the identity second. Coin angles may
 depend on site and step; each coin reads the angle at the site where the
 amplitude currently sits. A walker's angle field is a (2, site, step) array
 holding the theta1 and theta2 planes. Walkers are arrays with axes
-(site, coin, *walkers), as in states.py; trajectory() steps any of them and
-checks every walker's norm.
+(site, coin, *walkers), as in states.py; trajectory() steps any of them,
+yields the steps in blocks with a leading step axis, and checks every
+walker's norm once per block.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +25,10 @@ from .states import LatticeWindow
 # Guards compare as `not x <= tol`, so that a NaN fails them instead of passing.
 BOUNDARY_TOL = 1e-14
 RUNTIME_NORM_TOL = 1e-8
+
+# Amplitudes per trajectory block: a one-cell walk takes several steps per block, so that the
+# norm check, and a caller's reduction of each step, is one numpy call per block, not per step.
+_BLOCK_AMPLITUDES = 2**14
 
 WEAK_HALF_WIDTH = 0.1 * np.pi
 STRONG_HALF_WIDTH = 2.0 * np.pi
@@ -53,6 +59,8 @@ class DisorderSpec:
             raise ValueError(f"unknown disorder kind {self.kind!r}")
         if self.target not in ("a", "b", "both"):
             raise ValueError(f"unknown disorder target {self.target!r}")
+        if not math.isfinite(self.half_width):
+            raise ValueError(f"half_width must be finite, got {self.half_width!r}")
         if self.half_width < 0:
             raise ValueError("half_width must be >= 0")
         if self.kind == "none" and self.half_width != 0:
@@ -203,20 +211,48 @@ def hadamard_step(amps: np.ndarray) -> np.ndarray:
     return _step_amps(amps, (h[:, 0], h[:, 1]), (one[:, 0], one[:, 1]))
 
 
-def trajectory(amps: np.ndarray, stepper, n_steps: int):
-    """Yield amps, then amps = stepper(amps, step) after each of n_steps steps.
+def _check_norms(block: np.ndarray, first_step: int) -> None:
+    """Raise at the first step of a (step, coin, *walkers, site) block where a walker's norm drifted."""
+    # squared norms as a float dot, real and imaginary parts alike, over (coin, step, *walkers, site):
+    # with the coin axis first, a one-step block runs the einsum loop of a lone step
+    mem = block.view(float).swapaxes(0, 1)
+    drift = abs(np.sqrt(np.einsum("c...i,c...i->...", mem, mem)) - 1.0)
+    if not drift.max(initial=0.0) <= RUNTIME_NORM_TOL:
+        drift = drift.reshape(len(block), -1).max(axis=1)
+        step = np.argmin(drift <= RUNTIME_NORM_TOL)  # the first step that fails, NaN included
+        raise NumericalError(f"walker norm drifted by {drift[step]:.3e} at step {first_step + step}")
 
-    amps has axes (site, coin, *walkers); after every step each walker's norm
-    is checked against RUNTIME_NORM_TOL.
+
+def trajectory(amps: np.ndarray, stepper, n_steps: int):
+    """Yield amps and the n_steps arrays amps = stepper(amps, step), in blocks of consecutive steps.
+
+    amps has axes (site, coin, *walkers). Each block has axes (step, site, coin, *walkers) over
+    site-last (step, coin, *walkers, site) memory, so block[s] is one step's walker array; the
+    first block starts with amps. A block holds _BLOCK_AMPLITUDES amplitudes, or one step if a
+    step holds more. Each block's stepped walkers have their norms checked against
+    RUNTIME_NORM_TOL before it is yielded; if the stepper raises, the steps before it are checked
+    first, so a drift is reported at the step where it appeared.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    yield amps
-    for step in range(n_steps):
-        amps = stepper(amps, step)
-        # squared norms as a float dot over the site-last memory, real and imaginary parts alike
-        mem = np.ascontiguousarray(amps.transpose(*range(1, amps.ndim), 0)).view(float)
-        drift = abs(np.sqrt(np.einsum("c...i,c...i->...", mem, mem)) - 1.0).max()
-        if not drift <= RUNTIME_NORM_TOL:
-            raise NumericalError(f"walker norm drifted by {drift:.3e} at step {step + 1}")
-        yield amps
+    length = max(1, _BLOCK_AMPLITUDES // amps.size)
+    site_last, block_axes = (*range(1, amps.ndim), 0), (0, amps.ndim, *range(1, amps.ndim))
+    for first in range(0, n_steps + 1, length):
+        count = min(length, n_steps + 1 - first)
+        block = np.empty((count, *amps.shape[1:], amps.shape[0]), complex) if count > 1 else None
+        checked = int(first == 0)  # the start is the caller's; only stepped walkers are checked
+        for s in range(count):
+            if first + s:
+                try:
+                    amps = stepper(amps, first + s - 1)
+                except Exception:  # whatever the stepper raised, a drift before it is the cause to report
+                    if block is not None:
+                        _check_norms(block[checked:s], first + checked)
+                    raise
+            mem = np.ascontiguousarray(amps.transpose(site_last))  # a stepped array's own memory
+            if block is None:  # a one-step block is the step's own memory
+                block = mem[None]
+            else:
+                block[s] = mem
+        _check_norms(block[checked:], first + checked)
+        yield block.transpose(block_axes)

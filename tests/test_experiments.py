@@ -8,6 +8,7 @@ import sys
 import tempfile
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ from topowalk import (
     von_neumann_entropy,
     write_artifacts,
 )
-from topowalk import experiments
+from topowalk import experiments, walk
 from topowalk.experiments import (
     ANGLES_WINDING_0,
     ANGLES_WINDING_1,
@@ -51,6 +52,7 @@ from topowalk.experiments import (
     _TABLE_BLOCK_ROWS,
     _decimal_digits,
     _digit_words,
+    _exponent_words,
     _particle_angles,
     _with_axis_value,
     _write_table,
@@ -658,7 +660,8 @@ class TestPairReplicates:
             ]
             rhos = []
             field = np.stack(fields, axis=-1)
-            for amps in iter_product_walkers(cfg.initial_state, window, field, cfg.steps):
+            blocks = iter_product_walkers(cfg.initial_state, window, field, cfg.steps)
+            for amps in chain.from_iterable(blocks):
                 rhos.append(pair_coin_density_from_singles(amps, coefficients))
             series.append(von_neumann_entropy(np.array(rhos)))
             joint = joint_distribution_interference(amps[..., 0], amps[..., 1], coefficients)
@@ -707,6 +710,89 @@ class TestPairReplicates:
             assert getattr(chunked, observable).tobytes() == getattr(whole, observable).tobytes()
 
 
+class TestStepBlocks:
+    """run() reduces each trajectory block of steps in one call; each step keeps the bits of a
+    reduction of its own, whether it opens, closes or sits inside a block."""
+
+    WINDOW = 100  # fixed, so that the block length does not grow with the steps
+
+    @classmethod
+    def block_length(cls, amplitudes_per_site: int) -> int:
+        return walk._BLOCK_AMPLITUDES // (LatticeWindow(cls.WINDOW).size * amplitudes_per_site)
+
+    @classmethod
+    def lone_run(cls, cfg, kind, angles, seed):
+        """(entropy at every step, final observable, block lengths) of one cell, one reduction per step."""
+        window = LatticeWindow(cls.WINDOW)
+        if kind == "single_split":
+            field = sample_angle_field(angles["a"], cfg.disorder, cfg.steps, window, "a", seed)
+            start = make_single_state(window, 0, cfg.coin_amps)
+            blocks = list(trajectory(start, split_stepper(field), cfg.steps))
+        else:
+            fields = [
+                sample_angle_field(_particle_angles(angles, p), cfg.disorder, cfg.steps, window, p, seed)
+                for p in "ab"
+            ]
+            field = np.stack(fields, axis=-1)
+            blocks = list(iter_product_walkers(cfg.initial_state, window, field, cfg.steps))
+        coefficients = coin_coefficients(cfg.initial_state)
+        rhos = []
+        for amps in chain.from_iterable(blocks):
+            if kind == "single_split":
+                rhos.append(reduce_to_coin(amps))
+            else:
+                rhos.append(pair_coin_density_from_singles(amps, coefficients))
+        if kind == "single_split":
+            final = position_distribution(amps)
+        else:
+            final = joint_distribution_interference(amps[..., 0], amps[..., 1], coefficients)
+        return von_neumann_entropy(np.array(rhos)), final, [len(block) for block in blocks]
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+    @pytest.mark.parametrize("kind", ["pair", "single_split"])
+    def test_steps_around_block_boundaries(self, kind, blocks, extra):
+        # one cell: 8 amplitudes per site for a pair's four lone walkers, 2 for a single walker
+        length = self.block_length(8 if kind == "pair" else 2)
+        assert length > 1
+        steps = blocks * length + extra
+        target = "both" if kind == "pair" else "a"
+        cfg = config_from_dict(
+            minimal_dict(kind, steps=steps, window=self.WINDOW, disorder={"kind": "strong", "target": target})
+        )
+        art = run(cfg)
+        series, final, lengths = self.lone_run(cfg, kind, cfg.angles, derive_seed(cfg.master_seed, 0))
+        full, rest = divmod(steps + 1, length)
+        assert lengths == [length] * full + [rest] * bool(rest)
+        # the mean over one replicate, as run() reports it, turns the step-0 entropy -0.0 into 0.0
+        assert art.entropy.tobytes() == np.mean([series], axis=0).tobytes()
+        observable = "joint" if kind == "pair" else "distribution"
+        assert getattr(art, observable).tobytes() == (final / cfg.ensemble_size).tobytes()
+
+    def test_longmean_tail_starting_inside_a_block(self):
+        cfg = config_from_dict(
+            minimal_dict(
+                "entropy_sweep",
+                steps=40,
+                window=self.WINDOW,
+                sweep_scalar="longmean",
+                disorder={"kind": "strong", "target": "both"},
+                sweep_grid=[
+                    {"name": "theta1a", "min": -1, "max": 1, "count": 2},
+                    {"name": "theta2a", "min": 0.5, "max": 0.5, "count": 1},
+                ],
+            )
+        )
+        first_step = cfg.steps + 1 - cfg.steps // 4
+        length = self.block_length(2 * 8)  # both cells step in one chunk
+        assert length > 1 and first_step % length
+        grid = run(cfg).heatmap
+        for i, theta1 in enumerate(cfg.sweep_grid[0].values()):
+            angles = {**cfg.angles, "a": (float(theta1), 0.5)}
+            seed = derive_seed(derive_seed(cfg.master_seed, i, 0), 0)
+            series, _, _ = self.lone_run(cfg, "pair", angles, seed)
+            assert grid[i, 0].tobytes() == np.mean(series[first_step:]).tobytes()
+
+
 class TestSingleReplicates:
     @pytest.mark.parametrize(
         "ensemble, extra",
@@ -726,7 +812,8 @@ class TestSingleReplicates:
                 cfg.angles["a"], cfg.disorder, cfg.steps, window, "a", derive_seed(cfg.master_seed, r)
             )
             rhos = []
-            for amps in trajectory(make_single_state(window, 0, cfg.coin_amps), split_stepper(field), cfg.steps):
+            start = make_single_state(window, 0, cfg.coin_amps)
+            for amps in chain.from_iterable(trajectory(start, split_stepper(field), cfg.steps)):
                 rhos.append(reduce_to_coin(amps))
             series.append(von_neumann_entropy(np.array(rhos)))
             dist = position_distribution(amps)
@@ -786,7 +873,8 @@ class TestSingleWalkerEntropy:
         else:
             stepper = split_stepper(sample_angle_field(cfg.angles["a"], cfg.disorder, 40, window, "a", 0))
         start = make_single_state(window, 0, cfg.coin_amps)
-        per_step = [von_neumann_entropy(reduce_to_coin(amps)) for amps in trajectory(start, stepper, 40)]
+        blocks = trajectory(start, stepper, 40)
+        per_step = [von_neumann_entropy(reduce_to_coin(amps)) for amps in chain.from_iterable(blocks)]
         # the mean over one replicate, as run() reports it, turns the step-0 entropy -0.0 into 0.0
         expected = np.mean([per_step], axis=0)
         assert run(cfg).entropy.tobytes() == expected.tobytes()
@@ -1321,6 +1409,13 @@ class TestTableCells:
         expected += b"".join((b"%4d" % g).replace(b" ", b"\0") for g in range(10**4)) + b"\0" * 4
         assert _digit_words().tobytes() == expected
         assert not _digit_words().flags.writeable
+
+    def test_exponent_words_are_percent_formatted(self):
+        # a NUL after the sign stands in for a hundreds digit; the writer deletes every NUL
+        words = _exponent_words().view(np.uint8).reshape(-1, 4)
+        text = [bytes(w).replace(b"\0", b"").decode() for w in words]
+        assert text == ["%+03d" % k for k in range(-308, 309)]
+        assert not _exponent_words().flags.writeable
 
     def test_import_builds_no_table(self):
         # the tables are built on the first write, so importing the package stays cheap

@@ -1,3 +1,5 @@
+from itertools import chain
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -428,7 +430,8 @@ class TestProductDecomposition:
         fa = sample_angle_field((0.3, -1.1), dis, n, win, "a", 17)
         fb = sample_angle_field((-2.0, 0.7), dis, n, win, "b", 17)
         init = InitialPairState("psi+", (2, -1))
-        trajectory = list(iter_product_walkers(init, win, np.stack([fa, fb], axis=-1), n))
+        blocks = iter_product_walkers(init, win, np.stack([fa, fb], axis=-1), n)
+        trajectory = list(chain.from_iterable(blocks))
         assert len(trajectory) == n + 1
         for particle, field, x0 in ((0, fa, 2), (1, fb, -1)):
             for c, coin in enumerate(((1, 0), (0, 1))):

@@ -118,7 +118,8 @@ class TestMomentumWalk:
         coin = (np.cos(mix), np.exp(1j * relative_phase) * np.sin(mix))
         window = LatticeWindow(steps + 1 + abs(x0))  # the auto window: the walker never reaches an edge
         field = sample_angle_field((t1, t2), DisorderSpec(), steps, window, "a", 0)
-        *_, amps = trajectory(make_single_state(window, x0, coin), split_stepper(field), steps)
+        *_, block = trajectory(make_single_state(window, x0, coin), split_stepper(field), steps)
+        amps = block[-1]
         assert_allclose(momentum_walk(t1, t2, window, x0, coin, steps), amps, rtol=0, atol=1e-12)
 
     def test_clean_pair_entropies_equal_run(self):

@@ -1,3 +1,5 @@
+from itertools import chain
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from topowalk import (
     von_neumann_entropy,
 )
 from topowalk.experiments import ANGLES_WINDING_1, derive_seed
-from topowalk.walk import HADAMARD
+from topowalk.walk import _BLOCK_AMPLITUDES, HADAMARD
 from conftest import random_single_state
 from oracles import (
     dense_hadamard_unitary,
@@ -425,6 +427,12 @@ class TestAngleFields:
             expected = base + rng.uniform(-WEAK_HALF_WIDTH, WEAK_HALF_WIDTH, (win.size, 4))
             assert np.array_equal(field[index], expected)
 
+    @pytest.mark.parametrize("half_width", [float("nan"), float("inf"), float("-inf")])
+    def test_disorder_spec_rejects_a_non_finite_width(self, half_width):
+        # a NaN width would pass as "no disorder" and draw a clean field
+        with pytest.raises(ValueError, match="half_width must be"):
+            DisorderSpec("uniform", half_width, "a")
+
     def test_disorder_spec_validation(self):
         with pytest.raises(ValueError):
             DisorderSpec("gaussian", 0.1, "a")
@@ -441,9 +449,10 @@ def hadamard_stepper(amps, step):
 class TestTrajectory:
     def test_zero_steps_returns_input(self):
         s = make_single_state(LatticeWindow(3), 0, (1, 0))
-        states = list(trajectory(s, hadamard_stepper, 0))
-        assert len(states) == 1 and states[0] is s
-        assert [np.linalg.norm(a) for a in states] == [1.0]
+        blocks = list(trajectory(s, hadamard_stepper, 0))
+        assert len(blocks) == 1 and blocks[0].shape == (1, *s.shape)
+        assert blocks[0][0].tobytes() == s.tobytes()
+        assert [np.linalg.norm(a) for a in blocks[0]] == [1.0]
 
     def test_rejects_negative_step_count(self):
         s = make_single_state(LatticeWindow(3), 0, (1, 0))
@@ -452,12 +461,12 @@ class TestTrajectory:
 
     def test_observer_series_length(self):
         s = make_single_state(LatticeWindow(12), 0, (1, 0))
-        entropy = [coin_entropy(a) for a in trajectory(s, hadamard_stepper, 10)]
+        entropy = [coin_entropy(a) for a in chain.from_iterable(trajectory(s, hadamard_stepper, 10))]
         assert len(entropy) == 11
 
     def test_hadamard_entropy_asymptote(self):
         s = make_single_state(LatticeWindow(101), 0, (1, 0))
-        entropy = [coin_entropy(a) for a in trajectory(s, hadamard_stepper, 100)]
+        entropy = [coin_entropy(a) for a in chain.from_iterable(trajectory(s, hadamard_stepper, 100))]
         assert abs(entropy[100] - 0.87) < 0.02
 
     def test_norm_violation_raises(self):
@@ -478,6 +487,43 @@ class TestTrajectory:
         with pytest.raises(NumericalError):
             list(trajectory(s, nan_stepper, 3))
 
+    def test_blocks_hold_a_fixed_number_of_amplitudes(self):
+        s = make_single_state(LatticeWindow(100), 0, (1, 0))  # 40 steps a block: two fit the window
+        length = _BLOCK_AMPLITUDES // s.size
+        blocks = list(trajectory(s, hadamard_stepper, 2 * length))
+        assert [len(b) for b in blocks] == [length, length, 1]
+        assert all(b.shape[1:] == s.shape for b in blocks)
+        # more amplitudes than a block holds: one step per block
+        wide = np.broadcast_to(s[..., None], (*s.shape, length + 1))
+        assert [len(b) for b in trajectory(wide, hadamard_stepper, 3)] == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("where", ["first", "inside", "last", "next first"])
+    def test_drift_is_named_before_a_later_error(self, where):
+        # the stepper drifts at step s and raises at s + 1: the drift at s is the error reported,
+        # whether s + 1 falls in the same block as s or in the next one
+        s = make_single_state(LatticeWindow(100), 0, (1, 0))
+        length = _BLOCK_AMPLITUDES // s.size
+        drift_at = {"first": 1, "inside": 5, "last": length - 1, "next first": length}[where]
+
+        def stepper(amps, step):  # the call that makes the array after step + 1 steps
+            if step == drift_at:
+                raise WindowOverflowError("raised after the drift")
+            return hadamard_step(amps) * (1.001 if step + 1 == drift_at else 1.0)
+
+        with pytest.raises(NumericalError, match=rf"^walker norm drifted by 1\.000e-03 at step {drift_at}$"):
+            list(trajectory(s, stepper, 2 * length))
+
+    def test_stepper_error_without_drift_is_raised(self):
+        s = make_single_state(LatticeWindow(12), 0, (1, 0))
+
+        def stepper(amps, step):
+            if step == 5:
+                raise WindowOverflowError("the stepper's own error")
+            return hadamard_step(amps)
+
+        with pytest.raises(WindowOverflowError, match="the stepper's own error"):
+            list(trajectory(s, stepper, 10))
+
     def test_nan_angle_fails_the_edge_check(self):
         # a NaN coin angle turns the edge amplitude into NaN, which must not pass as zero
         win = LatticeWindow(3)
@@ -497,6 +543,6 @@ class TestTrajectory:
             field = sample_angle_field(ANGLES_WINDING_1, dis, 100, win, "a", derive_seed(MASTER_SEED, 0))
         s = make_single_state(win, 0, (1, 0))
         states = trajectory(s, lambda amps, t: split_step(amps, field, t), 100)
-        entropy = [coin_entropy(a) for a in states]
+        entropy = [coin_entropy(a) for a in chain.from_iterable(states)]
         for step, expected in SINGLE_WALKER_ENTROPY[kind].items():
             assert_allclose(entropy[step], expected, atol=1e-9)
