@@ -2,18 +2,19 @@
 
 Subcommands: walk (single particle), pair (two particles), sweep (entropy
 heatmap over two angle axes), phase-diagram. Flags override config-file values.
-Exit codes: 0 success, 2 config validation error, 3 runtime numerical error.
+Exit codes: 0 success, 2 config validation error (a config file that cannot
+be read or parsed, or an output directory that cannot be written, included),
+3 runtime numerical error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import ConfigError, NumericalError, WindowOverflowError
 from .experiments import (
-    RUN_KIND_ALIASES, RUN_KINDS, RunConfig, config_from_dict, run, write_artifacts,
+    RUN_KIND_ALIASES, RUN_KINDS, RunConfig, _read_config_file, config_from_dict, run, write_artifacts,
 )
 
 
@@ -110,12 +111,7 @@ def _file_mapping(data: dict, key: str, default: dict) -> dict:
 
 
 def _config_data(args: argparse.Namespace) -> dict:
-    data: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ConfigError("config", "config file must hold a JSON object")
+    data = _read_config_file(args.config) if args.config else {}
 
     flags = vars(args)  # holds only the flags of this subcommand
     kinds = _SUBCOMMANDS[args.command][1]
@@ -179,6 +175,9 @@ def main(argv=None) -> int:
         written = write_artifacts(artifacts, args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the output directory cannot be made, or a file in it written
+        print(f"error: cannot write to {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except (NumericalError, WindowOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

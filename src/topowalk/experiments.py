@@ -288,9 +288,22 @@ def config_from_dict(data: dict) -> RunConfig:
     return validate_config(RunConfig(**kwargs))
 
 
+def _read_config_file(path) -> dict:
+    """The JSON object in a config file; a file that cannot be read or holds none is a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError("config", f"cannot read {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ConfigError("config", f"{path} is not a UTF-8 JSON file: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError("config", "config file must hold a JSON object")
+    return data
+
+
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+    return config_from_dict(_read_config_file(path))
 
 
 def config_to_dict(config: RunConfig) -> dict:
@@ -449,7 +462,8 @@ def _walk_chunks(config: RunConfig, cells, first_step: int = 0):
     a function of a cell index, to call before the next chunk, giving that cell's observable after
     the last step: a single walker's P(x), or a pair's joint distribution. A chunk holds at most 32
     cells (more ran slower), fewer if their coin tables would exceed MAX_ARRAY_ELEMENTS. A Hadamard
-    walk has no angles to sample.
+    walk has no angles to sample. A pair's block of steps is reduced over the light cone of its
+    last step only: the sites outside it hold zeros, and the sums keep their bits without them.
     """
     window = _resolved_window(config)
     particles = _particles(config)
@@ -467,17 +481,19 @@ def _walk_chunks(config: RunConfig, cells, first_step: int = 0):
         field = fields.transpose(2, 3, 4, 0, 1)  # a (2, site, step, cell, particle) view
         if len(particles) == 2:
             blocks = iter_product_walkers(config.initial_state, window, field, config.steps)
+            left, right = (window.index(x) for x in sorted(config.initial_state.positions))
 
-            def reduce(block):  # the step axis as one more cell axis, before the particle axis
-                return pair_coin_density_from_singles(block.transpose(1, 2, 3, 0, 4, 5), coefficients)
+            def reduce(block, last):  # the light cone of step last; the step axis as one more cell axis
+                sites = slice(max(left - last, 0), right + last + 1)
+                return pair_coin_density_from_singles(block[:, sites].transpose(1, 2, 3, 0, 4, 5), coefficients)
 
             final = lambda c: joint_distribution_interference(amps[..., c, 0], amps[..., c, 1], coefficients)
         else:
-            stepper = split_stepper(field[..., 0]) if particles else lambda amps, step: hadamard_step(amps)
+            stepper = split_stepper(field[..., 0]) if particles else hadamard_step
             start = make_single_state(window, 0, config.coin_amps)[..., None]
             blocks = trajectory(np.broadcast_to(start, (*start.shape[:2], len(chunk))), stepper, config.steps)
 
-            def reduce(block):
+            def reduce(block, last):  # the whole window: matmul's sums change bits with their length
                 rows = block.transpose(0, 3, 2, 1)  # (step, cell, coin, site)
                 return np.matmul(rows, rows.conj().transpose(0, 1, 3, 2))
 
@@ -485,7 +501,7 @@ def _walk_chunks(config: RunConfig, cells, first_step: int = 0):
         rhos, step = [], 0
         for block in blocks:
             if step + len(block) > first_step:
-                rhos.append(reduce(block[max(first_step - step, 0) :]))
+                rhos.append(reduce(block[max(first_step - step, 0) :], step + len(block) - 1))
             step += len(block)
         amps = block[-1]  # the walkers after the last step
         yield von_neumann_entropy(np.concatenate(rhos)).T.copy(), final  # a contiguous row per cell

@@ -9,13 +9,19 @@ amplitude currently sits. A walker's angle field is a (2, site, step) array
 holding the theta1 and theta2 planes. Walkers are arrays with axes
 (site, coin, *walkers), as in states.py; trajectory() steps any of them,
 yields the steps in blocks with a leading step axis, and checks every
-walker's norm once per block.
+walker's norm once per block. A block is a view of zeroed rows that hold each
+coin's walkers as rows of sites plus one spare row; the stepper writes each
+step into its own row, the shifts as write offsets. The walk is local, so a
+step computes only the sites of the start's light cone, one site wider on
+the right, and a direct stepper call, hadamard_step(amps) or
+split_stepper(field)(amps, step), computes the whole window.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +31,10 @@ from .states import LatticeWindow
 # Guards compare as `not x <= tol`, so that a NaN fails them instead of passing.
 BOUNDARY_TOL = 1e-14
 RUNTIME_NORM_TOL = 1e-8
+
+# Walker rows (coins times walkers) above which a step whose light cone spans more than half the
+# window computes every site: numpy's loop overhead on each row of a range then outweighs the saving.
+_CONE_MAX_ROWS = 64
 
 # Amplitudes per trajectory block: a one-cell walk takes several steps per block, so that the
 # norm check, and a caller's reduction of each step, is one numpy call per block, not per step.
@@ -126,39 +136,68 @@ def sample_angle_field(
 # -- split-step evolution --------------------------------------------------------
 
 
-# The stepping kernel works on site-last memory (coin, *walkers, site): it takes
-# and returns walker arrays with axes (site, coin, *walkers) as transposed views
-# of that memory, so a trajectory copies no walker array after its start. Each
-# coin is its two columns ([m00, m10], [m01, m11]), shaped (2, 1..., *batch,
-# site) to broadcast against the memory; the batch axes are the last walker axes.
+# A trajectory holds each step in a zeroed row (coin, walker + 1, site): each coin's walkers, as M
+# rows of sites, then one spare row. Over a row's flat memory two views, whose coin stride is one
+# amplitude shorter than the row's, make both shifts write offsets. Written through the view that
+# starts one amplitude in, coin 0 lands one site right (S0) and coin 1 in place; through the view
+# that starts at 0, coin 1 lands one site left (S1) and coin 0 in place. A walker's amplitude that
+# a shift pushes off the window lands on the next or previous walker's edge site, or in the spare
+# row, where the edge check reads it and a zero then replaces it. A step's two coins are their
+# columns, cols[k, c] = m[c, k], as one (2, 2, coin, 1, *batch, site) array that broadcasts against
+# a coin's walker rows viewed as (head, *batch, site); the batch axes are the last walker axes.
 
 
-def _check_edge(leaving: np.ndarray, where: str) -> None:
-    """Raise unless the amplitude a shift would push off the window is zero."""
+def _walkers(rows: np.ndarray, shape: tuple) -> np.ndarray:
+    """The (..., coin, *walkers, site) view of rows holding walker arrays of (site, coin, *walkers) shape."""
+    return rows[..., :-1, :].reshape(*rows.shape[:-2], *shape[2:], shape[0])
+
+
+def _check_edge(leaving: np.ndarray, where: str, step: int | None) -> None:
+    """Raise unless the amplitude a shift pushed off the window is zero; step counts from 0."""
     if not abs(leaving).max() <= BOUNDARY_TOL:
-        raise WindowOverflowError(f"{where}; window too small")
+        at = "" if step is None else f" at step {step + 1}"
+        raise WindowOverflowError(f"{where}{at}; window too small")
 
 
-def _step_amps(amps: np.ndarray, coin1, coin2) -> np.ndarray:
-    """One split step on site-last memory: coin1, shift coin-0 right, coin2, shift coin-1 left.
+def _step_rows(src: np.ndarray, out: np.ndarray, coins, sites: slice, scratch, step, shape: tuple) -> None:
+    """One split step from the row src into the zeroed row out, over the window sites in `sites`.
 
-    Each coin acts on every site at once as col0 * (coin-0 plane) + col1 *
-    (coin-1 plane); the coins are real, so plain broadcasting does the 2x2
-    product. Each shift is a slice copy along the site axis plus a zeroed row.
+    shape is (-1, *batch, site), the shape of a coin's walker rows, and coins the columns of both
+    coins. Each coin acts on the sites in range as one product of its columns with both coin
+    planes, into scratch, and one sum over the input coin, col0 * (coin-0 plane) + col1 * (coin-1
+    plane), into both planes of out through that coin's shifting view; the coins are real, so
+    plain broadcasting does the 2x2 product. Sites outside the range must hold no amplitude, and
+    an edge is checked only when the range reaches it.
     """
-    mem = np.ascontiguousarray(amps.transpose(*range(1, amps.ndim), 0))  # copies only a site-first start
-    col0, col1 = coin1
-    mid = col0 * mem[:1] + col1 * mem[1:]
-    _check_edge(mid[0, ..., -1], "coin-0 amplitude at the right edge")
-    mid[0, ..., 1:] = mid[0, ..., :-1]
-    mid[0, ..., 0] = 0.0
+    m, size = out.shape[1] - 1, out.shape[2]
+    lo, hi = sites.start, sites.stop
+    flat = out.reshape(-1)
+    span = flat.size // 2 - 1  # the shifting views' coin stride
+    shift0 = flat[1 : 1 + 2 * span].reshape(2, span)[:, : m * size].reshape(2, *shape)[..., lo:hi]
+    shift1 = flat[: 2 * span].reshape(2, span)[:, : m * size].reshape(2, *shape)[..., lo:hi]
+    products = scratch[..., : hi - lo]
+    first, second = products
+    np.multiply(coins[:, :, 0, ..., lo:hi], src[:, :m].reshape(2, 1, *shape)[..., lo:hi], out=products)
+    np.add(first, second, out=shift0)
+    if hi == size:
+        _check_edge(out[0, 1:, 0], "coin-0 amplitude at the right edge", step)
+        out[0, 1:m, 0] = 0.0  # S0 shifts in zeros where the previous walker's leaving amplitude sat
+    np.multiply(coins[:, :, 1, ..., lo:hi], out[:, :m].reshape(2, 1, *shape)[..., lo:hi], out=products)
+    np.add(first, second, out=shift1)
+    if lo == 0:
+        _check_edge(flat[span : span + m * size : size], "coin-1 amplitude at the left edge", step)
+    if lo == 0 or hi == size:
+        out[1, :m, -1] = 0.0  # S1 shifts in zeros where the first coin's sums or a leaving amplitude sat
 
-    col0, col1 = coin2
-    out = col0 * mid[:1] + col1 * mid[1:]
-    _check_edge(out[1, ..., 0], "coin-1 amplitude at the left edge")
-    out[1, ..., :-1] = out[1, ..., 1:]
-    out[1, ..., -1] = 0.0
-    return out.transpose(-1, *range(amps.ndim - 1))
+
+def _step_whole_window(stepper, amps: np.ndarray, step) -> np.ndarray:
+    """A direct stepper call: the step of a (site, coin, *walkers) walker array over every site."""
+    size = amps.shape[0]
+    rows = np.zeros((2, 2, amps.size // (2 * size) + 1, size), complex)
+    walkers = _walkers(rows, amps.shape)
+    walkers[0] = amps.transpose(*range(1, amps.ndim), 0)
+    stepper(rows[0], step, rows[1], slice(0, size))
+    return walkers[1].transpose(-1, *range(amps.ndim - 1))
 
 
 def _check_step(step: int, n_steps: int) -> None:
@@ -167,15 +206,16 @@ def _check_step(step: int, n_steps: int) -> None:
 
 
 def split_stepper(field: np.ndarray):
-    """Stepper (amps, step) -> amps for trajectory() under a (2, site, step, *batch) field.
+    """Stepper for trajectory() under a (2, site, step, *batch) field.
 
-    amps has axes (site, coin, *walkers) whose last axes match the batch axes,
-    so each batch entry steps its walkers under its own angles. Every coin of
-    the field is built once, as the rows (-s, c, s) of the half angles: the
-    coin columns ([c, s], [-s, c]) are then the views rows[1:3] and rows[0:2].
-    A batch entry whose half angles are bitwise the same at every step (a
-    field no disorder touches) takes cos and sin at its first step only, and
-    its later steps copy that step's rows.
+    From trajectory, stepper(amps, step, out, sites) writes the step from the row amps into the
+    zeroed row out, over the window sites of the slice `sites`. Called as stepper(amps, step), it
+    steps a (site, coin, *walkers) walker array over every site and returns the new walker array.
+    The walker axes end in the batch axes, so each batch entry steps its walkers under its own
+    angles. Every coin of the field is built once, as the rows (-s, c, s) of the half angles: the
+    coin columns ([c, s], [-s, c]) are then the views rows[1:3] and rows[0:2]. A batch entry whose
+    half angles are bitwise the same at every step (a field no disorder touches) takes cos and sin
+    at its first step only, and its later steps copy that step's rows.
     """
     shape = (3, field.shape[2], 2, *field.shape[3:], field.shape[1])
     rows = np.empty(shape)
@@ -189,26 +229,45 @@ def split_stepper(field: np.ndarray):
     # from a copy: a view of the same table would make numpy buffer the whole broadcast source
     np.copyto(rows[1:, 1:], rows[1:, :1].copy(), where=steady)
     np.negative(rows[2], out=rows[0])
-    views = {}  # amps.ndim -> rows shaped (3, step, 2, 1..., *batch, site) to broadcast against it
+    # the columns as one (2, 2, step, coin, 1, *batch, site) view of the table, cols[k, c] = rows[1 - k + c]
+    table = rows.reshape(shape[:3] + (1,) + shape[3:])[1]
+    coins = np.lib.stride_tricks.as_strided(
+        table, (2, 2, *table.shape), (-rows.strides[0], rows.strides[0], *table.strides), writeable=False
+    )
+    walker_rows = (-1, *shape[3:])  # a coin's walker rows as (head, *batch, site)
+    scratch = {}  # row shape -> the kernel's scratch array
 
-    def stepper(amps: np.ndarray, step: int) -> np.ndarray:
-        if amps.shape[0] != shape[-1]:
+    def step_rows(amps: np.ndarray, step: int, out: np.ndarray, sites: slice) -> None:
+        if out.shape[-1] != shape[-1]:
             raise ValueError("angle field does not match the lattice window")
         _check_step(step, shape[1])
-        r = views.get(amps.ndim)
-        if r is None:
-            r = views[amps.ndim] = rows.reshape(shape[:3] + (1,) * (amps.ndim + 2 - len(shape)) + shape[3:])
-        return _step_amps(amps, (r[1:3, step, 0], r[0:2, step, 0]), (r[1:3, step, 1], r[0:2, step, 1]))
+        work = scratch.get(out.shape)
+        if work is None:
+            work = np.empty((2, 2, out.shape[1] - 1, shape[-1]), complex)
+            work = scratch[out.shape] = work.reshape(2, 2, *walker_rows)
+        _step_rows(amps, out, coins[:, :, step], sites, work, step, walker_rows)
+
+    def stepper(amps: np.ndarray, step: int, out: np.ndarray | None = None, sites: slice | None = None):
+        if out is None:  # step_rows, not stepper itself: a closure over itself would live until a gc pass
+            return _step_whole_window(step_rows, amps, step)
+        step_rows(amps, step, out, sites)
 
     return stepper
 
 
-def hadamard_step(amps: np.ndarray) -> np.ndarray:
-    """One step of the plain Hadamard walk: both shifts after a single coin."""
-    shape = (2, 2) + (1,) * (amps.ndim - 1)
-    h = HADAMARD.reshape(shape)
-    one = np.eye(2).reshape(shape)
-    return _step_amps(amps, (h[:, 0], h[:, 1]), (one[:, 0], one[:, 1]))
+@lru_cache(maxsize=8)
+def _hadamard_coins(size: int) -> np.ndarray:
+    """The Hadamard coin, then the identity, as the read-only (2, 2, coin, 1, site) columns of a step."""
+    return np.broadcast_to(np.stack([HADAMARD.T, np.eye(2)], axis=2)[..., None, None], (2, 2, 2, 1, size))
+
+
+def hadamard_step(amps: np.ndarray, step: int | None = None, out: np.ndarray | None = None, sites=None):
+    """One step of the plain Hadamard walk, both shifts after a single coin: a stepper as split_stepper's."""
+    if out is None:
+        return _step_whole_window(hadamard_step, amps, step)
+    size = out.shape[-1]
+    scratch = np.empty((2, 2, out.shape[1] - 1, size), complex)
+    _step_rows(amps, out, _hadamard_coins(size), sites, scratch, step, (-1, size))
 
 
 def _check_norms(block: np.ndarray, first_step: int) -> None:
@@ -224,35 +283,44 @@ def _check_norms(block: np.ndarray, first_step: int) -> None:
 
 
 def trajectory(amps: np.ndarray, stepper, n_steps: int):
-    """Yield amps and the n_steps arrays amps = stepper(amps, step), in blocks of consecutive steps.
+    """Yield amps and the n_steps steps of it that stepper makes, in blocks of consecutive steps.
 
-    amps has axes (site, coin, *walkers). Each block has axes (step, site, coin, *walkers) over
-    site-last (step, coin, *walkers, site) memory, so block[s] is one step's walker array; the
-    first block starts with amps. A block holds _BLOCK_AMPLITUDES amplitudes, or one step if a
-    step holds more. Each block's stepped walkers have their norms checked against
-    RUNTIME_NORM_TOL before it is yielded; if the stepper raises, the steps before it are checked
-    first, so a drift is reported at the step where it appeared.
+    amps has axes (site, coin, *walkers). Each block has axes (step, site, coin, *walkers), a view
+    of (step, coin, walker + 1, site) rows, so block[s] is one step's walker array; the first block
+    starts with amps. A block holds _BLOCK_AMPLITUDES amplitudes, or one step if a step holds more.
+    Step t (counted from 0) is stepper(row t, t, zeroed row t + 1, sites), over the light cone: a
+    start with amplitude on sites [a, b] has none outside [a - t, b + t] after t steps, so step t
+    reads that cone and writes [a - t - 1, b + t + 1], and computes the sites [a - t, b + t + 1]
+    within the window only. A step of more than _CONE_MAX_ROWS walker rows computes every site
+    once that range spans more than half the window. Each block's stepped walkers have their norms
+    checked against RUNTIME_NORM_TOL before it is yielded; if the stepper raises, the steps before
+    it are checked first, so a drift is reported at the step where it appeared.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
+    size = amps.shape[0]
+    occupied = np.flatnonzero(amps.reshape(size, -1).any(axis=1))
+    a, b = (int(occupied[0]), int(occupied[-1])) if occupied.size else (0, size - 1)
     length = max(1, _BLOCK_AMPLITUDES // amps.size)
-    site_last, block_axes = (*range(1, amps.ndim), 0), (0, amps.ndim, *range(1, amps.ndim))
+    block_axes = (0, amps.ndim, *range(1, amps.ndim))
+    widest = size // 2 if amps.size // size > _CONE_MAX_ROWS else size  # the widest range stepped as one
+    rows = None
     for first in range(0, n_steps + 1, length):
         count = min(length, n_steps + 1 - first)
-        block = np.empty((count, *amps.shape[1:], amps.shape[0]), complex) if count > 1 else None
+        previous, rows = rows, np.zeros((count, 2, amps.size // (2 * size) + 1, size), complex)
+        block = _walkers(rows, amps.shape)
         checked = int(first == 0)  # the start is the caller's; only stepped walkers are checked
-        for s in range(count):
-            if first + s:
-                try:
-                    amps = stepper(amps, first + s - 1)
-                except Exception:  # whatever the stepper raised, a drift before it is the cause to report
-                    if block is not None:
-                        _check_norms(block[checked:s], first + checked)
-                    raise
-            mem = np.ascontiguousarray(amps.transpose(site_last))  # a stepped array's own memory
-            if block is None:  # a one-step block is the step's own memory
-                block = mem[None]
-            else:
-                block[s] = mem
+        if checked:
+            block[0] = amps.transpose(*range(1, amps.ndim), 0)
+        for s in range(checked, count):
+            step = first + s - 1
+            sites = slice(max(a - step, 0), min(b + step + 2, size))
+            if sites.stop - sites.start > widest:
+                sites = slice(0, size)
+            try:
+                stepper(rows[s - 1] if s else previous[-1], step, rows[s], sites)
+            except Exception:  # whatever the stepper raised, a drift before it is the cause to report
+                _check_norms(block[checked:s], first + checked)
+                raise
         _check_norms(block[checked:], first + checked)
         yield block.transpose(block_axes)

@@ -18,12 +18,13 @@ from topowalk import (
     InitialPairState,
     LatticeWindow,
     NumericalError,
+    WindowOverflowError,
     make_single_state,
     split_stepper,
     von_neumann_entropy,
 )
 from topowalk.topology import GAP_THRESHOLD
-from topowalk.walk import RUNTIME_NORM_TOL, _check_step, _step_amps
+from topowalk.walk import BOUNDARY_TOL, HADAMARD, RUNTIME_NORM_TOL, _check_step
 
 PLANARITY_TOL = 1e-6  # largest out-of-plane component the numerical winding accepts
 
@@ -50,10 +51,45 @@ def rotation_coin(theta) -> np.ndarray:
     return m
 
 
-def split_step(amps: np.ndarray, field: np.ndarray, step: int) -> np.ndarray:
+def split_step(amps: np.ndarray, field: np.ndarray, step: int, out=None, sites=None):
     """One split step with the site-dependent angles field[:, :, step] of a (2, site, step, *batch) field."""
     _check_step(step, field.shape[2])
-    return split_stepper(field[:, :, step : step + 1])(amps, 0)
+    return split_stepper(field[:, :, step : step + 1])(amps, 0, out, sites)
+
+
+def _check_edge(leaving: np.ndarray, where: str) -> None:
+    if not abs(leaving).max() <= BOUNDARY_TOL:
+        raise WindowOverflowError(f"{where}; window too small")
+
+
+def step_amps(amps: np.ndarray, coin1, coin2) -> np.ndarray:
+    """Whole-window reference split step of (site, coin, *walkers) walkers: coin1, shift coin-0
+    right, coin2, shift coin-1 left.
+
+    Each coin acts on every site at once as col0 * (coin-0 plane) + col1 * (coin-1 plane), with
+    columns shaped (2, 1..., *batch, site) against site-last memory; each shift is a slice copy
+    along the site axis plus a zeroed row. It shares no code with the package's stepping kernel.
+    """
+    mem = np.ascontiguousarray(amps.transpose(*range(1, amps.ndim), 0))
+    col0, col1 = coin1
+    mid = col0 * mem[:1] + col1 * mem[1:]
+    _check_edge(mid[0, ..., -1], "coin-0 amplitude at the right edge")
+    mid[0, ..., 1:] = mid[0, ..., :-1]
+    mid[0, ..., 0] = 0.0
+
+    col0, col1 = coin2
+    out = col0 * mid[:1] + col1 * mid[1:]
+    _check_edge(out[1, ..., 0], "coin-1 amplitude at the left edge")
+    out[1, ..., :-1] = out[1, ..., 1:]
+    out[1, ..., -1] = 0.0
+    return out.transpose(-1, *range(amps.ndim - 1))
+
+
+def hadamard_reference_step(amps: np.ndarray, step: int) -> np.ndarray:
+    """One Hadamard walk step through the whole-window reference kernel step_amps."""
+    shape = (2, 2) + (1,) * (amps.ndim - 1)
+    h, one = HADAMARD.reshape(shape), np.eye(2).reshape(shape)
+    return step_amps(amps, (h[:, 0], h[:, 1]), (one[:, 0], one[:, 1]))
 
 
 def full_table_stepper(field: np.ndarray):
@@ -76,7 +112,7 @@ def full_table_stepper(field: np.ndarray):
         coin1, coin2 = (
             (rows[1:3, step, k].reshape(broadcast), rows[0:2, step, k].reshape(broadcast)) for k in (0, 1)
         )
-        return _step_amps(amps, coin1, coin2)
+        return step_amps(amps, coin1, coin2)
 
     return stepper
 

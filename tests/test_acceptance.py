@@ -137,7 +137,7 @@ def boundary_vs_uniform(n_steps: int, disorder_key: str):
 def test_criterion_1_hadamard_entropy_asymptote():
     t0 = time.perf_counter()
     state = make_single_state(LatticeWindow(101), 0, (1, 0))
-    blocks = trajectory(state, lambda s, t: hadamard_step(s), 100)
+    blocks = trajectory(state, hadamard_step, 100)
     entropy = [coin_entropy(s) for s in chain.from_iterable(blocks)]
     elapsed = time.perf_counter() - t0
     final_entropy = entropy[100]

@@ -69,6 +69,40 @@ class TestWalkCommand:
         assert main(["walk", "--steps", "30", "--window", "5", "--out", str(tmp_path)]) == 3
 
 
+class TestBadPaths:
+    """A config file that cannot be read or parsed, or an output directory that cannot be made,
+    ends in one error line and exit code 2, not a traceback."""
+
+    @staticmethod
+    def config_path(tmp_path, case):
+        path = tmp_path / "cfg.json"
+        if case == "directory":
+            return tmp_path
+        if case == "invalid json":
+            path.write_text('{"steps": 3,')
+        elif case == "not utf-8":
+            path.write_bytes(b'{"run_kind": "hadamard", "steps": 3, "master_seed": "\xff"}')
+        return path  # "missing": never written
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "invalid json", "not utf-8"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, case):
+        path = self.config_path(tmp_path, case)
+        out = tmp_path / "run"
+        assert main(["walk", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field 'config': ") and str(path) in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_out_under_a_regular_file_is_an_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "run"
+        assert main(["walk", "--steps", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write to {out}: Not a directory\n"
+
+
 class TestPairCommand:
     def test_two_phase_pair_run(self, tmp_path):
         out = tmp_path / "run"

@@ -537,8 +537,10 @@ class TestRunDeterminism:
         assert art.entropy_std is None
 
     def test_window_too_small_overflows(self):
+        # the walk from the origin fills the half-width-5 window in 5 steps; the sixth leaves it
         cfg = config_from_dict({"run_kind": "hadamard", "steps": 30, "window": 5})
-        with pytest.raises(WindowOverflowError):
+        message = r"^coin-0 amplitude at the right edge at step 6; window too small$"
+        with pytest.raises(WindowOverflowError, match=message):
             run(cfg)
 
     def test_pair_window_too_small_overflows(self):
@@ -869,7 +871,7 @@ class TestSingleWalkerEntropy:
         cfg = config_from_dict(minimal_dict(kind, steps=40))
         window = LatticeWindow(41)
         if kind == "hadamard":
-            stepper = lambda amps, step: hadamard_step(amps)
+            stepper = hadamard_step
         else:
             stepper = split_stepper(sample_angle_field(cfg.angles["a"], cfg.disorder, 40, window, "a", 0))
         start = make_single_state(window, 0, cfg.coin_amps)

@@ -449,7 +449,11 @@ class TestProductDecomposition:
 
         def drifting_stepper(field):
             stepper = make_stepper(field)
-            return lambda amps, step: stepper(amps, step) * scale
+            def drifting(amps, step, out, sites):
+                stepper(amps, step, out, sites)
+                out *= scale
+
+            return drifting
 
         monkeypatch.setattr(pair_module, "split_stepper", drifting_stepper)
         win = LatticeWindow(4)

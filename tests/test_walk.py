@@ -31,6 +31,7 @@ from oracles import (
     dense_split_unitary,
     full_table_stepper,
     hadamard_reachable,
+    hadamard_reference_step,
     reduce_to_coin,
     rotation_coin,
     split_reachable,
@@ -136,7 +137,7 @@ class TestHadamardStep:
         for s in range(2):
             for p in range(2):
                 assert np.array_equal(out[:, :, s, p], hadamard_step(walkers[:, :, s, p]))
-        assert np.moveaxis(out, 0, -1).flags.c_contiguous
+        assert out.strides[0] == out.itemsize  # the site axis has unit stride
 
     def test_hundred_step_peak_matches_dense_oracle(self):
         # the 100-step walk from coin |0> is asymmetric with its ballistic peak
@@ -182,7 +183,7 @@ class TestSplitStep:
         for step in range(3):
             walkers = split_step(walkers, field, step)
             # walkers keep their (site, coin, *walkers) axes over site-last memory
-            assert np.moveaxis(walkers, 0, -1).flags.c_contiguous
+            assert walkers.strides[0] == walkers.itemsize
             for (s, p), amps in lone.items():
                 lone[s, p] = split_step(amps, field[..., p], step)
                 assert np.array_equal(walkers[:, :, s, p], lone[s, p])
@@ -442,14 +443,10 @@ class TestAngleFields:
             DisorderSpec("uniform", 0.1, "c")
 
 
-def hadamard_stepper(amps, step):
-    return hadamard_step(amps)
-
-
 class TestTrajectory:
     def test_zero_steps_returns_input(self):
         s = make_single_state(LatticeWindow(3), 0, (1, 0))
-        blocks = list(trajectory(s, hadamard_stepper, 0))
+        blocks = list(trajectory(s, hadamard_step, 0))
         assert len(blocks) == 1 and blocks[0].shape == (1, *s.shape)
         assert blocks[0][0].tobytes() == s.tobytes()
         assert [np.linalg.norm(a) for a in blocks[0]] == [1.0]
@@ -457,23 +454,23 @@ class TestTrajectory:
     def test_rejects_negative_step_count(self):
         s = make_single_state(LatticeWindow(3), 0, (1, 0))
         with pytest.raises(ValueError):
-            next(trajectory(s, hadamard_stepper, -1))
+            next(trajectory(s, hadamard_step, -1))
 
     def test_observer_series_length(self):
         s = make_single_state(LatticeWindow(12), 0, (1, 0))
-        entropy = [coin_entropy(a) for a in chain.from_iterable(trajectory(s, hadamard_stepper, 10))]
+        entropy = [coin_entropy(a) for a in chain.from_iterable(trajectory(s, hadamard_step, 10))]
         assert len(entropy) == 11
 
     def test_hadamard_entropy_asymptote(self):
         s = make_single_state(LatticeWindow(101), 0, (1, 0))
-        entropy = [coin_entropy(a) for a in chain.from_iterable(trajectory(s, hadamard_stepper, 100))]
+        entropy = [coin_entropy(a) for a in chain.from_iterable(trajectory(s, hadamard_step, 100))]
         assert abs(entropy[100] - 0.87) < 0.02
 
     def test_norm_violation_raises(self):
         s = make_single_state(LatticeWindow(3), 0, (1, 0))
 
-        def bad_stepper(amps, step):
-            return amps * 1.001
+        def bad_stepper(amps, step, out, sites):
+            np.multiply(amps, 1.001, out=out)
 
         with pytest.raises(NumericalError):
             list(trajectory(s, bad_stepper, 3))
@@ -481,8 +478,8 @@ class TestTrajectory:
     def test_nan_state_fails_the_norm_check(self):
         s = make_single_state(LatticeWindow(3), 0, (1, 0))
 
-        def nan_stepper(amps, step):
-            return amps * np.nan
+        def nan_stepper(amps, step, out, sites):
+            np.multiply(amps, np.nan, out=out)
 
         with pytest.raises(NumericalError):
             list(trajectory(s, nan_stepper, 3))
@@ -490,12 +487,12 @@ class TestTrajectory:
     def test_blocks_hold_a_fixed_number_of_amplitudes(self):
         s = make_single_state(LatticeWindow(100), 0, (1, 0))  # 40 steps a block: two fit the window
         length = _BLOCK_AMPLITUDES // s.size
-        blocks = list(trajectory(s, hadamard_stepper, 2 * length))
+        blocks = list(trajectory(s, hadamard_step, 2 * length))
         assert [len(b) for b in blocks] == [length, length, 1]
         assert all(b.shape[1:] == s.shape for b in blocks)
         # more amplitudes than a block holds: one step per block
         wide = np.broadcast_to(s[..., None], (*s.shape, length + 1))
-        assert [len(b) for b in trajectory(wide, hadamard_stepper, 3)] == [1, 1, 1, 1]
+        assert [len(b) for b in trajectory(wide, hadamard_step, 3)] == [1, 1, 1, 1]
 
     @pytest.mark.parametrize("where", ["first", "inside", "last", "next first"])
     def test_drift_is_named_before_a_later_error(self, where):
@@ -505,10 +502,11 @@ class TestTrajectory:
         length = _BLOCK_AMPLITUDES // s.size
         drift_at = {"first": 1, "inside": 5, "last": length - 1, "next first": length}[where]
 
-        def stepper(amps, step):  # the call that makes the array after step + 1 steps
+        def stepper(amps, step, out, sites):  # the call that makes the array after step + 1 steps
             if step == drift_at:
                 raise WindowOverflowError("raised after the drift")
-            return hadamard_step(amps) * (1.001 if step + 1 == drift_at else 1.0)
+            hadamard_step(amps, step, out, sites)
+            out *= 1.001 if step + 1 == drift_at else 1.0
 
         with pytest.raises(NumericalError, match=rf"^walker norm drifted by 1\.000e-03 at step {drift_at}$"):
             list(trajectory(s, stepper, 2 * length))
@@ -516,10 +514,10 @@ class TestTrajectory:
     def test_stepper_error_without_drift_is_raised(self):
         s = make_single_state(LatticeWindow(12), 0, (1, 0))
 
-        def stepper(amps, step):
+        def stepper(amps, step, out, sites):
             if step == 5:
                 raise WindowOverflowError("the stepper's own error")
-            return hadamard_step(amps)
+            hadamard_step(amps, step, out, sites)
 
         with pytest.raises(WindowOverflowError, match="the stepper's own error"):
             list(trajectory(s, stepper, 10))
@@ -542,7 +540,92 @@ class TestTrajectory:
             dis = DisorderSpec("uniform", half_width, "a")
             field = sample_angle_field(ANGLES_WINDING_1, dis, 100, win, "a", derive_seed(MASTER_SEED, 0))
         s = make_single_state(win, 0, (1, 0))
-        states = trajectory(s, lambda amps, t: split_step(amps, field, t), 100)
+        states = trajectory(s, lambda amps, t, out, sites: split_step(amps, field, t, out, sites), 100)
         entropy = [coin_entropy(a) for a in chain.from_iterable(states)]
         for step, expected in SINGLE_WALKER_ENTROPY[kind].items():
             assert_allclose(entropy[step], expected, atol=1e-9)
+
+
+def assert_cone_steps(start, stepper, reference, n_steps):
+    """trajectory's steps of start hold the reference's bits inside the light cone, and 0.0 outside it.
+
+    A start on sites [a, b] has, after t >= 1 steps, coin-0 amplitude on [a - t + 1, b + t] only and
+    coin-1 amplitude on [a - t, b + t - 1] only: a coin's zeros past its own edge may differ in sign.
+    """
+    size = start.shape[0]
+    a, b = np.flatnonzero(start.reshape(size, -1).any(axis=1))[[0, -1]]
+    expected = start
+    for t, amps in enumerate(chain.from_iterable(trajectory(start, stepper, n_steps))):
+        if t:
+            expected = reference(expected, t - 1)
+        moved = min(t, 1)
+        for c in (0, 1):
+            lo, hi = max(a - t + moved * (1 - c), 0), min(b + t + 1 - moved * c, size)
+            assert amps[lo:hi, c].tobytes() == expected[lo:hi, c].tobytes()
+            assert np.all(amps[:lo, c] == 0.0) and np.all(amps[hi:, c] == 0.0)
+    assert t == n_steps
+
+
+def started_at(win, sites, walkers, seed):
+    """A (site, coin, *walkers) array with random complex coins at the given sites, each walker normalized."""
+    rng = np.random.default_rng(seed)
+    amps = np.zeros((win.size, 2, *walkers), complex)
+    for x in sites:
+        amps[win.index(x)] = rng.standard_normal((2, *walkers)) + 1j * rng.standard_normal((2, *walkers))
+    return amps / np.sqrt((abs(amps) ** 2).sum(axis=(0, 1)))
+
+
+class TestLightCone:
+    """trajectory steps only the light cone of its start; every step keeps the bits of the whole-window
+    reference kernel (oracles.step_amps) inside the cone and is exactly zero outside it."""
+
+    def test_two_starts_far_apart(self):
+        # particle a starts at -30 and b at 25: the cone spans both, and the sites between them too
+        win, n = LatticeWindow(40), 9
+        field = np.random.default_rng(1).uniform(-np.pi, np.pi, (2, win.size, n, 2))
+        start = np.zeros((win.size, 2, 2, 2), complex)  # (site, coin, start coin, particle)
+        start[..., 0] = started_at(win, [-30], (2,), 2)
+        start[..., 1] = started_at(win, [25], (2,), 3)
+        assert_cone_steps(start, split_stepper(field), full_table_stepper(field), n)
+
+    @pytest.mark.parametrize("cells", [3, 20])
+    def test_cell_axis(self, cells):
+        # 20 cells hold more walker rows than a range is stepped for once the cone spans half the window
+        win, n = LatticeWindow(12), 11
+        rng = np.random.default_rng(cells)
+        field = rng.uniform(-np.pi, np.pi, (2, win.size, n, cells, 2))
+        field[:, :, :, 0] = field[:, :, :1, 0]  # one cell no disorder touches: steady coins
+        start = started_at(win, [-1, 0], (2, cells, 2), 4)  # (site, coin, start coin, cell, particle)
+        assert_cone_steps(start, split_stepper(field), full_table_stepper(field), n)
+
+    def test_single_walker(self):
+        win, n = LatticeWindow(30), 25
+        strong = DisorderSpec("uniform", STRONG_HALF_WIDTH, "a")
+        field = sample_angle_field(ANGLES_WINDING_1, strong, n, win, "a", 5)
+        start = started_at(win, [3], (), 6)
+        assert_cone_steps(start, split_stepper(field), full_table_stepper(field), n)
+
+    def test_hadamard_walk(self):
+        start = make_single_state(LatticeWindow(30), -4, (1, 0))
+        assert_cone_steps(start, hadamard_step, hadamard_reference_step, 25)
+
+    def test_explicit_window_the_cone_reaches(self):
+        # after 4 steps the cone spans the half-width-4 window: its ranges are cut at both edges,
+        # and the fifth step pushes coin-0 amplitude off the right edge
+        win = LatticeWindow(4)
+        weak = DisorderSpec("uniform", WEAK_HALF_WIDTH, "a")
+        field = sample_angle_field(ANGLES_WINDING_1, weak, 5, win, "a", 7)
+        start = started_at(win, [0], (), 8)
+        assert_cone_steps(start, split_stepper(field), full_table_stepper(field), 4)
+        message = r"^coin-0 amplitude at the right edge at step 5; window too small$"
+        with pytest.raises(WindowOverflowError, match=message):
+            list(trajectory(start, split_stepper(field), 5))
+
+    def test_overflow_names_its_step_and_edge(self):
+        # zero angles make both coins the identity: coin 1 walks left one site a step, from -3 to the
+        # edge at -5 in two steps, and leaves the window on the third
+        win = LatticeWindow(5)
+        start = make_single_state(win, -3, (0, 1))
+        message = r"^coin-1 amplitude at the left edge at step 3; window too small$"
+        with pytest.raises(WindowOverflowError, match=message):
+            list(trajectory(start, split_stepper(constant_field(0.0, 0.0, 4, win)), 4))
