@@ -172,16 +172,17 @@ def main(argv=None) -> int:
     try:
         config = config_from_dict(_config_data(args))
         artifacts = run(config)
-        written = write_artifacts(artifacts, args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # the output directory cannot be made, or a file in it written
-        print(f"error: cannot write to {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except (NumericalError, WindowOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    try:
+        written = write_artifacts(artifacts, args.out)
+    except OSError as exc:  # the output directory cannot be made, or a file in it written
+        print(f"error: cannot write to {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     for path in written:
         print(path)
     return 0

@@ -34,7 +34,8 @@ RUNTIME_NORM_TOL = 1e-8
 
 # Walker rows (coins times walkers) above which a step whose light cone spans more than half the
 # window computes every site: numpy's loop overhead on each row of a range then outweighs the saving.
-_CONE_MAX_ROWS = 64
+# scripts/cone_rows_scan.py times both ways: whole windows were faster from 48 rows up, not below 40.
+_CONE_MAX_ROWS = 40
 
 # Amplitudes per trajectory block: a one-cell walk takes several steps per block, so that the
 # norm check, and a caller's reduction of each step, is one numpy call per block, not per step.
@@ -144,7 +145,7 @@ def sample_angle_field(
 # a shift pushes off the window lands on the next or previous walker's edge site, or in the spare
 # row, where the edge check reads it and a zero then replaces it. A step's two coins are their
 # columns, cols[k, c] = m[c, k], as one (2, 2, coin, 1, *batch, site) array that broadcasts against
-# a coin's walker rows viewed as (head, *batch, site); the batch axes are the last walker axes.
+# a coin's walker rows viewed as (head, *axes, site), the axes being the walkers' last len(batch).
 
 
 def _walkers(rows: np.ndarray, shape: tuple) -> np.ndarray:
@@ -159,10 +160,22 @@ def _check_edge(leaving: np.ndarray, where: str, step: int | None) -> None:
         raise WindowOverflowError(f"{where}{at}; window too small")
 
 
+def _walker_rows(walkers: tuple, batch: tuple, size: int) -> tuple:
+    """The shape (-1, *axes, site) of a coin's rows of walkers with axes `walkers` under batch axes.
+
+    The axes are the walkers' last len(batch) axes; each batch axis must equal its walker axis or
+    be 1, as in broadcasting, so that every walker steps under its own batch entry's angles.
+    """
+    axes = walkers[len(walkers) - len(batch) :]
+    if len(walkers) < len(batch) or any(b not in (1, w) for w, b in zip(axes, batch)):
+        raise ValueError(f"walker axes {walkers} do not end in the angle field's batch axes {batch}")
+    return (-1, *axes, size)
+
+
 def _step_rows(src: np.ndarray, out: np.ndarray, coins, sites: slice, scratch, step, shape: tuple) -> None:
     """One split step from the row src into the zeroed row out, over the window sites in `sites`.
 
-    shape is (-1, *batch, site), the shape of a coin's walker rows, and coins the columns of both
+    shape is (-1, *axes, site), the shape of a coin's walker rows, and coins the columns of both
     coins. Each coin acts on the sites in range as one product of its columns with both coin
     planes, into scratch, and one sum over the input coin, col0 * (coin-0 plane) + col1 * (coin-1
     plane), into both planes of out through that coin's shifting view; the coins are real, so
@@ -196,7 +209,7 @@ def _step_whole_window(stepper, amps: np.ndarray, step) -> np.ndarray:
     rows = np.zeros((2, 2, amps.size // (2 * size) + 1, size), complex)
     walkers = _walkers(rows, amps.shape)
     walkers[0] = amps.transpose(*range(1, amps.ndim), 0)
-    stepper(rows[0], step, rows[1], slice(0, size))
+    stepper(rows[0], step, rows[1], slice(0, size), amps.shape[2:])
     return walkers[1].transpose(-1, *range(amps.ndim - 1))
 
 
@@ -208,14 +221,15 @@ def _check_step(step: int, n_steps: int) -> None:
 def split_stepper(field: np.ndarray):
     """Stepper for trajectory() under a (2, site, step, *batch) field.
 
-    From trajectory, stepper(amps, step, out, sites) writes the step from the row amps into the
-    zeroed row out, over the window sites of the slice `sites`. Called as stepper(amps, step), it
-    steps a (site, coin, *walkers) walker array over every site and returns the new walker array.
-    The walker axes end in the batch axes, so each batch entry steps its walkers under its own
-    angles. Every coin of the field is built once, as the rows (-s, c, s) of the half angles: the
-    coin columns ([c, s], [-s, c]) are then the views rows[1:3] and rows[0:2]. A batch entry whose
-    half angles are bitwise the same at every step (a field no disorder touches) takes cos and sin
-    at its first step only, and its later steps copy that step's rows.
+    From trajectory, stepper(amps, step, out, sites, walkers) writes the step from the row amps
+    into the zeroed row out, over the window sites of the slice `sites`; the rows hold walkers with
+    the axes `walkers`. Called as stepper(amps, step), it steps a (site, coin, *walkers) walker
+    array over every site and returns the new walker array. The walker axes end in the batch axes,
+    or in axes they broadcast to, so each batch entry steps its walkers under its own angles; other
+    walker axes raise ValueError. Every coin of the field is built once, as the rows (-s, c, s) of
+    the half angles: the coin columns ([c, s], [-s, c]) are then the views rows[1:3] and rows[0:2].
+    A batch entry whose half angles are bitwise the same at every step (a field no disorder
+    touches) takes cos and sin at its first step only, and its later steps copy that step's rows.
     """
     shape = (3, field.shape[2], 2, *field.shape[3:], field.shape[1])
     rows = np.empty(shape)
@@ -234,23 +248,23 @@ def split_stepper(field: np.ndarray):
     coins = np.lib.stride_tricks.as_strided(
         table, (2, 2, *table.shape), (-rows.strides[0], rows.strides[0], *table.strides), writeable=False
     )
-    walker_rows = (-1, *shape[3:])  # a coin's walker rows as (head, *batch, site)
-    scratch = {}  # row shape -> the kernel's scratch array
+    kernels = {}  # (row shape, walker axes) -> the kernel's scratch array and walker row shape
 
-    def step_rows(amps: np.ndarray, step: int, out: np.ndarray, sites: slice) -> None:
+    def step_rows(amps: np.ndarray, step: int, out: np.ndarray, sites: slice, walkers: tuple) -> None:
         if out.shape[-1] != shape[-1]:
             raise ValueError("angle field does not match the lattice window")
         _check_step(step, shape[1])
-        work = scratch.get(out.shape)
-        if work is None:
-            work = np.empty((2, 2, out.shape[1] - 1, shape[-1]), complex)
-            work = scratch[out.shape] = work.reshape(2, 2, *walker_rows)
-        _step_rows(amps, out, coins[:, :, step], sites, work, step, walker_rows)
+        kernel = kernels.get((out.shape, walkers))
+        if kernel is None:
+            walker_rows = _walker_rows(walkers, shape[3:-1], shape[-1])
+            work = np.empty((2, 2, out.shape[1] - 1, shape[-1]), complex).reshape(2, 2, *walker_rows)
+            kernel = kernels[out.shape, walkers] = work, walker_rows
+        _step_rows(amps, out, coins[:, :, step], sites, kernel[0], step, kernel[1])
 
-    def stepper(amps: np.ndarray, step: int, out: np.ndarray | None = None, sites: slice | None = None):
+    def stepper(amps: np.ndarray, step: int, out: np.ndarray | None = None, sites=None, walkers=()):
         if out is None:  # step_rows, not stepper itself: a closure over itself would live until a gc pass
             return _step_whole_window(step_rows, amps, step)
-        step_rows(amps, step, out, sites)
+        step_rows(amps, step, out, sites, walkers)
 
     return stepper
 
@@ -261,7 +275,7 @@ def _hadamard_coins(size: int) -> np.ndarray:
     return np.broadcast_to(np.stack([HADAMARD.T, np.eye(2)], axis=2)[..., None, None], (2, 2, 2, 1, size))
 
 
-def hadamard_step(amps: np.ndarray, step: int | None = None, out: np.ndarray | None = None, sites=None):
+def hadamard_step(amps: np.ndarray, step=None, out: np.ndarray | None = None, sites=None, walkers=()):
     """One step of the plain Hadamard walk, both shifts after a single coin: a stepper as split_stepper's."""
     if out is None:
         return _step_whole_window(hadamard_step, amps, step)
@@ -288,13 +302,14 @@ def trajectory(amps: np.ndarray, stepper, n_steps: int):
     amps has axes (site, coin, *walkers). Each block has axes (step, site, coin, *walkers), a view
     of (step, coin, walker + 1, site) rows, so block[s] is one step's walker array; the first block
     starts with amps. A block holds _BLOCK_AMPLITUDES amplitudes, or one step if a step holds more.
-    Step t (counted from 0) is stepper(row t, t, zeroed row t + 1, sites), over the light cone: a
-    start with amplitude on sites [a, b] has none outside [a - t, b + t] after t steps, so step t
-    reads that cone and writes [a - t - 1, b + t + 1], and computes the sites [a - t, b + t + 1]
-    within the window only. A step of more than _CONE_MAX_ROWS walker rows computes every site
-    once that range spans more than half the window. Each block's stepped walkers have their norms
-    checked against RUNTIME_NORM_TOL before it is yielded; if the stepper raises, the steps before
-    it are checked first, so a drift is reported at the step where it appeared.
+    Step t (counted from 0) is stepper(row t, t, zeroed row t + 1, sites, amps.shape[2:]), over the
+    light cone: a start with amplitude on sites [a, b] has none outside [a - t, b + t] after t
+    steps, so step t reads that cone and writes [a - t - 1, b + t + 1], and computes the sites
+    [a - t, b + t + 1] within the window only. A step of more than _CONE_MAX_ROWS walker rows
+    computes every site once that range spans more than half the window. Each block's stepped
+    walkers have their norms checked against RUNTIME_NORM_TOL before it is yielded; if the stepper
+    raises, the steps before it are checked first, so a drift is reported at the step where it
+    appeared.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
@@ -318,7 +333,7 @@ def trajectory(amps: np.ndarray, stepper, n_steps: int):
             if sites.stop - sites.start > widest:
                 sites = slice(0, size)
             try:
-                stepper(rows[s - 1] if s else previous[-1], step, rows[s], sites)
+                stepper(rows[s - 1] if s else previous[-1], step, rows[s], sites, amps.shape[2:])
             except Exception:  # whatever the stepper raised, a drift before it is the cause to report
                 _check_norms(block[checked:s], first + checked)
                 raise

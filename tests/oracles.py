@@ -51,10 +51,10 @@ def rotation_coin(theta) -> np.ndarray:
     return m
 
 
-def split_step(amps: np.ndarray, field: np.ndarray, step: int, out=None, sites=None):
+def split_step(amps: np.ndarray, field: np.ndarray, step: int, out=None, sites=None, walkers=()):
     """One split step with the site-dependent angles field[:, :, step] of a (2, site, step, *batch) field."""
     _check_step(step, field.shape[2])
-    return split_stepper(field[:, :, step : step + 1])(amps, 0, out, sites)
+    return split_stepper(field[:, :, step : step + 1])(amps, 0, out, sites, walkers)
 
 
 def _check_edge(leaving: np.ndarray, where: str) -> None:

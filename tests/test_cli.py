@@ -102,6 +102,16 @@ class TestBadPaths:
         err = capsys.readouterr().err
         assert err == f"error: cannot write to {out}: Not a directory\n"
 
+    def test_an_os_error_before_writing_is_not_a_write_error(self, tmp_path, monkeypatch):
+        import topowalk.cli as cli
+
+        def failing_run(config):
+            raise OSError("raised while running")
+
+        monkeypatch.setattr(cli, "run", failing_run)
+        with pytest.raises(OSError, match="raised while running"):
+            main(["walk", "--steps", "3", "--out", str(tmp_path / "run")])
+
 
 class TestPairCommand:
     def test_two_phase_pair_run(self, tmp_path):

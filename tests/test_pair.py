@@ -449,8 +449,8 @@ class TestProductDecomposition:
 
         def drifting_stepper(field):
             stepper = make_stepper(field)
-            def drifting(amps, step, out, sites):
-                stepper(amps, step, out, sites)
+            def drifting(amps, step, out, sites, walkers):
+                stepper(amps, step, out, sites, walkers)
                 out *= scale
 
             return drifting

@@ -200,6 +200,33 @@ class TestSplitStep:
         with pytest.raises(ValueError, match="field covers steps 0..2"):
             stepper(walkers, 3)
 
+    @pytest.mark.parametrize("walkers", [(2, 3), (3,), (), (1,)])
+    def test_walker_axes_must_end_in_the_batch_axes(self, walkers):
+        # (2, 3) walkers count a multiple of the two batch entries, yet pair with them by their last axis
+        win = LatticeWindow(10)
+        field = np.random.default_rng(9).uniform(-np.pi, np.pi, (2, win.size, 3, 2))
+        start = started_at(win, [0], walkers, 10)
+        message = r"walker axes .* do not end in the angle field's batch axes \(2,\)"
+        with pytest.raises(ValueError, match=message):
+            split_stepper(field)(start, 0)
+        with pytest.raises(ValueError, match=message):
+            list(trajectory(start, split_stepper(field), 3))
+
+    @pytest.mark.parametrize("batch, walkers", [((2, 1), (2, 3)), ((1,), (2, 3)), ((1, 3), (2, 3))])
+    def test_unit_batch_axes_broadcast(self, batch, walkers):
+        # a batch axis of 1 holds the angles of every walker along that axis
+        win, n = LatticeWindow(10), 3
+        field = np.random.default_rng(11).uniform(-np.pi, np.pi, (2, win.size, n, *batch))
+        full = np.broadcast_to(field, (2, win.size, n, *walkers[len(walkers) - len(batch) :]))
+        start = started_at(win, [-1, 2], walkers, 12)
+        amps, expected = start, start
+        for step in range(n):
+            amps, expected = split_stepper(field)(amps, step), split_stepper(full)(expected, step)
+            assert amps.tobytes() == expected.tobytes()
+        stepped = chain.from_iterable(trajectory(start, split_stepper(field), n))
+        for amps, expected in zip(stepped, chain.from_iterable(trajectory(start, split_stepper(full), n))):
+            assert amps.tobytes() == expected.tobytes()
+
     def test_steady_entries_equal_the_full_coin_table(self):
         # an entry whose angles never change with the step takes cos and sin once; the bits stay those
         # of a table computed at every step
@@ -469,7 +496,7 @@ class TestTrajectory:
     def test_norm_violation_raises(self):
         s = make_single_state(LatticeWindow(3), 0, (1, 0))
 
-        def bad_stepper(amps, step, out, sites):
+        def bad_stepper(amps, step, out, sites, walkers):
             np.multiply(amps, 1.001, out=out)
 
         with pytest.raises(NumericalError):
@@ -478,7 +505,7 @@ class TestTrajectory:
     def test_nan_state_fails_the_norm_check(self):
         s = make_single_state(LatticeWindow(3), 0, (1, 0))
 
-        def nan_stepper(amps, step, out, sites):
+        def nan_stepper(amps, step, out, sites, walkers):
             np.multiply(amps, np.nan, out=out)
 
         with pytest.raises(NumericalError):
@@ -502,10 +529,10 @@ class TestTrajectory:
         length = _BLOCK_AMPLITUDES // s.size
         drift_at = {"first": 1, "inside": 5, "last": length - 1, "next first": length}[where]
 
-        def stepper(amps, step, out, sites):  # the call that makes the array after step + 1 steps
+        def stepper(amps, step, out, sites, walkers):  # the call that makes the array after step + 1 steps
             if step == drift_at:
                 raise WindowOverflowError("raised after the drift")
-            hadamard_step(amps, step, out, sites)
+            hadamard_step(amps, step, out, sites, walkers)
             out *= 1.001 if step + 1 == drift_at else 1.0
 
         with pytest.raises(NumericalError, match=rf"^walker norm drifted by 1\.000e-03 at step {drift_at}$"):
@@ -514,10 +541,10 @@ class TestTrajectory:
     def test_stepper_error_without_drift_is_raised(self):
         s = make_single_state(LatticeWindow(12), 0, (1, 0))
 
-        def stepper(amps, step, out, sites):
+        def stepper(amps, step, out, sites, walkers):
             if step == 5:
                 raise WindowOverflowError("the stepper's own error")
-            hadamard_step(amps, step, out, sites)
+            hadamard_step(amps, step, out, sites, walkers)
 
         with pytest.raises(WindowOverflowError, match="the stepper's own error"):
             list(trajectory(s, stepper, 10))
@@ -540,7 +567,7 @@ class TestTrajectory:
             dis = DisorderSpec("uniform", half_width, "a")
             field = sample_angle_field(ANGLES_WINDING_1, dis, 100, win, "a", derive_seed(MASTER_SEED, 0))
         s = make_single_state(win, 0, (1, 0))
-        states = trajectory(s, lambda amps, t, out, sites: split_step(amps, field, t, out, sites), 100)
+        states = trajectory(s, lambda amps, t, *row: split_step(amps, field, t, *row), 100)
         entropy = [coin_entropy(a) for a in chain.from_iterable(states)]
         for step, expected in SINGLE_WALKER_ENTROPY[kind].items():
             assert_allclose(entropy[step], expected, atol=1e-9)
