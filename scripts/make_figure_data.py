@@ -4,11 +4,13 @@
 Each JSON in configs/ is a self-contained experiment; outputs land in
 <out>/<config-stem>/. The package is imported from the checkout's src/, so the
 script runs without installing it. Each line gives a config's time, split
-into run() and write_artifacts(). Three runs on a shared 2-vCPU host took
-2.0–2.3 s for the whole set, most of it the six fig5 sweeps (0.19–0.39 s
-each); each 100-step pair config took 0.04–0.08 s, 0.02–0.03 s of it writing
-its data files (the 41,209-row joint.csv most of that), and the fig2 phase
-diagram (64×64 points, 1,024 k-points) 0.10–0.14 s.
+into run() and write_artifacts(), and for a single or pair walk the winding
+number of each walker's angles (minus|plus for a boundary). Three runs on a
+shared 2-vCPU host took 2.0–2.3 s for the whole set, most of it the six fig5
+sweeps (0.19–0.39 s each); each 100-step pair config took 0.04–0.08 s,
+0.02–0.03 s of it writing its data files (the 41,209-row joint.csv most of
+that). The fig2 phase diagram (64×64 points, 1,024 k-points) takes 0.04–0.06 s
+in run(), one kernel call over the whole grid.
 """
 
 import argparse
@@ -19,7 +21,19 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from topowalk import load_config, run, write_artifacts
+from topowalk import BoundarySpec, load_config, run, winding_number, write_artifacts
+
+
+def walker_windings(config) -> str:
+    """The winding number of each stepped walker's angles, minus|plus across a boundary."""
+    if config.run_kind not in ("single_split", "pair"):  # a sweep's cells set their own angles
+        return ""
+    words = []
+    for particle in "a" if config.run_kind == "single_split" else "ab":
+        entry = config.angles.get(particle, config.angles["a"])
+        sides = (entry.theta_minus, entry.theta_plus) if isinstance(entry, BoundarySpec) else (entry,)
+        words.append(f"{particle}=" + "|".join(str(winding_number(*side).winding) for side in sides))
+    return " windings " + " ".join(words)
 
 
 def main() -> int:
@@ -38,12 +52,14 @@ def main() -> int:
     total = time.perf_counter()
     for path in paths:
         t0 = time.perf_counter()
-        artifacts = run(load_config(path))
+        config = load_config(path)
+        artifacts = run(config)
         t1 = time.perf_counter()
         out_dir = Path(args.out) / path.stem
         write_artifacts(artifacts, out_dir)
         t2 = time.perf_counter()
-        print(f"{path.stem:28s} {t2 - t0:6.2f}s (run {t1 - t0:.2f}s write {t2 - t1:.2f}s) -> {out_dir}")
+        timing = f"{t2 - t0:6.2f}s (run {t1 - t0:.2f}s write {t2 - t1:.2f}s)"
+        print(f"{path.stem:28s} {timing}{walker_windings(config)} -> {out_dir}")
     print(f"total {time.perf_counter() - total:.1f}s")
     return 0
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import datetime
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import lru_cache, partial
 from itertools import islice
 from pathlib import Path
@@ -136,6 +136,7 @@ class RunConfig:
                 object.__setattr__(self, name, freeze(value))
             except (TypeError, ValueError):
                 raise ConfigError(name, f"expected {expected}, got {value!r}") from None
+        validate_config(self)  # so every RunConfig that exists is valid
 
     def __reduce__(self):  # a mappingproxy does not pickle, so pickle and deepcopy rebuild from a dict
         return partial(RunConfig, **{**vars(self), "angles": dict(self.angles)}), ()
@@ -271,21 +272,21 @@ _FIELDS = {
     "k_points": (as_integer, int),
     "grid_n": (as_integer, int),
 }
+# RunConfig's defaults, which validation compares against without building (and validating) one
+_DEFAULTS = {f.name: f.default if f.default_factory is MISSING else f.default_factory() for f in fields(RunConfig)}
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    """Build and validate a RunConfig from a JSON-style mapping."""
+    """Build a RunConfig, which validates itself, from a JSON-style mapping."""
     kwargs = {}
     for key, value in data.items():
         if key not in _FIELDS:
             raise ConfigError(key, "unknown config field")
         try:
             kwargs[key] = _FIELDS[key][0](value, key)
-        except ConfigError:
-            raise
         except (TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise ConfigError(key, str(exc))
-    return validate_config(RunConfig(**kwargs))
+    return RunConfig(**kwargs)
 
 
 def _read_config_file(path) -> dict:
@@ -324,12 +325,11 @@ def validate_config(config: RunConfig) -> RunConfig:
     if config.run_kind not in RUN_KINDS:
         raise ConfigError("run_kind", f"must be one of {tuple(RUN_KINDS)}, got {config.run_kind!r}")
     reads, writes = RUN_KINDS[config.run_kind]
-    defaults = RunConfig()
     for name in _FIELDS:
         # a value that the run kind would ignore is an error, not a silent no-op
-        if name not in (*reads, "run_kind") and getattr(config, name) != getattr(defaults, name):
+        if name not in (*reads, "run_kind") and getattr(config, name) != _DEFAULTS[name]:
             raise ConfigError(name, f"{config.run_kind} runs do not read it; leave it out")
-    default_b = defaults.angles["b"]
+    default_b = _DEFAULTS["angles"]["b"]
     if config.run_kind == "single_split" and config.angles.get("b", default_b) != default_b:
         raise ConfigError("angles.b", "a single walker is walker a; leave walker b's angles out")
     minimums = {"steps": 0, "ensemble_size": 1, "master_seed": 0, "k_points": 64, "grid_n": 16}
@@ -395,7 +395,7 @@ def _check_array_sizes(config: RunConfig) -> None:
         (auto_field if config.window is None else "window", sites),
         ("steps", _coin_table_size(config)),
         ("sweep_grid", math.prod(ax.count for ax in config.sweep_grid)),
-        ("k_points", 3 * config.k_points),  # a grid point's e^{ik} and U(k)'s two diagonal entries
+        ("k_points", 3 * config.k_points),  # e^{ik} and a one-column chunk of U(k)'s two diagonal entries
         ("grid_n", config.grid_n**2),
     )
     for name, count in counts:
@@ -559,7 +559,6 @@ def _run_sweep(config: RunConfig) -> RunArtifacts:
 
 def run(config: RunConfig) -> RunArtifacts:
     """Execute any run kind; artifacts are deterministic in (config, master_seed)."""
-    config = validate_config(config)
     if config.run_kind == "entropy_sweep":
         return _run_sweep(config)
     if config.run_kind == "phase_diagram":

@@ -10,6 +10,7 @@ decomposition: the full pair state with axes (x_a, c_a, x_b, c_b), stepped one
 particle at a time.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,6 +284,39 @@ def reference_phase_grids(grid_n: int, k_points: int) -> tuple[np.ndarray, np.nd
             w, gap[i, j] = reference_winding_number(float(t1), float(t2), k_points)
             winding[i, j] = -1 if w is None else w
     return winding, gap
+
+
+# -- per-point gap reference -----------------------------------------------------
+# The gap as winding_number computed it one grid point at a time, before one kernel
+# took the phase diagram's theta1 rows whole: U(k)'s written-out diagonal from four
+# math coins on a fresh k grid, then the arccos of every cos E. It shares no code
+# with the package, whose gaps must equal it byte for byte.
+
+
+def per_point_diagonal(theta1: float, theta2: float, phase: np.ndarray) -> tuple:
+    """U(k)'s diagonal entries (u00, u11) at phase = e^{ik}: u = diag(1, e^{-ik}) r2 diag(e^{ik}, 1) r1,
+    the coin-1 and coin-0 shifts around the real rotations r = [[c, -s], [s, c]] of the half angles."""
+    c1, s1, c2, s2 = math.cos(theta1 / 2), math.sin(theta1 / 2), math.cos(theta2 / 2), math.sin(theta2 / 2)
+    # numpy casts each float coin entry to c + 0j and runs the complex loops a complex coin ran, and a
+    # product of two coin entries is a real product either way, so the bytes match complex coins
+    u00 = c2 * (phase * c1) + (-s2) * s1
+    u11 = phase.conj() * (s2 * (phase * -s1) + c2 * c1)
+    return u00, u11
+
+
+def per_point_verdict(theta1: float, theta2: float, k_points: int):
+    """(winding or None, gap) for one finite angle pair on an even k grid, one point at a time."""
+    phase = np.exp(1j * (-np.pi + 2.0 * np.pi * np.arange(k_points) / k_points))
+    u00, u11 = per_point_diagonal(theta1, theta2, phase)
+    energy = u00.real + u11.real  # cos E = Re(u00 + u11) / 2
+    energy *= 0.5
+    np.maximum(energy, -1.0, out=energy)
+    np.minimum(energy, 1.0, out=energy)
+    np.arccos(energy, out=energy)
+    gap = float(min(energy.min(), np.pi - energy.max()))
+    if gap <= GAP_THRESHOLD:
+        return None, gap
+    return int(math.cos(theta1) < math.cos(theta2)), gap
 
 
 # -- dense pair route ------------------------------------------------------------

@@ -551,3 +551,17 @@ def test_figure_script_runs_from_a_checkout_that_is_not_installed(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "fig1_hadamard" / "entropy.csv").exists()
+
+
+def test_figure_script_prints_each_walkers_winding(tmp_path):
+    # walker a's angles wind once and walker b's not at all; a boundary joins the two phases
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_figure_data.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--only", "fig3a_4a", "--only", "fig3b_4d", "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("fig3a_4a_tptpw_clean") and " windings a=1 b=0 -> " in lines[0]
+    assert lines[1].startswith("fig3b_4d_tptbw_clean") and " windings a=1|0 b=1|0 -> " in lines[1]

@@ -324,7 +324,9 @@ class TestConfigParsing:
         # a Hadamard walk steps one (8003, 2, 1) walker and builds no coin table
         config = config_from_dict({"run_kind": "hadamard", "steps": 4000})
         assert experiments._coin_table_size(config) == 0
-        assert experiments._coin_table_size(replace(config, run_kind="single_split")) == 3 * 2 * 8003 * 4000
+        # a single walker's table at 4,000 steps would pass the limit, so the single-walker config is shorter
+        single = config_from_dict({"run_kind": "single_split", "steps": 1000})
+        assert experiments._coin_table_size(single) == 3 * 2 * 2003 * 1000
 
     @pytest.mark.parametrize("field, value", [("angles", "x"), ("angles", 5), ("sweep_grid", 5), ("outputs", 5)])
     def test_malformed_containers_name_the_field(self, field, value):
@@ -332,6 +334,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             RunConfig(**{field: value})
         assert err.value.field == field
+
+    def test_a_config_built_in_python_is_validated(self):
+        # every RunConfig validates itself, a copy with replaced fields included
+        with pytest.raises(ConfigError) as err:
+            RunConfig(steps=-1)
+        assert err.value.field == "steps"
+        with pytest.raises(ConfigError) as err:
+            replace(RunConfig(), run_kind="phase_diagram", k_points=65)
+        assert err.value.field == "k_points"
+
+    def test_a_parsed_config_is_validated_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "validate_config", lambda config: calls.append(config))
+        config = config_from_dict({"run_kind": "hadamard", "steps": 3})
+        run(config)
+        assert calls == [config]
 
     def test_k_points_counts_the_bloch_axes(self):
         # the limit is a third of the bound; k_points must be even, and MAX_ARRAY_ELEMENTS // 3 is odd

@@ -29,6 +29,8 @@ from oracles import (
     PLANARITY_TOL,
     axis_from_eigendecomposition,
     momentum_walk,
+    per_point_diagonal,
+    per_point_verdict,
     reference_momentum_unitary,
     reference_phase_grids,
     reference_winding_number,
@@ -51,9 +53,9 @@ offset_st = st.builds(lambda e, sign: sign * 10.0**e, st.floats(-6, -2), st.samp
 
 
 def diagonal(theta1, theta2, k):
-    """U(k)'s two diagonal entries, (..., 2) over k, as winding_number builds them."""
+    """U(k)'s two diagonal entries, (..., 2) over k, as the per-point gap reference builds them."""
     k = np.asarray(k, dtype=float)  # raveled, as numpy's scalar math rounds unlike its array loops
-    entries = topology._diagonal(theta1, theta2, np.exp(1j * k.ravel()))
+    entries = per_point_diagonal(theta1, theta2, np.exp(1j * k.ravel()))
     return np.stack(entries, -1).reshape(k.shape + (2,))
 
 
@@ -344,19 +346,14 @@ class TestPhaseDiagram:
         assert np.all(diagram64.gap[boundary] <= GAP_THRESHOLD)
         assert np.all(diagram64.gap[~boundary] > GAP_THRESHOLD)
 
-    def test_calls_winding_number_once_per_point(self, monkeypatch):
-        # each grid point is one public winding_number call, which the benchmark's tracer counts
-        expected, calls = phase_diagram(16, 64), []
-
-        def counting(*args):
-            calls.append(args)
-            return winding_number(*args)
-
-        monkeypatch.setattr(topology, "winding_number", counting)
-        pd = phase_diagram(16, 64)
-        assert len(calls) == 256
-        assert np.array_equal(pd.winding, expected.winding)
-        assert pd.gap.tobytes() == expected.gap.tobytes()
+    @pytest.mark.parametrize("grid_n,k_points", [(16, 64), (24, 1024)])
+    def test_every_cell_equals_winding_number(self, grid_n, k_points):
+        # winding_number is the kernel's 1x1 grid; at 1,024 k-points a 24-point row is 16 + 8 columns
+        pd = phase_diagram(grid_n, k_points)
+        for i, j in np.ndindex(grid_n, grid_n):
+            verdict = winding_number(float(pd.thetas[i]), float(pd.thetas[j]), k_points)
+            assert pd.winding[i, j] == (-1 if verdict.winding is None else verdict.winding)
+            assert pd.gap[i, j].tobytes() == np.float64(verdict.gap).tobytes()
 
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
@@ -399,7 +396,7 @@ class TestPhaseDiagram:
         assert pd.gap.tobytes() == gap.tobytes()
 
     def test_peak_memory_stays_flat(self):
-        # one grid point at a time peaks at ~0.07 MiB; a prototype of 16-point batches took ~5 MiB
+        # the three work arrays hold 2**14 amplitudes, 0.625 MiB; a prototype of 16-point batches took ~5 MiB
         phase_diagram(16, 1024)
         tracemalloc.start()
         try:
@@ -408,3 +405,51 @@ class TestPhaseDiagram:
         finally:
             tracemalloc.stop()
         assert peak <= 2**20
+
+    def test_work_arrays_are_capped(self):
+        # the capped work arrays take 0.625 MiB, the k rows and the grids 0.3 MiB, and numpy's
+        # iteration buffers the rest of the ~1 MiB peak; uncapped (theta2, k) work arrays take 10 MiB
+        phase_diagram(64, 4096)
+        tracemalloc.start()
+        try:
+            phase_diagram(64, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 2**20
+
+
+# angle lists that hold theta1 = theta2 and theta1 = -theta2 cells, where the gap closes
+angle_lists_st = st.lists(wide_angle_st, min_size=1, max_size=20).flatmap(
+    lambda angles: st.tuples(
+        st.just(angles),
+        st.lists(st.sampled_from(angles), min_size=1, max_size=8).flatmap(
+            lambda same: st.lists(wide_angle_st, max_size=12).map(lambda other: same + [-t for t in same] + other)
+        ),
+    )
+)
+
+
+class TestGapGrid:
+    """The grid kernel against the per-point gap reference, byte for byte."""
+
+    @given(angle_lists_st, st.sampled_from([64, 66, 256, 1024]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_per_point_reference(self, angle_lists, k_points):
+        thetas1, thetas2 = angle_lists
+        gap = topology._gap_grid(thetas1, thetas2, k_points)
+        assert gap.shape == (len(thetas1), len(thetas2))
+        for i, j in np.ndindex(gap.shape):
+            winding, expected = per_point_verdict(thetas1[i], thetas2[j], k_points)
+            verdict = winding_number(thetas1[i], thetas2[j], k_points)
+            assert gap[i, j].tobytes() == np.float64(expected).tobytes()
+            assert (verdict.winding, np.float64(verdict.gap).tobytes()) == (winding, gap[i, j].tobytes())
+
+    @pytest.mark.parametrize("grid_n,k_points", [(20, 1024), (17, 4096), (16, 66)])
+    def test_phase_diagram_equals_the_per_point_reference(self, grid_n, k_points):
+        # 1,024 and 4,096 k-points chunk 20 and 17 columns unevenly, as 16 + 4 and 4 * 4 + 1
+        pd = phase_diagram(grid_n, k_points)
+        for i, j in np.ndindex(grid_n, grid_n):
+            winding, gap = per_point_verdict(float(pd.thetas[i]), float(pd.thetas[j]), k_points)
+            assert pd.winding[i, j] == (-1 if winding is None else winding)
+            assert pd.gap[i, j].tobytes() == np.float64(gap).tobytes()
