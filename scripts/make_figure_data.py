@@ -6,9 +6,9 @@ Each JSON in configs/ is a self-contained experiment; outputs land in
 script runs without installing it. Each line gives a config's time, split
 into run() and write_artifacts(), and for a single or pair walk the winding
 number of each walker's angles (minus|plus for a boundary). Three runs on a
-shared 2-vCPU host took 2.0–2.3 s for the whole set, most of it the six fig5
-sweeps (0.19–0.39 s each); each 100-step pair config took 0.04–0.08 s,
-0.02–0.03 s of it writing its data files (the 41,209-row joint.csv most of
+shared 2-vCPU host took 2.1–2.5 s for the whole set, most of it the six fig5
+sweeps (0.27–0.50 s each); each 100-step pair config took 0.02–0.03 s,
+about 0.01 s of it writing its data files (the 41,209-row joint.csv most of
 that). The fig2 phase diagram (64×64 points, 1,024 k-points) takes 0.04–0.06 s
 in run(), one kernel call over the whole grid.
 """

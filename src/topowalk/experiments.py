@@ -589,7 +589,8 @@ def _pow10_table() -> tuple:
         num, den = 10 ** max(p, 0) << max(-e, 0), 10 ** max(-p, 0) << max(e, 0)
         hi = num / den
         rows.append((hi, (num * 2**52 - int(hi * 2**52) * den) / (den * 2**52), e))
-    return tuple(np.array(column) for column in zip(*rows))
+    hi, lo, e = zip(*rows)
+    return np.array(hi), np.array(lo), np.array(e, np.int32)  # an int64 exponent sends ldexp down a slow loop
 
 
 def _veltkamp(x: np.ndarray) -> tuple:
@@ -608,17 +609,23 @@ def _decimal_digits(values: np.ndarray) -> tuple:
     mag[~proven] = 1.0
     k = np.floor(np.log10(mag)).astype(np.int64)
     index = 16 - k - _POW10_RANGE[0]
-    a = np.ldexp(mag, exp_table[index])  # |v| * 10^p = a * (hi + lo)
-    hi, lo = hi_table[index], lo_table[index]
-    (a_hi, a_lo), (h_hi, h_lo) = _veltkamp(a), _veltkamp(hi)
+    a = np.ldexp(mag, exp_table.take(index))  # |v| * 10^p = a * (hi + lo)
+    hi, lo = hi_table.take(index), lo_table.take(index)
+    (a_hi, a_lo), (h_hi, h_lo), product = _veltkamp(a), _veltkamp(hi), a * hi
     # a * (hi + lo) - fl(a * hi), with Dekker's exact product for a * hi
-    tail = (((a_hi * h_hi - a * hi) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo) + a * lo
+    tail = (((a_hi * h_hi - product) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo) + a * lo
     proven &= np.abs(tail - np.floor(tail) - 0.5) >= 1e-6
-    digits = (a * hi).astype(np.int64) + np.rint(tail).astype(np.int64)  # fl(a * hi) >= 2^53 is whole
+    digits = product.astype(np.int64) + np.rint(tail).astype(np.int64)  # fl(a * hi) >= 2^53 is whole
     proven &= (digits > 10**16) & (digits < 10**17)
     zero = values == 0  # k is already 0, from the stand-in magnitude 1.0
     digits[zero] = 0
     return digits, k, proven | zero
+
+
+def _divmod(x: np.ndarray, d: int) -> tuple:
+    """np.divmod(x, d) from one floor division, which takes numpy's faster loop."""
+    q = x // d
+    return q, x - q * d
 
 
 @lru_cache(maxsize=1)
@@ -649,15 +656,15 @@ def _float_cells(values: np.ndarray, cells: np.ndarray) -> None:
     """Write "%.16e" % v for each value into the NUL-padded rows of cells, whose first
     byte holds the sign."""
     digits, k, proven = _decimal_digits(values)
-    high, low = (part.astype(np.int32) for part in np.divmod(digits, 10**8))  # int32 divides faster
-    lead, high = np.divmod(high, 10**8)
+    high, low = (part.astype(np.int32) for part in _divmod(digits, 10**8))  # int32 divides faster
+    lead, high = _divmod(high, 10**8)
     cells[:, 1] = lead + 48
-    # the 16 digits after the point, one 4-digit group at a time: a stacked (rows, 4) index
-    # array and its intp copy raised the process's peak resident memory
-    for start, group in zip(range(3, 19, 4), (*np.divmod(high, 10**4), *np.divmod(low, 10**4))):
-        cells[:, start : start + 4] = _digit_words().take(group).view(np.uint8).reshape(-1, 4)
+    # the 16 digits after the point, one 4-digit group at a time (a stacked index array raised the
+    # peak resident memory), each group's word stored into its 4 bytes at once through a uint32 view
+    for start, group in zip(range(3, 19, 4), (*_divmod(high, 10**4), *_divmod(low, 10**4))):
+        cells[:, start : start + 4].view(np.uint32)[:, 0] = _digit_words().take(group)
     cells[:, 2], cells[:, 19] = 46, 101  # ".", "e"
-    cells[:, 20:24] = _exponent_words().take(k + 308).view(np.uint8).reshape(-1, 4)
+    cells[:, 20:24].view(np.uint32)[:, 0] = _exponent_words().take(k + 308)
     slow = np.flatnonzero(~proven)
     text = np.array(["%.16e" % v for v in values[slow].tolist()], dtype=f"S{_FLOAT_WIDTH}")
     cells[slow] = text.view(np.uint8).reshape(slow.size, _FLOAT_WIDTH)
@@ -677,7 +684,10 @@ def _int_cells(values: np.ndarray, cells: np.ndarray) -> None:
                 index[part == 0] = 2 * 10**4  # above the top digit: all NUL
             words[:, -1 - group] = _digit_words().take(index)
             part = part // 10**4
-    cells[:, 1:] = words.view(np.uint8).reshape(values.size, -1)[:, -width:]
+    if width == 3:  # a sign and 3 digits, as in every int column the figures write: one 4-byte word
+        cells.view(np.uint32)[:, 0] |= words  # whose leading NUL keeps the sign byte
+    else:
+        cells[:, 1:] = words.view(np.uint8).reshape(values.size, -1)[:, -width:]
 
 
 def _write_table(path: Path, header: str, kinds: str, *columns) -> None:

@@ -54,6 +54,7 @@ from topowalk.experiments import (
     _digit_words,
     _exponent_words,
     _particle_angles,
+    _pow10_table,
     _with_axis_value,
     _write_table,
 )
@@ -1500,6 +1501,24 @@ class TestTableCells:
         lines = [f"{i},{j},{'%.16e' % v}\n" for i, j, v in zip(small.tolist(), wide.tolist(), floats.tolist())]
         assert (tmp_path / "t.csv").read_bytes() == ("i,j,p\n" + "".join(lines)).encode()
 
+    @pytest.mark.parametrize("digits", [(), (1,), (3,), (1, 1), (2,), (1, 2, 3)])  # 0, 3, 5, 6, 4, 12 bytes
+    def test_word_stores_at_every_byte_offset(self, digits, tmp_path):
+        # int columns of 1 to 4 characters, sign included, put the float column's five 4-byte word
+        # stores and the width-4 int column's word store at each byte offset mod 4 across the cases
+        rows = _TABLE_BLOCK_ROWS + 9
+        rng = np.random.default_rng(len(digits) + sum(digits))
+        ints = [rng.integers(1 - 10**d, 10**d, rows) for d in (*digits, 3)]
+        for column, d in zip(ints, (*digits, 3)):
+            column[rows // 2] = 1 - 10**d  # the widest value, with its sign
+        floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
+        near = np.arange(_TABLE_BLOCK_ROWS - 4, _TABLE_BLOCK_ROWS + 4)  # the "%" cells beside the block edge
+        floats[near] = [float("nan"), float("-inf"), -5e-324, -0.0, 0.0, 1e-310, float("inf"), -1.0]
+        kinds, columns = "i" * len(digits) + "fi", [*ints[:-1], floats, ints[-1]]
+        _write_table(tmp_path / "t.csv", "h", kinds, *columns)
+        text = [["%.16e" % v if k == "f" else str(v) for v in c.tolist()] for k, c in zip(kinds, columns)]
+        expected = "h\n" + "".join(",".join(row) + "\n" for row in zip(*text))
+        assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
 
 class TestWriterCost:
     @pytest.fixture(scope="class")
@@ -1511,6 +1530,11 @@ class TestWriterCost:
         proven = _decimal_digits(np.ravel(pair_100.joint))[2]
         assert proven.size == 203**2
         assert np.mean(~proven) < 0.05
+
+    def test_pow10_exponents_are_int32(self):
+        # an int64 exponent table passes every byte test, but np.ldexp then takes a slow loop that
+        # costs about 130 us more per block
+        assert _pow10_table()[2].dtype == np.int32
 
     def test_peak_memory_of_a_pair_run(self):
         # the per-run coin table is about 2 MB of it
