@@ -5,12 +5,14 @@ Each JSON in configs/ is a self-contained experiment; outputs land in
 <out>/<config-stem>/. The package is imported from the checkout's src/, so the
 script runs without installing it. Each line gives a config's time, split
 into run() and write_artifacts(), and for a single or pair walk the winding
-number of each walker's angles (minus|plus for a boundary). Three runs on a
-shared 2-vCPU host took 2.1–2.5 s for the whole set, most of it the six fig5
-sweeps (0.27–0.50 s each); each 100-step pair config took 0.02–0.03 s,
-about 0.01 s of it writing its data files (the 41,209-row joint.csv most of
-that). The fig2 phase diagram (64×64 points, 1,024 k-points) takes 0.04–0.06 s
-in run(), one kernel call over the whole grid.
+number of each walker's angles (minus|plus for a boundary). Five runs on a
+shared 2-vCPU host took 1.4–2.2 s for the whole set, most of it the six fig5
+sweeps: 0.14–0.22 s each for the four without disorder, whose fields are one
+step broadcast over the walk, and 0.30–0.54 s each for the two disordered
+ones. Each 100-step pair config took 0.02–0.03 s, 0.01–0.02 s of it writing
+its data files (the 41,209-row joint.csv most of that). The fig2 phase
+diagram (64×64 points, 1,024 k-points) takes 0.05–0.06 s in run(), one kernel
+call over the whole grid.
 """
 
 import argparse

@@ -193,9 +193,7 @@ def _parse_disorder(value, field_name: str) -> DisorderSpec:
     if isinstance(value, DisorderSpec):
         return value
     if isinstance(value, dict) and "seed" in value:
-        raise ConfigError(
-            field_name, "disorder takes no seed: every random draw derives from master_seed"
-        )
+        raise ConfigError(field_name, "disorder takes no seed: every random draw derives from master_seed")
     _check_keys(value, field_name, (), ("kind", "half_width", "target"))
     kind = value.get("kind", "none")
     target = value.get("target", "a")
@@ -376,8 +374,7 @@ def validate_config(config: RunConfig) -> RunConfig:
             raise ConfigError("initial_state", f"positions must satisfy |x| < {half_width}")
     if config.disorder.target == "b" and config.run_kind == "single_split":
         raise ConfigError("disorder", "a single walker is walker a; it has no walker b to target")
-    draws = config.disorder.applies_to("a") or config.disorder.applies_to("b")
-    if config.ensemble_size > 1 and not draws:
+    if config.ensemble_size > 1 and not _draws(config):
         raise ConfigError("ensemble_size", "replicates need disorder that draws random angles")
     _check_array_sizes(config)
     return config
@@ -406,6 +403,11 @@ def _check_array_sizes(config: RunConfig) -> None:
 def _particles(config: RunConfig) -> str:
     """The walkers that step under angle fields: a and b in pair walks, a single walker's a, else none."""
     return {"single_split": "a", "pair": "ab", "entropy_sweep": "ab"}.get(config.run_kind, "")
+
+
+def _draws(config: RunConfig) -> bool:
+    """Whether the disorder draws random angles for a walker that steps under an angle field."""
+    return any(config.disorder.applies_to(p) for p in _particles(config))
 
 
 def _coin_table_size(config: RunConfig) -> int:
@@ -469,16 +471,17 @@ def _walk_chunks(config: RunConfig, cells, first_step: int = 0):
     particles = _particles(config)
     coefficients = coin_coefficients(config.initial_state)
     chunk_size = max(1, min(32, MAX_ARRAY_ELEMENTS // max(_coin_table_size(config), 1)))
+    steps = config.steps if _draws(config) else 1  # a clean field is one step, broadcast over the walk
     cells = iter(cells)
     while chunk := list(islice(cells, chunk_size)):
         # each angle is copied in once, each field to a contiguous block (strided writes ran ~10x slower)
-        fields = np.empty((len(chunk), len(particles), 2, window.size, config.steps))
+        fields = np.empty((len(chunk), len(particles), 2, window.size, steps))
         for c, (angles, seed) in enumerate(chunk):
             for p, particle in enumerate(particles):
                 fields[c, p] = sample_angle_field(
-                    _particle_angles(angles, particle), config.disorder, config.steps, window, particle, seed
+                    _particle_angles(angles, particle), config.disorder, steps, window, particle, seed
                 )
-        field = fields.transpose(2, 3, 4, 0, 1)  # a (2, site, step, cell, particle) view
+        field = np.broadcast_to(fields.transpose(2, 3, 4, 0, 1), (2, window.size, config.steps, *fields.shape[:2]))
         if len(particles) == 2:
             blocks = iter_product_walkers(config.initial_state, window, field, config.steps)
             left, right = (window.index(x) for x in sorted(config.initial_state.positions))

@@ -102,6 +102,15 @@ def _gap_grid(thetas1, thetas2, k_points: int) -> np.ndarray:
     return np.minimum(extremes[0], np.pi - extremes[1])
 
 
+def _verdict_grid(thetas1, thetas2, k_points: int) -> tuple:
+    """(winding, gap) grids over float angle lists: winding -1 where gapless, else cos theta1 < cos theta2."""
+    gap = _gap_grid(thetas1, thetas2, k_points)
+    cos1, cos2 = (np.array([math.cos(t) for t in thetas]) for thetas in (thetas1, thetas2))
+    winding = (cos1[:, None] < cos2).astype(int)
+    winding[gap <= GAP_THRESHOLD] = -1
+    return winding, gap
+
+
 def winding_number(theta1: float, theta2: float, k_points: int = 1024) -> PhaseVerdict:
     """Turns of the rotation axis across the Brillouin zone, 0 or 1.
 
@@ -113,10 +122,8 @@ def winding_number(theta1: float, theta2: float, k_points: int = 1024) -> PhaseV
     theta1, theta2 = float(theta1), float(theta2)
     if not (math.isfinite(theta1) and math.isfinite(theta2)):  # math.cos(inf) would raise ValueError
         raise NumericalError(f"quasienergy gap is nan at angles ({theta1}, {theta2})")
-    gap = float(_gap_grid((theta1,), (theta2,), k_points)[0, 0])
-    if gap <= GAP_THRESHOLD:
-        return PhaseVerdict(None, gap)
-    return PhaseVerdict(int(math.cos(theta1) < math.cos(theta2)), gap)
+    winding, gap = (grid[0, 0] for grid in _verdict_grid([theta1], [theta2], k_points))
+    return PhaseVerdict(None if winding < 0 else int(winding), float(gap))
 
 
 def phase_diagram(grid_n: int = 64, k_points: int = 1024) -> PhaseDiagram:
@@ -130,8 +137,4 @@ def phase_diagram(grid_n: int = 64, k_points: int = 1024) -> PhaseDiagram:
     k_points = _check_k_points(k_points)
     thetas = -np.pi + 2.0 * np.pi * np.arange(grid_n) / grid_n
     angles = thetas.tolist()
-    gap = _gap_grid(angles, angles, k_points)
-    cosines = np.array([math.cos(t) for t in angles])
-    winding = (cosines[:, None] < cosines).astype(int)
-    winding[gap <= GAP_THRESHOLD] = -1
-    return PhaseDiagram(thetas, winding, gap)
+    return PhaseDiagram(thetas, *_verdict_grid(angles, angles, k_points))

@@ -76,13 +76,11 @@ class DisorderSpec:
             raise ValueError("half_width must be >= 0")
         if self.kind == "none" and self.half_width != 0:
             raise ValueError("disorder of kind 'none' has no half_width")
+        if self.target != "a" and not self.applies_to("b"):  # a target of b or both that draws nothing
+            raise ValueError(f"disorder that draws no angles has no target {self.target!r}; leave it 'a'")
 
     def applies_to(self, particle: str) -> bool:
-        return (
-            self.kind == "uniform"
-            and self.half_width > 0
-            and self.target in (particle, "both")
-        )
+        return self.kind == "uniform" and self.half_width > 0 and self.target in (particle, "both")
 
 
 @dataclass(frozen=True)
@@ -226,34 +224,29 @@ def split_stepper(field: np.ndarray):
     the axes `walkers`. Called as stepper(amps, step), it steps a (site, coin, *walkers) walker
     array over every site and returns the new walker array. The walker axes end in the batch axes,
     or in axes they broadcast to, so each batch entry steps its walkers under its own angles; other
-    walker axes raise ValueError. Every coin of the field is built once, as the rows (-s, c, s) of
-    the half angles: the coin columns ([c, s], [-s, c]) are then the views rows[1:3] and rows[0:2].
-    A batch entry whose half angles are bitwise the same at every step (a field no disorder
-    touches) takes cos and sin at its first step only, and its later steps copy that step's rows.
+    walker axes raise ValueError. Every coin the field stores is built once, as the rows (-s, c, s)
+    of the half angles: the coin columns ([c, s], [-s, c]) are then the views rows[1:3] and
+    rows[0:2]. A field whose step axis is broadcast (stride 0) stores one step, read at every step.
     """
+    n_steps = field.shape[2]
+    field = field[:, :, :1] if field.strides[2] == 0 else field  # a broadcast step axis: its one step, or none
     shape = (3, field.shape[2], 2, *field.shape[3:], field.shape[1])
     rows = np.empty(shape)
     np.divide(field.transpose(2, 0, *range(3, field.ndim), 1), 2.0, out=rows[0])
-    bits = rows[0].view(np.uint64)  # bits, not values, so that -0.0 and 0.0 stay apart
-    steady = (bits == bits[:1]).all(axis=(0, 1, -1), keepdims=True)  # (1, 1, *batch, 1)
-    first = (np.arange(shape[1]) == 0).reshape(-1, *(1,) * (len(shape) - 2))
-    fresh = first | ~steady  # the (step, batch entry) coins computed from their own angles
-    np.cos(rows[0], out=rows[1], where=fresh)
-    np.sin(rows[0], out=rows[2], where=fresh)
-    # from a copy: a view of the same table would make numpy buffer the whole broadcast source
-    np.copyto(rows[1:, 1:], rows[1:, :1].copy(), where=steady)
+    np.cos(rows[0], out=rows[1])
+    np.sin(rows[0], out=rows[2])
     np.negative(rows[2], out=rows[0])
     # the columns as one (2, 2, step, coin, 1, *batch, site) view of the table, cols[k, c] = rows[1 - k + c]
     table = rows.reshape(shape[:3] + (1,) + shape[3:])[1]
-    coins = np.lib.stride_tricks.as_strided(
-        table, (2, 2, *table.shape), (-rows.strides[0], rows.strides[0], *table.strides), writeable=False
-    )
+    step_stride = table.strides[0] if shape[1] == n_steps else 0  # one stored step serves every step
+    strides = (-rows.strides[0], rows.strides[0], step_stride, *table.strides[1:])
+    coins = np.lib.stride_tricks.as_strided(table, (2, 2, n_steps, *table.shape[1:]), strides, writeable=False)
     kernels = {}  # (row shape, walker axes) -> the kernel's scratch array and walker row shape
 
     def step_rows(amps: np.ndarray, step: int, out: np.ndarray, sites: slice, walkers: tuple) -> None:
         if out.shape[-1] != shape[-1]:
             raise ValueError("angle field does not match the lattice window")
-        _check_step(step, shape[1])
+        _check_step(step, n_steps)
         kernel = kernels.get((out.shape, walkers))
         if kernel is None:
             walker_rows = _walker_rows(walkers, shape[3:-1], shape[-1])

@@ -94,11 +94,12 @@ def hadamard_reference_step(amps: np.ndarray, step: int) -> np.ndarray:
 
 
 def full_table_stepper(field: np.ndarray):
-    """split_stepper with cos and sin taken of every step's angles, steady in the step or not.
+    """split_stepper's coins from a table of every step the field spans, its step axis broadcast or not.
 
     The coin table holds the rows (-s, c, s) of the half angles for every
-    (step, batch entry), all computed from their own angles, and each step
-    feeds its columns to the stepping kernel.
+    (step, batch entry), each computed from its own angles, so a field whose
+    step axis is a broadcast view gets a full copy of its one stored step; each
+    step feeds its columns to the whole-window reference kernel.
     """
     shape = (3, field.shape[2], 2, *field.shape[3:], field.shape[1])
     rows = np.empty(shape)

@@ -253,6 +253,8 @@ class TestIgnoredOrOversizedValues:
             (["walk", "--disorder", "strong"], "disorder"),
             (["walk", "--kind", "split", "--disorder", "strong", "--disorder-target", "b"], "disorder"),
             (["walk", "--theta1a=0.3", "--theta2a=0.4"], "angles"),
+            # a target for a disorder that draws no random angles
+            (["pair", "--steps", "3", "--disorder-target", "b"], "disorder"),
             # arrays over MAX_ARRAY_ELEMENTS
             (["walk", "--steps", str(10**11)], "steps"),
             (["phase-diagram", "--k-points", str(10**30)], "k_points"),

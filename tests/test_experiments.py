@@ -173,6 +173,9 @@ class TestConfigParsing:
             ({"angles": {"a": {"minus": [0, 0], "plus": [float("-inf"), 0]}}}, "angles.a"),
             ({"disorder": {"kind": "uniform", "half_width": float("nan")}}, "disorder"),
             ({"disorder": {"kind": "uniform", "half_width": float("inf")}}, "disorder"),
+            # a disorder that draws no angles disorders no walker, so it names none
+            ({"disorder": {"kind": "none", "target": "b"}}, "disorder"),
+            ({"disorder": {"kind": "uniform", "half_width": 0.0, "target": "both"}}, "disorder"),
             ({"run_kind": "hadamard", "coin_amps": [float("nan"), 0]}, "coin_amps"),
             ({"run_kind": "hadamard", "coin_amps": [1, 1]}, "coin_amps"),
             ({"window": 11, "initial_state": {"kind": "psi+", "positions": [11, 0]}}, "initial_state"),
@@ -544,6 +547,31 @@ class TestRunDeterminism:
         dist = art.distribution
         assert dist[art.positions == 0] == 1.0
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            minimal_dict("single_split", steps=0),
+            minimal_pair_dict(steps=0),
+            minimal_pair_dict(steps=0, disorder={"kind": "weak", "target": "a"}),
+        ],
+        ids=["single_split", "pair clean", "pair weak"],
+    )
+    def test_zero_steps_entropy_is_the_start(self, data):
+        # a clean walk's field is one step broadcast over the walk's zero steps; a disordered one has none
+        cfg = config_from_dict(data)
+        art = run(cfg)
+        dense_run = dense_single_run if cfg.run_kind == "single_split" else dense_pair_run
+        start = dense_run(cfg)[0]
+        assert art.entropy.shape == start.shape == (1,)
+        assert np.abs(art.entropy - start).max() < 1e-12
+
+    def test_zero_steps_sweep_is_the_start(self):
+        cfg = config_from_dict(minimal_dict("entropy_sweep", steps=0))
+        grid = run(cfg).heatmap
+        start = dense_pair_run(config_from_dict(minimal_pair_dict(steps=0)))[0]
+        assert grid.shape == (2, 2)
+        assert np.abs(grid - start[0]).max() < 1e-12
+
     def test_ensemble_reports_std(self):
         data = minimal_pair_dict(steps=8, ensemble_size=3, disorder={"kind": "strong", "target": "a"})
         art = run(config_from_dict(data))
@@ -729,6 +757,25 @@ class TestPairReplicates:
             assert chunked.entropy_std.tobytes() == whole.entropy_std.tobytes()
             observable = "distribution" if kind == "single_split" else "joint"
             assert getattr(chunked, observable).tobytes() == getattr(whole, observable).tobytes()
+
+    @pytest.mark.parametrize("kind", ["single_split", "pair", "entropy_sweep"])
+    @pytest.mark.parametrize("disorder", [{"kind": "none"}, {"kind": "weak", "target": "a"}])
+    def test_a_walk_that_draws_nothing_stores_one_step(self, kind, disorder, monkeypatch):
+        # the config says whether a stepped walker draws; if none does, the field's step axis is broadcast
+        step_strides = []
+
+        def walkers(init, window, field, n_steps):
+            step_strides.append(field.strides[2])
+            return iter_product_walkers(init, window, field, n_steps)
+
+        def stepper(field):
+            step_strides.append(field.strides[2])
+            return split_stepper(field)
+
+        monkeypatch.setattr(experiments, "iter_product_walkers", walkers)
+        monkeypatch.setattr(experiments, "split_stepper", stepper)
+        run(config_from_dict(minimal_dict(kind, disorder=disorder)))
+        assert step_strides and all((stride == 0) == (disorder["kind"] == "none") for stride in step_strides)
 
 
 class TestStepBlocks:

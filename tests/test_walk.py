@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import chain
 
 import numpy as np
@@ -228,8 +229,8 @@ class TestSplitStep:
             assert amps.tobytes() == expected.tobytes()
 
     def test_steady_entries_equal_the_full_coin_table(self):
-        # an entry whose angles never change with the step takes cos and sin once; the bits stay those
-        # of a table computed at every step
+        # entries whose angles never change with the step, beside entries whose angles do, keep the
+        # bits of a table computed at every step
         n, win = 3, LatticeWindow(12)
         strong = DisorderSpec("uniform", STRONG_HALF_WIDTH, "a")
         boundary = BoundarySpec((0.3, 1.2), (-np.pi / 2, 0.8))
@@ -260,6 +261,50 @@ class TestSplitStep:
                 amps, expected = stepper(amps, step), reference(expected, step)
                 assert amps.tobytes() == expected.tobytes()
             assert np.isnan(amps).any() and not np.isnan(amps).all()
+
+    def test_broadcast_step_axis_equals_the_full_coin_table(self):
+        # a field whose step axis is a broadcast view stores one step; its coins keep the bits of a
+        # table computed at every step of a materialised copy, NaN and signed zeros included
+        n, win = 6, LatticeWindow(30)
+        one = np.stack(
+            [sample_angle_field(angles, DisorderSpec(), 1, win, "a", 0) for angles in ((-2.0, 0.7), (0.0, 0.4))],
+            axis=-1,
+        )  # (2, site, 1, particle)
+        one[0, win.index(20), :, 0] = np.nan  # NaN at one site, outside the light cone of the starts
+        one[0, : win.index(0), :, 1] = -0.0  # equal values, but not equal bits
+        field = np.broadcast_to(one, (2, win.size, n, 2))
+        assert field.strides[2] == 0
+        full = field.copy()
+        rng = np.random.default_rng(14)
+        shape = (win.size, 2, 2, 2)  # (site, coin, start coin, particle)
+        walkers = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        walkers[:8] = walkers[-8:] = 0.0
+        walkers[::2, 0] = -0.0  # signed zeros in the coin-0 plane carry the sign of sin(+-0)
+        stepper, reference = split_stepper(field), full_table_stepper(full)
+        amps = expected = walkers
+        for step in range(n):
+            amps, expected = stepper(amps, step), reference(expected, step)
+            assert amps.tobytes() == expected.tobytes()
+        assert np.isnan(amps).any() and not np.isnan(amps).all()
+        with pytest.raises(ValueError, match="field covers steps 0..5"):
+            stepper(amps, n)
+        start = started_at(win, [-3, 2], (2, 2), 15)
+        assert_cone_steps(start, split_stepper(field), full_table_stepper(full), n)
+
+    def test_broadcast_step_axis_builds_one_step_of_coins(self):
+        # 10**5 broadcast steps take the memory of one: the rows (-s, c, s) of both angles at 11 sites
+        win, n = LatticeWindow(5), 10**5
+        one = sample_angle_field((0.3, -1.1), DisorderSpec(), 1, win, "a", 0)
+        field = np.broadcast_to(one, (2, win.size, n))
+        tracemalloc.start()
+        try:
+            stepper = split_stepper(field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2 * win.size * 8 + 2**12  # the 528-byte table, the closures, numpy's small objects
+        amps = make_single_state(win, 0, (1, 0))
+        assert stepper(amps, n - 1).tobytes() == full_table_stepper(one)(amps, 0).tobytes()
 
     def test_zero_angles_transport_coin0(self):
         win = LatticeWindow(3)
@@ -468,6 +513,13 @@ class TestAngleFields:
             DisorderSpec("uniform", -0.1, "a")
         with pytest.raises(ValueError):
             DisorderSpec("uniform", 0.1, "c")
+
+    @pytest.mark.parametrize("kind, half_width, target", [("none", 0.0, "b"), ("uniform", 0.0, "both")])
+    def test_disorder_spec_that_draws_nothing_targets_a(self, kind, half_width, target):
+        # no walker would be disordered, so a target other than the default a says nothing true
+        with pytest.raises(ValueError, match=f"draws no angles has no target '{target}'"):
+            DisorderSpec(kind, half_width, target)
+        assert not DisorderSpec(kind, half_width, "a").applies_to("a")
 
 
 class TestTrajectory:
