@@ -23,7 +23,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from topowalk import LatticeWindow, split_stepper, trajectory, walk
+from topowalk import LatticeWindow, split_coins, trajectory, walk
 
 
 def main() -> int:
@@ -39,13 +39,13 @@ def main() -> int:
         field = np.random.default_rng(cells).uniform(-np.pi, np.pi, (2, win.size, n, cells, 2))
         start = np.zeros((win.size, 2, 2, cells, 2), complex)  # (site, coin, start coin, cell, particle)
         start[win.index(0), 0, 0] = start[win.index(0), 1, 1] = 1.0
-        stepper = split_stepper(field)
+        coins = split_coins(field)
         times = {way: [] for way in limits}
         for r in range(args.rounds):
             for way in sorted(limits, reverse=r % 2 == 1):
                 walk._CONE_MAX_ROWS = limits[way]
                 t0 = time.perf_counter()
-                for _ in trajectory(start, stepper, n):
+                for _ in trajectory(start, coins):
                     pass
                 times[way].append(time.perf_counter() - t0)
         cone, whole = (np.array(times[way]) for way in limits)

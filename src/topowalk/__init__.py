@@ -19,10 +19,10 @@ from .walk import (
     DisorderSpec,
     STRONG_HALF_WIDTH,
     WEAK_HALF_WIDTH,
-    hadamard_step,
+    hadamard_coins,
     randomize_field,
     sample_angle_field,
-    split_stepper,
+    split_coins,
     trajectory,
 )
 from .pair import (

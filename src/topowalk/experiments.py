@@ -40,9 +40,9 @@ from .walk import (
     DisorderSpec,
     STRONG_HALF_WIDTH,
     WEAK_HALF_WIDTH,
-    hadamard_step,
+    hadamard_coins,
     sample_angle_field,
-    split_stepper,
+    split_coins,
     trajectory,
 )
 
@@ -365,6 +365,15 @@ def validate_config(config: RunConfig) -> RunConfig:
                 raise ConfigError("sweep_grid", f"axis {ax.name!r} count must be >= 1")
             if not (np.isfinite(ax.lo) and np.isfinite(ax.hi)):
                 raise ConfigError("sweep_grid", f"axis {ax.name!r} bounds must be finite")
+            particle, _, side = SWEEP_PARAMETERS[ax.name]
+            if side is not None and not isinstance(_particle_angles(config.angles, particle), BoundarySpec):
+                message = f"axis {ax.name!r} needs boundary angles for particle {particle!r}"
+                raise ConfigError("sweep_grid", message)
+        # a side of None writes both sides of a boundary, so it shares an angle with either side
+        (walker1, angle1, side1), (walker2, angle2, side2) = (SWEEP_PARAMETERS[ax.name] for ax in config.sweep_grid)
+        if (walker1, angle1) == (walker2, angle2) and (side1 == side2 or None in (side1, side2)):
+            names = [ax.name for ax in config.sweep_grid]
+            raise ConfigError("sweep_grid", f"axes {names} write the same angle; one would overwrite the other")
     for name in config.outputs or ():
         if name not in writes:
             raise ConfigError("outputs", f"{config.run_kind} runs write {list(writes)}, not {name!r}")
@@ -410,9 +419,15 @@ def _draws(config: RunConfig) -> bool:
     return any(config.disorder.applies_to(p) for p in _particles(config))
 
 
+def _stored_steps(config: RunConfig) -> int:
+    """Steps of angles a cell's fields store: every step if a stepped walker draws, else at most
+    one, broadcast over the walk."""
+    return config.steps if _draws(config) else min(config.steps, 1)
+
+
 def _coin_table_size(config: RunConfig) -> int:
-    """Elements of one cell's coin table: rows (-s, c, s) of 2 angles per walker, site and step."""
-    return 3 * 2 * len(_particles(config)) * _resolved_window(config).size * config.steps
+    """Elements of one cell's coin table: rows (-s, c, s) of 2 angles per walker, site and stored step."""
+    return 3 * 2 * len(_particles(config)) * _resolved_window(config).size * _stored_steps(config)
 
 
 # -- angle plumbing ---------------------------------------------------------------
@@ -435,11 +450,7 @@ def _with_axis_value(angles: dict, name: str, value: float) -> dict:
         if side in (None, "plus"):
             plus[component] = value
         updated[particle] = BoundarySpec((minus[0], minus[1]), (plus[0], plus[1]))
-    else:
-        if side is not None:
-            raise ConfigError(
-                "sweep_grid", f"axis {name!r} needs boundary angles for particle {particle!r}"
-            )
+    else:  # a plain pair: validate_config admits only axes without a side
         pair = list(entry)
         pair[component] = value
         updated[particle] = (pair[0], pair[1])
@@ -471,7 +482,7 @@ def _walk_chunks(config: RunConfig, cells, first_step: int = 0):
     particles = _particles(config)
     coefficients = coin_coefficients(config.initial_state)
     chunk_size = max(1, min(32, MAX_ARRAY_ELEMENTS // max(_coin_table_size(config), 1)))
-    steps = config.steps if _draws(config) else 1  # a clean field is one step, broadcast over the walk
+    steps = _stored_steps(config)
     cells = iter(cells)
     while chunk := list(islice(cells, chunk_size)):
         # each angle is copied in once, each field to a contiguous block (strided writes ran ~10x slower)
@@ -483,7 +494,7 @@ def _walk_chunks(config: RunConfig, cells, first_step: int = 0):
                 )
         field = np.broadcast_to(fields.transpose(2, 3, 4, 0, 1), (2, window.size, config.steps, *fields.shape[:2]))
         if len(particles) == 2:
-            blocks = iter_product_walkers(config.initial_state, window, field, config.steps)
+            blocks = iter_product_walkers(config.initial_state, window, field)
             left, right = (window.index(x) for x in sorted(config.initial_state.positions))
 
             def reduce(block, last):  # the light cone of step last; the step axis as one more cell axis
@@ -492,9 +503,9 @@ def _walk_chunks(config: RunConfig, cells, first_step: int = 0):
 
             final = lambda c: joint_distribution_interference(amps[..., c, 0], amps[..., c, 1], coefficients)
         else:
-            stepper = split_stepper(field[..., 0]) if particles else hadamard_step
+            coins = split_coins(field[..., 0]) if particles else hadamard_coins(window.size, config.steps)
             start = make_single_state(window, 0, config.coin_amps)[..., None]
-            blocks = trajectory(np.broadcast_to(start, (*start.shape[:2], len(chunk))), stepper, config.steps)
+            blocks = trajectory(np.broadcast_to(start, (*start.shape[:2], len(chunk))), coins)
 
             def reduce(block, last):  # the whole window: matmul's sums change bits with their length
                 rows = block.transpose(0, 3, 2, 1)  # (step, cell, coin, site)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NumericalError, as_integer
 from .states import LatticeWindow, make_single_state
-from .walk import split_stepper, trajectory
+from .walk import split_coins, trajectory
 
 PAIR_KIND_ALIASES = {
     "psi+": "psi_plus",
@@ -67,23 +67,17 @@ def coin_coefficients(init: InitialPairState) -> np.ndarray:
     return c
 
 
-def iter_product_walkers(
-    init: InitialPairState,
-    window: LatticeWindow,
-    field: np.ndarray,
-    n_steps: int,
-):
-    """Iterate the pair's lone walkers at step 0 and after each of n_steps steps, in blocks of steps.
+def iter_product_walkers(init: InitialPairState, window: LatticeWindow, field: np.ndarray):
+    """Iterate the pair's lone walkers at step 0 and after each step of field, in blocks of steps.
 
-    field holds both particles' angles, as split_stepper takes them: a
-    (2, site, step, *cells, particle) array, particle a then b. The walkers
-    are one array with axes (site, coin, start coin, *cells, particle):
-    walkers[:, :, c, ..., p] is particle p's lone walker started in coin |c>
-    at its site in init.positions and stepped under its field, each cell a
-    run from the same start. Both particles are stepped by one
-    walk.trajectory, and each yielded block is its block of consecutive
-    steps, with axes (step, site, coin, start coin, *cells, particle), so
-    block[s] is one step's walkers.
+    field holds both particles' angles, a (2, site, step, *cells, particle)
+    array, particle a then b. The walkers are one array with axes (site,
+    coin, start coin, *cells, particle): walkers[:, :, c, ..., p] is particle
+    p's lone walker started in coin |c> at its site in init.positions and
+    stepped under its field, each cell a run from the same start. Both
+    particles step in one walk.trajectory under split_coins(field), and each
+    yielded block is its block of consecutive steps, with axes (step, site,
+    coin, start coin, *cells, particle), so block[s] is one step's walkers.
     """
     if field.ndim < 4 or field.shape[-1] != 2:
         raise ValueError(f"field must have a trailing particle axis of 2, got shape {field.shape}")
@@ -93,7 +87,7 @@ def iter_product_walkers(
         for x in init.positions
     ]
     starts = [np.broadcast_to(s.reshape(s.shape + (1,) * len(cells)), s.shape + cells) for s in starts]
-    return trajectory(np.stack(starts, axis=-1), split_stepper(field), n_steps)
+    return trajectory(np.stack(starts, axis=-1), split_coins(field))
 
 
 @lru_cache(maxsize=8)

@@ -6,22 +6,21 @@ moves every coin-1 amplitude one site left. The Hadamard walk is the same
 kernel with the Hadamard coin first and the identity second. Coin angles may
 depend on site and step; each coin reads the angle at the site where the
 amplitude currently sits. A walker's angle field is a (2, site, step) array
-holding the theta1 and theta2 planes. Walkers are arrays with axes
-(site, coin, *walkers), as in states.py; trajectory() steps any of them,
-yields the steps in blocks with a leading step axis, and checks every
-walker's norm once per block. A block is a view of zeroed rows that hold each
-coin's walkers as rows of sites plus one spare row; the stepper writes each
-step into its own row, the shifts as write offsets. The walk is local, so a
-step computes only the sites of the start's light cone, one site wider on
-the right, and a direct stepper call, hadamard_step(amps) or
-split_stepper(field)(amps, step), computes the whole window.
+holding the theta1 and theta2 planes. A walk is its table of coins:
+split_coins(field) and hadamard_coins(size, n_steps) return the two coins'
+columns at every step, and trajectory(amps, coins) steps walker arrays with
+axes (site, coin, *walkers), as in states.py, once per step of the table. It
+yields the steps in blocks with a leading step axis and checks every walker's
+norm once per block. A block is a view of zeroed rows that hold each coin's
+walkers as rows of sites plus one spare row; each step is written into its
+own row, the shifts as write offsets. The walk is local, so a step computes
+only the sites of the start's light cone, one site wider on the right.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -151,11 +150,10 @@ def _walkers(rows: np.ndarray, shape: tuple) -> np.ndarray:
     return rows[..., :-1, :].reshape(*rows.shape[:-2], *shape[2:], shape[0])
 
 
-def _check_edge(leaving: np.ndarray, where: str, step: int | None) -> None:
+def _check_edge(leaving: np.ndarray, where: str, step: int) -> None:
     """Raise unless the amplitude a shift pushed off the window is zero; step counts from 0."""
     if not abs(leaving).max() <= BOUNDARY_TOL:
-        at = "" if step is None else f" at step {step + 1}"
-        raise WindowOverflowError(f"{where}{at}; window too small")
+        raise WindowOverflowError(f"{where} at step {step + 1}; window too small")
 
 
 def _walker_rows(walkers: tuple, batch: tuple, size: int) -> tuple:
@@ -201,32 +199,13 @@ def _step_rows(src: np.ndarray, out: np.ndarray, coins, sites: slice, scratch, s
         out[1, :m, -1] = 0.0  # S1 shifts in zeros where the first coin's sums or a leaving amplitude sat
 
 
-def _step_whole_window(stepper, amps: np.ndarray, step) -> np.ndarray:
-    """A direct stepper call: the step of a (site, coin, *walkers) walker array over every site."""
-    size = amps.shape[0]
-    rows = np.zeros((2, 2, amps.size // (2 * size) + 1, size), complex)
-    walkers = _walkers(rows, amps.shape)
-    walkers[0] = amps.transpose(*range(1, amps.ndim), 0)
-    stepper(rows[0], step, rows[1], slice(0, size), amps.shape[2:])
-    return walkers[1].transpose(-1, *range(amps.ndim - 1))
+def split_coins(field: np.ndarray) -> np.ndarray:
+    """The coins of a (2, site, step, *batch) field, as trajectory() takes them.
 
-
-def _check_step(step: int, n_steps: int) -> None:
-    if not 0 <= step < n_steps:
-        raise ValueError(f"field covers steps 0..{n_steps - 1}, got {step}")
-
-
-def split_stepper(field: np.ndarray):
-    """Stepper for trajectory() under a (2, site, step, *batch) field.
-
-    From trajectory, stepper(amps, step, out, sites, walkers) writes the step from the row amps
-    into the zeroed row out, over the window sites of the slice `sites`; the rows hold walkers with
-    the axes `walkers`. Called as stepper(amps, step), it steps a (site, coin, *walkers) walker
-    array over every site and returns the new walker array. The walker axes end in the batch axes,
-    or in axes they broadcast to, so each batch entry steps its walkers under its own angles; other
-    walker axes raise ValueError. Every coin the field stores is built once, as the rows (-s, c, s)
-    of the half angles: the coin columns ([c, s], [-s, c]) are then the views rows[1:3] and
-    rows[0:2]. A field whose step axis is broadcast (stride 0) stores one step, read at every step.
+    Returns the read-only (2, 2, step, coin, 1, *batch, site) columns cols[k, c] = m[c, k] of each
+    step's two coins. Every coin the field stores is built once, as the rows (-s, c, s) of the
+    half angles: the coin columns ([c, s], [-s, c]) are then the views rows[1:3] and rows[0:2]. A
+    field whose step axis is broadcast (stride 0) stores one step, read at every step.
     """
     n_steps = field.shape[2]
     field = field[:, :, :1] if field.strides[2] == 0 else field  # a broadcast step axis: its one step, or none
@@ -236,45 +215,18 @@ def split_stepper(field: np.ndarray):
     np.cos(rows[0], out=rows[1])
     np.sin(rows[0], out=rows[2])
     np.negative(rows[2], out=rows[0])
-    # the columns as one (2, 2, step, coin, 1, *batch, site) view of the table, cols[k, c] = rows[1 - k + c]
+    # the columns as one view of the table, cols[k, c] = rows[1 - k + c]
     table = rows.reshape(shape[:3] + (1,) + shape[3:])[1]
     step_stride = table.strides[0] if shape[1] == n_steps else 0  # one stored step serves every step
     strides = (-rows.strides[0], rows.strides[0], step_stride, *table.strides[1:])
-    coins = np.lib.stride_tricks.as_strided(table, (2, 2, n_steps, *table.shape[1:]), strides, writeable=False)
-    kernels = {}  # (row shape, walker axes) -> the kernel's scratch array and walker row shape
-
-    def step_rows(amps: np.ndarray, step: int, out: np.ndarray, sites: slice, walkers: tuple) -> None:
-        if out.shape[-1] != shape[-1]:
-            raise ValueError("angle field does not match the lattice window")
-        _check_step(step, n_steps)
-        kernel = kernels.get((out.shape, walkers))
-        if kernel is None:
-            walker_rows = _walker_rows(walkers, shape[3:-1], shape[-1])
-            work = np.empty((2, 2, out.shape[1] - 1, shape[-1]), complex).reshape(2, 2, *walker_rows)
-            kernel = kernels[out.shape, walkers] = work, walker_rows
-        _step_rows(amps, out, coins[:, :, step], sites, kernel[0], step, kernel[1])
-
-    def stepper(amps: np.ndarray, step: int, out: np.ndarray | None = None, sites=None, walkers=()):
-        if out is None:  # step_rows, not stepper itself: a closure over itself would live until a gc pass
-            return _step_whole_window(step_rows, amps, step)
-        step_rows(amps, step, out, sites, walkers)
-
-    return stepper
+    return np.lib.stride_tricks.as_strided(table, (2, 2, n_steps, *table.shape[1:]), strides, writeable=False)
 
 
-@lru_cache(maxsize=8)
-def _hadamard_coins(size: int) -> np.ndarray:
-    """The Hadamard coin, then the identity, as the read-only (2, 2, coin, 1, site) columns of a step."""
-    return np.broadcast_to(np.stack([HADAMARD.T, np.eye(2)], axis=2)[..., None, None], (2, 2, 2, 1, size))
-
-
-def hadamard_step(amps: np.ndarray, step=None, out: np.ndarray | None = None, sites=None, walkers=()):
-    """One step of the plain Hadamard walk, both shifts after a single coin: a stepper as split_stepper's."""
-    if out is None:
-        return _step_whole_window(hadamard_step, amps, step)
-    size = out.shape[-1]
-    scratch = np.empty((2, 2, out.shape[1] - 1, size), complex)
-    _step_rows(amps, out, _hadamard_coins(size), sites, scratch, step, (-1, size))
+def hadamard_coins(size: int, n_steps: int) -> np.ndarray:
+    """The plain Hadamard walk's coins, the Hadamard coin and then the identity, as the read-only
+    (2, 2, step, coin, 1, site) columns of n_steps steps on size sites."""
+    columns = np.stack([HADAMARD.T, np.eye(2)], axis=2)[:, :, None, :, None, None]
+    return np.broadcast_to(columns, (2, 2, n_steps, 2, 1, size))
 
 
 def _check_norms(block: np.ndarray, first_step: int) -> None:
@@ -289,24 +241,31 @@ def _check_norms(block: np.ndarray, first_step: int) -> None:
         raise NumericalError(f"walker norm drifted by {drift[step]:.3e} at step {first_step + step}")
 
 
-def trajectory(amps: np.ndarray, stepper, n_steps: int):
-    """Yield amps and the n_steps steps of it that stepper makes, in blocks of consecutive steps.
+def trajectory(amps: np.ndarray, coins: np.ndarray):
+    """Yield amps and its steps under coins, in blocks of consecutive steps.
 
-    amps has axes (site, coin, *walkers). Each block has axes (step, site, coin, *walkers), a view
-    of (step, coin, walker + 1, site) rows, so block[s] is one step's walker array; the first block
-    starts with amps. A block holds _BLOCK_AMPLITUDES amplitudes, or one step if a step holds more.
-    Step t (counted from 0) is stepper(row t, t, zeroed row t + 1, sites, amps.shape[2:]), over the
+    amps has axes (site, coin, *walkers); coins are (2, 2, step, coin, 1, *batch, site) columns, as
+    split_coins and hadamard_coins return them, and their step axis sets the number of steps. The
+    walker axes end in the batch axes, or in axes they broadcast to, so each batch entry steps its
+    walkers under its own coins; other walker axes, or coins of another window, raise ValueError
+    before the first block. Each block has axes (step, site, coin, *walkers), a view of (step,
+    coin, walker + 1, site) rows, so block[s] is one step's walker array; the first block starts
+    with amps. A block holds _BLOCK_AMPLITUDES amplitudes, or one step if a step holds more. Step t
+    (counted from 0) writes from row t into the zeroed row t + 1 under coins[:, :, t], over the
     light cone: a start with amplitude on sites [a, b] has none outside [a - t, b + t] after t
     steps, so step t reads that cone and writes [a - t - 1, b + t + 1], and computes the sites
     [a - t, b + t + 1] within the window only. A step of more than _CONE_MAX_ROWS walker rows
     computes every site once that range spans more than half the window. Each block's stepped
-    walkers have their norms checked against RUNTIME_NORM_TOL before it is yielded; if the stepper
-    raises, the steps before it are checked first, so a drift is reported at the step where it
-    appeared.
+    walkers have their norms checked against RUNTIME_NORM_TOL before it is yielded; if a step
+    raises, as when it overflows the window, the steps before it are checked first, so a drift is
+    reported at the step where it appeared.
     """
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    size = amps.shape[0]
+    size, n_steps = amps.shape[0], coins.shape[2]
+    if coins.shape[-1] != size:
+        raise ValueError(f"coins for {coins.shape[-1]} sites do not match the {size}-site window")
+    walker_rows = _walker_rows(amps.shape[2:], coins.shape[5:-1], size)
+    m = amps.size // (2 * size)  # walkers per coin
+    scratch = np.empty((2, 2, m, size), complex).reshape(2, 2, *walker_rows)
     occupied = np.flatnonzero(amps.reshape(size, -1).any(axis=1))
     a, b = (int(occupied[0]), int(occupied[-1])) if occupied.size else (0, size - 1)
     length = max(1, _BLOCK_AMPLITUDES // amps.size)
@@ -315,19 +274,20 @@ def trajectory(amps: np.ndarray, stepper, n_steps: int):
     rows = None
     for first in range(0, n_steps + 1, length):
         count = min(length, n_steps + 1 - first)
-        previous, rows = rows, np.zeros((count, 2, amps.size // (2 * size) + 1, size), complex)
+        previous, rows = rows, np.zeros((count, 2, m + 1, size), complex)
         block = _walkers(rows, amps.shape)
         checked = int(first == 0)  # the start is the caller's; only stepped walkers are checked
         if checked:
             block[0] = amps.transpose(*range(1, amps.ndim), 0)
         for s in range(checked, count):
-            step = first + s - 1
-            sites = slice(max(a - step, 0), min(b + step + 2, size))
+            t = first + s - 1
+            sites = slice(max(a - t, 0), min(b + t + 2, size))
             if sites.stop - sites.start > widest:
                 sites = slice(0, size)
+            src = rows[s - 1] if s else previous[-1]
             try:
-                stepper(rows[s - 1] if s else previous[-1], step, rows[s], sites, amps.shape[2:])
-            except Exception:  # whatever the stepper raised, a drift before it is the cause to report
+                _step_rows(src, rows[s], coins[:, :, t], sites, scratch, t, walker_rows)
+            except Exception:  # whatever a step raised, a drift before it is the cause to report
                 _check_norms(block[checked:s], first + checked)
                 raise
         _check_norms(block[checked:], first + checked)

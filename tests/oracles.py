@@ -21,11 +21,12 @@ from topowalk import (
     NumericalError,
     WindowOverflowError,
     make_single_state,
-    split_stepper,
+    split_coins,
+    trajectory,
     von_neumann_entropy,
 )
 from topowalk.topology import GAP_THRESHOLD
-from topowalk.walk import BOUNDARY_TOL, HADAMARD, RUNTIME_NORM_TOL, _check_step
+from topowalk.walk import BOUNDARY_TOL, HADAMARD, RUNTIME_NORM_TOL
 
 PLANARITY_TOL = 1e-6  # largest out-of-plane component the numerical winding accepts
 
@@ -52,10 +53,22 @@ def rotation_coin(theta) -> np.ndarray:
     return m
 
 
-def split_step(amps: np.ndarray, field: np.ndarray, step: int, out=None, sites=None, walkers=()):
-    """One split step with the site-dependent angles field[:, :, step] of a (2, site, step, *batch) field."""
+def _check_step(step: int, n_steps: int) -> None:
+    if not 0 <= step < n_steps:
+        raise ValueError(f"field covers steps 0..{n_steps - 1}, got {step}")
+
+
+def stepped(amps: np.ndarray, coins: np.ndarray) -> np.ndarray:
+    """amps after the last step of coins, stepped through trajectory."""
+    *_, block = trajectory(amps, coins)
+    return block[-1]
+
+
+def split_step(amps: np.ndarray, field: np.ndarray, step: int) -> np.ndarray:
+    """One split step with the site-dependent angles field[:, :, step] of a (2, site, step, *batch) field,
+    through trajectory on that step's slice of split_coins(field)."""
     _check_step(step, field.shape[2])
-    return split_stepper(field[:, :, step : step + 1])(amps, 0, out, sites, walkers)
+    return stepped(amps, split_coins(field)[:, :, step : step + 1])
 
 
 def _check_edge(leaving: np.ndarray, where: str) -> None:
@@ -93,20 +106,25 @@ def hadamard_reference_step(amps: np.ndarray, step: int) -> np.ndarray:
     return step_amps(amps, (h[:, 0], h[:, 1]), (one[:, 0], one[:, 1]))
 
 
-def full_table_stepper(field: np.ndarray):
-    """split_stepper's coins from a table of every step the field spans, its step axis broadcast or not.
-
-    The coin table holds the rows (-s, c, s) of the half angles for every
-    (step, batch entry), each computed from its own angles, so a field whose
-    step axis is a broadcast view gets a full copy of its one stored step; each
-    step feeds its columns to the whole-window reference kernel.
-    """
+def full_coin_rows(field: np.ndarray) -> np.ndarray:
+    """The (3, step, coin, *batch, site) rows (-s, c, s) of the half angles of a (2, site, step, *batch)
+    field at every step it spans, its step axis broadcast or not: each (step, batch entry) is computed
+    from its own angles, so a field whose step axis is a broadcast view gets a full copy of its one
+    stored step. Coin k's columns are ([c, s], [-s, c]) = (rows[1:3, :, k], rows[0:2, :, k])."""
     shape = (3, field.shape[2], 2, *field.shape[3:], field.shape[1])
     rows = np.empty(shape)
     np.divide(field.transpose(2, 0, *range(3, field.ndim), 1), 2.0, out=rows[0])
     np.cos(rows[0], out=rows[1])
     np.sin(rows[0], out=rows[2])
     np.negative(rows[2], out=rows[0])
+    return rows
+
+
+def full_table_stepper(field: np.ndarray):
+    """A reference stepper(amps, step) that feeds each step's columns from full_coin_rows(field) to the
+    whole-window reference kernel step_amps."""
+    rows = full_coin_rows(field)
+    shape = rows.shape
 
     def stepper(amps: np.ndarray, step: int) -> np.ndarray:
         _check_step(step, shape[1])
@@ -375,10 +393,11 @@ def make_pair_state(init: InitialPairState, window: LatticeWindow) -> TwoParticl
 def pair_split_step(
     state: TwoParticleState, field_a: np.ndarray, field_b: np.ndarray, step: int
 ) -> TwoParticleState:
-    """One product step: A's split step on (x_a, c_a), then B's on (x_b, c_b)."""
-    amps = split_step(state.amps, field_a, step)
+    """One product step: A's split step on (x_a, c_a), then B's on (x_b, c_b), each through the
+    reference kernel step_amps: a pair state's (x, c) slices are not walkers of norm 1."""
+    amps = full_table_stepper(field_a[:, :, step : step + 1])(state.amps, 0)
     amps = np.ascontiguousarray(amps.transpose(2, 3, 0, 1))
-    amps = split_step(amps, field_b, step)
+    amps = full_table_stepper(field_b[:, :, step : step + 1])(amps, 0)
     amps = np.ascontiguousarray(amps.transpose(2, 3, 0, 1))
     return TwoParticleState(state.window, amps)
 

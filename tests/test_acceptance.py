@@ -21,13 +21,14 @@ from topowalk import (
     STRONG_HALF_WIDTH,
     WEAK_HALF_WIDTH,
     coin_coefficients,
-    hadamard_step,
+    hadamard_coins,
     joint_distribution_interference,
     load_config,
     make_single_state,
     position_distribution,
     run,
     sample_angle_field,
+    split_coins,
     trajectory,
     von_neumann_entropy,
     winding_number,
@@ -44,7 +45,7 @@ from oracles import (
     reduce_pair_to_coin,
     reduce_to_coin,
     rotation_coin,
-    split_step,
+    stepped,
     walker_amps,
 )
 
@@ -86,10 +87,12 @@ def coin_entropy(amps) -> float:
 
 
 def run_single(window, coin, field, n_steps):
-    s = make_single_state(window, 0, coin)
-    for step in range(n_steps):
-        s = split_step(s, field, step)
-    return s
+    return stepped(make_single_state(window, 0, coin), split_coins(field)[:, :, :n_steps])
+
+
+def walk_steps(start, coins) -> list:
+    """start and every step of it under coins, one walker array per step."""
+    return list(chain.from_iterable(trajectory(start, coins)))
 
 
 def _report(number: int, label: str, checks) -> None:
@@ -137,7 +140,7 @@ def boundary_vs_uniform(n_steps: int, disorder_key: str):
 def test_criterion_1_hadamard_entropy_asymptote():
     t0 = time.perf_counter()
     state = make_single_state(LatticeWindow(101), 0, (1, 0))
-    blocks = trajectory(state, hadamard_step, 100)
+    blocks = trajectory(state, hadamard_coins(state.shape[0], 100))
     entropy = [coin_entropy(s) for s in chain.from_iterable(blocks)]
     elapsed = time.perf_counter() - t0
     final_entropy = entropy[100]
@@ -155,12 +158,8 @@ def test_criterion_2_ballistic_vs_subballistic_spreading():
     window = LatticeWindow(101)
     positions = window.positions()
 
-    state = make_single_state(window, 0, (1, 0))
-    sigma = {}
-    for step in range(100):
-        state = hadamard_step(state)
-        if step + 1 in (50, 100):
-            sigma[step + 1] = distribution_sigma(positions, position_distribution(state))
+    states = walk_steps(make_single_state(window, 0, (1, 0)), hadamard_coins(window.size, 100))
+    sigma = {step: distribution_sigma(positions, position_distribution(states[step])) for step in (50, 100)}
     clean_ratio = sigma[100] / sigma[50]
 
     mean50 = np.zeros(window.size)
@@ -169,12 +168,9 @@ def test_criterion_2_ballistic_vs_subballistic_spreading():
         disorder = DisorderSpec("uniform", STRONG_HALF_WIDTH, "a")
         seed = derive_seed(MASTER_SEED, replicate)
         field = sample_angle_field(ANGLES_WINDING_1, disorder, 100, window, "a", seed)
-        state = make_single_state(window, 0, (1, 0))
-        for step in range(100):
-            state = split_step(state, field, step)
-            if step + 1 == 50:
-                mean50 += position_distribution(state)
-        mean100 += position_distribution(state)
+        states = walk_steps(make_single_state(window, 0, (1, 0)), split_coins(field))
+        mean50 += position_distribution(states[50])
+        mean100 += position_distribution(states[100])
     mean50 /= 20
     mean100 /= 20
     disordered_ratio = distribution_sigma(positions, mean100) / distribution_sigma(positions, mean50)
@@ -346,9 +342,7 @@ def test_criterion_8_invariant_suites():
 
     # unitarity: norm drift below 1e-12 over 100 steps, clean and disordered
     window = LatticeWindow(101)
-    state = make_single_state(window, 0, (1, 0))
-    for step in range(100):
-        state = hadamard_step(state)
+    state = stepped(make_single_state(window, 0, (1, 0)), hadamard_coins(window.size, 100))
     checks.append((abs(np.linalg.norm(state) - 1.0) < 1e-12, "hadamard walk norm drifted"))
     disorder = DisorderSpec("uniform", STRONG_HALF_WIDTH, "a")
     field = sample_angle_field(ANGLES_WINDING_1, disorder, 100, window, "a", derive_seed(MASTER_SEED, 3))

@@ -567,3 +567,17 @@ def test_figure_script_prints_each_walkers_winding(tmp_path):
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("fig3a_4a_tptpw_clean") and " windings a=1 b=0 -> " in lines[0]
     assert lines[1].startswith("fig3b_4d_tptbw_clean") and " windings a=1|0 b=1|0 -> " in lines[1]
+
+
+def test_cone_rows_scan_runs(tmp_path):
+    # a small scan: one cell's 8 walker rows, both ways of stepping, one round
+    script = Path(__file__).resolve().parent.parent / "scripts" / "cone_rows_scan.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--cells", "1", "--half-width", "8", "--steps", "4", "--rounds", "1"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("rows    8:")

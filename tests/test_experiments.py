@@ -29,7 +29,7 @@ from topowalk import (
     config_to_dict,
     coin_coefficients,
     derive_seed,
-    hadamard_step,
+    hadamard_coins,
     iter_product_walkers,
     joint_distribution_interference,
     load_config,
@@ -38,7 +38,7 @@ from topowalk import (
     position_distribution,
     run,
     sample_angle_field,
-    split_stepper,
+    split_coins,
     trajectory,
     von_neumann_entropy,
     write_artifacts,
@@ -105,6 +105,11 @@ def minimal_dict(kind, **overrides):
 
 def minimal_pair_dict(**overrides):
     return minimal_dict("pair", **overrides)
+
+
+def sweep_axes(*names):
+    """A sweep_grid of two-point axes over [0, 1] with the given names."""
+    return [{"name": name, "min": 0, "max": 1, "count": 2} for name in names]
 
 
 # config_to_dict(RunConfig()) as manifests wrote it before each run kind named
@@ -307,6 +312,21 @@ class TestConfigParsing:
             ({"run_kind": "phase_diagram", "k_points": 1023}, "k_points"),
             # the auto window grows with the farthest start, which oversizes the joint distribution
             ({"initial_state": {"kind": "psi+", "positions": [0, -(10**6)]}}, "initial_state"),
+            # a sweep axis with a side needs boundary angles, checked before the run
+            ({"run_kind": "entropy_sweep", "sweep_grid": sweep_axes("theta1a", "theta2b_minus")}, "sweep_grid"),
+            # two axes that write the same angle: the one applied first would do nothing
+            ({"run_kind": "entropy_sweep", "sweep_grid": sweep_axes("theta1a", "theta1a")}, "sweep_grid"),
+            *(
+                (
+                    {
+                        "run_kind": "entropy_sweep",
+                        "angles": {"a": {"minus": [0, 1], "plus": [2, 3]}},
+                        "sweep_grid": sweep_axes(*names),
+                    },
+                    "sweep_grid",
+                )
+                for names in (("theta1a_minus", "theta1a"), ("theta2a_plus", "theta2a_plus"))
+            ),
         ],
     )
     def test_validation_errors_name_the_field(self, patch, field):
@@ -317,20 +337,35 @@ class TestConfigParsing:
         assert err.value.field == field
 
     def test_coin_table_over_the_limit_names_steps(self):
-        # a pair run's coin table holds 12 values per (site, step): rows (-s, c, s)
+        # a disordered pair run's coin table holds 12 values per (site, step): rows (-s, c, s)
         # of 2 angles of 2 walkers; here 12 * 4001 * 1500 entries pass the limit
-        config_from_dict(minimal_pair_dict(steps=1300, window=2000))
+        weak = {"kind": "weak", "target": "a"}
+        config_from_dict(minimal_pair_dict(steps=1300, window=2000, disorder=weak))
         with pytest.raises(ConfigError) as err:
-            config_from_dict(minimal_pair_dict(steps=1500, window=2000))
+            config_from_dict(minimal_pair_dict(steps=1500, window=2000, disorder=weak))
+        assert err.value.field == "steps"
+
+    @pytest.mark.parametrize("steps", [2000, 3000])
+    def test_clean_coin_table_counts_one_stored_step(self, steps):
+        # no walker draws, so the coin table stores one step, and a clean run is bound by its joint
+        # distribution alone: at 3,000 steps the auto window's (6003, 6003) one fits the limit
+        config = config_from_dict(minimal_pair_dict(steps=steps))
+        assert experiments._coin_table_size(config) == 12 * (2 * steps + 3)
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(minimal_pair_dict(steps=steps, disorder={"kind": "weak", "target": "a"}))
         assert err.value.field == "steps"
 
     def test_hadamard_runs_count_no_coin_table(self):
         # a Hadamard walk steps one (8003, 2, 1) walker and builds no coin table
         config = config_from_dict({"run_kind": "hadamard", "steps": 4000})
         assert experiments._coin_table_size(config) == 0
-        # a single walker's table at 4,000 steps would pass the limit, so the single-walker config is shorter
-        single = config_from_dict({"run_kind": "single_split", "steps": 1000})
+        # a disordered single walker's table at 4,000 steps would pass the limit, so that config is shorter
+        single = config_from_dict({"run_kind": "single_split", "steps": 1000, "disorder": {"kind": "weak"}})
         assert experiments._coin_table_size(single) == 3 * 2 * 2003 * 1000
+        # a clean single walker stores one step at any length, and a walk of no steps none
+        for steps, stored in ((4000, 1), (0, 0)):
+            clean = config_from_dict({"run_kind": "single_split", "steps": steps})
+            assert experiments._coin_table_size(clean) == 3 * 2 * (2 * steps + 3) * stored
 
     @pytest.mark.parametrize("field, value", [("angles", "x"), ("angles", 5), ("sweep_grid", 5), ("outputs", 5)])
     def test_malformed_containers_name_the_field(self, field, value):
@@ -508,9 +543,18 @@ class TestParticleAngles:
         assert updated["a"].theta_minus == (0.7, 0.2)
         assert updated["a"].theta_plus == (0.7, 0.4)
 
-    def test_side_axis_requires_boundary(self):
-        with pytest.raises(ConfigError):
-            _with_axis_value({"a": (0.0, 0.0)}, "theta2a_plus", 0.9)
+    @pytest.mark.parametrize("name", ["theta2a_plus", "theta2b_minus"])
+    def test_side_axis_requires_boundary(self, name):
+        # checked when the config is built, not when it runs; walker b falls back to walker a's plain angles
+        data = minimal_dict("entropy_sweep", angles={"a": [0.0, 0.0]}, sweep_grid=sweep_axes("theta1a", name))
+        with pytest.raises(ConfigError, match=f"axis '{name}' needs boundary angles for particle '{name[6]}'"):
+            config_from_dict(data)
+
+    def test_axes_on_the_two_sides_of_one_angle_are_valid(self):
+        axes = sweep_axes("theta1a_minus", "theta1a_plus")
+        config = config_from_dict(minimal_dict("entropy_sweep", angles={"a": BOUNDARY_ANGLES}, sweep_grid=axes))
+        grid = run(config).heatmap
+        assert np.ptp(grid[:, 0]) > 0 and np.ptp(grid[0, :]) > 0  # each axis moves the entropy
 
 
 class TestRunDeterminism:
@@ -709,7 +753,7 @@ class TestPairReplicates:
             ]
             rhos = []
             field = np.stack(fields, axis=-1)
-            blocks = iter_product_walkers(cfg.initial_state, window, field, cfg.steps)
+            blocks = iter_product_walkers(cfg.initial_state, window, field)
             for amps in chain.from_iterable(blocks):
                 rhos.append(pair_coin_density_from_singles(amps, coefficients))
             series.append(von_neumann_entropy(np.array(rhos)))
@@ -738,16 +782,16 @@ class TestPairReplicates:
         monkeypatch.setattr(experiments, "MAX_ARRAY_ELEMENTS", 3 * cell_table + 2)
         chunks = []
 
-        def walkers(init, window, field, n_steps):
+        def walkers(init, window, field):
             chunks.append(field.shape[-2])  # the cell axis, before the particle axis
-            return iter_product_walkers(init, window, field, n_steps)
+            return iter_product_walkers(init, window, field)
 
-        def stepper(field):
+        def coins(field):
             chunks.append(field.shape[-1])  # a single walker's field ends in the cell axis
-            return split_stepper(field)
+            return split_coins(field)
 
         monkeypatch.setattr(experiments, "iter_product_walkers", walkers)
-        monkeypatch.setattr(experiments, "split_stepper", stepper)
+        monkeypatch.setattr(experiments, "split_coins", coins)
         chunked = run(config_from_dict(data))
         assert chunks == [3, 3, 1]
         if kind == "entropy_sweep":
@@ -764,16 +808,16 @@ class TestPairReplicates:
         # the config says whether a stepped walker draws; if none does, the field's step axis is broadcast
         step_strides = []
 
-        def walkers(init, window, field, n_steps):
+        def walkers(init, window, field):
             step_strides.append(field.strides[2])
-            return iter_product_walkers(init, window, field, n_steps)
+            return iter_product_walkers(init, window, field)
 
-        def stepper(field):
+        def coins(field):
             step_strides.append(field.strides[2])
-            return split_stepper(field)
+            return split_coins(field)
 
         monkeypatch.setattr(experiments, "iter_product_walkers", walkers)
-        monkeypatch.setattr(experiments, "split_stepper", stepper)
+        monkeypatch.setattr(experiments, "split_coins", coins)
         run(config_from_dict(minimal_dict(kind, disorder=disorder)))
         assert step_strides and all((stride == 0) == (disorder["kind"] == "none") for stride in step_strides)
 
@@ -795,14 +839,14 @@ class TestStepBlocks:
         if kind == "single_split":
             field = sample_angle_field(angles["a"], cfg.disorder, cfg.steps, window, "a", seed)
             start = make_single_state(window, 0, cfg.coin_amps)
-            blocks = list(trajectory(start, split_stepper(field), cfg.steps))
+            blocks = list(trajectory(start, split_coins(field)))
         else:
             fields = [
                 sample_angle_field(_particle_angles(angles, p), cfg.disorder, cfg.steps, window, p, seed)
                 for p in "ab"
             ]
             field = np.stack(fields, axis=-1)
-            blocks = list(iter_product_walkers(cfg.initial_state, window, field, cfg.steps))
+            blocks = list(iter_product_walkers(cfg.initial_state, window, field))
         coefficients = coin_coefficients(cfg.initial_state)
         rhos = []
         for amps in chain.from_iterable(blocks):
@@ -881,7 +925,7 @@ class TestSingleReplicates:
             )
             rhos = []
             start = make_single_state(window, 0, cfg.coin_amps)
-            for amps in chain.from_iterable(trajectory(start, split_stepper(field), cfg.steps)):
+            for amps in chain.from_iterable(trajectory(start, split_coins(field))):
                 rhos.append(reduce_to_coin(amps))
             series.append(von_neumann_entropy(np.array(rhos)))
             dist = position_distribution(amps)
@@ -937,11 +981,11 @@ class TestSingleWalkerEntropy:
         cfg = config_from_dict(minimal_dict(kind, steps=40))
         window = LatticeWindow(41)
         if kind == "hadamard":
-            stepper = hadamard_step
+            coins = hadamard_coins(window.size, 40)
         else:
-            stepper = split_stepper(sample_angle_field(cfg.angles["a"], cfg.disorder, 40, window, "a", 0))
+            coins = split_coins(sample_angle_field(cfg.angles["a"], cfg.disorder, 40, window, "a", 0))
         start = make_single_state(window, 0, cfg.coin_amps)
-        blocks = trajectory(start, stepper, 40)
+        blocks = trajectory(start, coins)
         per_step = [von_neumann_entropy(reduce_to_coin(amps)) for amps in chain.from_iterable(blocks)]
         # the mean over one replicate, as run() reports it, turns the step-0 entropy -0.0 into 0.0
         expected = np.mean([per_step], axis=0)

@@ -430,7 +430,7 @@ class TestProductDecomposition:
         fa = sample_angle_field((0.3, -1.1), dis, n, win, "a", 17)
         fb = sample_angle_field((-2.0, 0.7), dis, n, win, "b", 17)
         init = InitialPairState("psi+", (2, -1))
-        blocks = iter_product_walkers(init, win, np.stack([fa, fb], axis=-1), n)
+        blocks = iter_product_walkers(init, win, np.stack([fa, fb], axis=-1))
         trajectory = list(chain.from_iterable(blocks))
         assert len(trajectory) == n + 1
         for particle, field, x0 in ((0, fa, 2), (1, fb, -1)):
@@ -445,33 +445,30 @@ class TestProductDecomposition:
     def test_walker_norm_drift_raises(self, monkeypatch, scale):
         import topowalk.pair as pair_module
 
-        make_stepper = pair_module.split_stepper
+        split_coins = pair_module.split_coins
 
-        def drifting_stepper(field):
-            stepper = make_stepper(field)
-            def drifting(amps, step, out, sites, walkers):
-                stepper(amps, step, out, sites, walkers)
-                out *= scale
+        def drifting_coins(field):  # a writeable copy of the coins, scaled at the second step
+            coins = np.array(split_coins(field))
+            coins[:, :, 1] *= scale
+            return coins
 
-            return drifting
-
-        monkeypatch.setattr(pair_module, "split_stepper", drifting_stepper)
+        monkeypatch.setattr(pair_module, "split_coins", drifting_coins)
         win = LatticeWindow(4)
         field = np.stack(clean_fields(win, 2), axis=-1)
-        with pytest.raises(NumericalError):
-            list(iter_product_walkers(InitialPairState("psi+"), win, field, 2))
+        with pytest.raises(NumericalError, match="at step 2$"):
+            list(iter_product_walkers(InitialPairState("psi+"), win, field))
 
-    def test_steps_beyond_the_fields_raise(self):
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_steps_are_the_fields_steps(self, n):
         win = LatticeWindow(4)
-        field = np.stack(clean_fields(win, 2), axis=-1)
-        with pytest.raises(ValueError, match="field covers steps 0..1"):
-            list(iter_product_walkers(InitialPairState("psi+"), win, field, 3))
+        field = np.stack(clean_fields(win, n), axis=-1)
+        assert sum(len(block) for block in iter_product_walkers(InitialPairState("psi+"), win, field)) == n + 1
 
     def test_walker_reaching_the_edge_raises(self):
         win = LatticeWindow(3)
         field = np.stack(clean_fields(win, 6), axis=-1)
         with pytest.raises(WindowOverflowError):
-            list(iter_product_walkers(InitialPairState("psi+"), win, field, 6))
+            list(iter_product_walkers(InitialPairState("psi+"), win, field))
 
     @pytest.mark.parametrize("count", [0, 1, 3])
     def test_rejects_a_field_without_a_two_particle_axis(self, count):
@@ -480,13 +477,13 @@ class TestProductDecomposition:
         fa, fb = clean_fields(win, 2)
         field = fa if count == 0 else np.stack([fa, fb, fa][:count], axis=-1)
         with pytest.raises(ValueError, match="trailing particle axis of 2"):
-            iter_product_walkers(InitialPairState("psi+"), win, field, 2)
+            iter_product_walkers(InitialPairState("psi+"), win, field)
 
     def test_rejects_start_at_edge(self):
         win = LatticeWindow(3)
         field = np.stack(clean_fields(win, 1), axis=-1)
         with pytest.raises(ValueError):
-            next(iter_product_walkers(InitialPairState("sep", (0, 3)), win, field, 1))
+            next(iter_product_walkers(InitialPairState("sep", (0, 3)), win, field))
 
     @pytest.mark.parametrize("kind", ["psi+", "psi-", "sep"])
     def test_coin_density_matches_direct_reduction(self, kind):

@@ -7,14 +7,14 @@ from numpy.testing import assert_allclose
 from topowalk import (
     LatticeWindow,
     NumericalError,
-    hadamard_step,
+    hadamard_coins,
     make_single_state,
     position_distribution,
     von_neumann_entropy,
 )
 from topowalk.experiments import RunConfig, _resolved_window
 from conftest import random_pair_state, random_single_state
-from oracles import distribution_sigma, reduce_pair_to_coin, reduce_to_coin, tensor_pair
+from oracles import distribution_sigma, reduce_pair_to_coin, reduce_to_coin, stepped, tensor_pair
 
 
 class TestLatticeWindow:
@@ -105,7 +105,7 @@ class TestPositionDistribution:
 
     def test_one_hadamard_step_splits_evenly(self):
         win = LatticeWindow(5)
-        s = hadamard_step(make_single_state(win, 0, (1, 0)))
+        s = stepped(make_single_state(win, 0, (1, 0)), hadamard_coins(win.size, 1))
         dist = position_distribution(s)
         assert_allclose(dist[win.index(1)], 0.5, atol=1e-12)
         assert_allclose(dist[win.index(-1)], 0.5, atol=1e-12)

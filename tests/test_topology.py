@@ -18,7 +18,7 @@ from topowalk import (
     phase_diagram,
     run,
     sample_angle_field,
-    split_stepper,
+    split_coins,
     topology,
     trajectory,
     von_neumann_entropy,
@@ -105,7 +105,7 @@ class TestMomentumUnitary:
 
 
 class TestMomentumWalk:
-    """U(k), the operator behind the phase diagram, is the Fourier transform of the walk split_stepper steps."""
+    """U(k), the operator behind the phase diagram, is the Fourier transform of the walk under split_coins."""
 
     @given(
         wide_angle_st,
@@ -120,7 +120,7 @@ class TestMomentumWalk:
         coin = (np.cos(mix), np.exp(1j * relative_phase) * np.sin(mix))
         window = LatticeWindow(steps + 1 + abs(x0))  # the auto window: the walker never reaches an edge
         field = sample_angle_field((t1, t2), DisorderSpec(), steps, window, "a", 0)
-        *_, block = trajectory(make_single_state(window, x0, coin), split_stepper(field), steps)
+        *_, block = trajectory(make_single_state(window, x0, coin), split_coins(field))
         amps = block[-1]
         assert_allclose(momentum_walk(t1, t2, window, x0, coin, steps), amps, rtol=0, atol=1e-12)
 

@@ -15,12 +15,12 @@ from topowalk import (
     STRONG_HALF_WIDTH,
     WEAK_HALF_WIDTH,
     WindowOverflowError,
-    hadamard_step,
+    hadamard_coins,
     make_single_state,
     position_distribution,
     randomize_field,
     sample_angle_field,
-    split_stepper,
+    split_coins,
     trajectory,
     von_neumann_entropy,
 )
@@ -30,6 +30,7 @@ from conftest import random_single_state
 from oracles import (
     dense_hadamard_unitary,
     dense_split_unitary,
+    full_coin_rows,
     full_table_stepper,
     hadamard_reachable,
     hadamard_reference_step,
@@ -37,6 +38,7 @@ from oracles import (
     rotation_coin,
     split_reachable,
     split_step,
+    stepped,
 )
 
 MASTER_SEED = 20250809
@@ -58,6 +60,11 @@ def coin_entropy(amps):
 
 def constant_field(theta1, theta2, n_steps, window):
     return sample_angle_field((theta1, theta2), DisorderSpec(), n_steps, window, "a", 0)
+
+
+def normalized(walkers):
+    """walkers with each (site, coin) walker scaled to norm 1, as trajectory's norm check expects."""
+    return walkers / np.sqrt((abs(walkers) ** 2).sum(axis=(0, 1)))
 
 
 class TestCoins:
@@ -96,16 +103,14 @@ class TestCoins:
 class TestHadamardStep:
     def test_single_step_distribution(self):
         win = LatticeWindow(3)
-        s = hadamard_step(make_single_state(win, 0, (1, 0)))
+        s = stepped(make_single_state(win, 0, (1, 0)), hadamard_coins(win.size, 1))
         dist = position_distribution(s)
         assert_allclose(dist[win.index(1)], 0.5, atol=1e-14)
         assert_allclose(dist[win.index(-1)], 0.5, atol=1e-14)
 
     def test_two_step_parity(self):
         win = LatticeWindow(4)
-        s = make_single_state(win, 0, (1, 0))
-        for _ in range(2):
-            s = hadamard_step(s)
+        s = stepped(make_single_state(win, 0, (1, 0)), hadamard_coins(win.size, 2))
         dist = position_distribution(s)
         x = win.positions()
         assert dist[np.abs(x) % 2 == 1].max() == 0.0
@@ -113,9 +118,7 @@ class TestHadamardStep:
     def test_reachability_small_n(self):
         for coin in (0, 1):
             win = LatticeWindow(6)
-            s = make_single_state(win, 0, (1, 0) if coin == 0 else (0, 1))
-            for step in range(4):
-                s = hadamard_step(s)
+            s = stepped(make_single_state(win, 0, (1, 0) if coin == 0 else (0, 1)), hadamard_coins(win.size, 4))
             reachable = hadamard_reachable(4, coin)
             for i, x in enumerate(win.positions()):
                 for c in (0, 1):
@@ -127,26 +130,25 @@ class TestHadamardStep:
         win = LatticeWindow(6)
         walkers = np.stack([random_single_state(win, seed) for seed in (1, 2, 3)], axis=-1)
         walkers[:2] = walkers[-2:] = 0.0
-        out = hadamard_step(walkers)
+        walkers, coins = normalized(walkers), hadamard_coins(win.size, 1)
+        out = stepped(walkers, coins)
         for w in range(3):
-            assert np.array_equal(out[:, :, w], hadamard_step(walkers[:, :, w]))
+            assert np.array_equal(out[:, :, w], stepped(walkers[:, :, w], coins))
 
     def test_particle_axis_steps_each_walker_as_a_lone_walker(self):
         win = LatticeWindow(6)
-        walkers = pair_shaped_walkers(win)
-        out = hadamard_step(walkers)
+        walkers, coins = pair_shaped_walkers(win), hadamard_coins(win.size, 1)
+        out = stepped(walkers, coins)
         for s in range(2):
             for p in range(2):
-                assert np.array_equal(out[:, :, s, p], hadamard_step(walkers[:, :, s, p]))
+                assert np.array_equal(out[:, :, s, p], stepped(walkers[:, :, s, p], coins))
         assert out.strides[0] == out.itemsize  # the site axis has unit stride
 
     def test_hundred_step_peak_matches_dense_oracle(self):
         # the 100-step walk from coin |0> is asymmetric with its ballistic peak
         # near |x| = 70; the peak location is pinned by the dense-matrix run
         win = LatticeWindow(101)
-        s = make_single_state(win, 0, (1, 0))
-        for _ in range(100):
-            s = hadamard_step(s)
+        s = stepped(make_single_state(win, 0, (1, 0)), hadamard_coins(win.size, 100))
         dist = position_distribution(s)
         x = win.positions()
 
@@ -165,13 +167,13 @@ class TestHadamardStep:
 
 
 def pair_shaped_walkers(win):
-    """(site, coin, start, particle) walkers of random states, zero near both edges."""
+    """(site, coin, start, particle) walkers of random normalized states, zero near both edges."""
     walkers = np.stack(
         [np.stack([random_single_state(win, 10 * p + s) for s in range(2)], axis=-1) for p in range(2)],
         axis=-1,
     )
     walkers[:3] = walkers[-3:] = 0.0
-    return walkers
+    return normalized(walkers)
 
 
 class TestSplitStep:
@@ -189,29 +191,31 @@ class TestSplitStep:
                 lone[s, p] = split_step(amps, field[..., p], step)
                 assert np.array_equal(walkers[:, :, s, p], lone[s, p])
 
-    def test_stepper_equals_split_steps(self):
+    def test_trajectory_equals_split_steps(self):
+        # a walk under the whole coin table takes the steps of one-step slices of it, and one per step
         win = LatticeWindow(7)
         field = np.random.default_rng(6).uniform(-np.pi, np.pi, (2, win.size, 3))
-        stepper = split_stepper(field)
-        walkers = expected = random_single_state(win, 4)
+        walkers = random_single_state(win, 4)
         walkers[:3] = walkers[-3:] = 0.0
-        for step in range(3):
-            walkers, expected = stepper(walkers, step), split_step(expected, field, step)
-            assert np.array_equal(walkers, expected)
-        with pytest.raises(ValueError, match="field covers steps 0..2"):
-            stepper(walkers, 3)
+        expected = walkers = normalized(walkers)
+        steps = list(chain.from_iterable(trajectory(walkers, split_coins(field))))
+        assert len(steps) == 4
+        for step, amps in enumerate(steps):
+            assert np.array_equal(amps, expected)
+            if step < 3:
+                expected = split_step(expected, field, step)
 
+    @pytest.mark.parametrize("n_steps", [3, 0])
     @pytest.mark.parametrize("walkers", [(2, 3), (3,), (), (1,)])
-    def test_walker_axes_must_end_in_the_batch_axes(self, walkers):
-        # (2, 3) walkers count a multiple of the two batch entries, yet pair with them by their last axis
+    def test_walker_axes_must_end_in_the_batch_axes(self, walkers, n_steps):
+        # (2, 3) walkers count a multiple of the two batch entries, yet pair with them by their last axis;
+        # the walk checks them before it yields its first block, even a walk of no steps
         win = LatticeWindow(10)
-        field = np.random.default_rng(9).uniform(-np.pi, np.pi, (2, win.size, 3, 2))
+        field = np.random.default_rng(9).uniform(-np.pi, np.pi, (2, win.size, n_steps, 2))
         start = started_at(win, [0], walkers, 10)
         message = r"walker axes .* do not end in the angle field's batch axes \(2,\)"
         with pytest.raises(ValueError, match=message):
-            split_stepper(field)(start, 0)
-        with pytest.raises(ValueError, match=message):
-            list(trajectory(start, split_stepper(field), 3))
+            next(trajectory(start, split_coins(field)))
 
     @pytest.mark.parametrize("batch, walkers", [((2, 1), (2, 3)), ((1,), (2, 3)), ((1, 3), (2, 3))])
     def test_unit_batch_axes_broadcast(self, batch, walkers):
@@ -222,15 +226,15 @@ class TestSplitStep:
         start = started_at(win, [-1, 2], walkers, 12)
         amps, expected = start, start
         for step in range(n):
-            amps, expected = split_stepper(field)(amps, step), split_stepper(full)(expected, step)
+            amps, expected = split_step(amps, field, step), split_step(expected, full, step)
             assert amps.tobytes() == expected.tobytes()
-        stepped = chain.from_iterable(trajectory(start, split_stepper(field), n))
-        for amps, expected in zip(stepped, chain.from_iterable(trajectory(start, split_stepper(full), n))):
+        walk = chain.from_iterable(trajectory(start, split_coins(field)))
+        for amps, expected in zip(walk, chain.from_iterable(trajectory(start, split_coins(full)))):
             assert amps.tobytes() == expected.tobytes()
 
     def test_steady_entries_equal_the_full_coin_table(self):
         # entries whose angles never change with the step, beside entries whose angles do, keep the
-        # bits of a table computed at every step
+        # bits of a table computed at every step, NaN and signed zeros included
         n, win = 3, LatticeWindow(12)
         strong = DisorderSpec("uniform", STRONG_HALF_WIDTH, "a")
         boundary = BoundarySpec((0.3, 1.2), (-np.pi / 2, 0.8))
@@ -249,18 +253,22 @@ class TestSplitStep:
         ]
         # a (2, site, step, cell, particle) field
         field = np.stack([np.stack(cell, axis=-1) for cell in cells], axis=-2)
+        coins, rows = split_coins(field), full_coin_rows(field)
+        for k in range(2):  # column k of each coin is the rows (1 - k, 2 - k) of its half angles
+            for c in range(2):
+                assert coins[k, c, :, :, 0].tobytes() == rows[1 - k + c].tobytes()
         rng = np.random.default_rng(8)
         shape = (win.size, 2, 2, 3, 2)  # (site, coin, start coin, cell, particle)
         walkers = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         walkers[:4] = walkers[-4:] = 0.0
         walkers[::2, 0] = -0.0  # signed zeros in the coin-0 plane carry the sign of sin(+-0)
-        stepper, reference = split_stepper(field), full_table_stepper(field)
-        for amps in (walkers, walkers[:, :, 1]):  # two walker ranks, so two shapes of coin views
-            expected = amps
-            for step in range(n):
-                amps, expected = stepper(amps, step), reference(expected, step)
-                assert amps.tobytes() == expected.tobytes()
-            assert np.isnan(amps).any() and not np.isnan(amps).all()
+        walkers = normalized(walkers)
+        # the cell without NaN keeps the reference kernel's bits, at two walker ranks (two shapes of
+        # coin views); NaN coins make NaN walkers, which fail the norm check at the first step
+        for amps in (walkers[..., :1, :], walkers[:, :, 1, :1]):
+            assert_cone_steps(amps, split_coins(field[..., :1, :]), full_table_stepper(field[..., :1, :]))
+        with pytest.raises(NumericalError, match="at step 1$"):
+            list(trajectory(walkers, coins))
 
     def test_broadcast_step_axis_equals_the_full_coin_table(self):
         # a field whose step axis is a broadcast view stores one step; its coins keep the bits of a
@@ -275,21 +283,20 @@ class TestSplitStep:
         field = np.broadcast_to(one, (2, win.size, n, 2))
         assert field.strides[2] == 0
         full = field.copy()
+        coins, rows = split_coins(field), full_coin_rows(full)
+        assert coins.shape[2] == n and coins.strides[2] == 0  # one stored step, read at every step
+        for k in range(2):
+            for c in range(2):
+                assert coins[k, c, :, :, 0].tobytes() == rows[1 - k + c].tobytes()
         rng = np.random.default_rng(14)
         shape = (win.size, 2, 2, 2)  # (site, coin, start coin, particle)
         walkers = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         walkers[:8] = walkers[-8:] = 0.0
         walkers[::2, 0] = -0.0  # signed zeros in the coin-0 plane carry the sign of sin(+-0)
-        stepper, reference = split_stepper(field), full_table_stepper(full)
-        amps = expected = walkers
-        for step in range(n):
-            amps, expected = stepper(amps, step), reference(expected, step)
-            assert amps.tobytes() == expected.tobytes()
-        assert np.isnan(amps).any() and not np.isnan(amps).all()
-        with pytest.raises(ValueError, match="field covers steps 0..5"):
-            stepper(amps, n)
+        with pytest.raises(NumericalError, match="at step 1$"):  # walkers across the NaN site
+            list(trajectory(normalized(walkers), coins))
         start = started_at(win, [-3, 2], (2, 2), 15)
-        assert_cone_steps(start, split_stepper(field), full_table_stepper(full), n)
+        assert_cone_steps(start, coins, full_table_stepper(full))
 
     def test_broadcast_step_axis_builds_one_step_of_coins(self):
         # 10**5 broadcast steps take the memory of one: the rows (-s, c, s) of both angles at 11 sites
@@ -298,13 +305,13 @@ class TestSplitStep:
         field = np.broadcast_to(one, (2, win.size, n))
         tracemalloc.start()
         try:
-            stepper = split_stepper(field)
+            coins = split_coins(field)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * 2 * win.size * 8 + 2**12  # the 528-byte table, the closures, numpy's small objects
+        assert peak <= 3 * 2 * win.size * 8 + 2**12  # the 528-byte table and numpy's small objects
         amps = make_single_state(win, 0, (1, 0))
-        assert stepper(amps, n - 1).tobytes() == full_table_stepper(one)(amps, 0).tobytes()
+        assert stepped(amps, coins[:, :, n - 1 :]).tobytes() == stepped(amps, split_coins(one)).tobytes()
 
     def test_zero_angles_transport_coin0(self):
         win = LatticeWindow(3)
@@ -478,18 +485,6 @@ class TestAngleFields:
         # a plain pair is the boundary with equal sides
         assert np.array_equal(field, constant_field(0.5, 0.6, 3, win))
 
-    def test_split_step_rejects_steps_outside_the_field(self):
-        win = LatticeWindow(2)
-        field = constant_field(0.0, 0.0, 3, win)
-        for step in (3, -1):
-            with pytest.raises(ValueError):
-                split_step(make_single_state(win, 0, (1, 0)), field, step)
-
-    def test_split_step_rejects_a_field_of_another_window(self):
-        field = constant_field(0.0, 0.0, 3, LatticeWindow(3))
-        with pytest.raises(ValueError):
-            split_step(make_single_state(LatticeWindow(2), 0, (1, 0)), field, 0)
-
     def test_noise_planes_follow_the_seeded_streams(self):
         # each (site, step) plane draws from the stream (seed, particle index, angle index)
         win = LatticeWindow(3)
@@ -525,88 +520,93 @@ class TestAngleFields:
 class TestTrajectory:
     def test_zero_steps_returns_input(self):
         s = make_single_state(LatticeWindow(3), 0, (1, 0))
-        blocks = list(trajectory(s, hadamard_step, 0))
+        blocks = list(trajectory(s, hadamard_coins(s.shape[0], 0)))
         assert len(blocks) == 1 and blocks[0].shape == (1, *s.shape)
         assert blocks[0][0].tobytes() == s.tobytes()
         assert [np.linalg.norm(a) for a in blocks[0]] == [1.0]
 
-    def test_rejects_negative_step_count(self):
-        s = make_single_state(LatticeWindow(3), 0, (1, 0))
-        with pytest.raises(ValueError):
-            next(trajectory(s, hadamard_step, -1))
+    def test_steps_are_the_coins_steps(self):
+        # the walk takes one step per step of its coin table, a slice of it included
+        win = LatticeWindow(4)
+        s = make_single_state(win, 0, (1, 0))
+        coins = split_coins(constant_field(0.3, -1.1, 3, win))
+        for n in range(4):
+            assert sum(len(block) for block in trajectory(s, coins[:, :, :n])) == n + 1
+
+    @pytest.mark.parametrize("n_steps", [3, 0])
+    def test_rejects_coins_of_another_window(self, n_steps):
+        # checked before the first block, even for a walk of no steps
+        s = make_single_state(LatticeWindow(2), 0, (1, 0))
+        for coins in (split_coins(constant_field(0.0, 0.0, n_steps, LatticeWindow(3))), hadamard_coins(7, n_steps)):
+            with pytest.raises(ValueError, match="coins for 7 sites do not match the 5-site window"):
+                next(trajectory(s, coins))
 
     def test_observer_series_length(self):
         s = make_single_state(LatticeWindow(12), 0, (1, 0))
-        entropy = [coin_entropy(a) for a in chain.from_iterable(trajectory(s, hadamard_step, 10))]
+        entropy = [coin_entropy(a) for a in chain.from_iterable(trajectory(s, hadamard_coins(s.shape[0], 10)))]
         assert len(entropy) == 11
 
     def test_hadamard_entropy_asymptote(self):
         s = make_single_state(LatticeWindow(101), 0, (1, 0))
-        entropy = [coin_entropy(a) for a in chain.from_iterable(trajectory(s, hadamard_step, 100))]
+        entropy = [coin_entropy(a) for a in chain.from_iterable(trajectory(s, hadamard_coins(s.shape[0], 100)))]
         assert abs(entropy[100] - 0.87) < 0.02
 
     def test_norm_violation_raises(self):
         s = make_single_state(LatticeWindow(3), 0, (1, 0))
+        coins = np.array(hadamard_coins(s.shape[0], 3))
+        coins[:, :, 1] *= 1.001  # both coins of the second step
 
-        def bad_stepper(amps, step, out, sites, walkers):
-            np.multiply(amps, 1.001, out=out)
-
-        with pytest.raises(NumericalError):
-            list(trajectory(s, bad_stepper, 3))
+        with pytest.raises(NumericalError, match="at step 2$"):
+            list(trajectory(s, coins))
 
     def test_nan_state_fails_the_norm_check(self):
         s = make_single_state(LatticeWindow(3), 0, (1, 0))
+        coins = np.array(hadamard_coins(s.shape[0], 3))
+        coins[:, :, 1] = np.nan
 
-        def nan_stepper(amps, step, out, sites, walkers):
-            np.multiply(amps, np.nan, out=out)
-
-        with pytest.raises(NumericalError):
-            list(trajectory(s, nan_stepper, 3))
+        with pytest.raises(NumericalError, match="drifted by nan at step 2$"):
+            list(trajectory(s, coins))
 
     def test_blocks_hold_a_fixed_number_of_amplitudes(self):
         s = make_single_state(LatticeWindow(100), 0, (1, 0))  # 40 steps a block: two fit the window
         length = _BLOCK_AMPLITUDES // s.size
-        blocks = list(trajectory(s, hadamard_step, 2 * length))
+        blocks = list(trajectory(s, hadamard_coins(s.shape[0], 2 * length)))
         assert [len(b) for b in blocks] == [length, length, 1]
         assert all(b.shape[1:] == s.shape for b in blocks)
         # more amplitudes than a block holds: one step per block
         wide = np.broadcast_to(s[..., None], (*s.shape, length + 1))
-        assert [len(b) for b in trajectory(wide, hadamard_step, 3)] == [1, 1, 1, 1]
+        assert [len(b) for b in trajectory(wide, hadamard_coins(s.shape[0], 3))] == [1, 1, 1, 1]
 
     @pytest.mark.parametrize("where", ["first", "inside", "last", "next first"])
     def test_drift_is_named_before_a_later_error(self, where):
-        # the stepper drifts at step s and raises at s + 1: the drift at s is the error reported,
+        # the walk drifts at step s and overflows at s + 1: the drift at s is the error reported,
         # whether s + 1 falls in the same block as s or in the next one
-        s = make_single_state(LatticeWindow(100), 0, (1, 0))
-        length = _BLOCK_AMPLITUDES // s.size
+        win = LatticeWindow(100)
+        length = _BLOCK_AMPLITUDES // (2 * win.size)
         drift_at = {"first": 1, "inside": 5, "last": length - 1, "next first": length}[where]
-
-        def stepper(amps, step, out, sites, walkers):  # the call that makes the array after step + 1 steps
-            if step == drift_at:
-                raise WindowOverflowError("raised after the drift")
-            hadamard_step(amps, step, out, sites, walkers)
-            out *= 1.001 if step + 1 == drift_at else 1.0
-
+        # coin-0 amplitude reaches the right edge after drift_at steps and leaves the window on the next
+        s = make_single_state(win, win.half_width - drift_at, (1, 0))
+        coins = np.array(hadamard_coins(win.size, 2 * length))
+        coins[:, :, drift_at - 1, 1] *= 1.001  # the identity coin of the step that makes step drift_at
+        with pytest.raises(WindowOverflowError, match=f"at step {drift_at + 1};"):
+            list(trajectory(s, hadamard_coins(win.size, 2 * length)))
         with pytest.raises(NumericalError, match=rf"^walker norm drifted by 1\.000e-03 at step {drift_at}$"):
-            list(trajectory(s, stepper, 2 * length))
+            list(trajectory(s, coins))
 
-    def test_stepper_error_without_drift_is_raised(self):
-        s = make_single_state(LatticeWindow(12), 0, (1, 0))
-
-        def stepper(amps, step, out, sites, walkers):
-            if step == 5:
-                raise WindowOverflowError("the stepper's own error")
-            hadamard_step(amps, step, out, sites, walkers)
-
-        with pytest.raises(WindowOverflowError, match="the stepper's own error"):
-            list(trajectory(s, stepper, 10))
+    def test_overflow_without_drift_is_raised(self):
+        win = LatticeWindow(12)
+        s = make_single_state(win, win.half_width - 5, (1, 0))
+        message = r"^coin-0 amplitude at the right edge at step 6; window too small$"
+        with pytest.raises(WindowOverflowError, match=message):
+            list(trajectory(s, hadamard_coins(win.size, 10)))
 
     def test_nan_angle_fails_the_edge_check(self):
-        # a NaN coin angle turns the edge amplitude into NaN, which must not pass as zero
+        # a NaN coin angle turns the edge amplitude into NaN, which must not pass as zero; a start
+        # beside the edge puts the edge in the first step's light cone
         win = LatticeWindow(3)
         field = constant_field(np.nan, 0.5, 1, win)
-        with pytest.raises(WindowOverflowError):
-            split_step(make_single_state(win, 0, (1, 0)), field, 0)
+        with pytest.raises(WindowOverflowError, match="right edge at step 1"):
+            split_step(make_single_state(win, 2, (1, 0)), field, 0)
 
     @pytest.mark.parametrize("kind", ["clean", "weak", "strong"])
     def test_disordered_entropy_regression(self, kind):
@@ -619,14 +619,15 @@ class TestTrajectory:
             dis = DisorderSpec("uniform", half_width, "a")
             field = sample_angle_field(ANGLES_WINDING_1, dis, 100, win, "a", derive_seed(MASTER_SEED, 0))
         s = make_single_state(win, 0, (1, 0))
-        states = trajectory(s, lambda amps, t, *row: split_step(amps, field, t, *row), 100)
+        states = trajectory(s, split_coins(field))
         entropy = [coin_entropy(a) for a in chain.from_iterable(states)]
         for step, expected in SINGLE_WALKER_ENTROPY[kind].items():
             assert_allclose(entropy[step], expected, atol=1e-9)
 
 
-def assert_cone_steps(start, stepper, reference, n_steps):
-    """trajectory's steps of start hold the reference's bits inside the light cone, and 0.0 outside it.
+def assert_cone_steps(start, coins, reference):
+    """trajectory's steps of start under coins hold the reference's bits inside the light cone, and
+    0.0 outside it.
 
     A start on sites [a, b] has, after t >= 1 steps, coin-0 amplitude on [a - t + 1, b + t] only and
     coin-1 amplitude on [a - t, b + t - 1] only: a coin's zeros past its own edge may differ in sign.
@@ -634,7 +635,7 @@ def assert_cone_steps(start, stepper, reference, n_steps):
     size = start.shape[0]
     a, b = np.flatnonzero(start.reshape(size, -1).any(axis=1))[[0, -1]]
     expected = start
-    for t, amps in enumerate(chain.from_iterable(trajectory(start, stepper, n_steps))):
+    for t, amps in enumerate(chain.from_iterable(trajectory(start, coins))):
         if t:
             expected = reference(expected, t - 1)
         moved = min(t, 1)
@@ -642,7 +643,7 @@ def assert_cone_steps(start, stepper, reference, n_steps):
             lo, hi = max(a - t + moved * (1 - c), 0), min(b + t + 1 - moved * c, size)
             assert amps[lo:hi, c].tobytes() == expected[lo:hi, c].tobytes()
             assert np.all(amps[:lo, c] == 0.0) and np.all(amps[hi:, c] == 0.0)
-    assert t == n_steps
+    assert t == coins.shape[2]
 
 
 def started_at(win, sites, walkers, seed):
@@ -665,7 +666,7 @@ class TestLightCone:
         start = np.zeros((win.size, 2, 2, 2), complex)  # (site, coin, start coin, particle)
         start[..., 0] = started_at(win, [-30], (2,), 2)
         start[..., 1] = started_at(win, [25], (2,), 3)
-        assert_cone_steps(start, split_stepper(field), full_table_stepper(field), n)
+        assert_cone_steps(start, split_coins(field), full_table_stepper(field))
 
     @pytest.mark.parametrize("cells", [3, 20])
     def test_cell_axis(self, cells):
@@ -675,18 +676,18 @@ class TestLightCone:
         field = rng.uniform(-np.pi, np.pi, (2, win.size, n, cells, 2))
         field[:, :, :, 0] = field[:, :, :1, 0]  # one cell no disorder touches: steady coins
         start = started_at(win, [-1, 0], (2, cells, 2), 4)  # (site, coin, start coin, cell, particle)
-        assert_cone_steps(start, split_stepper(field), full_table_stepper(field), n)
+        assert_cone_steps(start, split_coins(field), full_table_stepper(field))
 
     def test_single_walker(self):
         win, n = LatticeWindow(30), 25
         strong = DisorderSpec("uniform", STRONG_HALF_WIDTH, "a")
         field = sample_angle_field(ANGLES_WINDING_1, strong, n, win, "a", 5)
         start = started_at(win, [3], (), 6)
-        assert_cone_steps(start, split_stepper(field), full_table_stepper(field), n)
+        assert_cone_steps(start, split_coins(field), full_table_stepper(field))
 
     def test_hadamard_walk(self):
         start = make_single_state(LatticeWindow(30), -4, (1, 0))
-        assert_cone_steps(start, hadamard_step, hadamard_reference_step, 25)
+        assert_cone_steps(start, hadamard_coins(start.shape[0], 25), hadamard_reference_step)
 
     def test_explicit_window_the_cone_reaches(self):
         # after 4 steps the cone spans the half-width-4 window: its ranges are cut at both edges,
@@ -695,10 +696,10 @@ class TestLightCone:
         weak = DisorderSpec("uniform", WEAK_HALF_WIDTH, "a")
         field = sample_angle_field(ANGLES_WINDING_1, weak, 5, win, "a", 7)
         start = started_at(win, [0], (), 8)
-        assert_cone_steps(start, split_stepper(field), full_table_stepper(field), 4)
+        assert_cone_steps(start, split_coins(field)[:, :, :4], full_table_stepper(field))
         message = r"^coin-0 amplitude at the right edge at step 5; window too small$"
         with pytest.raises(WindowOverflowError, match=message):
-            list(trajectory(start, split_stepper(field), 5))
+            list(trajectory(start, split_coins(field)))
 
     def test_overflow_names_its_step_and_edge(self):
         # zero angles make both coins the identity: coin 1 walks left one site a step, from -3 to the
@@ -707,4 +708,4 @@ class TestLightCone:
         start = make_single_state(win, -3, (0, 1))
         message = r"^coin-1 amplitude at the left edge at step 3; window too small$"
         with pytest.raises(WindowOverflowError, match=message):
-            list(trajectory(start, split_stepper(constant_field(0.0, 0.0, 4, win)), 4))
+            list(trajectory(start, split_coins(constant_field(0.0, 0.0, 4, win))))
