@@ -11,8 +11,10 @@ sweeps: 0.14–0.22 s each for the four without disorder, whose fields are one
 step broadcast over the walk, and 0.30–0.54 s each for the two disordered
 ones. Each 100-step pair config took 0.02–0.03 s, 0.01–0.02 s of it writing
 its data files (the 41,209-row joint.csv most of that). The fig2 phase
-diagram (64×64 points, 1,024 k-points) takes 0.05–0.06 s in run(), one kernel
-call over the whole grid.
+diagram (64×64 points, 1,024 k-points) takes 0.01 s in this script's cold
+run() and 0.002–0.004 s in warm ones, one kernel call over the whole grid: only
+its θ = −π row and column take every k-point, every other point k = 0 and
+k = −π alone.
 """
 
 import argparse

@@ -401,7 +401,9 @@ def _check_array_sizes(config: RunConfig) -> None:
         (auto_field if config.window is None else "window", sites),
         ("steps", _coin_table_size(config)),
         ("sweep_grid", math.prod(ax.count for ax in config.sweep_grid)),
-        ("k_points", 3 * config.k_points),  # e^{ik} and a one-column chunk of U(k)'s two diagonal entries
+        # e^{ik} and a one-point chunk of U(k)'s two diagonal entries over every k, which only the points
+        # with a coin below the column rule's floor take; the others take k = 0 and k = -pi
+        ("k_points", 3 * config.k_points),
         ("grid_n", config.grid_n**2),
     )
     for name, count in counts:

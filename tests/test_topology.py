@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -222,8 +224,10 @@ class TestWindingNumber:
     def test_zone_phase_is_shared_and_read_only(self):
         phase = topology._zone_phase(1024)
         assert topology._zone_phase(1024) is phase
-        with pytest.raises(ValueError):
-            phase[0] = 1.0
+        assert topology._phases(1024) is topology._phases(1024)
+        for array in (phase, *(array for pair in topology._phases(1024) for array in pair)):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
 
     @given(angle_st, angle_st, st.sampled_from([64, 256]))
     @settings(max_examples=40, deadline=None)
@@ -348,7 +352,8 @@ class TestPhaseDiagram:
 
     @pytest.mark.parametrize("grid_n,k_points", [(16, 64), (24, 1024)])
     def test_every_cell_equals_winding_number(self, grid_n, k_points):
-        # winding_number is the kernel's 1x1 grid; at 1,024 k-points a 24-point row is 16 + 8 columns
+        # winding_number is the kernel's 1x1 grid; at 1,024 k-points the theta = -pi row's 24 points
+        # take three chunks of 8 columns
         pd = phase_diagram(grid_n, k_points)
         for i, j in np.ndindex(grid_n, grid_n):
             verdict = winding_number(float(pd.thetas[i]), float(pd.thetas[j]), k_points)
@@ -396,7 +401,8 @@ class TestPhaseDiagram:
         assert pd.gap.tobytes() == gap.tobytes()
 
     def test_peak_memory_stays_flat(self):
-        # the three work arrays hold 2**14 amplitudes, 0.625 MiB; a prototype of 16-point batches took ~5 MiB
+        # the theta = -pi row's chunks take every k: u00 and u11 of 2**13 amplitudes and their real sums,
+        # 0.31 MiB of the 0.57 MiB peak; a prototype of 16-point batches took ~5 MiB
         phase_diagram(16, 1024)
         tracemalloc.start()
         try:
@@ -407,8 +413,9 @@ class TestPhaseDiagram:
         assert peak <= 2**20
 
     def test_work_arrays_are_capped(self):
-        # the capped work arrays take 0.625 MiB, the k rows and the grids 0.3 MiB, and numpy's
-        # iteration buffers the rest of the ~1 MiB peak; uncapped (theta2, k) work arrays take 10 MiB
+        # the capped work arrays of the theta = -pi row and column take 0.31 MiB, and the k rows, the
+        # grids and numpy's iteration buffers the rest of the 0.51 MiB peak; uncapped (theta2, k) work
+        # arrays take 10 MiB
         phase_diagram(64, 4096)
         tracemalloc.start()
         try:
@@ -419,12 +426,33 @@ class TestPhaseDiagram:
         assert peak <= 1.25 * 2**20
 
 
+FLOOR = topology._COIN_FLOOR
+# the bound on the rounding of cos E that the column rule's comment in topology.py states
+ROUNDING_BOUND = 2.0**-48
+
+
+def near_floor(ratio, sign, turn):
+    """An angle near sign * pi whose |cos(theta/2)| is ratio times the coin floor."""
+    return sign * (2 * math.acos(ratio * FLOOR) - turn)
+
+
+# angles on both sides of the coin floor: +-pi, +-pi off by 1e-6 to 1e-2, and |cos(theta/2)| just
+# above and just below the floor
+edge_angle_st = st.one_of(
+    wide_angle_st,
+    st.sampled_from([np.pi, -np.pi]),
+    st.builds(lambda sign, offset: sign * np.pi + offset, st.sampled_from([1, -1]), offset_st),
+    st.builds(
+        near_floor, st.sampled_from([1 - 1e-9, 1 + 1e-9]), st.sampled_from([1, -1]), st.sampled_from([0, 2 * np.pi])
+    ),
+)
+
 # angle lists that hold theta1 = theta2 and theta1 = -theta2 cells, where the gap closes
-angle_lists_st = st.lists(wide_angle_st, min_size=1, max_size=20).flatmap(
+angle_lists_st = st.lists(edge_angle_st, min_size=1, max_size=20).flatmap(
     lambda angles: st.tuples(
         st.just(angles),
         st.lists(st.sampled_from(angles), min_size=1, max_size=8).flatmap(
-            lambda same: st.lists(wide_angle_st, max_size=12).map(lambda other: same + [-t for t in same] + other)
+            lambda same: st.lists(edge_angle_st, max_size=12).map(lambda other: same + [-t for t in same] + other)
         ),
     )
 )
@@ -433,7 +461,7 @@ angle_lists_st = st.lists(wide_angle_st, min_size=1, max_size=20).flatmap(
 class TestGapGrid:
     """The grid kernel against the per-point gap reference, byte for byte."""
 
-    @given(angle_lists_st, st.sampled_from([64, 66, 256, 1024]))
+    @given(angle_lists_st, st.sampled_from([64, 66, 256, 1024, 4096]))
     @settings(max_examples=60, deadline=None)
     def test_equals_the_per_point_reference(self, angle_lists, k_points):
         thetas1, thetas2 = angle_lists
@@ -445,11 +473,66 @@ class TestGapGrid:
             assert gap[i, j].tobytes() == np.float64(expected).tobytes()
             assert (verdict.winding, np.float64(verdict.gap).tobytes()) == (winding, gap[i, j].tobytes())
 
-    @pytest.mark.parametrize("grid_n,k_points", [(20, 1024), (17, 4096), (16, 66)])
+    @pytest.mark.parametrize("ratio,below", [(1 - 1e-9, True), (1 + 1e-9, False)])
+    @pytest.mark.parametrize("k_points", [64, 1024, 4096])
+    def test_angles_across_the_floor_equal_the_per_point_reference(self, ratio, below, k_points):
+        thetas = [near_floor(ratio, sign, turn) for sign in (1, -1) for turn in (0, 2 * np.pi)]
+        assert all((abs(math.cos(t / 2)) < FLOOR) == below for t in thetas)
+        others = thetas + [np.pi, -np.pi, 0.0, 1.0, -2.5, np.pi - 1e-3]
+        gap = topology._gap_grid(thetas, others, k_points)
+        for i, j in np.ndindex(gap.shape):
+            assert gap[i, j].tobytes() == np.float64(per_point_verdict(thetas[i], others[j], k_points)[1]).tobytes()
+
+    @pytest.mark.parametrize("grid_n,k_points", [(20, 1024), (17, 4096), (16, 66), (16, 1024), (24, 1024), (64, 1024)])
     def test_phase_diagram_equals_the_per_point_reference(self, grid_n, k_points):
-        # 1,024 and 4,096 k-points chunk 20 and 17 columns unevenly, as 16 + 4 and 4 * 4 + 1
+        # 1,024 and 4,096 k-points chunk the theta = -pi row's 20 and 17 columns unevenly, as 8 + 8 + 4
+        # and 8 * 2 + 1; 16, 20 and 24 points a side are the benchmark's grids and 64 is fig2's
         pd = phase_diagram(grid_n, k_points)
         for i, j in np.ndindex(grid_n, grid_n):
             winding, gap = per_point_verdict(float(pd.thetas[i]), float(pd.thetas[j]), k_points)
             assert pd.winding[i, j] == (-1 if winding is None else winding)
             assert pd.gap[i, j].tobytes() == np.float64(gap).tobytes()
+
+
+class TestColumnRule:
+    """The facts the column rule in topology.py rests on."""
+
+    @given(edge_angle_st, edge_angle_st, st.sampled_from([64, 1024]))
+    @settings(max_examples=40, deadline=None)
+    def test_cos_e_lies_within_the_stated_rounding_bound(self, t1, t2, k_points):
+        # cos E as the kernel computes it, against A Re(e^{ik}) - B in exact rationals
+        phase = topology._zone_phase(k_points)
+        u00, u11 = per_point_diagonal(t1, t2, phase)
+        cos_e = (u00.real + u11.real) * 0.5
+        c1, s1, c2, s2 = (Fraction(f(t / 2)) for t in (t1, t2) for f in (math.cos, math.sin))
+        a, b = c1 * c2, s1 * s2
+        worst = max(abs(Fraction(v) - (a * Fraction(r) - b)) for r, v in zip(phase.real.tolist(), cos_e.tolist()))
+        assert worst <= ROUNDING_BOUND
+        assert ROUNDING_BOUND < topology._MARGIN
+
+    @pytest.mark.parametrize("k_points", [64, 66, 100, 1000, 1024, 4096, 8190, 8192, 16384])
+    def test_keeps_k_zero_and_minus_pi_alone_up_to_8192_points(self, k_points):
+        # Re e^{ik} is exactly -1 at k = -pi and 1 at k = 0; beyond 8,192 points the columns next to
+        # them lie within the slack as well
+        phase = topology._zone_phase(k_points)
+        (every, every_conj), (extreme, extreme_conj) = topology._phases(k_points)
+        assert np.array_equal(every, phase) and np.array_equal(every_conj, phase.conj())
+        assert np.array_equal(extreme_conj, extreme.conj())
+        assert phase[0].real == -1.0 and phase[k_points // 2].real == 1.0
+        half = k_points // 2
+        kept = [0, half] if k_points <= 8192 else [0, 1, half - 1, half, half + 1, k_points - 1]
+        assert np.array_equal(extreme, phase[kept])
+
+    def test_points_that_clear_the_floor_skip_the_full_k_work(self):
+        # no angle of this half-step-shifted grid lies within 2**-7 of pi, so every point takes two
+        # k-points: a 0.28 MiB peak, where the same grid over every k peaks at 0.51 MiB
+        thetas = (-np.pi + 2 * np.pi * (np.arange(64) + 0.5) / 64).tolist()
+        assert min(abs(math.cos(t / 2)) for t in thetas) >= FLOOR
+        topology._gap_grid(thetas, thetas, 4096)
+        tracemalloc.start()
+        try:
+            topology._gap_grid(thetas, thetas, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**17
