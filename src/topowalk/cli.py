@@ -145,6 +145,8 @@ def _config_data(args: argparse.Namespace) -> dict:
         # a flag overrides only the angle it names; the others keep the file's or RunConfig's values
         angles = _file_mapping(data, "angles", dict(RunConfig().angles))
         if flags.get("boundary") is not None:
+            if "a" in theta_updates:  # the one would silently replace the other
+                raise ConfigError("angles.a", "--boundary sets walker a's angles; drop --theta1a and --theta2a")
             angles["a"] = _parse_boundary_flag(args.boundary)
             angles.pop("b", None)  # boundary flag applies to every walker
         for particle, comps in theta_updates.items():

@@ -99,14 +99,6 @@ class SweepAxis:
         return np.linspace(self.lo, self.hi, self.count)
 
 
-# RunConfig's container fields -> (what each must be, its read-only form)
-_CONTAINERS = (
-    ("angles", "a mapping", lambda v: MappingProxyType(dict(v))),
-    ("sweep_grid", "a sequence of axes", tuple),
-    ("outputs", "a sequence of file kinds or None", lambda v: v if v is None else tuple(v)),
-)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     run_kind: str = "hadamard"
@@ -129,13 +121,13 @@ class RunConfig:
     grid_n: int = 64
 
     def __post_init__(self):
-        # read-only containers too, so that written files always match the config that ran
-        for name, expected, freeze in _CONTAINERS:
-            value = getattr(self, name)
+        # every field goes through its _FIELDS parser, however the config was built, and is stored
+        # in its normalized, read-only form, so that written files always match the config that ran
+        for name, (parse, _) in _FIELDS.items():
             try:
-                object.__setattr__(self, name, freeze(value))
-            except (TypeError, ValueError):
-                raise ConfigError(name, f"expected {expected}, got {value!r}") from None
+                object.__setattr__(self, name, parse(getattr(self, name), name))
+            except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+                raise ConfigError(name, str(exc)) from None
         validate_config(self)  # so every RunConfig that exists is valid
 
     def __reduce__(self):  # a mappingproxy does not pickle, so pickle and deepcopy rebuild from a dict
@@ -174,8 +166,8 @@ def _check_keys(value, field_name: str, required: tuple, optional: tuple = ()) -
 
 
 def _parse_angle_entry(value, field_name: str):
-    if isinstance(value, BoundarySpec):
-        return value
+    if isinstance(value, BoundarySpec):  # a typed entry gets the checks of its mapping form
+        value = _dump_angle_entry(value)
     if isinstance(value, dict):
         _check_keys(value, field_name, ("minus", "plus"))
         minus, plus = value["minus"], value["plus"]
@@ -217,15 +209,21 @@ def _parse_initial_state(value, field_name: str) -> InitialPairState:
     return InitialPairState(value.get("kind", "psi_plus"), tuple(positions))  # checks the two integers
 
 
-def _parse_sweep_grid(value, field_name: str) -> list:
+def _parse_sweep_grid(value, field_name: str) -> tuple:
     axes = []
     for item in value:
-        if not isinstance(item, SweepAxis):
-            _check_keys(item, field_name, ("name", "min", "max", "count"))
-            count = as_integer(item["count"], f"{field_name}.count")
-            item = SweepAxis(str(item["name"]), float(item["min"]), float(item["max"]), count)
-        axes.append(item)
-    return axes
+        if isinstance(item, SweepAxis):  # a typed axis gets the checks of its mapping form
+            item = _dump_axis(item)
+        _check_keys(item, field_name, ("name", "min", "max", "count"))
+        count = as_integer(item["count"], f"{field_name}.count")
+        axes.append(SweepAxis(str(item["name"]), float(item["min"]), float(item["max"]), count))
+    return tuple(axes)
+
+
+def _parse_outputs(value, field_name: str) -> tuple | None:
+    if isinstance(value, str):  # a string would be read one letter at a time
+        raise ConfigError(field_name, f"expected a list of file kinds, got the string {value!r}")
+    return value if value is None else tuple(str(x) for x in value)
 
 
 def _parse_coin_amps(value, field_name: str) -> tuple:
@@ -246,14 +244,18 @@ def _dump_angle_entry(entry):
     return [entry[0], entry[1]]
 
 
+def _dump_axis(ax: SweepAxis) -> dict:
+    return {"name": ax.name, "min": ax.lo, "max": ax.hi, "count": ax.count}
+
+
 # Config field -> (parse(value, field name), dump(value)), in RunConfig's order:
-# config_from_dict parses a mapping's values, config_to_dict dumps them back.
+# RunConfig parses every value it is built with, config_to_dict dumps them back.
 _FIELDS = {
     "run_kind": (lambda v, f: RUN_KIND_ALIASES.get(str(v), str(v)), str),
     "steps": (as_integer, int),
     "window": (lambda v, f: None if v in (None, "auto") else as_integer(v, f), lambda w: w or "auto"),
     "angles": (
-        lambda v, f: {p: _parse_angle_entry(e, f"{f}.{p}") for p, e in v.items()},
+        lambda v, f: MappingProxyType({p: _parse_angle_entry(e, f"{f}.{p}") for p, e in v.items()}),
         lambda angles: {p: _dump_angle_entry(e) for p, e in angles.items()},
     ),
     "initial_state": (_parse_initial_state, lambda s: {"kind": s.kind, "positions": list(s.positions)}),
@@ -261,12 +263,9 @@ _FIELDS = {
     "disorder": (_parse_disorder, asdict),
     "ensemble_size": (as_integer, int),
     "master_seed": (as_integer, int),
-    "sweep_grid": (
-        _parse_sweep_grid,
-        lambda axes: [{"name": ax.name, "min": ax.lo, "max": ax.hi, "count": ax.count} for ax in axes],
-    ),
+    "sweep_grid": (_parse_sweep_grid, lambda axes: [_dump_axis(ax) for ax in axes]),
     "sweep_scalar": (lambda v, f: str(v), str),
-    "outputs": (lambda v, f: v if v is None else [str(x) for x in v], lambda o: o if o is None else list(o)),
+    "outputs": (_parse_outputs, lambda o: o if o is None else list(o)),
     "k_points": (as_integer, int),
     "grid_n": (as_integer, int),
 }
@@ -275,16 +274,12 @@ _DEFAULTS = {f.name: f.default if f.default_factory is MISSING else f.default_fa
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    """Build a RunConfig, which validates itself, from a JSON-style mapping."""
-    kwargs = {}
-    for key, value in data.items():
+    """RunConfig(**data) for a JSON-style mapping whose keys are all config fields; the
+    RunConfig parses and validates each value, as it does when built in Python."""
+    for key in data:
         if key not in _FIELDS:
             raise ConfigError(key, "unknown config field")
-        try:
-            kwargs[key] = _FIELDS[key][0](value, key)
-        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-            raise ConfigError(key, str(exc))
-    return RunConfig(**kwargs)
+    return RunConfig(**data)
 
 
 def _read_config_file(path) -> dict:
@@ -338,17 +333,16 @@ def validate_config(config: RunConfig) -> RunConfig:
         raise ConfigError("k_points", "must be even; an odd k grid skips k = 0, where the gap can close")
     if config.window is not None and config.window < 1:
         raise ConfigError("window", "must be >= 1 (or auto)")
-    if not abs(float(np.sum(np.abs(config.coin_amps) ** 2)) - 1.0) <= NORM_TOL:
+    # |c| * |c| in Python floats: a huge finite component overflows to inf, and numpy's square would warn
+    if not abs(sum(abs(c) * abs(c) for c in config.coin_amps) - 1.0) <= NORM_TOL:
         raise ConfigError("coin_amps", "components must be finite and normalized")
     if config.sweep_scalar not in SWEEP_SCALARS:
         raise ConfigError("sweep_scalar", f"must be one of {SWEEP_SCALARS}")
     for particle, entry in config.angles.items():
         if particle not in ("a", "b"):
             raise ConfigError(f"angles.{particle}", "particles are 'a' and 'b'")
-        if isinstance(entry, BoundarySpec):
-            values = (*entry.theta_minus, *entry.theta_plus)
-        else:
-            values = tuple(entry)
+        # the parsed entry: a BoundarySpec or a (theta1, theta2) tuple, of floats either way
+        values = (*entry.theta_minus, *entry.theta_plus) if isinstance(entry, BoundarySpec) else entry
         if not np.all(np.isfinite(values)):
             raise ConfigError(f"angles.{particle}", f"angles must be finite, got {entry!r}")
     if "a" not in config.angles:  # walker b falls back to walker a's entry

@@ -142,6 +142,22 @@ class TestPairCommand:
     def test_malformed_boundary_is_config_error(self, tmp_path):
         assert main(["pair", "--boundary", "1,2,3", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("thetas", [["--theta1a", "1"], ["--theta1a", "1", "--theta2a", "2"]])
+    def test_boundary_with_a_walker_a_theta_is_config_error(self, tmp_path, capsys, thetas):
+        # the boundary and the theta flags both set walker a's angles; neither may silently win
+        out = tmp_path / "run"
+        assert main(["pair", "--steps", "5", "--boundary", "0.1,0.2,0.3,0.4", *thetas, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'angles.a'" in err and "--boundary" in err
+        assert not out.exists()
+
+    def test_boundary_with_walker_b_thetas(self, tmp_path):
+        out = tmp_path / "run"
+        argv = ["pair", "--steps", "5", "--boundary", "0.1,0.2,0.3,0.4", "--theta1b", "1", "--theta2b", "2"]
+        assert main([*argv, "--out", str(out)]) == 0
+        angles = read_manifest(out)["config"]["angles"]
+        assert angles == {"a": {"minus": [0.1, 0.2], "plus": [0.3, 0.4]}, "b": [1.0, 2.0]}
+
     def test_state_flag_psi_minus(self, tmp_path):
         out = tmp_path / "run"
         assert main(["pair", "--steps", "5", "--state", "psi-", "--out", str(out)]) == 0

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import importlib.util
 import json
 import os
 import pickle
@@ -10,6 +11,7 @@ import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from itertools import chain
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from numpy.testing import assert_allclose
 from topowalk import (
     BoundarySpec,
     ConfigError,
+    DisorderSpec,
     InitialPairState,
     LatticeWindow,
     RunConfig,
@@ -97,6 +100,27 @@ KIND_BASES = {
     },
     "phase_diagram": {"run_kind": "phase_diagram", "grid_n": 16, "k_points": 64, "master_seed": 7},
 }
+
+
+def _bench_configs() -> list:
+    """(label, config mapping) of every experiment of the benchmark's workloads, at seed 1."""
+    path = CONFIG_DIR.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclass reads its module's namespace
+    spec.loader.exec_module(workloads)
+    return [
+        (f"{name}-{label}", data)
+        for name in workloads.WORKLOADS
+        for label, data in workloads.make(name, 1).experiments.items()
+    ]
+
+
+# every figure config and every benchmark config, as a mapping
+ONE_PATH_CONFIGS = [
+    *((path.stem, json.loads(path.read_text())) for path in sorted(CONFIG_DIR.glob("*.json"))),
+    *_bench_configs(),
+]
 
 
 def minimal_dict(kind, **overrides):
@@ -182,6 +206,8 @@ class TestConfigParsing:
             ({"disorder": {"kind": "none", "target": "b"}}, "disorder"),
             ({"disorder": {"kind": "uniform", "half_width": 0.0, "target": "both"}}, "disorder"),
             ({"run_kind": "hadamard", "coin_amps": [float("nan"), 0]}, "coin_amps"),
+            # finite, but its square overflows: the check must not warn (pytest makes warnings errors)
+            ({"run_kind": "hadamard", "coin_amps": [[1e308, 1e308], 0]}, "coin_amps"),
             ({"run_kind": "hadamard", "coin_amps": [1, 1]}, "coin_amps"),
             ({"window": 11, "initial_state": {"kind": "psi+", "positions": [11, 0]}}, "initial_state"),
             ({"master_seed": -3}, "master_seed"),
@@ -389,6 +415,73 @@ class TestConfigParsing:
         config = config_from_dict({"run_kind": "hadamard", "steps": 3})
         run(config)
         assert calls == [config]
+
+    @pytest.mark.parametrize("name, data", ONE_PATH_CONFIGS, ids=[name for name, _ in ONE_PATH_CONFIGS])
+    def test_a_python_built_config_equals_the_parsed_one(self, name, data):
+        built = RunConfig(**copy.deepcopy(data))
+        parsed = config_from_dict(data)
+        assert built == parsed
+        assert config_to_dict(built) == config_to_dict(parsed)
+
+    @pytest.mark.parametrize(
+        "kwargs, expected",
+        [
+            # integral floats in integer fields are the integers
+            ({"steps": 10.0}, {"steps": 10}),
+            ({"steps": 10, "window": 12.0}, {"window": 12}),
+            ({"steps": 10, "master_seed": 3.0}, {"master_seed": 3}),
+            (
+                {"run_kind": "pair", "steps": 3, "ensemble_size": 2.0, "disorder": {"kind": "weak"}},
+                {"ensemble_size": 2, "disorder": DisorderSpec("uniform", walk.WEAK_HALF_WIDTH, "a")},
+            ),
+            ({"steps": "10"}, "steps"),
+            ({"run_kind": "pair", "steps": 5, "angles": {"a": (0.1, 0.2, 0.3)}}, "angles.a"),
+            ({"run_kind": "pair", "steps": 5, "angles": {"a": BoundarySpec((1, 2, 3), (4, 5))}}, "angles.a"),
+            (
+                {"run_kind": "pair", "steps": 5, "angles": {"a": BoundarySpec((1, 2), (3, 4))}},
+                {"angles": {"a": BoundarySpec((1.0, 2.0), (3.0, 4.0))}},
+            ),
+            (
+                {"run_kind": "entropy_sweep", "steps": 3, "sweep_grid": sweep_axes("theta1a", "theta2a")},
+                {"sweep_grid": (SweepAxis("theta1a", 0.0, 1.0, 2), SweepAxis("theta2a", 0.0, 1.0, 2))},
+            ),
+            (
+                {
+                    "run_kind": "entropy_sweep",
+                    "steps": 3,
+                    "sweep_grid": [SweepAxis("theta1a", 0, 1, 2.0), SweepAxis("theta2a", 0, 1, 2)],
+                },
+                {"sweep_grid": (SweepAxis("theta1a", 0.0, 1.0, 2), SweepAxis("theta2a", 0.0, 1.0, 2))},
+            ),
+            (
+                {
+                    "run_kind": "entropy_sweep",
+                    "sweep_grid": [SweepAxis("theta1a", 0, 1, 2.5), SweepAxis("theta2a", 0, 1, 2)],
+                },
+                "sweep_grid",
+            ),
+            ({"run_kind": "tptpw", "steps": 5}, {"run_kind": "pair"}),
+        ],
+    )
+    def test_a_python_built_config_is_parsed(self, kwargs, expected):
+        # every value goes through the parser of its field, as a mapping's would: it is stored
+        # normalized (repr tells 2 from 2.0), or it is a ConfigError naming the field
+        if isinstance(expected, str):
+            with pytest.raises(ConfigError) as err:
+                RunConfig(**kwargs)
+            assert err.value.field == expected
+            return
+        config = RunConfig(**kwargs)
+        for name, value in expected.items():
+            assert repr(getattr(config, name)) == repr(value if name != "angles" else MappingProxyType(value))
+        run(config)
+
+    def test_outputs_as_a_string_asks_for_a_list(self):
+        # not read one letter at a time
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"run_kind": "hadamard", "outputs": "entropy"})
+        assert err.value.field == "outputs"
+        assert "list of file kinds" in err.value.message
 
     def test_k_points_counts_the_bloch_axes(self):
         # the limit is a third of the bound; k_points must be even, and MAX_ARRAY_ELEMENTS // 3 is odd
