@@ -1,4 +1,4 @@
-"""Exception types, and the integer rule, shared across the package."""
+"""Exception types, and the integer and float rules, shared across the package."""
 
 import numpy as np
 
@@ -31,3 +31,10 @@ def as_integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_float(value, name: str) -> float:
+    """value as a float; a bool or a string is a ValueError naming name, as in as_integer."""
+    if isinstance(value, (bool, np.bool_, str, bytes)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)

@@ -19,7 +19,7 @@ from types import MappingProxyType
 import numpy as np
 
 from ._version import __version__
-from .errors import ConfigError, as_integer
+from .errors import ConfigError, as_float, as_integer
 from .pair import (
     InitialPairState,
     coin_coefficients,
@@ -174,10 +174,11 @@ def _parse_angle_entry(value, field_name: str):
         if len(minus) != 2 or len(plus) != 2:
             raise ConfigError(field_name, "boundary angle pairs must have 2 entries")
         return BoundarySpec(
-            (float(minus[0]), float(minus[1])), (float(plus[0]), float(plus[1]))
+            (as_float(minus[0], field_name), as_float(minus[1], field_name)),
+            (as_float(plus[0], field_name), as_float(plus[1], field_name)),
         )
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return (float(value[0]), float(value[1]))
+        return (as_float(value[0], field_name), as_float(value[1], field_name))
     raise ConfigError(field_name, f"expected [theta1, theta2] or minus/plus mapping, got {value!r}")
 
 
@@ -191,7 +192,7 @@ def _parse_disorder(value, field_name: str) -> DisorderSpec:
     target = value.get("target", "a")
     presets = {"weak": WEAK_HALF_WIDTH, "strong": STRONG_HALF_WIDTH}
     if kind not in presets:
-        return DisorderSpec(kind, float(value.get("half_width", 0.0)), target)
+        return DisorderSpec(kind, as_float(value.get("half_width", 0.0), f"{field_name}.half_width"), target)
     if "half_width" in value:
         raise ConfigError(field_name, f"the {kind} preset sets its own half_width")
     return DisorderSpec("uniform", presets[kind], target)
@@ -216,7 +217,8 @@ def _parse_sweep_grid(value, field_name: str) -> tuple:
             item = _dump_axis(item)
         _check_keys(item, field_name, ("name", "min", "max", "count"))
         count = as_integer(item["count"], f"{field_name}.count")
-        axes.append(SweepAxis(str(item["name"]), float(item["min"]), float(item["max"]), count))
+        lo, hi = (as_float(item[key], f"{field_name}.{key}") for key in ("min", "max"))
+        axes.append(SweepAxis(str(item["name"]), lo, hi, count))
     return tuple(axes)
 
 
@@ -231,9 +233,11 @@ def _parse_coin_amps(value, field_name: str) -> tuple:
         out = []
         for comp in value:
             if isinstance(comp, (list, tuple)) and len(comp) == 2:
-                out.append(complex(float(comp[0]), float(comp[1])))
-            else:
+                out.append(complex(as_float(comp[0], field_name), as_float(comp[1], field_name)))
+            elif isinstance(comp, (complex, np.complexfloating)):
                 out.append(complex(comp))
+            else:
+                out.append(complex(as_float(comp, field_name)))
         return (out[0], out[1])
     raise ConfigError(field_name, "coin_amps must be two components, each [re, im] or a number")
 
@@ -357,8 +361,9 @@ def validate_config(config: RunConfig) -> RunConfig:
                 )
             if ax.count < 1:
                 raise ConfigError("sweep_grid", f"axis {ax.name!r} count must be >= 1")
-            if not (np.isfinite(ax.lo) and np.isfinite(ax.hi)):
-                raise ConfigError("sweep_grid", f"axis {ax.name!r} bounds must be finite")
+            # in Python floats, so that a span too wide for a float is rejected without a warning
+            if not math.isfinite(ax.hi - ax.lo):
+                raise ConfigError("sweep_grid", f"axis {ax.name!r} bounds and their span must be finite")
             particle, _, side = SWEEP_PARAMETERS[ax.name]
             if side is not None and not isinstance(_particle_angles(config.angles, particle), BoundarySpec):
                 message = f"axis {ax.name!r} needs boundary angles for particle {particle!r}"
@@ -501,10 +506,11 @@ def _walk_chunks(config: RunConfig, cells, first_step: int = 0):
         else:
             coins = split_coins(field[..., 0]) if particles else hadamard_coins(window.size, config.steps)
             start = make_single_state(window, 0, config.coin_amps)[..., None]
+            start = start if start.imag.any() else start.real  # a real start steps in float64
             blocks = trajectory(np.broadcast_to(start, (*start.shape[:2], len(chunk))), coins)
 
             def reduce(block, last):  # the whole window: matmul's sums change bits with their length
-                rows = block.transpose(0, 3, 2, 1)  # (step, cell, coin, site)
+                rows = block.transpose(0, 3, 2, 1).astype(complex, copy=False)  # (step, cell, coin, site)
                 return np.matmul(rows, rows.conj().transpose(0, 1, 3, 2))
 
             final = lambda c: position_distribution(amps[..., c])

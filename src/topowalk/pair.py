@@ -83,7 +83,7 @@ def iter_product_walkers(init: InitialPairState, window: LatticeWindow, field: n
         raise ValueError(f"field must have a trailing particle axis of 2, got shape {field.shape}")
     cells = field.shape[3:-1]
     starts = [
-        np.stack([make_single_state(window, x, c) for c in ((1, 0), (0, 1))], axis=-1)
+        np.stack([make_single_state(window, x, c).real for c in ((1, 0), (0, 1))], axis=-1)
         for x in init.positions
     ]
     starts = [np.broadcast_to(s.reshape(s.shape + (1,) * len(cells)), s.shape + cells) for s in starts]
@@ -91,12 +91,14 @@ def iter_product_walkers(init: InitialPairState, window: LatticeWindow, field: n
 
 
 @lru_cache(maxsize=8)
-def _coin_weights(coefficients: bytes) -> np.ndarray:
-    """K[a, b, c, d] = C[a, b] conj(C[c, d]) for the bytes of a complex C; one per pair state."""
+def _coin_weights(coefficients: bytes) -> tuple:
+    """K[a, b, c, d] = C[a, b] conj(C[c, d]) for the bytes of a complex C, one per pair state, and,
+    if K is real, its nonzero terms ((a, b, c, d), K[a, b, c, d].real) in index order, else None."""
     c = np.frombuffer(coefficients, dtype=complex).reshape(2, 2)
     weights = np.einsum("ab,cd->abcd", c, c.conj())
     weights.flags.writeable = False
-    return weights
+    terms = None if weights.imag.any() else tuple((i, weights.real[i]) for i in zip(*np.nonzero(weights)))
+    return weights, terms
 
 
 def pair_coin_density_from_singles(walkers: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
@@ -107,17 +109,40 @@ def pair_coin_density_from_singles(walkers: np.ndarray, coefficients: np.ndarray
     axes reduces a whole block of steps in one call. coefficients is C[c_a,
     c_b] (see coin_coefficients). Tracing the positions of a product superposition
     reduces to each particle's Gram tensor G[s, c, t, d] = sum_i w[i, c, s]
-    conj(w[i, d, t]) between its coin-0 and coin-1 starts; one einsum over
-    the site-last memory builds both particles' tensors.
+    conj(w[i, d, t]) between its coin-0 and coin-1 starts; one complex einsum over
+    the site-last memory builds both particles' tensors. Real walkers under real
+    weights K = C conj(C), as every InitialPairState has, give a real rho: the
+    Gram tensors' real parts, combined over the nonzero weights only, in float64.
+    Complex walkers or weights give a complex rho.
     """
     if walkers.ndim < 4 or walkers.shape[1:3] != (2, 2) or walkers.shape[-1] != 2:
         raise ValueError(f"walkers must have axes (site, 2, 2, *cells, 2), got shape {walkers.shape}")
+    weights, terms = _coin_weights(np.asarray(coefficients, dtype=complex).tobytes())
+    real = terms is not None and not np.iscomplexobj(walkers)
     mem = walkers.transpose(*range(1, walkers.ndim), 0)  # (coin, start, *cells, particle, site)
+    mem = mem.astype(complex, copy=False)  # the complex einsum's sums, whose real parts keep their bits
     gram = np.einsum("cs...i,dt...i->...sctd", mem, mem.conj())  # (*cells, particle, s, c, t, d)
-    weights = _coin_weights(np.asarray(coefficients, dtype=complex).tobytes())
+    ga, gb = gram[..., 0, :, :, :, :], gram[..., 1, :, :, :, :]
     # rho[(ca, cb), (ca', cb')] = sum C[s, s'] conj(C[t, t']) Ga[s, ca, t, ca'] Gb[s', cb, t', cb']
-    rho = np.einsum("abcd,...aecf,...bgdh->...egfh", weights, gram[..., 0, :, :, :, :], gram[..., 1, :, :, :, :])
+    if not real:
+        rho = np.einsum("abcd,...aecf,...bgdh->...egfh", weights, ga, gb)
+    else:  # the einsum's terms in its order, (s, s', t, t'), less those of zero weight
+        ga, gb = ga.real, gb.real
+        rho = np.zeros((*gram.shape[:-5], 2, 2, 2, 2))
+        for (s, s_, t, t_), k in terms:
+            rho += (k * ga[..., s, :, t, :])[..., :, None, :, None] * gb[..., s_, None, :, t_, None, :]
     return rho.reshape(*gram.shape[:-5], 4, 4)
+
+
+_COMBINE = "ab,cd,iac,jbd->ij"
+
+
+@lru_cache(maxsize=8)
+def _combine_path(size: int) -> tuple:
+    """The contraction order np.einsum(_COMBINE, ..., optimize=True) finds on a window of size sites;
+    it depends on the operands' shapes only."""
+    o = np.zeros((size, 2, 2), complex)
+    return tuple(np.einsum_path(_COMBINE, o[0], o[0], o, o, optimize=True)[0])
 
 
 def joint_distribution_interference(
@@ -141,9 +166,8 @@ def joint_distribution_interference(
             f"walker arrays must share one (size, 2, 2) shape, got {amps_a.shape} and {amps_b.shape}"
         )
     c = coefficients
-    oa = np.einsum("ics,ict->ist", amps_a, amps_a.conj())
-    ob = np.einsum("ics,ict->ist", amps_b, amps_b.conj())
-    values = np.einsum("ab,cd,iac,jbd->ij", c, c.conj(), oa, ob, optimize=True).real
+    oa, ob = (np.einsum("ics,ict->ist", x, x.conj()).astype(complex, copy=False) for x in (amps_a, amps_b))
+    values = np.einsum(_COMBINE, c, c.conj(), oa, ob, optimize=_combine_path(len(oa))).real
     low = float(values.min())
     if not low >= -CLIP_TOL:
         raise NumericalError(f"interference joint distribution has entry {low:.3e} < 0")

@@ -168,33 +168,47 @@ def _walker_rows(walkers: tuple, batch: tuple, size: int) -> tuple:
     return (-1, *axes, size)
 
 
-def _step_rows(src: np.ndarray, out: np.ndarray, coins, sites: slice, scratch, step, shape: tuple) -> None:
-    """One split step from the row src into the zeroed row out, over the window sites in `sites`.
+def _block_views(rows: np.ndarray, shape: tuple) -> tuple:
+    """A block's per-step views of its (step, coin, walker + 1, site) rows, each with a leading step axis.
 
-    shape is (-1, *axes, site), the shape of a coin's walker rows, and coins the columns of both
-    coins. Each coin acts on the sites in range as one product of its columns with both coin
-    planes, into scratch, and one sum over the input coin, col0 * (coin-0 plane) + col1 * (coin-1
-    plane), into both planes of out through that coin's shifting view; the coins are real, so
-    plain broadcasting does the 2x2 product. Sites outside the range must hold no amplitude, and
-    an edge is checked only when the range reaches it.
+    shape is (-1, *axes, site), the shape of a coin's walker rows. Returns the coin planes of each
+    row, (step, 2, 1, *shape); the rows' two shifting views, (step, 2, *shape), through which coin
+    0 lands one site right and coin 1 one site left; and the sites a coin-1 walker left past the
+    left edge, (step, walker): the spare amplitude before each walker's first coin-1 site.
     """
+    count, m, size = rows.shape[0], rows.shape[2] - 1, rows.shape[3]
+    flat = rows.reshape(count, -1)
+    span = flat.shape[1] // 2 - 1  # the shifting views' coin stride
+    planes = rows[:, :, :m].reshape(count, 2, 1, *shape)
+    shift0 = flat[:, 1 : 1 + 2 * span].reshape(count, 2, span)[..., : m * size].reshape(count, 2, *shape)
+    shift1 = flat[:, : 2 * span].reshape(count, 2, span)[..., : m * size].reshape(count, 2, *shape)
+    return planes, shift0, shift1, flat[:, span : span + m * size : size]
+
+
+def _step_rows(src, out, views, coins, sites: slice, scratch, step) -> None:
+    """One split step from the coin planes src into the zeroed row out, over the window sites in `sites`.
+
+    views are out's views from _block_views, at out's step; coins the columns of both coins. Each
+    coin acts on the sites in range as one product of its columns with both coin planes, into
+    scratch, and one sum over the input coin, col0 * (coin-0 plane) + col1 * (coin-1 plane), into
+    both planes of out through that coin's shifting view; the coins are real, so plain
+    broadcasting does the 2x2 product. Sites outside the range must hold no amplitude, and an
+    edge is checked only when the range reaches it.
+    """
+    planes, shift0, shift1, left = views
     m, size = out.shape[1] - 1, out.shape[2]
     lo, hi = sites.start, sites.stop
-    flat = out.reshape(-1)
-    span = flat.size // 2 - 1  # the shifting views' coin stride
-    shift0 = flat[1 : 1 + 2 * span].reshape(2, span)[:, : m * size].reshape(2, *shape)[..., lo:hi]
-    shift1 = flat[: 2 * span].reshape(2, span)[:, : m * size].reshape(2, *shape)[..., lo:hi]
     products = scratch[..., : hi - lo]
     first, second = products
-    np.multiply(coins[:, :, 0, ..., lo:hi], src[:, :m].reshape(2, 1, *shape)[..., lo:hi], out=products)
-    np.add(first, second, out=shift0)
+    np.multiply(coins[:, :, 0, ..., lo:hi], src[..., lo:hi], out=products)
+    np.add(first, second, out=shift0[..., lo:hi])
     if hi == size:
         _check_edge(out[0, 1:, 0], "coin-0 amplitude at the right edge", step)
         out[0, 1:m, 0] = 0.0  # S0 shifts in zeros where the previous walker's leaving amplitude sat
-    np.multiply(coins[:, :, 1, ..., lo:hi], out[:, :m].reshape(2, 1, *shape)[..., lo:hi], out=products)
-    np.add(first, second, out=shift1)
+    np.multiply(coins[:, :, 1, ..., lo:hi], planes[..., lo:hi], out=products)
+    np.add(first, second, out=shift1[..., lo:hi])
     if lo == 0:
-        _check_edge(flat[span : span + m * size : size], "coin-1 amplitude at the left edge", step)
+        _check_edge(left, "coin-1 amplitude at the left edge", step)
     if lo == 0 or hi == size:
         out[1, :m, -1] = 0.0  # S1 shifts in zeros where the first coin's sums or a leaving amplitude sat
 
@@ -265,16 +279,18 @@ def trajectory(amps: np.ndarray, coins: np.ndarray):
         raise ValueError(f"coins for {coins.shape[-1]} sites do not match the {size}-site window")
     walker_rows = _walker_rows(amps.shape[2:], coins.shape[5:-1], size)
     m = amps.size // (2 * size)  # walkers per coin
-    scratch = np.empty((2, 2, m, size), complex).reshape(2, 2, *walker_rows)
+    dtype = complex if np.iscomplexobj(amps) else float
+    scratch = np.empty((2, 2, m, size), dtype).reshape(2, 2, *walker_rows)
     occupied = np.flatnonzero(amps.reshape(size, -1).any(axis=1))
     a, b = (int(occupied[0]), int(occupied[-1])) if occupied.size else (0, size - 1)
     length = max(1, _BLOCK_AMPLITUDES // amps.size)
     block_axes = (0, amps.ndim, *range(1, amps.ndim))
     widest = size // 2 if amps.size // size > _CONE_MAX_ROWS else size  # the widest range stepped as one
-    rows = None
+    planes = None
     for first in range(0, n_steps + 1, length):
         count = min(length, n_steps + 1 - first)
-        previous, rows = rows, np.zeros((count, 2, m + 1, size), complex)
+        rows = np.zeros((count, 2, m + 1, size), dtype)
+        previous, (planes, *views) = planes, _block_views(rows, walker_rows)
         block = _walkers(rows, amps.shape)
         checked = int(first == 0)  # the start is the caller's; only stepped walkers are checked
         if checked:
@@ -284,9 +300,9 @@ def trajectory(amps: np.ndarray, coins: np.ndarray):
             sites = slice(max(a - t, 0), min(b + t + 2, size))
             if sites.stop - sites.start > widest:
                 sites = slice(0, size)
-            src = rows[s - 1] if s else previous[-1]
+            src = planes[s - 1] if s else previous[-1]
             try:
-                _step_rows(src, rows[s], coins[:, :, t], sites, scratch, t, walker_rows)
+                _step_rows(src, rows[s], [planes[s], *(v[s] for v in views)], coins[:, :, t], sites, scratch, t)
             except Exception:  # whatever a step raised, a drift before it is the cause to report
                 _check_norms(block[checked:s], first + checked)
                 raise

@@ -280,6 +280,8 @@ class TestIgnoredOrOversizedValues:
             (["phase-diagram", "--grid-n", "16", "--k-points", str(2**26)], "k_points"),
             # an odd k grid skips k = 0, where the gap closes on theta1 = -theta2
             (["phase-diagram", "--grid-n", "16", "--k-points", "257"], "k_points"),
+            # finite bounds whose span is not: no numpy warning (an error under pytest), no NaN walk
+            (["sweep", "--steps", "2", "--axis=theta1a:-1e308:1e308:3", "--axis", "theta2a:0:1:2"], "sweep_grid"),
         ],
     )
     def test_config_error_and_no_data_files(self, tmp_path, capsys, argv, field):

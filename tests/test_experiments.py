@@ -221,6 +221,17 @@ class TestConfigParsing:
                 },
                 "sweep_grid",
             ),
+            # finite bounds whose span overflows a float: rejected before np.linspace warns
+            (
+                {
+                    "run_kind": "entropy_sweep",
+                    "sweep_grid": [
+                        {"name": "theta1a", "min": -1e308, "max": 1e308, "count": 3},
+                        {"name": "theta2a", "min": 0, "max": 1, "count": 2},
+                    ],
+                },
+                "sweep_grid",
+            ),
             ({"steps": float("inf")}, "steps"),
             ({"window": float("inf")}, "window"),
             (
@@ -361,6 +372,31 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             config_from_dict(minimal_dict(base, **patch))
         assert err.value.field == field
+
+    @pytest.mark.parametrize(
+        "base, patch, field, name",
+        [
+            ("hadamard", {"coin_amps": ["1", 0]}, "coin_amps", "coin_amps"),
+            ("hadamard", {"coin_amps": [[1, "0"], 0]}, "coin_amps", "coin_amps"),
+            ("hadamard", {"coin_amps": [True, 0]}, "coin_amps", "coin_amps"),
+            ("pair", {"disorder": {"kind": "uniform", "half_width": "0.5"}}, "disorder", "disorder.half_width"),
+            ("pair", {"disorder": {"kind": "uniform", "half_width": True}}, "disorder", "disorder.half_width"),
+            ("pair", {"angles": {"a": ["0.1", "0.2"]}}, "angles", "angles.a"),
+            ("pair", {"angles": {"a": {"minus": [0, False], "plus": [0, 0]}}}, "angles", "angles.a"),
+            (
+                "entropy_sweep",
+                {"sweep_grid": [{"name": "theta1a", "min": "0", "max": 1, "count": 2}, *sweep_axes("theta2a")]},
+                "sweep_grid",
+                "sweep_grid.min",
+            ),
+        ],
+    )
+    def test_float_values_reject_strings_and_bools(self, base, patch, field, name):
+        # the integer fields' rule: a number written as text, or a bool, is not a number
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(minimal_dict(base, **patch))
+        assert err.value.field == field
+        assert f"{name} must be a number" in err.value.message
 
     def test_coin_table_over_the_limit_names_steps(self):
         # a disordered pair run's coin table holds 12 values per (site, step): rows (-s, c, s)
@@ -1083,6 +1119,26 @@ class TestSingleWalkerEntropy:
         # the mean over one replicate, as run() reports it, turns the step-0 entropy -0.0 into 0.0
         expected = np.mean([per_step], axis=0)
         assert run(cfg).entropy.tobytes() == expected.tobytes()
+
+
+    @pytest.mark.parametrize("coin_amps, dtype", [([1, 0], float), ([0.6, -0.8], float), ([0.6, [0, 0.8]], complex)])
+    @pytest.mark.parametrize("kind", ["hadamard", "single_split"])
+    def test_a_start_steps_in_its_own_dtype(self, kind, coin_amps, dtype, monkeypatch):
+        # a start with no imaginary part steps in float64, and its files keep the bits of the complex walk
+        cfg = config_from_dict(minimal_dict(kind, steps=40, coin_amps=coin_amps))
+        monkeypatch.setattr(experiments, "trajectory", lambda amps, coins: trajectory(amps.astype(complex), coins))
+        expected = run(cfg)
+        dtypes = []
+
+        def walk(amps, coins):
+            dtypes.append(amps.dtype)
+            return trajectory(amps, coins)
+
+        monkeypatch.setattr(experiments, "trajectory", walk)
+        art = run(cfg)
+        assert dtypes == [np.dtype(dtype)]
+        assert art.entropy.tobytes() == expected.entropy.tobytes()
+        assert art.distribution.tobytes() == expected.distribution.tobytes()
 
 
 class TestSingleRouteAgainstDenseOracle:

@@ -19,8 +19,11 @@ from topowalk import (
     pair_coin_density_from_singles,
     position_distribution,
     sample_angle_field,
+    split_coins,
+    trajectory,
     von_neumann_entropy,
 )
+from topowalk import pair
 from topowalk.errors import NumericalError, WindowOverflowError
 from topowalk.experiments import ANGLES_WINDING_1, ANGLES_WINDING_0
 from oracles import (
@@ -514,6 +517,59 @@ class TestProductDecomposition:
             expected = two_gram_coin_density(walkers[..., 0], walkers[..., 1], coefficients)
             assert rho.shape == (*cells, 4, 4)
             assert rho.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cells", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("kind", ["psi+", "psi-", "sep"])
+    def test_real_walkers_give_the_complex_routes_real_part(self, kind, cells):
+        # real walkers and weights take a float combine over the nonzero weights, in the einsum's
+        # order: its sums keep the bits of the complex einsum's real parts
+        rng = np.random.default_rng(len(cells))
+        site_last = np.moveaxis(rng.standard_normal((2, 2, *cells, 2, 9)), -1, 0)
+        coefficients = coin_coefficients(InitialPairState(kind))
+        for walkers in (site_last, np.ascontiguousarray(site_last)):
+            rho = pair_coin_density_from_singles(walkers, coefficients)
+            complex_walkers = walkers.astype(complex)
+            for expected in (
+                pair_coin_density_from_singles(complex_walkers, coefficients),
+                two_gram_coin_density(complex_walkers[..., 0], complex_walkers[..., 1], coefficients),
+            ):
+                assert rho.dtype == float and expected.dtype == complex and not expected.imag.any()
+                assert rho.tobytes() == np.ascontiguousarray(expected.real).tobytes()
+
+    @pytest.mark.parametrize("kind", ["psi+", "psi-", "sep"])
+    def test_real_walks_give_the_complex_walks_observables(self, kind):
+        # a pair's walkers step real, and its coin densities and joint distribution keep the bits of
+        # the same walk stepped complex; the walkers' zeros, whose signs may differ, change no sum
+        n, coefficients = 12, coin_coefficients(InitialPairState(kind))
+        win = LatticeWindow(n + 3)
+        field = np.random.default_rng(5).uniform(-np.pi, np.pi, (2, win.size, n, 3, 2))
+        real = list(chain.from_iterable(iter_product_walkers(InitialPairState(kind, (1, -2)), win, field)))
+        stepped = list(chain.from_iterable(trajectory(real[0].astype(complex), split_coins(field))))
+        assert len(real) == len(stepped) == n + 1
+        for walkers, complex_walkers in zip(real, stepped):
+            assert walkers.dtype == float
+            rho = pair_coin_density_from_singles(walkers, coefficients)
+            expected = pair_coin_density_from_singles(complex_walkers, coefficients)
+            assert rho.tobytes() == np.ascontiguousarray(expected.real).tobytes()
+        for c in range(3):
+            joint = joint_distribution_interference(walkers[..., c, 0], walkers[..., c, 1], coefficients)
+            expected = joint_distribution_interference(complex_walkers[..., c, 0], complex_walkers[..., c, 1], coefficients)
+            assert joint.tobytes() == expected.tobytes()
+
+    def test_complex_weights_keep_the_einsum(self):
+        # a pair state with a complex coefficient has complex weights, so even real walkers take the einsum
+        coefficients = np.array([[0.0, 1.0], [1j, 0.0]]) / np.sqrt(2.0)
+        walkers = np.moveaxis(np.random.default_rng(3).standard_normal((2, 2, 2, 9)), -1, 0)
+        rho = pair_coin_density_from_singles(walkers, coefficients)
+        expected = two_gram_coin_density(*np.moveaxis(walkers.astype(complex), -1, 0), coefficients)
+        assert rho.dtype == complex and expected.imag.any()
+        assert rho.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("size", [1, 5, 203])
+    def test_joint_combine_path_is_the_one_einsum_finds(self, size):
+        o = np.ones((size, 2, 2), complex)
+        fresh = np.einsum_path(pair._COMBINE, PSI[+1], PSI[+1].conj(), o, o, optimize=True)[0]
+        assert list(pair._combine_path(size)) == fresh
 
     @pytest.mark.parametrize("shape", [(5, 2, 2), (5, 2, 2, 3), (5, 2, 1, 2), (5, 1, 2, 2)])
     def test_coin_density_rejects_walkers_without_both_particles(self, shape):

@@ -709,3 +709,70 @@ class TestLightCone:
         message = r"^coin-1 amplitude at the left edge at step 3; window too small$"
         with pytest.raises(WindowOverflowError, match=message):
             list(trajectory(start, split_coins(constant_field(0.0, 0.0, 4, win))))
+
+
+def walk_outcome(start, coins):
+    """The blocks trajectory yields for start under coins, and the error it then raises, if any."""
+    blocks = []
+    try:
+        for block in trajectory(start, coins):
+            blocks.append(block.copy())
+    except (NumericalError, WindowOverflowError) as exc:
+        return blocks, exc
+    return blocks, None
+
+
+def random_real_walk(seed):
+    """A real start of 512 walkers on 2 random sites of a narrow window, so that some walks leave it,
+    and coins of random angles, one of them NaN or infinite unless seed % 3 == 0. A step of 512
+    walkers is a block of its own, so that a walk yields the steps before the one that fails."""
+    rng = np.random.default_rng(seed)
+    win, n, cells = LatticeWindow(int(rng.integers(4, 9))), int(rng.integers(1, 12)), 512
+    field = rng.uniform(-2 * np.pi, 2 * np.pi, (2, win.size, n, cells))
+    if seed % 3:
+        field[tuple(rng.integers(field.shape))] = rng.choice([np.nan, np.inf, -np.inf])
+    with np.errstate(invalid="ignore"):  # the cos and sin of an infinite angle are NaN
+        coins = split_coins(field)
+    start = np.zeros((win.size, 2, cells))
+    start[rng.choice(win.size, 2, replace=False)] = rng.standard_normal((2, 2, cells))
+    return start / np.sqrt((start**2).sum(axis=(0, 1))), coins
+
+
+class TestRealArithmetic:
+    """A real start steps in float64, a complex one in complex128; the coins and shifts are real,
+    so the float walk holds the bits of the complex walk's real parts, up to the sign of a zero."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_real_start_steps_as_the_real_part_of_a_complex_start(self, seed):
+        start, coins = random_real_walk(seed)
+        real_blocks, real_error = walk_outcome(start, coins)
+        complex_blocks, complex_error = walk_outcome(start.astype(complex), coins)
+        assert len(real_blocks) == len(complex_blocks)
+        for real, stepped in zip(real_blocks, complex_blocks):
+            assert real.dtype == float and stepped.dtype == complex
+            # equal values are equal bits, but for zeros: a complex product c * (0 + 0j) takes the sign of
+            # its zero from the imaginary part's too, (c * 0) - (0 * (+-0)), and a float one from c * 0 alone
+            assert np.array_equal(real, stepped.real) and not stepped.imag.any()
+        assert type(real_error) is type(complex_error) and str(real_error) == str(complex_error)
+
+    def test_the_random_walks_end_every_way(self):
+        # the seeds above cover walks that finish, drift and leave the window
+        outcomes = {type(walk_outcome(*random_real_walk(seed))[1]) for seed in range(12)}
+        assert outcomes == {type(None), NumericalError, WindowOverflowError}
+
+    def test_block_dtype_follows_the_start(self):
+        win = LatticeWindow(6)
+        coins = split_coins(constant_field(0.3, -1.1, 4, win))
+        state = make_single_state(win, 0, (1, 0))  # a complex array
+        for start in (state, state.real, state.real.astype(np.float32)):
+            dtype = complex if np.iscomplexobj(start) else float
+            assert {b.dtype for b in trajectory(start, coins)} == {np.dtype(dtype)}
+
+    @pytest.mark.parametrize("scale, drift", [(1.001, r"2\.001e-03"), (np.nan, "nan")])
+    def test_norm_check_catches_drift_in_float_blocks(self, scale, drift):
+        # a float block's norms sum its sites once: its memory has no imaginary parts to interleave
+        s = make_single_state(LatticeWindow(3), 0, (1, 0)).real
+        coins = np.array(hadamard_coins(s.shape[0], 3))
+        coins[:, :, 1] *= scale  # both coins of the second step: the norm grows by 1.001**2
+        with pytest.raises(NumericalError, match=rf"^walker norm drifted by {drift} at step 2$"):
+            list(trajectory(s, coins))
