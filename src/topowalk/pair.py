@@ -5,7 +5,8 @@ superposition of products of single-walker states, so pair observables are
 assembled from four lone walkers: the coin-|0> and coin-|1> starts of each
 particle, stepped under that particle's field. All four are one array with
 axes (site, coin, start coin, particle), and both particles step together,
-in blocks of consecutive steps.
+in blocks of consecutive steps. The starts and the coins are real, so the
+walkers are float64, and so are the coin density matrices built from them.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ def iter_product_walkers(init: InitialPairState, window: LatticeWindow, field: n
     p's lone walker started in coin |c> at its site in init.positions and
     stepped under its field, each cell a run from the same start. Both
     particles step in one walk.trajectory under split_coins(field), and each
-    yielded block is its block of consecutive steps, with axes (step, site,
-    coin, start coin, *cells, particle), so block[s] is one step's walkers.
+    yielded block is its float64 block of consecutive steps, with axes (step,
+    site, coin, start coin, *cells, particle), so block[s] is one step's walkers.
     """
     if field.ndim < 4 or field.shape[-1] != 2:
         raise ValueError(f"field must have a trailing particle axis of 2, got shape {field.shape}")
@@ -158,8 +159,10 @@ def joint_distribution_interference(
         O^x_st(i) = sum_c amps_x[i, c, s] * conj(amps_x[i, c, t]).
 
     For psi+- the cross terms are the exchange interference
-    +- Re(O^a_01(i) conj(O^b_01(j))). Entries in [-CLIP_TOL, 0) are rounding
-    noise and are clipped to zero.
+    +- Re(O^a_01(i) conj(O^b_01(j))). The O tensors of float walkers are float
+    sums of two products, the bits of complex ones' real parts; the combine is
+    complex either way, along np.einsum's own contraction order, found once per
+    window size. Entries in [-CLIP_TOL, 0) are rounding noise and are clipped to zero.
     """
     if amps_a.ndim != 3 or amps_a.shape[1:] != (2, 2) or amps_b.shape != amps_a.shape:
         raise ValueError(

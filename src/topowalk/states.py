@@ -1,7 +1,9 @@
 """Single-walker state vectors on a finite 1D lattice.
 
-A walker is a dense complex array with axes (position, coin, *walkers): one
-walker is a (size, 2) array, and trailing axes stack walkers stepped together.
+A walker is a dense float64 or complex128 array with axes (position, coin,
+*walkers): one walker is a (size, 2) array, and trailing axes stack walkers
+stepped together. make_single_state returns a complex walker; a real one (its
+.real, when no amplitude has an imaginary part) steps in float64.
 Positions run x = -L..+L; array index 0 corresponds to x = -L.
 """
 

@@ -9,12 +9,14 @@ amplitude currently sits. A walker's angle field is a (2, site, step) array
 holding the theta1 and theta2 planes. A walk is its table of coins:
 split_coins(field) and hadamard_coins(size, n_steps) return the two coins'
 columns at every step, and trajectory(amps, coins) steps walker arrays with
-axes (site, coin, *walkers), as in states.py, once per step of the table. It
-yields the steps in blocks with a leading step axis and checks every walker's
-norm once per block. A block is a view of zeroed rows that hold each coin's
-walkers as rows of sites plus one spare row; each step is written into its
-own row, the shifts as write offsets. The walk is local, so a step computes
-only the sites of the start's light cone, one site wider on the right.
+axes (site, coin, *walkers), as in states.py, once per step of the table. The
+coins and shifts are real, so a walk steps in its start's dtype: a real start
+in float64, a complex one in complex128. It yields the steps in blocks with a
+leading step axis and checks every walker's norm once per block. A block is a
+view of zeroed rows that hold each coin's walkers as rows of sites plus one
+spare row; each step is written into its own row, the shifts as write offsets.
+The walk is local, so a step computes only the sites of the start's light
+cone, one site wider on the right.
 """
 
 from __future__ import annotations
@@ -245,7 +247,8 @@ def hadamard_coins(size: int, n_steps: int) -> np.ndarray:
 
 def _check_norms(block: np.ndarray, first_step: int) -> None:
     """Raise at the first step of a (step, coin, *walkers, site) block where a walker's norm drifted."""
-    # squared norms as a float dot, real and imaginary parts alike, over (coin, step, *walkers, site):
+    # squared norms as a float dot over (coin, step, *walkers, site), of a complex block's real and
+    # imaginary parts alike (its float view doubles the site axis; a float block's is the block):
     # with the coin axis first, a one-step block runs the einsum loop of a lone step
     mem = block.view(float).swapaxes(0, 1)
     drift = abs(np.sqrt(np.einsum("c...i,c...i->...", mem, mem)) - 1.0)
@@ -264,7 +267,9 @@ def trajectory(amps: np.ndarray, coins: np.ndarray):
     walkers under its own coins; other walker axes, or coins of another window, raise ValueError
     before the first block. Each block has axes (step, site, coin, *walkers), a view of (step,
     coin, walker + 1, site) rows, so block[s] is one step's walker array; the first block starts
-    with amps. A block holds _BLOCK_AMPLITUDES amplitudes, or one step if a step holds more. Step t
+    with amps. Blocks are float64 for a real amps, complex128 for a complex one: the coins are
+    real, so a float walk holds the bits of the complex walk's real parts, up to the sign of a
+    zero. A block holds _BLOCK_AMPLITUDES amplitudes, or one step if a step holds more. Step t
     (counted from 0) writes from row t into the zeroed row t + 1 under coins[:, :, t], over the
     light cone: a start with amplitude on sites [a, b] has none outside [a - t, b + t] after t
     steps, so step t reads that cone and writes [a - t - 1, b + t + 1], and computes the sites
@@ -290,7 +295,8 @@ def trajectory(amps: np.ndarray, coins: np.ndarray):
     for first in range(0, n_steps + 1, length):
         count = min(length, n_steps + 1 - first)
         rows = np.zeros((count, 2, m + 1, size), dtype)
-        previous, (planes, *views) = planes, _block_views(rows, walker_rows)
+        previous = planes  # the previous block's coin planes, whose last row the block's first step reads
+        planes, shift0, shift1, left = _block_views(rows, walker_rows)
         block = _walkers(rows, amps.shape)
         checked = int(first == 0)  # the start is the caller's; only stepped walkers are checked
         if checked:
@@ -301,8 +307,9 @@ def trajectory(amps: np.ndarray, coins: np.ndarray):
             if sites.stop - sites.start > widest:
                 sites = slice(0, size)
             src = planes[s - 1] if s else previous[-1]
+            views = (planes[s], shift0[s], shift1[s], left[s])
             try:
-                _step_rows(src, rows[s], [planes[s], *(v[s] for v in views)], coins[:, :, t], sites, scratch, t)
+                _step_rows(src, rows[s], views, coins[:, :, t], sites, scratch, t)
             except Exception:  # whatever a step raised, a drift before it is the cause to report
                 _check_norms(block[checked:s], first + checked)
                 raise
