@@ -125,13 +125,13 @@ def pair_coin_density_from_singles(walkers: np.ndarray, coefficients: np.ndarray
     gram = np.einsum("cs...i,dt...i->...sctd", mem, mem.conj())  # (*cells, particle, s, c, t, d)
     ga, gb = gram[..., 0, :, :, :, :], gram[..., 1, :, :, :, :]
     # rho[(ca, cb), (ca', cb')] = sum C[s, s'] conj(C[t, t']) Ga[s, ca, t, ca'] Gb[s', cb, t', cb']
-    if not real:
-        rho = np.einsum("abcd,...aecf,...bgdh->...egfh", weights, ga, gb)
-    else:  # the einsum's terms in its order, (s, s', t, t'), less those of zero weight
+    if real:  # the einsum's terms in its order, (s, s', t, t'), less those of zero weight
         ga, gb = ga.real, gb.real
         rho = np.zeros((*gram.shape[:-5], 2, 2, 2, 2))
         for (s, s_, t, t_), k in terms:
             rho += (k * ga[..., s, :, t, :])[..., :, None, :, None] * gb[..., s_, None, :, t_, None, :]
+    else:
+        rho = np.einsum("abcd,...aecf,...bgdh->...egfh", weights, ga, gb)
     return rho.reshape(*gram.shape[:-5], 4, 4)
 
 

@@ -175,8 +175,8 @@ def _block_views(rows: np.ndarray, shape: tuple) -> tuple:
 
     shape is (-1, *axes, site), the shape of a coin's walker rows. Returns the coin planes of each
     row, (step, 2, 1, *shape); the rows' two shifting views, (step, 2, *shape), through which coin
-    0 lands one site right and coin 1 one site left; and the sites a coin-1 walker left past the
-    left edge, (step, walker): the spare amplitude before each walker's first coin-1 site.
+    0 lands one site right and coin 1 one site left; and the (step, walker) amplitudes that S1
+    pushed past the left edge, each in the memory just before its walker's coin-1 row.
     """
     count, m, size = rows.shape[0], rows.shape[2] - 1, rows.shape[3]
     flat = rows.reshape(count, -1)
@@ -190,12 +190,12 @@ def _block_views(rows: np.ndarray, shape: tuple) -> tuple:
 def _step_rows(src, out, views, coins, sites: slice, scratch, step) -> None:
     """One split step from the coin planes src into the zeroed row out, over the window sites in `sites`.
 
-    views are out's views from _block_views, at out's step; coins the columns of both coins. Each
-    coin acts on the sites in range as one product of its columns with both coin planes, into
-    scratch, and one sum over the input coin, col0 * (coin-0 plane) + col1 * (coin-1 plane), into
-    both planes of out through that coin's shifting view; the coins are real, so plain
-    broadcasting does the 2x2 product. Sites outside the range must hold no amplitude, and an
-    edge is checked only when the range reaches it.
+    views are out's coin planes, shifting views and left-edge amplitudes, as _block_views returns
+    them at out's step, and coins the columns of both coins. Each coin acts on the sites in range
+    as one product of its columns with both coin planes, into scratch, and one sum over the input
+    coin, col0 * (coin-0 plane) + col1 * (coin-1 plane), into both planes of out through that
+    coin's shifting view; the coins are real, so plain broadcasting does the 2x2 product. Sites
+    outside the range must hold no amplitude, and an edge is checked only when the range reaches it.
     """
     planes, shift0, shift1, left = views
     m, size = out.shape[1] - 1, out.shape[2]
