@@ -6,10 +6,12 @@ walk._CONE_MAX_ROWS walker rows (coins times walkers) steps every site once the 
 than half the window. This script sets that limit out of reach ("cone": the cone at every step)
 and to 0 ("whole": every site past half the window), steps pair-shaped walkers under random
 angles both ways in alternating rounds, and prints each way's best time and how often "whole" was
-faster. Rows are 8 per cell (coin, start coin, particle). Both ways give the same amplitudes
-inside the cone. On a shared 2-vCPU host, 40 rounds at 103 sites and 50 steps (a fig5 sweep)
-and at 203 sites and 100 steps (a pair figure): "whole" was faster in 2-7 rounds at 8 rows,
-7-19 at 16 to 32 rows, 18 and 30 at 40 rows, and 35-40 from 48 rows up; hence the limit of 40.
+faster. Rows are 8 per cell (coin, start coin, particle), and the walkers are float64, as a
+run's pair walkers are. Both ways give the same amplitudes inside the cone. On a shared 2-vCPU
+host (numpy 2.4.6), 40 rounds at 103 sites and 50 steps (a fig5 sweep) and at 203 sites and 100
+steps (a pair figure): "whole" was faster in 1-3 rounds at 8 rows, 5-6 at 16 rows, 21 and 40 at
+32 rows, 19 and 40 at 40 rows, 38 and 7 at 48 rows, and 36-40 from 64 rows up. The limit of 40
+was set on complex walkers (2-7, 7-19, 18 and 30, and 35-40 rounds from 48 rows up).
 
     python scripts/cone_rows_scan.py --cells 1,2,4,5,6,8,16 --rounds 30
 """
@@ -37,7 +39,7 @@ def main() -> int:
     limits = {"cone": 1 << 62, "whole": 0}
     for cells in map(int, args.cells.split(",")):
         field = np.random.default_rng(cells).uniform(-np.pi, np.pi, (2, win.size, n, cells, 2))
-        start = np.zeros((win.size, 2, 2, cells, 2), complex)  # (site, coin, start coin, cell, particle)
+        start = np.zeros((win.size, 2, 2, cells, 2))  # (site, coin, start coin, cell, particle), float as in a run
         start[win.index(0), 0, 0] = start[win.index(0), 1, 1] = 1.0
         coins = split_coins(field)
         times = {way: [] for way in limits}

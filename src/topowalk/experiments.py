@@ -420,15 +420,11 @@ def _draws(config: RunConfig) -> bool:
     return any(config.disorder.applies_to(p) for p in _particles(config))
 
 
-def _stored_steps(config: RunConfig) -> int:
-    """Steps of angles a cell's fields store: every step if a stepped walker draws, else at most
-    one, broadcast over the walk."""
-    return config.steps if _draws(config) else min(config.steps, 1)
-
-
 def _coin_table_size(config: RunConfig) -> int:
-    """Elements of one cell's coin table: rows (-s, c, s) of 2 angles per walker, site and stored step."""
-    return 3 * 2 * len(_particles(config)) * _resolved_window(config).size * _stored_steps(config)
+    """Elements of one cell's coin table: rows (-s, c, s) of 2 angles per walker, site and stored step.
+    The table stores every step if a stepped walker draws, else at most one, broadcast over the walk."""
+    stored = config.steps if _draws(config) else min(config.steps, 1)
+    return 3 * 2 * len(_particles(config)) * _resolved_window(config).size * stored
 
 
 # -- angle plumbing ---------------------------------------------------------------
@@ -471,10 +467,12 @@ def _resolved_window(config: RunConfig) -> LatticeWindow:
 def _walk_chunks(config: RunConfig, cells, first_step: int = 0):
     """Step cells (angles, seed) in chunks; yield each chunk's coin entropies and final observables.
 
-    A cell is the run under its angles, with fields drawn from its seed. A chunk's cells step
-    together on a trailing cell axis; it yields a (cell, step) entropy array from first_step on and
-    a function of a cell index, to call before the next chunk, giving that cell's observable after
-    the last step: a single walker's P(x), or a pair's joint distribution. A chunk holds at most 32
+    A cell is the run under its angles, with fields drawn from its seed (None if the walk draws
+    nothing); each walker's field stores every step only if the disorder draws its angles. A
+    chunk's cells step together on a trailing cell axis; it yields a (cell, step) entropy array
+    from first_step on and a function of a cell index, to call before the next chunk, giving that
+    cell's observable after the last step: a single walker's P(x), or a pair's joint distribution.
+    Coins are built on the light cone of the start only. A chunk holds at most 32
     cells (more ran slower), fewer if their coin tables would exceed MAX_ARRAY_ELEMENTS. A Hadamard
     walk has no angles to sample. A pair's block of steps is reduced over the light cone of its
     last step only: the sites outside it hold zeros, and the sums keep their bits without them.
@@ -483,17 +481,18 @@ def _walk_chunks(config: RunConfig, cells, first_step: int = 0):
     particles = _particles(config)
     coefficients = coin_coefficients(config.initial_state)
     chunk_size = max(1, min(32, MAX_ARRAY_ELEMENTS // max(_coin_table_size(config), 1)))
-    steps = _stored_steps(config)
+    # a walker's field stores every step if the disorder draws its angles, else one, broadcast
+    steps = [config.steps if config.disorder.applies_to(p) else min(config.steps, 1) for p in particles]
     cells = iter(cells)
     while chunk := list(islice(cells, chunk_size)):
         # each angle is copied in once, each field to a contiguous block (strided writes ran ~10x slower)
-        fields = np.empty((len(chunk), len(particles), 2, window.size, steps))
+        fields = [np.empty((len(chunk), 2, window.size, n)) for n in steps]
         for c, (angles, seed) in enumerate(chunk):
             for p, particle in enumerate(particles):
-                fields[c, p] = sample_angle_field(
-                    _particle_angles(angles, particle), config.disorder, steps, window, particle, seed
+                fields[p][c] = sample_angle_field(
+                    _particle_angles(angles, particle), config.disorder, steps[p], window, particle, seed
                 )
-        field = np.broadcast_to(fields.transpose(2, 3, 4, 0, 1), (2, window.size, config.steps, *fields.shape[:2]))
+        field = [np.broadcast_to(f.transpose(1, 2, 3, 0), (2, window.size, config.steps, len(chunk))) for f in fields]
         if len(particles) == 2:
             blocks = iter_product_walkers(config.initial_state, window, field)
             left, right = (window.index(x) for x in sorted(config.initial_state.positions))
@@ -504,7 +503,8 @@ def _walk_chunks(config: RunConfig, cells, first_step: int = 0):
 
             final = lambda c: joint_distribution_interference(amps[..., c, 0], amps[..., c, 1], coefficients)
         else:
-            coins = split_coins(field[..., 0]) if particles else hadamard_coins(window.size, config.steps)
+            origin = window.index(0)
+            coins = split_coins(field[0], (origin, origin)) if particles else hadamard_coins(window.size, config.steps)
             start = make_single_state(window, 0, config.coin_amps)[..., None]
             start = start if start.imag.any() else start.real  # a real start steps in float64
             blocks = trajectory(np.broadcast_to(start, (*start.shape[:2], len(chunk))), coins)
@@ -525,7 +525,8 @@ def _walk_chunks(config: RunConfig, cells, first_step: int = 0):
 
 def _run_replicates(config: RunConfig) -> RunArtifacts:
     """Mean coin entropy over replicates, with its spread, and the mean final observable."""
-    cells = ((config.angles, derive_seed(config.master_seed, r)) for r in range(config.ensemble_size))
+    draws = _draws(config)  # a walk that draws nothing needs no seed
+    cells = ((config.angles, derive_seed(config.master_seed, r) if draws else None) for r in range(config.ensemble_size))
     series, total = [], None
     for entropies, final in _walk_chunks(config, cells):
         series.append(entropies)
@@ -555,11 +556,13 @@ def _run_sweep(config: RunConfig) -> RunArtifacts:
     # follows a's cell angles, and a walker-b axis starts from them
     by_walker = lambda item: SWEEP_PARAMETERS[item[0]][0]
 
+    draws = _draws(config)  # a walk that draws nothing needs no seed
+
     def cell(i: int, j: int) -> tuple:
         angles = config.angles
         for name, value in sorted([(ax1.name, vals1[i]), (ax2.name, vals2[j])], key=by_walker):
             angles = _with_axis_value(angles, name, float(value))
-        return angles, derive_seed(derive_seed(config.master_seed, i, j), 0)
+        return angles, derive_seed(derive_seed(config.master_seed, i, j), 0) if draws else None
 
     shape = (len(vals1), len(vals2))
     tail = 1 if config.sweep_scalar == "final" else max(1, config.steps // 4)

@@ -68,27 +68,37 @@ def coin_coefficients(init: InitialPairState) -> np.ndarray:
     return c
 
 
-def iter_product_walkers(init: InitialPairState, window: LatticeWindow, field: np.ndarray):
+def iter_product_walkers(init: InitialPairState, window: LatticeWindow, field):
     """Iterate the pair's lone walkers at step 0 and after each step of field, in blocks of steps.
 
-    field holds both particles' angles, a (2, site, step, *cells, particle)
-    array, particle a then b. The walkers are one array with axes (site,
-    coin, start coin, *cells, particle): walkers[:, :, c, ..., p] is particle
-    p's lone walker started in coin |c> at its site in init.positions and
-    stepped under its field, each cell a run from the same start. Both
-    particles step in one walk.trajectory under split_coins(field), and each
-    yielded block is its float64 block of consecutive steps, with axes (step,
-    site, coin, start coin, *cells, particle), so block[s] is one step's walkers.
+    field holds both particles' angles, particle a then b: a (2, site, step,
+    *cells, particle) array, or one (2, site, step, *cells) array per particle,
+    so that a particle that draws no angles may store one step, broadcast over
+    the others, beside one that stores every step. The walkers are one array
+    with axes (site, coin, start coin, *cells, particle): walkers[:, :, c, ...,
+    p] is particle p's lone walker started in coin |c> at its site in
+    init.positions and stepped under its field, each cell a run from the same
+    start. Both particles step in one walk.trajectory under split_coins(field),
+    built on the light cone of the two start sites, and each yielded block is
+    its float64 block of consecutive steps, with axes (step, site, coin, start
+    coin, *cells, particle), so block[s] is one step's walkers.
     """
-    if field.ndim < 4 or field.shape[-1] != 2:
-        raise ValueError(f"field must have a trailing particle axis of 2, got shape {field.shape}")
-    cells = field.shape[3:-1]
+    if isinstance(field, np.ndarray):
+        if field.ndim < 4 or field.shape[-1] != 2:
+            raise ValueError(f"field must have a trailing particle axis of 2, got shape {field.shape}")
+        cells = field.shape[3:-1]
+    else:
+        shapes = [f.shape for f in field]
+        if len(shapes) != 2 or shapes[0] != shapes[1] or len(shapes[0]) < 3:
+            raise ValueError(f"field must be two particles' (2, site, step, *cells) fields, got shapes {shapes}")
+        cells = shapes[0][3:]
     starts = [
         np.stack([make_single_state(window, x, c).real for c in ((1, 0), (0, 1))], axis=-1)
         for x in init.positions
     ]
     starts = [np.broadcast_to(s.reshape(s.shape + (1,) * len(cells)), s.shape + cells) for s in starts]
-    return trajectory(np.stack(starts, axis=-1), split_coins(field))
+    occupied = tuple(window.index(x) for x in sorted(init.positions))
+    return trajectory(np.stack(starts, axis=-1), split_coins(field, occupied))
 
 
 @lru_cache(maxsize=8)
@@ -110,23 +120,32 @@ def pair_coin_density_from_singles(walkers: np.ndarray, coefficients: np.ndarray
     axes reduces a whole block of steps in one call. coefficients is C[c_a,
     c_b] (see coin_coefficients). Tracing the positions of a product superposition
     reduces to each particle's Gram tensor G[s, c, t, d] = sum_i w[i, c, s]
-    conj(w[i, d, t]) between its coin-0 and coin-1 starts; one complex einsum over
-    the site-last memory builds both particles' tensors. Real walkers under real
-    weights K = C conj(C), as every InitialPairState has, give a real rho: the
-    Gram tensors' real parts, combined over the nonzero weights only, in float64.
-    Complex walkers or weights give a complex rho.
+    conj(w[i, d, t]) between its coin-0 and coin-1 starts; one einsum over the
+    site-last memory builds both particles' tensors. Real walkers under real
+    weights K = C conj(C), as every InitialPairState has, give a real rho: one
+    float64 einsum sums each Gram entry in site order, with the bits of a complex
+    einsum's real parts, and the tensors are combined over the nonzero weights
+    only, in float64. Complex walkers or weights take the complex einsum and give
+    a complex rho.
     """
     if walkers.ndim < 4 or walkers.shape[1:3] != (2, 2) or walkers.shape[-1] != 2:
         raise ValueError(f"walkers must have axes (site, 2, 2, *cells, 2), got shape {walkers.shape}")
     weights, terms = _coin_weights(np.asarray(coefficients, dtype=complex).tobytes())
     real = terms is not None and not np.iscomplexobj(walkers)
     mem = walkers.transpose(*range(1, walkers.ndim), 0)  # (coin, start, *cells, particle, site)
-    mem = mem.astype(complex, copy=False)  # the complex einsum's sums, whose real parts keep their bits
-    gram = np.einsum("cs...i,dt...i->...sctd", mem, mem.conj())  # (*cells, particle, s, c, t, d)
+    if real:
+        # the float sums in site order, as the complex einsum's real parts: numpy's einsum takes its
+        # SIMD partial sums over a contiguous float axis, and its sequential strided loop over a
+        # site stride of two floats (a loop choice of numpy's, which the pinned bytes guard)
+        copy = np.empty(mem.shape + (2,))[..., 0]
+        copy[...] = mem
+        gram = np.einsum("cs...i,dt...i->...sctd", copy, copy)  # (*cells, particle, s, c, t, d)
+    else:
+        mem = mem.astype(complex, copy=False)
+        gram = np.einsum("cs...i,dt...i->...sctd", mem, mem.conj())
     ga, gb = gram[..., 0, :, :, :, :], gram[..., 1, :, :, :, :]
     # rho[(ca, cb), (ca', cb')] = sum C[s, s'] conj(C[t, t']) Ga[s, ca, t, ca'] Gb[s', cb, t', cb']
     if real:  # the einsum's terms in its order, (s, s', t, t'), less those of zero weight
-        ga, gb = ga.real, gb.real
         rho = np.zeros((*gram.shape[:-5], 2, 2, 2, 2))
         for (s, s_, t, t_), k in terms:
             rho += (k * ga[..., s, :, t, :])[..., :, None, :, None] * gb[..., s_, None, :, t_, None, :]

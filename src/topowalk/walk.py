@@ -35,7 +35,8 @@ RUNTIME_NORM_TOL = 1e-8
 
 # Walker rows (coins times walkers) above which a step whose light cone spans more than half the
 # window computes every site: numpy's loop overhead on each row of a range then outweighs the saving.
-# scripts/cone_rows_scan.py times both ways: whole windows were faster from 48 rows up, not below 40.
+# scripts/cone_rows_scan.py times both ways. On complex rows, whole windows were faster from 48 rows up,
+# not below 40; on float rows, as runs step now, they were faster from 64 rows up and split at 32-48.
 _CONE_MAX_ROWS = 40
 
 # Amplitudes per trajectory block: a one-cell walk takes several steps per block, so that the
@@ -215,25 +216,41 @@ def _step_rows(src, out, views, coins, sites: slice, scratch, step) -> None:
         out[1, :m, -1] = 0.0  # S1 shifts in zeros where the first coin's sums or a leaving amplitude sat
 
 
-def split_coins(field: np.ndarray) -> np.ndarray:
-    """The coins of a (2, site, step, *batch) field, as trajectory() takes them.
+def split_coins(field, occupied: tuple[int, int] | None = None) -> np.ndarray:
+    """The coins of a field, as trajectory() takes them.
 
+    field is a (2, site, step, *batch) array, or a sequence of (2, site, step, *cells) arrays that
+    are the entries of a last batch axis, batch = (*cells, entry), as a pair's particles a and b.
     Returns the read-only (2, 2, step, coin, 1, *batch, site) columns cols[k, c] = m[c, k] of each
-    step's two coins. Every coin the field stores is built once, as the rows (-s, c, s) of the
-    half angles: the coin columns ([c, s], [-s, c]) are then the views rows[1:3] and rows[0:2]. A
-    field whose step axis is broadcast (stride 0) stores one step, read at every step.
+    step's two coins. Every coin a field stores is built once, as the rows (-s, c, s) of the half
+    angles: the coin columns ([c, s], [-s, c]) are then the views rows[1:3] and rows[0:2]. A field
+    whose step axis is broadcast (stride 0) stores one step. A table of such fields alone stores one
+    step, read at every step; beside a field that stores every step, a one-step field's coins are
+    built once and copied to every step. Given the start's occupied sites (a, b) as window indices,
+    a field that stores every step gets its coins at step t only on the sites [a - t, b + t + 1]
+    that trajectory's step t reads, and zeros elsewhere, so an angle outside them is never read.
+    Each coin built keeps the bits of a full table's, whichever way it was built.
     """
-    n_steps = field.shape[2]
-    field = field[:, :, :1] if field.strides[2] == 0 else field  # a broadcast step axis: its one step, or none
-    shape = (3, field.shape[2], 2, *field.shape[3:], field.shape[1])
-    rows = np.empty(shape)
-    np.divide(field.transpose(2, 0, *range(3, field.ndim), 1), 2.0, out=rows[0])
-    np.cos(rows[0], out=rows[1])
-    np.sin(rows[0], out=rows[2])
-    np.negative(rows[2], out=rows[0])
+    single = isinstance(field, np.ndarray)
+    fields = [field] if single else list(field)
+    size, n_steps = fields[0].shape[1:3]
+    fields = [f[:, :, :1] if f.strides[2] == 0 else f for f in fields]  # a broadcast step axis: its one step, or none
+    stored = max(f.shape[2] for f in fields)
+    shape = (3, stored, 2, *fields[0].shape[3:], *(() if single else (len(fields),)), size)
+    rows = np.zeros(shape)
+    for f, out in zip(fields, [rows] if single else np.moveaxis(rows, -2, 0)):
+        steps, where = f.shape[2], True
+        if occupied is not None and steps == n_steps:  # the sites step t reads, a - t <= i <= b + t + 1
+            t, i = np.ogrid[:steps, :size]
+            where = ((occupied[0] - t <= i) & (i <= occupied[1] + t + 1)).reshape(steps, *(1,) * (f.ndim - 2), size)
+        np.divide(f.transpose(2, 0, *range(3, f.ndim), 1), 2.0, out=out[0, :steps], where=where)
+        np.cos(out[0, :steps], out=out[1, :steps], where=where)
+        np.sin(out[0, :steps], out=out[2, :steps], where=where)
+        np.negative(out[2, :steps], out=out[0, :steps], where=where)
+        out[:, steps:] = out[:, :1]  # a one-step field's coins at each step of a full table
     # the columns as one view of the table, cols[k, c] = rows[1 - k + c]
     table = rows.reshape(shape[:3] + (1,) + shape[3:])[1]
-    step_stride = table.strides[0] if shape[1] == n_steps else 0  # one stored step serves every step
+    step_stride = table.strides[0] if stored == n_steps else 0  # one stored step serves every step
     strides = (-rows.strides[0], rows.strides[0], step_stride, *table.strides[1:])
     return np.lib.stride_tricks.as_strided(table, (2, 2, n_steps, *table.shape[1:]), strides, writeable=False)
 

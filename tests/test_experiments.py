@@ -57,6 +57,7 @@ from topowalk.experiments import (
     _digit_words,
     _exponent_words,
     _particle_angles,
+    _particles,
     _pow10_table,
     _with_axis_value,
     _write_table,
@@ -867,8 +868,19 @@ class TestPairRouteAgainstDenseOracle:
 class TestPairReplicates:
     def test_replicates_equal_the_lone_replicate_loop(self):
         # 33 replicates step in chunks of 32; each must keep the bits of a run on its own
+        self.assert_equal_to_the_lone_replicate_loop("both")
+
+    @pytest.mark.parametrize("target", ["a", "b"])
+    def test_replicates_with_disorder_on_one_walker_equal_the_lone_replicate_loop(self, target):
+        # the walker that draws nothing stores one step, the other every step, in one coin table
+        self.assert_equal_to_the_lone_replicate_loop(target)
+
+    @staticmethod
+    def assert_equal_to_the_lone_replicate_loop(target):
+        """A 33-replicate run under strong disorder on target equals a loop of lone replicates, each
+        stepped under its two full fields."""
         cfg = config_from_dict(
-            minimal_pair_dict(steps=12, ensemble_size=33, disorder={"kind": "strong", "target": "both"})
+            minimal_pair_dict(steps=12, ensemble_size=33, disorder={"kind": "strong", "target": target})
         )
         art = run(cfg)
         window = LatticeWindow(cfg.steps + 1)
@@ -912,12 +924,13 @@ class TestPairReplicates:
         chunks = []
 
         def walkers(init, window, field):
-            chunks.append(field.shape[-2])  # the cell axis, before the particle axis
+            (cells,) = {f.shape[-1] for f in field}  # each particle's field ends in the cell axis
+            chunks.append(cells)
             return iter_product_walkers(init, window, field)
 
-        def coins(field):
+        def coins(field, occupied):
             chunks.append(field.shape[-1])  # a single walker's field ends in the cell axis
-            return split_coins(field)
+            return split_coins(field, occupied)
 
         monkeypatch.setattr(experiments, "iter_product_walkers", walkers)
         monkeypatch.setattr(experiments, "split_coins", coins)
@@ -932,23 +945,52 @@ class TestPairReplicates:
             assert getattr(chunked, observable).tobytes() == getattr(whole, observable).tobytes()
 
     @pytest.mark.parametrize("kind", ["single_split", "pair", "entropy_sweep"])
-    @pytest.mark.parametrize("disorder", [{"kind": "none"}, {"kind": "weak", "target": "a"}])
+    @pytest.mark.parametrize("drawn", [False, True])
+    def test_seeds_are_derived_only_for_walks_that_draw(self, kind, drawn, monkeypatch):
+        # a walk that draws nothing derives no seed; one that draws derives each cell's as before
+        data = minimal_dict(kind, disorder={"kind": "weak", "target": "a"} if drawn else {"kind": "none"})
+        if drawn and kind != "entropy_sweep":
+            data["ensemble_size"] = 3
+        cfg = config_from_dict(data)
+        expected = run(cfg)
+        calls = []
+
+        def counted(*key):
+            calls.append(key)
+            return derive_seed(*key)
+
+        monkeypatch.setattr(experiments, "derive_seed", counted)
+        art = run(cfg)
+        # a replicate's seed is derive_seed(master_seed, r), a 2x2 sweep cell's derive_seed(derive_seed(...), 0)
+        assert len(calls) == (0 if not drawn else 8 if kind == "entropy_sweep" else 3)
+        for name in ("heatmap", "entropy", "joint", "distribution"):
+            if getattr(expected, name) is not None:
+                assert getattr(art, name).tobytes() == getattr(expected, name).tobytes()
+
+    @pytest.mark.parametrize("kind", ["single_split", "pair", "entropy_sweep"])
+    @pytest.mark.parametrize(
+        "disorder", [{"kind": "none"}, {"kind": "weak", "target": "a"}, {"kind": "weak", "target": "both"}]
+    )
     def test_a_walk_that_draws_nothing_stores_one_step(self, kind, disorder, monkeypatch):
-        # the config says whether a stepped walker draws; if none does, the field's step axis is broadcast
-        step_strides = []
+        # the config says whether each stepped walker draws; the field of one that does not has its
+        # step axis broadcast, whatever the other walker's field stores
+        step_strides = []  # (particle, the step stride of its field)
 
         def walkers(init, window, field):
-            step_strides.append(field.strides[2])
+            step_strides.extend(zip("ab", (f.strides[2] for f in field), strict=True))
             return iter_product_walkers(init, window, field)
 
-        def coins(field):
-            step_strides.append(field.strides[2])
-            return split_coins(field)
+        def coins(field, occupied):
+            step_strides.append(("a", field.strides[2]))
+            return split_coins(field, occupied)
 
         monkeypatch.setattr(experiments, "iter_product_walkers", walkers)
         monkeypatch.setattr(experiments, "split_coins", coins)
-        run(config_from_dict(minimal_dict(kind, disorder=disorder)))
-        assert step_strides and all((stride == 0) == (disorder["kind"] == "none") for stride in step_strides)
+        cfg = config_from_dict(minimal_dict(kind, disorder=disorder))
+        assert cfg.steps > 1
+        run(cfg)
+        assert {p for p, _ in step_strides} == set(_particles(cfg))
+        assert all((stride == 0) == (not cfg.disorder.applies_to(p)) for p, stride in step_strides)
 
 
 class TestStepBlocks:

@@ -711,6 +711,75 @@ class TestLightCone:
             list(trajectory(start, split_coins(constant_field(0.0, 0.0, 4, win))))
 
 
+class TestConeCoins:
+    """Given the start's occupied sites (a, b), split_coins builds step t's coins on the sites
+    [a - t, b + t + 1] that trajectory's step t reads, with the full table's bits, and zeros elsewhere;
+    a field whose step axis is broadcast gets its one step's coins at every site and step."""
+
+    @pytest.mark.parametrize("cells", [(), (3,)])
+    def test_coins_equal_the_full_table_inside_the_cone_and_zero_outside(self, cells):
+        win, n = LatticeWindow(20), 14
+        field = np.random.default_rng(21).uniform(-2 * np.pi, 2 * np.pi, (2, win.size, n, *cells, 2))
+        steady = np.broadcast_to(field[:, :, :1, ..., 1], field.shape[:-1])  # a walker b that draws nothing
+        a, b = win.index(-3), win.index(2)
+        stacked = np.stack([field[..., 0], steady], axis=-1)
+        # (coins, full rows, whether each particle's coins are limited to the cone)
+        tables = [
+            (split_coins(field, (a, b)), full_coin_rows(field), (True, True)),
+            (split_coins([field[..., 0], steady], (a, b)), full_coin_rows(stacked), (True, False)),
+            (split_coins([steady, steady], (a, b)), full_coin_rows(np.stack([steady, steady], axis=-1)), (False, False)),
+        ]
+        for coins, rows, in_cone in tables:
+            assert coins.shape == (2, 2, n, 2, 1, *cells, 2, win.size)
+            for t in range(n):
+                lo, hi = max(a - t, 0), min(b + t + 2, win.size)
+                for k in range(2):
+                    for c in range(2):
+                        got, expected = coins[k, c, t, :, 0], rows[1 - k + c, t]
+                        for p, limited in enumerate(in_cone):
+                            if not limited:
+                                assert got[..., p, :].tobytes() == expected[..., p, :].tobytes()
+                                continue
+                            assert got[..., p, lo:hi].tobytes() == expected[..., p, lo:hi].tobytes()
+                            outside = np.concatenate([got[..., p, :lo], got[..., p, hi:]], axis=-1)
+                            assert not outside.any() and not np.signbit(outside).any()
+        assert tables[2][0].strides[2] == 0  # fields that all store one step give a one-step table
+
+    @pytest.mark.parametrize("cells", [3, 20])
+    def test_steps_equal_the_full_table_oracle(self, cells):
+        # 3 cells (24 walker rows) step every range over the cone; 20 cells (160 rows) step the whole
+        # window once the cone spans half of it, where the zero coins outside it meet zero amplitudes
+        win, n = LatticeWindow(12), 11
+        rng = np.random.default_rng(cells + 1)
+        field = rng.uniform(-np.pi, np.pi, (2, win.size, n, cells, 2))
+        start = started_at(win, [-1, 0], (2, cells, 2), 5)  # (site, coin, start coin, cell, particle)
+        coins = split_coins(field, (win.index(-1), win.index(0)))
+        assert_cone_steps(start, coins, full_table_stepper(field))
+        assert_cone_steps(normalized(start.real), coins, full_table_stepper(field))  # a float walk too
+
+    def test_an_angle_outside_the_cone_is_never_read(self):
+        # step 3 of a start at the origin reads sites [-3, 4]: a NaN angle at site 4 still ends the walk
+        # there, and an infinite one at site 5, whose cos would warn, is never taken
+        win, n = LatticeWindow(15), 10
+        field = np.random.default_rng(22).uniform(-np.pi, np.pi, (2, win.size, n))
+        start, origin = make_single_state(win, 0, (1, 0)), (win.index(0),) * 2
+        clean = stepped(start, split_coins(field, origin))
+        inside, outside = field.copy(), field.copy()
+        inside[1, win.index(4), 3] = np.nan
+        outside[1, win.index(5), 3] = np.inf
+        assert stepped(start, split_coins(outside, origin)).tobytes() == clean.tobytes()
+        with pytest.raises(NumericalError, match="at step 4$"):
+            stepped(start, split_coins(inside, origin))
+
+    def test_a_narrower_cone_than_the_starts_fails(self):
+        # coins built for a start at the origin leave a start that also holds site -1 with zero coins there
+        win, n = LatticeWindow(10), 4
+        field = np.random.default_rng(23).uniform(-np.pi, np.pi, (2, win.size, n))
+        start = started_at(win, [-1, 0], (), 24)
+        with pytest.raises(NumericalError, match="at step 1$"):
+            stepped(start, split_coins(field, (win.index(0), win.index(0))))
+
+
 def walk_outcome(start, coins):
     """The blocks trajectory yields for start under coins, and the error it then raises, if any."""
     blocks = []
