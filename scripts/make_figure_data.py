@@ -6,10 +6,10 @@ Each JSON in configs/ is a self-contained experiment; outputs land in
 script runs without installing it. Each line gives a config's time, split
 into run() and write_artifacts(), and for a single or pair walk the winding
 number of each walker's angles (minus|plus for a boundary). Five runs on a
-shared 2-vCPU host took 1.0–1.2 s for the whole set, most of it the six fig5
-sweeps: 0.08–0.11 s each for the four without disorder, whose fields are one
-step broadcast over the walk, and 0.23–0.35 s each for the two disordered
-ones. Each 100-step pair config took 0.02–0.03 s, 0.01–0.02 s of it writing
+shared 2-vCPU host took 0.8–1.1 s for the whole set, most of it the six fig5
+sweeps: 0.07–0.11 s each for the four without disorder, whose fields are one
+step broadcast over the walk, and 0.21–0.34 s each for the two disordered
+ones. Each 100-step pair config took 0.01–0.04 s, about 0.01 s of it writing
 its data files (the 41,209-row joint.csv most of that). The fig2 phase
 diagram (64×64 points, 1,024 k-points) takes 0.01 s in this script's cold
 run() and 0.002–0.004 s in warm ones, one kernel call over the whole grid: only

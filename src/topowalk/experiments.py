@@ -526,7 +526,8 @@ def _walk_chunks(config: RunConfig, cells, first_step: int = 0):
 def _run_replicates(config: RunConfig) -> RunArtifacts:
     """Mean coin entropy over replicates, with its spread, and the mean final observable."""
     draws = _draws(config)  # a walk that draws nothing needs no seed
-    cells = ((config.angles, derive_seed(config.master_seed, r) if draws else None) for r in range(config.ensemble_size))
+    seeds = (derive_seed(config.master_seed, r) if draws else None for r in range(config.ensemble_size))
+    cells = ((config.angles, seed) for seed in seeds)
     series, total = [], None
     for entropies, final in _walk_chunks(config, cells):
         series.append(entropies)

@@ -8,7 +8,9 @@ depend on site and step; each coin reads the angle at the site where the
 amplitude currently sits. A walker's angle field is a (2, site, step) array
 holding the theta1 and theta2 planes. A walk is its table of coins:
 split_coins(field) and hadamard_coins(size, n_steps) return the two coins'
-columns at every step, and trajectory(amps, coins) steps walker arrays with
+columns at every step; split_coins stores one step of a field that stores one,
+and, given the start's occupied sites, builds each step's coins only on the
+light cone that step reads. trajectory(amps, coins) steps walker arrays with
 axes (site, coin, *walkers), as in states.py, once per step of the table. The
 coins and shifts are real, so a walk steps in its start's dtype: a real start
 in float64, a complex one in complex128. It yields the steps in blocks with a

@@ -727,7 +727,7 @@ class TestConeCoins:
         tables = [
             (split_coins(field, (a, b)), full_coin_rows(field), (True, True)),
             (split_coins([field[..., 0], steady], (a, b)), full_coin_rows(stacked), (True, False)),
-            (split_coins([steady, steady], (a, b)), full_coin_rows(np.stack([steady, steady], axis=-1)), (False, False)),
+            (split_coins([steady] * 2, (a, b)), full_coin_rows(np.stack([steady] * 2, axis=-1)), (False, False)),
         ]
         for coins, rows, in_cone in tables:
             assert coins.shape == (2, 2, n, 2, 1, *cells, 2, win.size)
