@@ -84,6 +84,10 @@ SWEEP_PARAMETERS = {
     "theta2b_plus": ("b", 1, "plus"),
 }
 
+# The data files write_artifacts writes: the only files a previous run's manifest has it remove.
+_DATA_FILES = frozenset({"entropy.csv", "distribution.csv", "distribution_a.csv", "distribution_b.csv", "joint.csv",
+                         "heatmap.csv", "phase.csv"})
+
 # Largest array a config may ask for, in elements (512 MiB of float64).
 MAX_ARRAY_ELEMENTS = 2**26
 
@@ -742,13 +746,22 @@ def _write_table(path: Path, header: str, kinds: str, *columns) -> None:
 
 
 def write_artifacts(artifacts: RunArtifacts, out_dir) -> list[Path]:
-    """Write selected CSV artifacts plus manifest.json; returns the paths written.
+    """Write selected CSV artifacts plus manifest.json; returns the paths written, manifest last.
 
     Data files are byte-stable for a fixed (config, master_seed); wall-clock
-    metadata lives only in the manifest.
+    metadata lives only in the manifest. A run owns out_dir: a previous run's files
+    are removed, and the manifest is written last, so a failed write leaves none.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    manifest_path = out / "manifest.json"
+    try:  # a previous run's manifest goes first, then the data files it lists
+        listed = {str(name) for name in json.loads(manifest_path.read_bytes())["files"]}
+    except (FileNotFoundError, ValueError, TypeError, KeyError):  # none, or not a list of files: none listed
+        listed = set()
+    manifest_path.unlink(missing_ok=True)
+    for name in listed & _DATA_FILES:  # this writer's names only: an edited manifest removes no other file
+        (out / name).unlink(missing_ok=True)
     config = artifacts.config
     selected = config.outputs  # None means every computed artifact
     written: list[Path] = []
@@ -798,8 +811,8 @@ def write_artifacts(artifacts: RunArtifacts, out_dir) -> list[Path]:
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "files": [p.name for p in written],
     }
-    manifest_path = out / "manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
+    partial = out / "manifest.json.tmp"
+    partial.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
+    partial.replace(manifest_path)
     written.append(manifest_path)
     return written

@@ -3,10 +3,10 @@
 A noninteracting pair started in a superposition of coin products stays a
 superposition of products of single-walker states, so pair observables are
 assembled from four lone walkers: the coin-|0> and coin-|1> starts of each
-particle, stepped under that particle's field. All four are one array with
-axes (site, coin, start coin, particle), and both particles step together,
-in blocks of consecutive steps. The starts and the coins are real, so the
-walkers are float64, and so are the coin density matrices built from them.
+particle, each stepped under its particle's own field. All four are one
+array with axes (site, coin, start coin, particle), and both particles step
+together, in blocks of consecutive steps. The starts and the coins are real,
+so the walkers are float64, and the coin density matrices take only float64.
 """
 
 from __future__ import annotations
@@ -68,89 +68,75 @@ def coin_coefficients(init: InitialPairState) -> np.ndarray:
     return c
 
 
-def iter_product_walkers(init: InitialPairState, window: LatticeWindow, field):
-    """Iterate the pair's lone walkers at step 0 and after each step of field, in blocks of steps.
+def iter_product_walkers(init: InitialPairState, window: LatticeWindow, fields):
+    """Iterate the pair's lone walkers at step 0 and after each step of fields, in blocks of steps.
 
-    field holds both particles' angles, particle a then b: a (2, site, step,
-    *cells, particle) array, or one (2, site, step, *cells) array per particle,
-    so that a particle that draws no angles may store one step, broadcast over
-    the others, beside one that stores every step. The walkers are one array
-    with axes (site, coin, start coin, *cells, particle): walkers[:, :, c, ...,
-    p] is particle p's lone walker started in coin |c> at its site in
-    init.positions and stepped under its field, each cell a run from the same
-    start. Both particles step in one walk.trajectory under split_coins(field),
-    built on the light cone of the two start sites, and each yielded block is
-    its float64 block of consecutive steps, with axes (step, site, coin, start
-    coin, *cells, particle), so block[s] is one step's walkers.
+    fields is (field_a, field_b), one (2, site, step, *cells) field per
+    particle, each stored or broadcast over the steps on its own; an ndarray
+    is a ValueError. The walkers are one float64 array with axes (site, coin,
+    start coin, *cells, particle): walkers[:, :, c, ..., p] is particle p's
+    lone walker started in coin |c> at its site in init.positions and stepped
+    under its field, each cell a run from the same start. Both particles step
+    in one walk.trajectory under split_coins(fields), built on the light cone
+    of the two start sites, and each yielded block has axes (step, site, coin,
+    start coin, *cells, particle), so block[s] is one step's walkers.
     """
-    if isinstance(field, np.ndarray):
-        if field.ndim < 4 or field.shape[-1] != 2:
-            raise ValueError(f"field must have a trailing particle axis of 2, got shape {field.shape}")
-        cells = field.shape[3:-1]
-    else:
-        shapes = [f.shape for f in field]
-        if len(shapes) != 2 or shapes[0] != shapes[1] or len(shapes[0]) < 3:
-            raise ValueError(f"field must be two particles' (2, site, step, *cells) fields, got shapes {shapes}")
-        cells = shapes[0][3:]
-    starts = [
-        np.stack([make_single_state(window, x, c).real for c in ((1, 0), (0, 1))], axis=-1)
-        for x in init.positions
-    ]
-    starts = [np.broadcast_to(s.reshape(s.shape + (1,) * len(cells)), s.shape + cells) for s in starts]
+    shapes = None if isinstance(fields, np.ndarray) else [f.shape for f in fields]
+    if shapes is None or len(shapes) != 2 or shapes[0] != shapes[1] or len(shapes[0]) < 3:
+        got = f"an array of shape {fields.shape}" if shapes is None else f"shapes {shapes}"
+        raise ValueError(f"fields must be two particles' (2, site, step, *cells) fields, got {got}")
+    cells = shapes[0][3:]
+    lone = [make_single_state(window, x, c).real for c in ((1, 0), (0, 1)) for x in init.positions]
+    start = np.stack(lone, axis=-1).reshape(window.size, 2, 2, *(1,) * len(cells), 2)
+    start = np.broadcast_to(start, (window.size, 2, 2, *cells, 2))  # (site, coin, start coin, *cells, particle)
     occupied = tuple(window.index(x) for x in sorted(init.positions))
-    return trajectory(np.stack(starts, axis=-1), split_coins(field, occupied))
+    return trajectory(start, split_coins(fields, occupied))
 
 
 @lru_cache(maxsize=8)
 def _coin_weights(coefficients: bytes) -> tuple:
-    """K[a, b, c, d] = C[a, b] conj(C[c, d]) for the bytes of a complex C, one per pair state, and,
-    if K is real, its nonzero terms ((a, b, c, d), K[a, b, c, d].real) in index order, else None."""
+    """The nonzero weights K[a, b, c, d] = C[a, b] conj(C[c, d]) of the bytes of a complex C, one
+    per pair state, as ((a, b, c, d), K[a, b, c, d].real) in index order; a complex K is a ValueError."""
     c = np.frombuffer(coefficients, dtype=complex).reshape(2, 2)
     weights = np.einsum("ab,cd->abcd", c, c.conj())
-    weights.flags.writeable = False
-    terms = None if weights.imag.any() else tuple((i, weights.real[i]) for i in zip(*np.nonzero(weights)))
-    return weights, terms
+    if weights.imag.any():
+        raise ValueError(f"pair coefficients {c.tolist()} have weights C conj(C) that are not real")
+    return tuple((i, weights.real[i]) for i in zip(*np.nonzero(weights)))
 
 
 def pair_coin_density_from_singles(walkers: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """4x4 coin density matrix of the evolved pair per cell, a (*cells, 4, 4) array.
+    """4x4 coin density matrix of the evolved pair per cell, a float64 (*cells, 4, 4) array.
 
-    walkers is a (site, coin, start coin, *cells, particle) array, one step of
-    what iter_product_walkers yields; a block's step axis moved among the cell
-    axes reduces a whole block of steps in one call. coefficients is C[c_a,
-    c_b] (see coin_coefficients). Tracing the positions of a product superposition
-    reduces to each particle's Gram tensor G[s, c, t, d] = sum_i w[i, c, s]
-    conj(w[i, d, t]) between its coin-0 and coin-1 starts; one einsum over the
-    site-last memory builds both particles' tensors. Real walkers under real
-    weights K = C conj(C), as every InitialPairState has, give a real rho: one
-    float64 einsum sums each Gram entry in site order, with the bits of a complex
-    einsum's real parts, and the tensors are combined over the nonzero weights
-    only, in float64. Complex walkers or weights take the complex einsum and give
-    a complex rho.
+    walkers is a float64 (site, coin, start coin, *cells, particle) array, one
+    step of what iter_product_walkers yields; a block's step axis moved among
+    the cell axes reduces a whole block of steps in one call. coefficients is
+    C[c_a, c_b] (see coin_coefficients), whose weights K = C conj(C) must be
+    real, as every InitialPairState's are. Tracing the positions of a product
+    superposition reduces to each particle's Gram tensor G[s, c, t, d] = sum_i
+    w[i, c, s] w[i, d, t] between its coin-0 and coin-1 starts; one float64
+    einsum over the site-last memory builds both particles' tensors, summing
+    each entry in site order, with the bits of a complex einsum's real parts,
+    and the tensors are combined over the nonzero weights only, in float64.
+    Complex walkers and weights that are not real are a ValueError.
     """
     if walkers.ndim < 4 or walkers.shape[1:3] != (2, 2) or walkers.shape[-1] != 2:
         raise ValueError(f"walkers must have axes (site, 2, 2, *cells, 2), got shape {walkers.shape}")
-    weights, terms = _coin_weights(np.asarray(coefficients, dtype=complex).tobytes())
-    real = terms is not None and not np.iscomplexobj(walkers)
+    if walkers.dtype != float:
+        raise ValueError(f"walkers must be float64, got dtype {walkers.dtype}")
+    terms = _coin_weights(np.asarray(coefficients, dtype=complex).tobytes())
     mem = walkers.transpose(*range(1, walkers.ndim), 0)  # (coin, start, *cells, particle, site)
-    if real:
-        # the float sums in site order, as the complex einsum's real parts: numpy's einsum takes its
-        # SIMD partial sums over a contiguous float axis, and its sequential strided loop over a
-        # site stride of two floats (a loop choice of numpy's, which the pinned bytes guard)
-        copy = np.empty(mem.shape + (2,))[..., 0]
-        copy[...] = mem
-        gram = np.einsum("cs...i,dt...i->...sctd", copy, copy)  # (*cells, particle, s, c, t, d)
-    else:
-        mem = mem.astype(complex, copy=False)
-        gram = np.einsum("cs...i,dt...i->...sctd", mem, mem.conj())
+    # the float sums in site order, as the complex einsum's real parts: numpy's einsum takes its
+    # SIMD partial sums over a contiguous float axis, and its sequential strided loop over a
+    # site stride of two floats (a loop choice of numpy's, which the pinned bytes guard)
+    copy = np.empty(mem.shape + (2,))[..., 0]
+    copy[...] = mem
+    gram = np.einsum("cs...i,dt...i->...sctd", copy, copy)  # (*cells, particle, s, c, t, d)
     ga, gb = gram[..., 0, :, :, :, :], gram[..., 1, :, :, :, :]
-    # rho[(ca, cb), (ca', cb')] = sum C[s, s'] conj(C[t, t']) Ga[s, ca, t, ca'] Gb[s', cb, t', cb']
-    if real:  # the einsum's terms in its order, (s, s', t, t'), less those of zero weight
-        rho = np.zeros((*gram.shape[:-5], 2, 2, 2, 2))
-        for (s, s_, t, t_), k in terms:
-            rho += (k * ga[..., s, :, t, :])[..., :, None, :, None] * gb[..., s_, None, :, t_, None, :]
-    else:
-        rho = np.einsum("abcd,...aecf,...bgdh->...egfh", weights, ga, gb)
+    # rho[(ca, cb), (ca', cb')] = sum K[s, s', t, t'] Ga[s, ca, t, ca'] Gb[s', cb, t', cb'], in a
+    # complex einsum's order, (s, s', t, t'), less the terms of zero weight
+    rho = np.zeros((*gram.shape[:-5], 2, 2, 2, 2))
+    for (s, s_, t, t_), k in terms:
+        rho += (k * ga[..., s, :, t, :])[..., :, None, :, None] * gb[..., s_, None, :, t_, None, :]
     return rho.reshape(*gram.shape[:-5], 4, 4)
 
 

@@ -2,8 +2,8 @@
 
 A walker is a dense float64 or complex128 array with axes (position, coin,
 *walkers): one walker is a (size, 2) array, and trailing axes stack walkers
-stepped together. make_single_state returns a complex walker; a real one (its
-.real, when no amplitude has an imaginary part) steps in float64.
+stepped together. make_single_state returns a complex walker; its .real, when
+no amplitude has an imaginary part, steps in float64, as a pair's walkers do.
 Positions run x = -L..+L; array index 0 corresponds to x = -L.
 """
 

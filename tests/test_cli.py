@@ -113,6 +113,65 @@ class TestBadPaths:
             main(["walk", "--steps", "3", "--out", str(tmp_path / "run")])
 
 
+class TestOutputDirectory:
+    """A run owns its output directory: a previous run's manifest and the data files it lists go
+    before the run writes, and the run's manifest comes last."""
+
+    WALK = ["walk", "--steps", "5"]
+
+    def test_a_run_leaves_only_its_own_files_beside_unknown_ones(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        assert main(["pair", "--steps", "5", "--out", str(out)]) == 0
+        assert main([*self.WALK, "--out", str(out)]) == 0
+        files = read_manifest(out)["files"]
+        assert files == ["entropy.csv", "distribution.csv"]
+        assert sorted(p.name for p in out.iterdir()) == sorted([*files, "manifest.json", "notes.txt"])
+        assert (out / "notes.txt").read_text() == "kept"
+
+    def test_an_edited_manifest_removes_only_the_writers_files(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        outside = tmp_path / "outside.csv"
+        for path in (outside, out / "notes.txt", out / "joint.csv"):
+            path.write_text("old")
+        listed = ["notes.txt", "../outside.csv", str(outside), "joint.csv", "./phase.csv", ["x"], {"y": 1}]
+        (out / "manifest.json").write_text(json.dumps({"files": listed}))
+        assert main([*self.WALK, "--out", str(out)]) == 0
+        assert not (out / "joint.csv").exists()
+        assert outside.read_text() == (out / "notes.txt").read_text() == "old"
+
+    @pytest.mark.parametrize("text", ["not json", "[1, 2]", '"files"', '{"files": 3}', '{"config": {}}'])
+    def test_a_manifest_that_lists_no_files_is_replaced(self, tmp_path, text):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text(text)
+        (out / "joint.csv").write_text("old")
+        assert main([*self.WALK, "--out", str(out)]) == 0
+        assert read_manifest(out)["files"] == ["entropy.csv", "distribution.csv"]
+        assert (out / "joint.csv").read_text() == "old"  # no manifest lists it
+
+    def test_a_write_that_fails_partway_leaves_no_manifest(self, tmp_path, monkeypatch, capsys):
+        import topowalk.experiments as experiments
+
+        out = tmp_path / "out"
+        assert main([*self.WALK, "--out", str(out)]) == 0
+        write_table, names = experiments._write_table, []
+
+        def failing(path, *args):
+            names.append(path.name)
+            if len(names) == 2:
+                raise OSError(28, "No space left on device")
+            write_table(path, *args)
+
+        monkeypatch.setattr(experiments, "_write_table", failing)
+        assert main(["pair", "--steps", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.endswith("No space left on device\n")
+        # the walk's files are gone, and the pair's first file has no manifest to describe it
+        assert [p.name for p in out.iterdir()] == names[:1] == ["entropy.csv"]
+
+
 class TestPairCommand:
     def test_two_phase_pair_run(self, tmp_path):
         out = tmp_path / "run"

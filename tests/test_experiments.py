@@ -893,8 +893,7 @@ class TestPairReplicates:
                 for p in ("a", "b")
             ]
             rhos = []
-            field = np.stack(fields, axis=-1)
-            blocks = iter_product_walkers(cfg.initial_state, window, field)
+            blocks = iter_product_walkers(cfg.initial_state, window, fields)
             for amps in chain.from_iterable(blocks):
                 rhos.append(pair_coin_density_from_singles(amps, coefficients))
             series.append(von_neumann_entropy(np.array(rhos)))
@@ -1016,8 +1015,7 @@ class TestStepBlocks:
                 sample_angle_field(_particle_angles(angles, p), cfg.disorder, cfg.steps, window, p, seed)
                 for p in "ab"
             ]
-            field = np.stack(fields, axis=-1)
-            blocks = list(iter_product_walkers(cfg.initial_state, window, field))
+            blocks = list(iter_product_walkers(cfg.initial_state, window, fields))
         coefficients = coin_coefficients(cfg.initial_state)
         rhos = []
         for amps in chain.from_iterable(blocks):

@@ -1,3 +1,4 @@
+import re
 from itertools import chain
 
 import numpy as np
@@ -433,7 +434,7 @@ class TestProductDecomposition:
         fa = sample_angle_field((0.3, -1.1), dis, n, win, "a", 17)
         fb = sample_angle_field((-2.0, 0.7), dis, n, win, "b", 17)
         init = InitialPairState("psi+", (2, -1))
-        blocks = iter_product_walkers(init, win, np.stack([fa, fb], axis=-1))
+        blocks = iter_product_walkers(init, win, (fa, fb))
         trajectory = list(chain.from_iterable(blocks))
         assert len(trajectory) == n + 1
         for particle, field, x0 in ((0, fa, 2), (1, fb, -1)):
@@ -457,36 +458,50 @@ class TestProductDecomposition:
 
         monkeypatch.setattr(pair_module, "split_coins", drifting_coins)
         win = LatticeWindow(4)
-        field = np.stack(clean_fields(win, 2), axis=-1)
+        fields = clean_fields(win, 2)
         with pytest.raises(NumericalError, match="at step 2$"):
-            list(iter_product_walkers(InitialPairState("psi+"), win, field))
+            list(iter_product_walkers(InitialPairState("psi+"), win, fields))
 
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_steps_are_the_fields_steps(self, n):
         win = LatticeWindow(4)
-        field = np.stack(clean_fields(win, n), axis=-1)
-        assert sum(len(block) for block in iter_product_walkers(InitialPairState("psi+"), win, field)) == n + 1
+        fields = clean_fields(win, n)
+        assert sum(len(block) for block in iter_product_walkers(InitialPairState("psi+"), win, fields)) == n + 1
 
     def test_walker_reaching_the_edge_raises(self):
         win = LatticeWindow(3)
-        field = np.stack(clean_fields(win, 6), axis=-1)
+        fields = clean_fields(win, 6)
         with pytest.raises(WindowOverflowError):
-            list(iter_product_walkers(InitialPairState("psi+"), win, field))
+            list(iter_product_walkers(InitialPairState("psi+"), win, fields))
 
-    @pytest.mark.parametrize("count", [0, 1, 3])
-    def test_rejects_a_field_without_a_two_particle_axis(self, count):
-        # a length-1 particle axis would broadcast, stepping both particles under one field
+    @pytest.mark.parametrize("form", ["stacked", "leading", "single", "three"])
+    def test_rejects_an_array_of_fields(self, form):
+        # an array is no pair of fields, even one whose rows have equal shapes: a stacked
+        # (2, site, step, particle) array iterates as its two angle planes
         win = LatticeWindow(4)
         fa, fb = clean_fields(win, 2)
-        field = fa if count == 0 else np.stack([fa, fb, fa][:count], axis=-1)
-        with pytest.raises(ValueError, match="trailing particle axis of 2"):
+        arrays = {
+            "stacked": np.stack([fa, fb], axis=-1),
+            "leading": np.stack([fa, fb]),
+            "single": fa,
+            "three": np.stack([fa, fb, fa], axis=-1),
+        }
+        field = arrays[form]
+        with pytest.raises(ValueError, match=re.escape(f"an array of shape {field.shape}")):
             iter_product_walkers(InitialPairState("psi+"), win, field)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_rejects_other_than_two_fields(self, count):
+        win = LatticeWindow(4)
+        fields = list(clean_fields(win, 2)) * 2
+        with pytest.raises(ValueError, match="two particles' .* fields, got shapes"):
+            iter_product_walkers(InitialPairState("psi+"), win, fields[:count])
 
     def test_rejects_start_at_edge(self):
         win = LatticeWindow(3)
-        field = np.stack(clean_fields(win, 1), axis=-1)
+        fields = clean_fields(win, 1)
         with pytest.raises(ValueError):
-            next(iter_product_walkers(InitialPairState("sep", (0, 3)), win, field))
+            next(iter_product_walkers(InitialPairState("sep", (0, 3)), win, fields))
 
     @pytest.mark.parametrize("kind", ["psi+", "psi-", "sep"])
     def test_coin_density_matches_direct_reduction(self, kind):
@@ -501,40 +516,26 @@ class TestProductDecomposition:
         walkers_a = walker_amps(run_single(win, (1, 0), fa, n), run_single(win, (0, 1), fa, n))
         walkers_b = walker_amps(run_single(win, (1, 0), fb, n), run_single(win, (0, 1), fb, n))
         walkers = np.stack([walkers_a, walkers_b], axis=-1)
-        rho = pair_coin_density_from_singles(walkers, coin_coefficients(init))
+        assert not walkers.imag.any()  # real starts under real coins
+        rho = pair_coin_density_from_singles(walkers.real, coin_coefficients(init))
         assert np.abs(rho - reduce_pair_to_coin(final)).max() < 1e-12
 
     @pytest.mark.parametrize("cells", [(), (3,), (2, 3)])
     @pytest.mark.parametrize("kind", ["psi+", "psi-", "sep"])
-    def test_coin_density_equals_the_two_gram_route(self, kind, cells):
-        # one Gram einsum for both particles and the coefficient weights formed once keep every bit
+    def test_real_walkers_give_the_complex_routes_real_part(self, kind, cells):
+        # one Gram einsum for both particles and a float combine over the nonzero weights, in the
+        # einsum's order: its sums keep the bits of the complex two-Gram route's real parts
         rng = np.random.default_rng(len(cells))
         shape = (2, 2, *cells, 2, 9)  # (coin, start coin, *cells, particle, site), as the kernel leaves it
-        site_last = np.moveaxis(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), -1, 0)
+        site_last = np.moveaxis(rng.standard_normal(shape), -1, 0)
         coefficients = coin_coefficients(InitialPairState(kind))
         for walkers in (site_last, np.ascontiguousarray(site_last)):  # stepped walkers, and a site-first start
             rho = pair_coin_density_from_singles(walkers, coefficients)
-            expected = two_gram_coin_density(walkers[..., 0], walkers[..., 1], coefficients)
-            assert rho.shape == (*cells, 4, 4)
-            assert rho.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("cells", [(), (3,), (2, 3)])
-    @pytest.mark.parametrize("kind", ["psi+", "psi-", "sep"])
-    def test_real_walkers_give_the_complex_routes_real_part(self, kind, cells):
-        # real walkers and weights take a float combine over the nonzero weights, in the einsum's
-        # order: its sums keep the bits of the complex einsum's real parts
-        rng = np.random.default_rng(len(cells))
-        site_last = np.moveaxis(rng.standard_normal((2, 2, *cells, 2, 9)), -1, 0)
-        coefficients = coin_coefficients(InitialPairState(kind))
-        for walkers in (site_last, np.ascontiguousarray(site_last)):
-            rho = pair_coin_density_from_singles(walkers, coefficients)
             complex_walkers = walkers.astype(complex)
-            for expected in (
-                pair_coin_density_from_singles(complex_walkers, coefficients),
-                two_gram_coin_density(complex_walkers[..., 0], complex_walkers[..., 1], coefficients),
-            ):
-                assert rho.dtype == float and expected.dtype == complex and not expected.imag.any()
-                assert rho.tobytes() == np.ascontiguousarray(expected.real).tobytes()
+            expected = two_gram_coin_density(complex_walkers[..., 0], complex_walkers[..., 1], coefficients)
+            assert rho.shape == (*cells, 4, 4)
+            assert rho.dtype == float and expected.dtype == complex and not expected.imag.any()
+            assert rho.tobytes() == np.ascontiguousarray(expected.real).tobytes()
 
     @pytest.mark.parametrize("seed", range(30))
     def test_float_grams_keep_the_complex_einsums_bits(self, seed):
@@ -547,10 +548,11 @@ class TestProductDecomposition:
         plus, minus = np.sort(rng.integers(0, sites + 1, 2)), np.sort(rng.integers(0, sites + 1, 2))
         mem[..., slice(*plus)], mem[..., slice(*minus)] = 0.0, -0.0
         walkers = np.moveaxis(mem, -1, 0)  # (site, coin, start coin, *cells, particle), site-last memory
+        complex_walkers = walkers.astype(complex)
         for kind in ("psi+", "psi-", "sep"):
             coefficients = coin_coefficients(InitialPairState(kind))
             rho = pair_coin_density_from_singles(walkers, coefficients)
-            expected = pair_coin_density_from_singles(walkers.astype(complex), coefficients)
+            expected = two_gram_coin_density(complex_walkers[..., 0], complex_walkers[..., 1], coefficients)
             assert rho.dtype == float and rho.tobytes() == np.ascontiguousarray(expected.real).tobytes()
 
     @pytest.mark.parametrize("kind", ["psi+", "psi-", "sep"])
@@ -560,27 +562,32 @@ class TestProductDecomposition:
         n, coefficients = 12, coin_coefficients(InitialPairState(kind))
         win = LatticeWindow(n + 3)
         field = np.random.default_rng(5).uniform(-np.pi, np.pi, (2, win.size, n, 3, 2))
-        real = list(chain.from_iterable(iter_product_walkers(InitialPairState(kind, (1, -2)), win, field)))
+        fields = (field[..., 0], field[..., 1])
+        real = list(chain.from_iterable(iter_product_walkers(InitialPairState(kind, (1, -2)), win, fields)))
         stepped = list(chain.from_iterable(trajectory(real[0].astype(complex), split_coins(field))))
         assert len(real) == len(stepped) == n + 1
         for walkers, complex_walkers in zip(real, stepped):
             assert walkers.dtype == float
             rho = pair_coin_density_from_singles(walkers, coefficients)
-            expected = pair_coin_density_from_singles(complex_walkers, coefficients)
+            expected = two_gram_coin_density(complex_walkers[..., 0], complex_walkers[..., 1], coefficients)
             assert rho.tobytes() == np.ascontiguousarray(expected.real).tobytes()
         for c in range(3):
             joint = joint_distribution_interference(walkers[..., c, 0], walkers[..., c, 1], coefficients)
             expected = joint_distribution_interference(complex_walkers[..., c, 0], complex_walkers[..., c, 1], coefficients)
             assert joint.tobytes() == expected.tobytes()
 
-    def test_complex_weights_keep_the_einsum(self):
-        # a pair state with a complex coefficient has complex weights, so even real walkers take the einsum
+    def test_complex_weights_raise(self):
+        # a pair state with a complex coefficient has complex weights C conj(C), which the float combine cannot take
         coefficients = np.array([[0.0, 1.0], [1j, 0.0]]) / np.sqrt(2.0)
         walkers = np.moveaxis(np.random.default_rng(3).standard_normal((2, 2, 2, 9)), -1, 0)
-        rho = pair_coin_density_from_singles(walkers, coefficients)
-        expected = two_gram_coin_density(*np.moveaxis(walkers.astype(complex), -1, 0), coefficients)
-        assert rho.dtype == complex and expected.imag.any()
-        assert rho.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="weights C conj\\(C\\) that are not real"):
+            pair_coin_density_from_singles(walkers, coefficients)
+
+    @pytest.mark.parametrize("dtype", [complex, np.complex64, np.float32])
+    def test_walkers_other_than_float64_raise(self, dtype):
+        walkers = np.moveaxis(np.random.default_rng(3).standard_normal((2, 2, 2, 9)), -1, 0).astype(dtype)
+        with pytest.raises(ValueError, match=f"walkers must be float64, got dtype {np.dtype(dtype)}$"):
+            pair_coin_density_from_singles(walkers, PSI[+1])
 
     @pytest.mark.parametrize("size", [1, 5, 203])
     def test_joint_combine_path_is_the_one_einsum_finds(self, size):
@@ -610,5 +617,6 @@ class TestProductDecomposition:
         walkers_a = walker_amps(run_single(win, (1, 0), fa, n), run_single(win, (0, 1), fa, n))
         walkers_b = walker_amps(run_single(win, (1, 0), fb, n), run_single(win, (0, 1), fb, n))
         walkers = np.stack([walkers_a, walkers_b], axis=-1)
-        rho = pair_coin_density_from_singles(walkers, coin_coefficients(init))
+        assert not walkers.imag.any()  # real starts under real coins
+        rho = pair_coin_density_from_singles(walkers.real, coin_coefficients(init))
         assert np.abs(rho - reduce_pair_to_coin(final)).max() < 1e-12
