@@ -140,8 +140,10 @@ class RunConfig:
 
 @dataclass
 class RunArtifacts:
+    """The arrays a run computed, each once; write_artifacts takes the window's positions, the step
+    column and the heatmap axes from the config."""
+
     config: RunConfig
-    positions: np.ndarray | None = None
     entropy: np.ndarray | None = None  # (steps + 1,) bits, the mean over replicates
     entropy_std: np.ndarray | None = None
     distribution: np.ndarray | None = None  # a single walker's P(x)
@@ -469,13 +471,13 @@ def _resolved_window(config: RunConfig) -> LatticeWindow:
 
 
 def _walk_chunks(config: RunConfig, cells, first_step: int = 0):
-    """Step cells (angles, seed) in chunks; yield each chunk's coin entropies and final observables.
+    """Step cells (angles, seed) in chunks; yield each chunk's coin entropies and final walkers.
 
     A cell is the run under its angles, with fields drawn from its seed (None if the walk draws
     nothing); each walker's field stores every step only if the disorder draws its angles. A
     chunk's cells step together on a trailing cell axis; it yields a (cell, step) entropy array
-    from first_step on and a function of a cell index, to call before the next chunk, giving that
-    cell's observable after the last step: a single walker's P(x), or a pair's joint distribution.
+    from first_step on and the walker array after the chunk's last step: a single walker's
+    (site, coin, cell) array, or a pair's (site, coin, start coin, cell, particle) array.
     Coins are built on the light cone of the start only. A chunk holds at most 32
     cells (more ran slower), fewer if their coin tables would exceed MAX_ARRAY_ELEMENTS. A Hadamard
     walk has no angles to sample. A pair's block of steps is reduced over the light cone of its
@@ -504,8 +506,6 @@ def _walk_chunks(config: RunConfig, cells, first_step: int = 0):
             def reduce(block, last):  # the light cone of step last; the step axis as one more cell axis
                 sites = slice(max(left - last, 0), right + last + 1)
                 return pair_coin_density_from_singles(block[:, sites].transpose(1, 2, 3, 0, 4, 5), coefficients)
-
-            final = lambda c: joint_distribution_interference(amps[..., c, 0], amps[..., c, 1], coefficients)
         else:
             origin = window.index(0)
             coins = split_coins(field[0], (origin, origin)) if particles else hadamard_coins(window.size, config.steps)
@@ -517,14 +517,12 @@ def _walk_chunks(config: RunConfig, cells, first_step: int = 0):
                 rows = block.transpose(0, 3, 2, 1).astype(complex, copy=False)  # (step, cell, coin, site)
                 return np.matmul(rows, rows.conj().transpose(0, 1, 3, 2))
 
-            final = lambda c: position_distribution(amps[..., c])
         rhos, step = [], 0
         for block in blocks:
             if step + len(block) > first_step:
                 rhos.append(reduce(block[max(first_step - step, 0) :], step + len(block) - 1))
             step += len(block)
-        amps = block[-1]  # the walkers after the last step
-        yield von_neumann_entropy(np.concatenate(rhos)).T.copy(), final  # a contiguous row per cell
+        yield von_neumann_entropy(np.concatenate(rhos)).T.copy(), block[-1]  # a contiguous row per cell
 
 
 def _run_replicates(config: RunConfig) -> RunArtifacts:
@@ -532,19 +530,23 @@ def _run_replicates(config: RunConfig) -> RunArtifacts:
     draws = _draws(config)  # a walk that draws nothing needs no seed
     seeds = (derive_seed(config.master_seed, r) if draws else None for r in range(config.ensemble_size))
     cells = ((config.angles, seed) for seed in seeds)
+    pair = len(_particles(config)) == 2
+    coefficients = coin_coefficients(config.initial_state)
     series, total = [], None
-    for entropies, final in _walk_chunks(config, cells):
+    for entropies, walkers in _walk_chunks(config, cells):
         series.append(entropies)
         for c in range(len(entropies)):  # summed one replicate at a time, in replicate order
-            total = final(c) if total is None else total + final(c)
+            if pair:
+                final = joint_distribution_interference(walkers[..., c, 0], walkers[..., c, 1], coefficients)
+            else:
+                final = position_distribution(walkers[..., c])
+            total = final if total is None else total + final
     series = np.concatenate(series)
-    observable = "joint" if total.ndim == 2 else "distribution"
     return RunArtifacts(
         config=config,
-        positions=_resolved_window(config).positions(),
         entropy=series.mean(axis=0),
         entropy_std=series.std(axis=0) if len(series) > 1 else None,
-        **{observable: total / config.ensemble_size},
+        **{"joint" if pair else "distribution": total / config.ensemble_size},
     )
 
 
@@ -749,7 +751,8 @@ def write_artifacts(artifacts: RunArtifacts, out_dir) -> list[Path]:
     """Write selected CSV artifacts plus manifest.json; returns the paths written, manifest last.
 
     Data files are byte-stable for a fixed (config, master_seed); wall-clock
-    metadata lives only in the manifest. A run owns out_dir: a previous run's files
+    metadata lives only in the manifest. The x, i and j columns are the positions of
+    the config's window. A run owns out_dir: a previous run's files
     are removed, and the manifest is written last, so a failed write leaves none.
     """
     out = Path(out_dir)
@@ -764,6 +767,7 @@ def write_artifacts(artifacts: RunArtifacts, out_dir) -> list[Path]:
         (out / name).unlink(missing_ok=True)
     config = artifacts.config
     selected = config.outputs  # None means every computed artifact
+    positions = _resolved_window(config).positions()
     written: list[Path] = []
 
     def wanted(name: str) -> bool:
@@ -787,13 +791,13 @@ def write_artifacts(artifacts: RunArtifacts, out_dir) -> list[Path]:
 
     if wanted("distribution"):
         if artifacts.distribution is not None:
-            table("distribution.csv", "x,probability", "if", artifacts.positions, artifacts.distribution)
+            table("distribution.csv", "x,probability", "if", positions, artifacts.distribution)
         if artifacts.joint is not None:  # each particle's marginal
             for name, axis in (("distribution_a.csv", 1), ("distribution_b.csv", 0)):
-                table(name, "x,probability", "if", artifacts.positions, artifacts.joint.sum(axis=axis))
+                table(name, "x,probability", "if", positions, artifacts.joint.sum(axis=axis))
 
     if artifacts.joint is not None and wanted("joint"):
-        columns = grid(artifacts.positions, artifacts.positions, artifacts.joint)
+        columns = grid(positions, positions, artifacts.joint)
         table("joint.csv", "i,j,probability", "iif", *columns)
 
     if artifacts.heatmap is not None and wanted("heatmap"):

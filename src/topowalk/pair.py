@@ -71,26 +71,31 @@ def coin_coefficients(init: InitialPairState) -> np.ndarray:
 def iter_product_walkers(init: InitialPairState, window: LatticeWindow, fields):
     """Iterate the pair's lone walkers at step 0 and after each step of fields, in blocks of steps.
 
-    fields is (field_a, field_b), one (2, site, step, *cells) field per
-    particle, each stored or broadcast over the steps on its own; an ndarray
-    is a ValueError. The walkers are one float64 array with axes (site, coin,
-    start coin, *cells, particle): walkers[:, :, c, ..., p] is particle p's
-    lone walker started in coin |c> at its site in init.positions and stepped
-    under its field, each cell a run from the same start. Both particles step
-    in one walk.trajectory under split_coins(fields), built on the light cone
-    of the two start sites, and each yielded block has axes (step, site, coin,
-    start coin, *cells, particle), so block[s] is one step's walkers.
+    fields is (field_a, field_b), any iterable of one field per particle,
+    each stored or broadcast over the steps on its own; split_coins reads it
+    once and says which fields it takes. An ndarray, which iterates as its
+    rows, is a ValueError, and so is any count of fields but two. The walkers
+    are one float64 array with axes (site, coin, start coin, *cells,
+    particle): walkers[:, :, c, ..., p] is particle p's lone walker started in
+    coin |c> at its site in init.positions and stepped under its field, each
+    cell a run from the same start. Both particles step in one
+    walk.trajectory under split_coins(fields), built on the light cone of the
+    two start sites, whose cell axes and particle count are the coin table's,
+    and each yielded block has axes (step, site, coin, start coin, *cells,
+    particle), so block[s] is one step's walkers.
     """
-    shapes = None if isinstance(fields, np.ndarray) else [f.shape for f in fields]
-    if shapes is None or len(shapes) != 2 or shapes[0] != shapes[1] or len(shapes[0]) < 3:
-        got = f"an array of shape {fields.shape}" if shapes is None else f"shapes {shapes}"
-        raise ValueError(f"fields must be two particles' (2, site, step, *cells) fields, got {got}")
-    cells = shapes[0][3:]
+    expected = "fields must be two particles' (2, site, step, *cells) fields"
+    if isinstance(fields, np.ndarray):
+        raise ValueError(f"{expected}, got an array of shape {fields.shape}")
+    occupied = tuple(window.index(x) for x in sorted(init.positions))
+    coins = split_coins(fields, occupied)  # (2, 2, step, coin, 1, *cells, particle, site)
+    *cells, particles = coins.shape[5:-1]
+    if particles != 2:
+        raise ValueError(f"{expected}, got shapes of {particles} fields")
     lone = [make_single_state(window, x, c).real for c in ((1, 0), (0, 1)) for x in init.positions]
     start = np.stack(lone, axis=-1).reshape(window.size, 2, 2, *(1,) * len(cells), 2)
     start = np.broadcast_to(start, (window.size, 2, 2, *cells, 2))  # (site, coin, start coin, *cells, particle)
-    occupied = tuple(window.index(x) for x in sorted(init.positions))
-    return trajectory(start, split_coins(fields, occupied))
+    return trajectory(start, coins)
 
 
 @lru_cache(maxsize=8)

@@ -98,10 +98,13 @@ class BoundarySpec:
 def randomize_field(field: np.ndarray, disorder: DisorderSpec, particle: str, seed: int) -> np.ndarray:
     """Add i.i.d. uniform noise to every (site, step) angle when the particle is targeted.
 
-    field is a (2, site, step) array of (theta1, theta2) planes. Streams are
+    field is a (2, site, step) array of (theta1, theta2) planes, and particle
+    "a" or "b"; any other particle is a ValueError, whatever the disorder. Streams are
     keyed by (seed, particle, angle index) so theta1/theta2 noise for each
     particle is independent and reproducible regardless of host state.
     """
+    if particle not in _PARTICLE_INDEX:
+        raise ValueError(f"unknown particle {particle!r}; the walkers are 'a' and 'b'")
     if not disorder.applies_to(particle):
         return field
     p = _PARTICLE_INDEX[particle]
@@ -223,6 +226,8 @@ def split_coins(field, occupied: tuple[int, int] | None = None) -> np.ndarray:
 
     field is a (2, site, step, *batch) array, or a sequence of (2, site, step, *cells) arrays that
     are the entries of a last batch axis, batch = (*cells, entry), as a pair's particles a and b.
+    The sequence is read once, and it is a ValueError naming every shape unless it holds at least
+    one field and its fields share one shape; a lone array needs a leading 2 and at least 3 axes.
     Returns the read-only (2, 2, step, coin, 1, *batch, site) columns cols[k, c] = m[c, k] of each
     step's two coins. Every coin a field stores is built once, as the rows (-s, c, s) of the half
     angles: the coin columns ([c, s], [-s, c]) are then the views rows[1:3] and rows[0:2]. A field
@@ -235,7 +240,10 @@ def split_coins(field, occupied: tuple[int, int] | None = None) -> np.ndarray:
     """
     single = isinstance(field, np.ndarray)
     fields = [field] if single else list(field)
-    size, n_steps = fields[0].shape[1:3]
+    shapes = [f.shape for f in fields]
+    if not shapes or len(set(shapes)) > 1 or len(shapes[0]) < 3 or shapes[0][0] != 2:
+        raise ValueError(f"fields must share one (2, site, step, *cells) shape, got shapes {shapes}")
+    size, n_steps = shapes[0][1:3]
     fields = [f[:, :, :1] if f.strides[2] == 0 else f for f in fields]  # a broadcast step axis: its one step, or none
     stored = max(f.shape[2] for f in fields)
     shape = (3, stored, 2, *fields[0].shape[3:], *(() if single else (len(fields),)), size)

@@ -34,7 +34,7 @@ from topowalk import (
     winding_number,
     write_artifacts,
 )
-from topowalk.experiments import ANGLES_WINDING_0, ANGLES_WINDING_1, derive_seed
+from topowalk.experiments import ANGLES_WINDING_0, ANGLES_WINDING_1, _resolved_window, derive_seed
 from conftest import random_pair_state, random_single_state
 from oracles import (
     distribution_sigma,
@@ -432,7 +432,8 @@ def test_criterion_9_figure_data_emission(tmp_path):
         written = write_artifacts(artifacts, out_dir)
         checks.append((len(written) >= 2, f"{stem}: no data files written"))
         if artifacts.joint is not None:
-            origin_masses[stem] = near_origin_either_mass(artifacts.joint, artifacts.positions, 2)
+            positions = _resolved_window(artifacts.config).positions()
+            origin_masses[stem] = near_origin_either_mass(artifacts.joint, positions, 2)
         for path in written:
             if path.name.startswith("distribution"):
                 rows = path.read_text().strip().splitlines()[1:]

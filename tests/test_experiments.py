@@ -59,6 +59,7 @@ from topowalk.experiments import (
     _particle_angles,
     _particles,
     _pow10_table,
+    _resolved_window,
     _with_axis_value,
     _write_table,
 )
@@ -719,7 +720,7 @@ class TestRunDeterminism:
         art = run(config_from_dict({"run_kind": "hadamard", "steps": 0}))
         assert len(art.entropy) == 1  # step 0 only
         dist = art.distribution
-        assert dist[art.positions == 0] == 1.0
+        assert dist[_resolved_window(art.config).positions() == 0] == 1.0
 
     @pytest.mark.parametrize(
         "data",
@@ -1208,7 +1209,7 @@ class TestSingleRouteAgainstDenseOracle:
         else:
             assert np.abs(art.entropy_std - std).max() < 1e-12
         assert np.abs(art.distribution - dist).max() < 1e-12
-        assert np.array_equal(art.positions, LatticeWindow(21).positions())
+        assert np.array_equal(_resolved_window(cfg).positions(), LatticeWindow(21).positions())
 
 
 class TestEntropySweep:
@@ -1492,11 +1493,8 @@ class TestWriteArtifacts:
         art = run(config_from_dict(minimal_pair_dict(steps=4)))
         write_artifacts(art, tmp_path)
         lines = (tmp_path / "joint.csv").read_text().splitlines()
-        expected = [
-            f"{i},{j},{art.joint[a, b]:.16e}"
-            for a, i in enumerate(art.positions)
-            for b, j in enumerate(art.positions)
-        ]
+        positions = _resolved_window(art.config).positions()
+        expected = [f"{i},{j},{art.joint[a, b]:.16e}" for a, i in enumerate(positions) for b, j in enumerate(positions)]
         assert lines == ["i,j,probability", *expected]
         art = run(config_from_dict({"run_kind": "phase_diagram", "grid_n": 16, "k_points": 64}))
         write_artifacts(art, tmp_path)

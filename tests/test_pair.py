@@ -490,6 +490,27 @@ class TestProductDecomposition:
         with pytest.raises(ValueError, match=re.escape(f"an array of shape {field.shape}")):
             iter_product_walkers(InitialPairState("psi+"), win, field)
 
+    def test_a_generator_of_fields_steps_as_a_list(self):
+        # the fields are read once, so a generator steps the same walkers as a list of them
+        n = 6
+        win = LatticeWindow(n + 2)
+        dis = DisorderSpec("uniform", STRONG_HALF_WIDTH, "both")
+        fa = sample_angle_field((0.3, -1.1), dis, n, win, "a", 5)
+        fb = sample_angle_field((-2.0, 0.7), dis, n, win, "b", 5)
+        init = InitialPairState("psi+", (1, -1))
+        for pair in ((fa, fb), (fa, fa)):
+            listed = list(iter_product_walkers(init, win, list(pair)))
+            generated = list(iter_product_walkers(init, win, (f for f in pair)))
+            assert [block.shape for block in generated] == [block.shape for block in listed]
+            assert all(g.tobytes() == e.tobytes() for g, e in zip(generated, listed, strict=True))
+
+    def test_rejects_fields_of_different_shapes(self):
+        win = LatticeWindow(4)
+        fa, _ = clean_fields(win, 2)
+        _, fb = clean_fields(win, 3)
+        with pytest.raises(ValueError, match=re.escape(f"got shapes {[fa.shape, fb.shape]}")):
+            iter_product_walkers(InitialPairState("psi+"), win, [fa, fb])
+
     @pytest.mark.parametrize("count", [1, 3])
     def test_rejects_other_than_two_fields(self, count):
         win = LatticeWindow(4)

@@ -26,6 +26,7 @@ from topowalk import (
     von_neumann_entropy,
     winding_number,
 )
+from topowalk.experiments import _resolved_window
 from topowalk.topology import GAP_THRESHOLD
 from oracles import (
     PLANARITY_TOL,
@@ -130,7 +131,7 @@ class TestMomentumWalk:
         # the pair route's entropies at every step, from lone walkers stepped in momentum space
         config = load_config(CONFIG_DIR / "fig3a_4a_tptpw_clean.json")
         artifacts = run(config)
-        window = LatticeWindow(int(artifacts.positions.max()))
+        window = _resolved_window(config)
         coefficients = coin_coefficients(config.initial_state)
         entropies = []
         for steps in range(config.steps + 1):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from itertools import chain
 
@@ -509,6 +510,12 @@ class TestAngleFields:
         with pytest.raises(ValueError):
             DisorderSpec("uniform", 0.1, "c")
 
+    @pytest.mark.parametrize("disorder", [DisorderSpec("uniform", 0.1, "both"), DisorderSpec()])
+    def test_unknown_particle_is_rejected(self, disorder):
+        # the walkers are a and b, whether or not the disorder draws for them
+        with pytest.raises(ValueError, match="unknown particle 'c'"):
+            sample_angle_field((0.1, 0.2), disorder, 3, LatticeWindow(3), "c", 1)
+
     @pytest.mark.parametrize("kind, half_width, target", [("none", 0.0, "b"), ("uniform", 0.0, "both")])
     def test_disorder_spec_that_draws_nothing_targets_a(self, kind, half_width, target):
         # no walker would be disordered, so a target other than the default a says nothing true
@@ -778,6 +785,43 @@ class TestConeCoins:
         start = started_at(win, [-1, 0], (), 24)
         with pytest.raises(NumericalError, match="at step 1$"):
             stepped(start, split_coins(field, (win.index(0), win.index(0))))
+
+
+class TestFieldShapes:
+    """split_coins is the one reader of a walk's fields: the fields of a sequence must share one
+    (2, site, step, *cells) shape, and a lone field needs a leading 2 and at least three axes."""
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            [(2, 7, 3), (2, 7, 4)],  # full fields of different step counts
+            [(2, 7, 3), (2, 9, 3)],  # fields of different windows
+            [(2, 7, 3, 2), (2, 7, 3, 3)],  # different cell axes
+            [(2, 7, 3), (2, 7, 3, 1)],  # a cell axis beside none
+            [(3, 7, 3), (3, 7, 3)],  # three angle planes
+            [(2, 7), (2, 7)],  # no step axis
+            [],
+        ],
+    )
+    def test_fields_of_a_sequence_share_one_shape(self, shapes):
+        fields = [np.zeros(shape) for shape in shapes]
+        with pytest.raises(ValueError, match=re.escape(f"got shapes {shapes}")):
+            split_coins(fields)
+
+    @pytest.mark.parametrize("shape", [(2, 7), (3, 7, 3), (7,), ()])
+    def test_a_lone_field_has_two_planes_and_three_axes(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shapes {[shape]}")):
+            split_coins(np.zeros(shape))
+
+    def test_a_broadcast_field_beside_a_full_one_shares_its_shape(self):
+        # a field that stores one step is broadcast to the walk's steps, so its shape is the full one's
+        win = LatticeWindow(4)
+        full = np.random.default_rng(25).uniform(-np.pi, np.pi, (2, win.size, 5))
+        steady = np.broadcast_to(full[:, :, :1], full.shape)
+        coins = split_coins([full, steady])
+        assert coins.shape == (2, 2, 5, 2, 1, 2, win.size)
+        with pytest.raises(ValueError, match=re.escape(f"got shapes {[full.shape, (2, win.size, 1)]}")):
+            split_coins([full, full[:, :, :1]])
 
 
 def walk_outcome(start, coins):
