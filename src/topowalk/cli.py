@@ -58,10 +58,9 @@ _SUBCOMMANDS = {
     "phase-diagram": ("winding number over the angle plane", ("phase_diagram",)),
 }
 
-# flag -> (config fields, argparse keywords). A subcommand takes the flag when
-# one of its run kinds reads every field named; the flag sets the first. Walker
-# b's flags also name initial_state, since only pair runs have a walker b. A
-# flag whose dest is its field's name sets that field as given.
+# flag -> ((config field, the walker whose entry it sets, if one), argparse keywords). A subcommand
+# takes the flag when one of its run kinds reads the field and steps the walker named (RUN_KINDS).
+# A flag whose dest is its field's name sets that field as given.
 _FLAGS = {
     "--seed": (("master_seed",), dict(type=int, dest="master_seed", help="master seed (u64)")),
     "--steps": (("steps",), dict(type=int, dest="steps", help="number of time steps")),
@@ -72,10 +71,10 @@ _FLAGS = {
     "--disorder": (("disorder",), dict(help="none|weak|strong|width=<radians>")),
     "--disorder-target": (("disorder",), dict(choices=("a", "b", "both"))),
     "--state": (("initial_state",), dict(choices=("psi+", "psi-", "sep"), help="initial pair state")),
-    "--theta1a": (("angles",), dict(type=float, help="theta1a in radians")),
-    "--theta2a": (("angles",), dict(type=float, help="theta2a in radians")),
-    "--theta1b": (("angles", "initial_state"), dict(type=float, help="theta1b in radians")),
-    "--theta2b": (("angles", "initial_state"), dict(type=float, help="theta2b in radians")),
+    "--theta1a": (("angles", "a"), dict(type=float, help="theta1a in radians")),
+    "--theta2a": (("angles", "a"), dict(type=float, help="theta2a in radians")),
+    "--theta1b": (("angles", "b"), dict(type=float, help="theta1b in radians")),
+    "--theta2b": (("angles", "b"), dict(type=float, help="theta2b in radians")),
     "--boundary": (("angles",), dict(help="t1-,t2-,t1+,t2+ boundary angles (every walker)")),
     "--ensemble": (("ensemble_size",), dict(type=int, dest="ensemble_size", help="replicates to average")),
     "--axis": (("sweep_grid",), dict(action="append", dest="axes", help="name:min:max:count, twice")),
@@ -96,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--out", default="out", help="output directory (default: ./out)")
         if command == "walk":
             sub.add_argument("--kind", choices=("hadamard", "split"), help="coin scheme (default hadamard)")
-        for flag, (fields, keywords) in _FLAGS.items():
-            if any(set(fields) <= set(RUN_KINDS[kind][0]) for kind in kinds):
+        for flag, ((name, *walker), keywords) in _FLAGS.items():
+            if any(name in RUN_KINDS[kind][0] and set(walker) <= set(RUN_KINDS[kind][2]) for kind in kinds):
                 sub.add_argument(flag, **keywords)
     return parser
 
@@ -121,9 +120,9 @@ def _config_data(args: argparse.Namespace) -> dict:
     if RUN_KIND_ALIASES.get(kind, kind) not in kinds:
         raise ConfigError("run_kind", f"{args.command} runs {' or '.join(kinds)}, not {kind!r}")
 
-    for fields, keywords in _FLAGS.values():
-        if keywords.get("dest") == fields[0] and flags.get(fields[0]) is not None:
-            data[fields[0]] = flags[fields[0]]
+    for (name, *_), keywords in _FLAGS.values():
+        if keywords.get("dest") == name and flags.get(name) is not None:
+            data[name] = flags[name]
     if flags.get("state") is not None:
         state = dict(data.get("initial_state") or {}) if isinstance(data.get("initial_state"), dict) else {}
         state["kind"] = args.state

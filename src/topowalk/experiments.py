@@ -49,18 +49,18 @@ from .walk import (
 ANGLES_WINDING_1 = (-np.pi / 2.0, np.pi / 4.0)
 ANGLES_WINDING_0 = (-np.pi / 2.0, 3.0 * np.pi / 4.0)
 
-# Run kind -> (the config fields it reads, the artifact kinds it writes). Every
-# other field keeps its RunConfig default, and the manifest writes only these.
+# Run kind -> (the config fields it reads, the artifact kinds it writes, the walkers it steps under
+# angle fields). Every other field keeps its RunConfig default, and the manifest writes only these.
 _WALK = ("steps", "window", "master_seed", "outputs")
 _PAIR_WALK = (*_WALK, "angles", "initial_state", "disorder")
 RUN_KINDS = {
-    "hadamard": ((*_WALK, "coin_amps"), ("entropy", "distribution")),
+    "hadamard": ((*_WALK, "coin_amps"), ("entropy", "distribution"), ""),
     "single_split": (
-        (*_WALK, "coin_amps", "angles", "disorder", "ensemble_size"), ("entropy", "distribution")
+        (*_WALK, "coin_amps", "angles", "disorder", "ensemble_size"), ("entropy", "distribution"), "a"
     ),
-    "pair": ((*_PAIR_WALK, "ensemble_size"), ("entropy", "distribution", "joint")),
-    "entropy_sweep": ((*_PAIR_WALK, "sweep_grid", "sweep_scalar"), ("heatmap",)),
-    "phase_diagram": (("master_seed", "outputs", "k_points", "grid_n"), ("phase",)),
+    "pair": ((*_PAIR_WALK, "ensemble_size"), ("entropy", "distribution", "joint"), "ab"),
+    "entropy_sweep": ((*_PAIR_WALK, "sweep_grid", "sweep_scalar"), ("heatmap",), "ab"),
+    "phase_diagram": (("master_seed", "outputs", "k_points", "grid_n"), ("phase",), ""),
 }
 # The paper's names for the pair walk on plain and on boundary angles; a
 # config's run_kind parses them as "pair".
@@ -313,28 +313,30 @@ def load_config(path) -> RunConfig:
 def config_to_dict(config: RunConfig) -> dict:
     """JSON-able mapping of run_kind and the fields that kind reads; it
     round-trips through config_from_dict."""
-    reads = RUN_KINDS[config.run_kind][0]
+    reads, _, walkers = RUN_KINDS[config.run_kind]
     data = {
         name: dump(getattr(config, name))
         for name, (_, dump) in _FIELDS.items()
         if name == "run_kind" or name in reads
     }
-    if config.run_kind == "single_split":  # a single walker reads walker a's entry only
-        data["angles"] = {"a": data["angles"]["a"]}
+    if "angles" in data:  # the entries of the walkers the kind steps
+        data["angles"] = {p: entry for p, entry in data["angles"].items() if p in walkers}
     return data
 
 
 def validate_config(config: RunConfig) -> RunConfig:
     if config.run_kind not in RUN_KINDS:
         raise ConfigError("run_kind", f"must be one of {tuple(RUN_KINDS)}, got {config.run_kind!r}")
-    reads, writes = RUN_KINDS[config.run_kind]
+    reads, writes, walkers = RUN_KINDS[config.run_kind]
     for name in _FIELDS:
         # a value that the run kind would ignore is an error, not a silent no-op
         if name not in (*reads, "run_kind") and getattr(config, name) != _DEFAULTS[name]:
             raise ConfigError(name, f"{config.run_kind} runs do not read it; leave it out")
-    default_b = _DEFAULTS["angles"]["b"]
-    if config.run_kind == "single_split" and config.angles.get("b", default_b) != default_b:
-        raise ConfigError("angles.b", "a single walker is walker a; leave walker b's angles out")
+    for particle in [p for p in "ab" if p not in walkers]:  # nor may a value name a walker the kind does not step
+        if config.angles.get(particle, _DEFAULTS["angles"][particle]) != _DEFAULTS["angles"][particle]:
+            raise ConfigError(f"angles.{particle}", f"{config.run_kind} runs step no walker {particle}; leave it out")
+        if config.disorder.target == particle and config.disorder.applies_to(particle):
+            raise ConfigError("disorder", f"{config.run_kind} runs step no walker {particle} to target")
     minimums = {"steps": 0, "ensemble_size": 1, "master_seed": 0, "k_points": 64, "grid_n": 16}
     for name, least in minimums.items():
         if getattr(config, name) < least:
@@ -386,8 +388,6 @@ def validate_config(config: RunConfig) -> RunConfig:
         half_width = _resolved_window(config).half_width
         if not all(abs(x) < half_width for x in config.initial_state.positions):
             raise ConfigError("initial_state", f"positions must satisfy |x| < {half_width}")
-    if config.disorder.target == "b" and config.run_kind == "single_split":
-        raise ConfigError("disorder", "a single walker is walker a; it has no walker b to target")
     if config.ensemble_size > 1 and not _draws(config):
         raise ConfigError("ensemble_size", "replicates need disorder that draws random angles")
     _check_array_sizes(config)
@@ -397,14 +397,15 @@ def validate_config(config: RunConfig) -> RunConfig:
 def _check_array_sizes(config: RunConfig) -> None:
     """Reject a config whose largest array would exceed MAX_ARRAY_ELEMENTS, naming its field."""
     size = _resolved_window(config).size
-    # walker arrays grow with the window, and a pair run's joint distribution with its square
-    sites = size * size if config.run_kind == "pair" else size
+    # walker arrays grow with the window, and a joint distribution with its square
+    sites = size * size if "joint" in RUN_KINDS[config.run_kind][1] else size
     # an auto window grows with the steps and with the farthest start; name the larger
     start = max(abs(x) for x in config.initial_state.positions)
     auto_field = "initial_state" if start > config.steps else "steps"
     counts = (
         (auto_field if config.window is None else "window", sites),
         ("steps", _coin_table_size(config)),
+        ("ensemble_size", config.ensemble_size * (config.steps + 1)),  # the entropy series of every replicate
         ("sweep_grid", math.prod(ax.count for ax in config.sweep_grid)),
         # e^{ik} and a one-point chunk of U(k)'s two diagonal entries over every k, which only the points
         # with a coin below the column rule's floor take; the others take k = 0 and k = -pi
@@ -417,8 +418,8 @@ def _check_array_sizes(config: RunConfig) -> None:
 
 
 def _particles(config: RunConfig) -> str:
-    """The walkers that step under angle fields: a and b in pair walks, a single walker's a, else none."""
-    return {"single_split": "a", "pair": "ab", "entropy_sweep": "ab"}.get(config.run_kind, "")
+    """The walkers that step under angle fields, as RUN_KINDS names them for the config's kind."""
+    return RUN_KINDS[config.run_kind][2]
 
 
 def _draws(config: RunConfig) -> bool:
@@ -537,7 +538,7 @@ def _run_replicates(config: RunConfig) -> RunArtifacts:
         series.append(entropies)
         for c in range(len(entropies)):  # summed one replicate at a time, in replicate order
             if pair:
-                final = joint_distribution_interference(walkers[..., c, 0], walkers[..., c, 1], coefficients)
+                final = joint_distribution_interference(walkers[..., c, :], coefficients)
             else:
                 final = position_distribution(walkers[..., c])
             total = final if total is None else total + final

@@ -6,7 +6,7 @@ assembled from four lone walkers: the coin-|0> and coin-|1> starts of each
 particle, each stepped under its particle's own field. All four are one
 array with axes (site, coin, start coin, particle), and both particles step
 together, in blocks of consecutive steps. The starts and the coins are real,
-so the walkers are float64, and the coin density matrices take only float64.
+so the walkers are float64, the one dtype both pair observables take.
 """
 
 from __future__ import annotations
@@ -98,6 +98,15 @@ def iter_product_walkers(init: InitialPairState, window: LatticeWindow, fields):
     return trajectory(start, coins)
 
 
+def _check_walkers(walkers: np.ndarray, cells: bool) -> None:
+    """Raise ValueError unless walkers is a float64 (site, 2, 2, *cells, 2) array, of no cell axes unless cells."""
+    axes = "(site, 2, 2, *cells, 2)" if cells else "(site, 2, 2, 2)"
+    if walkers.ndim < 4 or (walkers.ndim > 4 and not cells) or walkers.shape[1:3] != (2, 2) or walkers.shape[-1] != 2:
+        raise ValueError(f"walkers must have axes {axes}, got shape {walkers.shape}")
+    if walkers.dtype != float:
+        raise ValueError(f"walkers must be float64, got dtype {walkers.dtype}")
+
+
 @lru_cache(maxsize=8)
 def _coin_weights(coefficients: bytes) -> tuple:
     """The nonzero weights K[a, b, c, d] = C[a, b] conj(C[c, d]) of the bytes of a complex C, one
@@ -124,10 +133,7 @@ def pair_coin_density_from_singles(walkers: np.ndarray, coefficients: np.ndarray
     and the tensors are combined over the nonzero weights only, in float64.
     Complex walkers and weights that are not real are a ValueError.
     """
-    if walkers.ndim < 4 or walkers.shape[1:3] != (2, 2) or walkers.shape[-1] != 2:
-        raise ValueError(f"walkers must have axes (site, 2, 2, *cells, 2), got shape {walkers.shape}")
-    if walkers.dtype != float:
-        raise ValueError(f"walkers must be float64, got dtype {walkers.dtype}")
+    _check_walkers(walkers, cells=True)
     terms = _coin_weights(np.asarray(coefficients, dtype=complex).tobytes())
     mem = walkers.transpose(*range(1, walkers.ndim), 0)  # (coin, start, *cells, particle, site)
     # the float sums in site order, as the complex einsum's real parts: numpy's einsum takes its
@@ -156,30 +162,25 @@ def _combine_path(size: int) -> tuple:
     return tuple(np.einsum_path(_COMBINE, o[0], o[0], o, o, optimize=True)[0])
 
 
-def joint_distribution_interference(
-    amps_a: np.ndarray, amps_b: np.ndarray, coefficients: np.ndarray
-) -> np.ndarray:
+def joint_distribution_interference(walkers: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     """P(i, j), particle A at site i and B at site j, from the lone walkers.
 
-    amps_x is particle x's (site, coin, start coin) walker array, evolved for
-    the same number of steps as the other particle's; coefficients is
-    C[c_a, c_b] (see coin_coefficients). Returns the (size, size) array
+    walkers is a float64 (site, coin, start coin, particle) array, one step of
+    one cell of what iter_product_walkers yields; coefficients is C[c_a, c_b]
+    (see coin_coefficients). Returns the (size, size) array
 
         P(i, j) = sum_{s s' t t'} C[s, s'] conj(C[t, t']) O^a_st(i) O^b_s't'(j),
-        O^x_st(i) = sum_c amps_x[i, c, s] * conj(amps_x[i, c, t]).
+        O^x_st(i) = sum_c walkers[i, c, s, x] * walkers[i, c, t, x].
 
-    For psi+- the cross terms are the exchange interference
-    +- Re(O^a_01(i) conj(O^b_01(j))). The O tensors of float walkers are float
-    sums of two products, the bits of complex ones' real parts; the combine is
-    complex either way, along np.einsum's own contraction order, found once per
-    window size. Entries in [-CLIP_TOL, 0) are rounding noise and are clipped to zero.
+    For psi+- the cross terms are the exchange interference +- O^a_01(i) O^b_01(j).
+    The O tensors are float sums of two products, the bits of complex walkers'
+    real parts; the combine is complex, along np.einsum's own contraction order,
+    found once per window size. Entries in [-CLIP_TOL, 0) are rounding noise and
+    are clipped to zero. Walkers of another shape or dtype are a ValueError.
     """
-    if amps_a.ndim != 3 or amps_a.shape[1:] != (2, 2) or amps_b.shape != amps_a.shape:
-        raise ValueError(
-            f"walker arrays must share one (size, 2, 2) shape, got {amps_a.shape} and {amps_b.shape}"
-        )
+    _check_walkers(walkers, cells=False)
     c = coefficients
-    oa, ob = (np.einsum("ics,ict->ist", x, x.conj()).astype(complex, copy=False) for x in (amps_a, amps_b))
+    oa, ob = (np.einsum("ics,ict->ist", x, x.conj()).astype(complex, copy=False) for x in np.moveaxis(walkers, 3, 0))
     values = np.einsum(_COMBINE, c, c.conj(), oa, ob, optimize=_combine_path(len(oa))).real
     low = float(values.min())
     if not low >= -CLIP_TOL:

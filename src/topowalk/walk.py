@@ -228,6 +228,7 @@ def split_coins(field, occupied: tuple[int, int] | None = None) -> np.ndarray:
     are the entries of a last batch axis, batch = (*cells, entry), as a pair's particles a and b.
     The sequence is read once, and it is a ValueError naming every shape unless it holds at least
     one field and its fields share one shape; a lone array needs a leading 2 and at least 3 axes.
+    Every field must be a float64 ndarray of at least one site; a field of no steps is a walk of none.
     Returns the read-only (2, 2, step, coin, 1, *batch, site) columns cols[k, c] = m[c, k] of each
     step's two coins. Every coin a field stores is built once, as the rows (-s, c, s) of the half
     angles: the coin columns ([c, s], [-s, c]) are then the views rows[1:3] and rows[0:2]. A field
@@ -240,9 +241,13 @@ def split_coins(field, occupied: tuple[int, int] | None = None) -> np.ndarray:
     """
     single = isinstance(field, np.ndarray)
     fields = [field] if single else list(field)
+    if not all(isinstance(f, np.ndarray) for f in fields):
+        raise ValueError(f"fields must be numpy arrays, got types {[type(f).__name__ for f in fields]}")
     shapes = [f.shape for f in fields]
-    if not shapes or len(set(shapes)) > 1 or len(shapes[0]) < 3 or shapes[0][0] != 2:
-        raise ValueError(f"fields must share one (2, site, step, *cells) shape, got shapes {shapes}")
+    if not shapes or len(set(shapes)) > 1 or len(shapes[0]) < 3 or shapes[0][0] != 2 or shapes[0][1] < 1:
+        raise ValueError(f"fields must share one (2, site, step, *cells) shape of 1 site or more, got shapes {shapes}")
+    if any(f.dtype != float for f in fields):
+        raise ValueError(f"fields must be float64, got dtypes {[str(f.dtype) for f in fields]}")
     size, n_steps = shapes[0][1:3]
     fields = [f[:, :, :1] if f.strides[2] == 0 else f for f in fields]  # a broadcast step axis: its one step, or none
     stored = max(f.shape[2] for f in fields)

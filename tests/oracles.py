@@ -458,6 +458,29 @@ def walker_amps(coin0: np.ndarray, coin1: np.ndarray) -> np.ndarray:
     return np.stack([coin0, coin1], axis=-1)
 
 
+def pair_walkers(amps_a: np.ndarray, amps_b: np.ndarray) -> np.ndarray:
+    """Both particles' (site, coin, start coin) walker arrays as the float64 (site, coin, start coin,
+    particle) array the pair observables take. The lone walkers start in a coin basis state and step
+    under real coins, so the imaginary parts of complex walkers are zeros, and dropping them loses nothing."""
+    walkers = np.stack([amps_a, amps_b], axis=-1)
+    assert not walkers.imag.any()
+    return walkers.real
+
+
+def complex_joint_distribution(amps_a: np.ndarray, amps_b: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """P(i, j) from each particle's (site, coin, start coin) walker array, of any dtype, complex included.
+
+    The O tensors O^x_st(i) = sum_c amps_x[i, c, s] conj(amps_x[i, c, t]) are complex einsums of
+    complex walkers, and the combine sum C[s, s'] conj(C[t, t']) O^a_st(i) O^b_s't'(j) is a complex
+    einsum along the contraction order np.einsum finds, as the package's combine takes it, with
+    entries below zero clipped to zero and no guards: the complex route that float walkers must
+    reproduce bit for bit.
+    """
+    c = coefficients
+    oa, ob = (np.einsum("ics,ict->ist", x, x.conj()).astype(complex, copy=False) for x in (amps_a, amps_b))
+    return np.clip(np.einsum("ab,cd,iac,jbd->ij", c, c.conj(), oa, ob, optimize=True).real, 0.0, None)
+
+
 def two_gram_coin_density(amps_a: np.ndarray, amps_b: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     """The pair's (*cells, 4, 4) coin density matrix from one Gram einsum per particle.
 

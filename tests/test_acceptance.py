@@ -42,6 +42,7 @@ from oracles import (
     joint_distribution_direct,
     make_pair_state,
     marginals,
+    pair_walkers,
     reduce_pair_to_coin,
     reduce_to_coin,
     rotation_coin,
@@ -208,17 +209,15 @@ def test_criterion_3_interference_formula_equivalence():
         for base_a, base_b, disorder in setups.values():
             field_a = sample_angle_field(base_a, disorder, n_steps, window, "a", seed)
             field_b = sample_angle_field(base_b, disorder, n_steps, window, "b", seed)
-            walkers_a = walker_amps(run_single(window, (1, 0), field_a, n_steps),
-                                    run_single(window, (0, 1), field_a, n_steps))
-            walkers_b = walker_amps(run_single(window, (1, 0), field_b, n_steps),
-                                    run_single(window, (0, 1), field_b, n_steps))
+            walkers = pair_walkers(
+                walker_amps(run_single(window, (1, 0), field_a, n_steps), run_single(window, (0, 1), field_a, n_steps)),
+                walker_amps(run_single(window, (1, 0), field_b, n_steps), run_single(window, (0, 1), field_b, n_steps)),
+            )
             for kind in ("psi+", "psi-"):
                 pair = make_pair_state(InitialPairState(kind), window)
                 final, _ = evolve_pair(pair, field_a, field_b, n_steps)
                 direct = joint_distribution_direct(final).values
-                interf = joint_distribution_interference(
-                    walkers_a, walkers_b, coin_coefficients(InitialPairState(kind))
-                )
+                interf = joint_distribution_interference(walkers, coin_coefficients(InitialPairState(kind)))
                 worst = max(worst, float(np.abs(direct - interf).max()))
     elapsed = time.perf_counter() - t0
     _report(

@@ -10,8 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import topowalk
-from topowalk.cli import main
-from topowalk.experiments import RUN_KIND_ALIASES, RUN_KINDS
+from topowalk import cli
+from topowalk.cli import build_parser, main
+from topowalk.experiments import _FIELDS, RUN_KIND_ALIASES, RUN_KINDS
 
 PI = np.pi
 
@@ -318,6 +319,33 @@ class TestBadNumbers:
         assert exc.value.code == 2
 
 
+class TestFlagTable:
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("walk", ["--kind", "--seed", "--steps", "--window", "--disorder", "--disorder-target",
+                      "--theta1a", "--theta2a", "--boundary", "--ensemble"]),
+            ("pair", ["--seed", "--steps", "--window", "--disorder", "--disorder-target", "--state",
+                      "--theta1a", "--theta2a", "--theta1b", "--theta2b", "--boundary", "--ensemble"]),
+            ("sweep", ["--seed", "--steps", "--window", "--disorder", "--disorder-target", "--state",
+                       "--theta1a", "--theta2a", "--theta1b", "--theta2b", "--boundary", "--axis", "--sweep-scalar"]),
+            ("phase-diagram", ["--seed", "--k-points", "--grid-n"]),
+        ],
+    )
+    def test_each_subcommand_takes_exactly_its_flags(self, command, flags):
+        # walker b's angle flags only where a run kind steps walker b
+        subcommands = next(a for a in build_parser()._actions if a.dest == "command")
+        actions = subcommands.choices[command]._actions
+        taken = [a.option_strings[-1] for a in actions if a.option_strings and a.dest not in ("help", "config", "out")]
+        assert taken == flags
+
+    def test_each_flag_names_the_field_it_sets_and_at_most_a_walker(self):
+        for flag, ((name, *walker), _) in cli._FLAGS.items():
+            assert name in _FIELDS, flag
+            assert walker in ([], ["a"], ["b"]), flag
+        assert [flag for flag, ((_, *walker), _) in cli._FLAGS.items() if walker == ["b"]] == ["--theta1b", "--theta2b"]
+
+
 class TestIgnoredOrOversizedValues:
     AXES = ["--axis", "theta1a:0:1:2", "--axis", "theta2a:0:1:2"]
 
@@ -335,6 +363,8 @@ class TestIgnoredOrOversizedValues:
             (["phase-diagram", "--k-points", str(10**30)], "k_points"),
             # replicates of a walk with no random angles
             (["walk", "--steps", "5", "--ensemble", "3"], "ensemble_size"),
+            # a million replicates' entropy series of 101 steps each: 101,000,000 floats
+            (["pair", "--steps", "100", "--ensemble", "1000000", "--disorder", "weak"], "ensemble_size"),
             # k_points passes on its own, but one grid point's three k_points-long arrays would not
             (["phase-diagram", "--grid-n", "16", "--k-points", str(2**26)], "k_points"),
             # an odd k grid skips k = 0, where the gap closes on theta1 = -theta2
@@ -516,7 +546,7 @@ def _one_replicate_unless_random(cfg):
 
 def _config(kind):
     """A config of run kind `kind`: only fields it reads, then up to two replaced."""
-    reads, writes = RUN_KINDS[RUN_KIND_ALIASES.get(kind, kind)]
+    reads, writes, _ = RUN_KINDS[RUN_KIND_ALIASES.get(kind, kind)]
     # sizes are always drawn, and a sweep has no default axes
     required = {"run_kind": st.just(kind), **_SIZES, "sweep_grid": _PLAUSIBLE["sweep_grid"]}
     optional = {**_PLAUSIBLE, "outputs": st.none() | st.lists(st.sampled_from(writes), max_size=2)}

@@ -254,6 +254,10 @@ class TestConfigParsing:
             ({"steps": 10**11}, "steps"),
             ({"window": 10**11}, "window"),
             ({"window": 5000}, "window"),  # the pair joint distribution has 10001**2 entries
+            # every replicate's entropy series of 101 steps: 101,000,000 floats
+            ({"steps": 100, "ensemble_size": 10**6, "disorder": {"kind": "weak"}}, "ensemble_size"),
+            ({"run_kind": "single_split", "steps": 100, "ensemble_size": 10**6, "disorder": {"kind": "weak"}},
+             "ensemble_size"),
             ({"run_kind": "phase_diagram", "k_points": 10**30}, "k_points"),
             ({"run_kind": "phase_diagram", "grid_n": 10**9}, "grid_n"),
             (
@@ -269,7 +273,10 @@ class TestConfigParsing:
             # values the run kind would ignore
             ({"run_kind": "hadamard", "disorder": {"kind": "strong"}}, "disorder"),
             ({"run_kind": "phase_diagram", "disorder": {"kind": "weak"}}, "disorder"),
+            # values for a walker the run kind does not step
             ({"run_kind": "single_split", "disorder": {"kind": "weak", "target": "b"}}, "disorder"),
+            ({"run_kind": "single_split", "disorder": {"kind": "uniform", "half_width": 0.5, "target": "b"}},
+             "disorder"),
             ({"run_kind": "phase_diagram", "ensemble_size": 2}, "ensemble_size"),
             (
                 {
@@ -346,6 +353,8 @@ class TestConfigParsing:
             ({"run_kind": "phase_diagram", "steps": 5}, "steps"),
             ({"run_kind": "phase_diagram", "window": 12}, "window"),
             ({"run_kind": "single_split", "angles": {"a": [0.1, 0.2], "b": [0.3, 0.4]}}, "angles.b"),
+            ({"run_kind": "single_split", "angles": {"a": [0.1, 0.2], "b": {"minus": [0.3, 0.4], "plus": [0, 0]}}},
+             "angles.b"),
             # an odd k grid skips k = 0, where the gap closes on theta1 = -theta2
             ({"run_kind": "phase_diagram", "k_points": 65}, "k_points"),
             ({"run_kind": "phase_diagram", "k_points": 1023}, "k_points"),
@@ -591,6 +600,22 @@ class TestConfigParsing:
         # walker b's RunConfig default, as a manifest written before this rule holds it
         cfg = config_from_dict(minimal_dict("single_split", angles={"a": [0.1, 0.2], "b": [-PI / 2, 3 * PI / 4]}))
         assert config_to_dict(cfg)["angles"] == {"a": [0.1, 0.2]}
+
+    @pytest.mark.parametrize("kind, walkers", [("single_split", "a"), ("pair", "ab"), ("entropy_sweep", "ab")])
+    def test_the_manifest_keeps_the_angles_of_the_walkers_the_kind_steps(self, kind, walkers):
+        assert RUN_KINDS[kind][2] == walkers
+        angles = {"a": [0.1, 0.2], "b": [-PI / 2, 3 * PI / 4]}  # walker b's default, which a single walker may give
+        cfg = config_from_dict(minimal_dict(kind, angles=angles))
+        assert config_to_dict(cfg)["angles"] == {p: angles[p] for p in walkers}
+
+    def test_figure_config_dicts_are_pinned(self):
+        # the config dicts the 16 figure configs' manifests hold, as json.dumps(..., sort_keys=True) in name order
+        paths = sorted(CONFIG_DIR.glob("*.json"))
+        digest = hashlib.sha256()
+        for path in paths:
+            digest.update(json.dumps(config_to_dict(load_config(path)), sort_keys=True).encode())
+        assert len(paths) == 16
+        assert digest.hexdigest() == "5e7173950df258a9ab56a3ddc869bd6de70660aa9f1a50903a51cd1f3058eaba"
 
     @pytest.mark.parametrize("stem", ["fig3a_4c_tptpw_strong", "fig3b_4f_tptbw_strong"])
     def test_paper_names_run_the_pair_kind(self, tmp_path, stem):
@@ -898,7 +923,7 @@ class TestPairReplicates:
             for amps in chain.from_iterable(blocks):
                 rhos.append(pair_coin_density_from_singles(amps, coefficients))
             series.append(von_neumann_entropy(np.array(rhos)))
-            joint = joint_distribution_interference(amps[..., 0], amps[..., 1], coefficients)
+            joint = joint_distribution_interference(amps, coefficients)
             joint_sum = joint if joint_sum is None else joint_sum + joint
         series = np.array(series)
         assert art.entropy.tobytes() == series.mean(axis=0).tobytes()
@@ -1027,7 +1052,7 @@ class TestStepBlocks:
         if kind == "single_split":
             final = position_distribution(amps)
         else:
-            final = joint_distribution_interference(amps[..., 0], amps[..., 1], coefficients)
+            final = joint_distribution_interference(amps, coefficients)
         return von_neumann_entropy(np.array(rhos)), final, [len(block) for block in blocks]
 
     @pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])

@@ -29,12 +29,14 @@ from topowalk.errors import NumericalError, WindowOverflowError
 from topowalk.experiments import ANGLES_WINDING_1, ANGLES_WINDING_0
 from oracles import (
     JointDistribution,
+    complex_joint_distribution,
     evolve_pair,
     iter_pair_trajectory,
     joint_distribution_direct,
     make_pair_state,
     marginals,
     pair_entropy_series,
+    pair_walkers,
     pair_split_step,
     reduce_pair_to_coin,
     split_step,
@@ -186,8 +188,8 @@ class TestJointDistributionInterference:
         win = LatticeWindow(4)
         c0 = make_single_state(win, 0, (1, 0))
         c1 = make_single_state(win, 0, (0, 1))
-        walkers = walker_amps(c0, c1)
-        joint = joint_distribution_interference(walkers, walkers, PSI[+1])
+        walkers = pair_walkers(walker_amps(c0, c1), walker_amps(c0, c1))
+        joint = joint_distribution_interference(walkers, PSI[+1])
         assert_allclose(joint[win.index(0), win.index(0)], 1.0, atol=1e-14)
 
     @pytest.mark.parametrize("sign", [+1, -1])
@@ -199,11 +201,11 @@ class TestJointDistributionInterference:
         pair = make_pair_state(InitialPairState(kind), win)
         final, _ = evolve_pair(pair, fa, fb, n_steps)
         direct = joint_distribution_direct(final)
-        interf = joint_distribution_interference(
+        walkers = pair_walkers(
             walker_amps(run_single(win, (1, 0), fa, n_steps), run_single(win, (0, 1), fa, n_steps)),
             walker_amps(run_single(win, (1, 0), fb, n_steps), run_single(win, (0, 1), fb, n_steps)),
-            PSI[sign],
         )
+        interf = joint_distribution_interference(walkers, PSI[sign])
         assert np.abs(direct.values - interf).max() < 1e-10
         assert abs(interf.sum() - 1.0) < 1e-10
 
@@ -213,11 +215,11 @@ class TestJointDistributionInterference:
         dis = DisorderSpec("uniform", STRONG_HALF_WIDTH, "both")
         fa = sample_angle_field((0.2, 1.3), dis, n, win, "a", 9)
         fb = sample_angle_field((-1.0, 0.4), dis, n, win, "b", 9)
-        joint = joint_distribution_interference(
+        walkers = pair_walkers(
             walker_amps(run_single(win, (1, 0), fa, n), run_single(win, (0, 1), fa, n)),
             walker_amps(run_single(win, (1, 0), fb, n), run_single(win, (0, 1), fb, n)),
-            PSI[-1],
         )
+        joint = joint_distribution_interference(walkers, PSI[-1])
         assert abs(joint.sum() - 1.0) < 1e-10
         assert joint.min() >= 0.0
 
@@ -232,11 +234,11 @@ class TestJointDistributionInterference:
         kind = "psi+" if sign > 0 else "psi-"
         final, _ = evolve_pair(make_pair_state(InitialPairState(kind), win), fa, fb, n_steps)
         direct = joint_distribution_direct(final).values
-        interf = joint_distribution_interference(
+        walkers = pair_walkers(
             walker_amps(run_single(win, (1, 0), fa, n_steps), run_single(win, (0, 1), fa, n_steps)),
             walker_amps(run_single(win, (1, 0), fb, n_steps), run_single(win, (0, 1), fb, n_steps)),
-            PSI[sign],
         )
+        interf = joint_distribution_interference(walkers, PSI[sign])
         assert np.abs(direct - interf).max() < 1e-10
 
     @pytest.mark.parametrize("kind", ["sep", "psi+", "psi-"])
@@ -248,11 +250,11 @@ class TestJointDistributionInterference:
         fb = sample_angle_field((-1.7, 1.1), dis, n, win, "b", 13)
         init = InitialPairState(kind)
         final, _ = evolve_pair(make_pair_state(init, win), fa, fb, n)
-        interf = joint_distribution_interference(
+        walkers = pair_walkers(
             walker_amps(run_single(win, (1, 0), fa, n), run_single(win, (0, 1), fa, n)),
             walker_amps(run_single(win, (1, 0), fb, n), run_single(win, (0, 1), fb, n)),
-            coin_coefficients(init),
         )
+        interf = joint_distribution_interference(walkers, coin_coefficients(init))
         assert np.abs(joint_distribution_direct(final).values - interf).max() < 1e-12
 
     def test_separable_terms_give_the_product_of_marginals(self):
@@ -261,9 +263,8 @@ class TestJointDistributionInterference:
         fa, fb = clean_fields(win, n)
         c0_a, c1_a = run_single(win, (1, 0), fa, n), run_single(win, (0, 1), fa, n)
         c0_b, c1_b = run_single(win, (1, 0), fb, n), run_single(win, (0, 1), fb, n)
-        joint = joint_distribution_interference(
-            walker_amps(c0_a, c1_a), walker_amps(c0_b, c1_b), coin_coefficients(InitialPairState("sep"))
-        )
+        walkers = pair_walkers(walker_amps(c0_a, c1_a), walker_amps(c0_b, c1_b))
+        joint = joint_distribution_interference(walkers, coin_coefficients(InitialPairState("sep")))
         expected = np.outer(position_distribution(c0_a), position_distribution(c1_b))
         assert np.abs(joint - expected).max() < 1e-15
 
@@ -272,15 +273,33 @@ class TestJointDistributionInterference:
         c0 = make_single_state(win, 0, (1, 0))
         c1 = make_single_state(win, 0, (0, 1))
         c1[win.index(0), 1] = np.nan
-        walkers = walker_amps(c0, c1)
+        walkers = pair_walkers(walker_amps(c0, c1), walker_amps(c0, c1))
         with pytest.raises(NumericalError):
-            joint_distribution_interference(walkers, walkers, PSI[+1])
+            joint_distribution_interference(walkers, PSI[+1])
 
-    def test_rejects_mismatched_windows(self):
-        c0 = make_single_state(LatticeWindow(3), 0, (1, 0))
-        c1 = make_single_state(LatticeWindow(4), 0, (0, 1))
-        with pytest.raises(ValueError):
-            joint_distribution_interference(walker_amps(c0, c0), walker_amps(c1, c1), PSI[+1])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (7, 2, 2),  # one particle's walkers
+            (7, 2, 2, 3),  # three particles
+            (7, 2, 2, 3, 2),  # a cell axis: the joint distribution is one cell's
+            (7, 2, 1, 2),  # one start coin
+            (7, 1, 2, 2),  # one coin
+            (2, 2, 2),  # no site axis
+        ],
+    )
+    def test_rejects_walkers_of_any_other_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"walkers must have axes (site, 2, 2, 2), got shape {shape}")):
+            joint_distribution_interference(np.zeros(shape), PSI[+1])
+
+    @pytest.mark.parametrize("dtype", [complex, np.complex64, np.float32])
+    def test_rejects_walkers_other_than_float64(self, dtype):
+        # complex walkers took the complex route before; it is the tests' oracle now
+        win = LatticeWindow(3)
+        walkers = walker_amps(make_single_state(win, 0, (1, 0)), make_single_state(win, 0, (0, 1)))
+        walkers = pair_walkers(walkers, walkers).astype(dtype)
+        with pytest.raises(ValueError, match=f"walkers must be float64, got dtype {np.dtype(dtype)}$"):
+            joint_distribution_interference(walkers, PSI[+1])
 
     def test_inconsistent_inputs_fail_normalization(self):
         # walkers evolved for different durations are physically inconsistent
@@ -288,7 +307,7 @@ class TestJointDistributionInterference:
         fa, fb = clean_fields(win, 6)
         walkers = walker_amps(run_single(win, (1, 0), fa, 6), run_single(win, (0, 1), fa, 4))
         with pytest.raises(NumericalError):
-            joint_distribution_interference(walkers, walkers, PSI[+1])
+            joint_distribution_interference(pair_walkers(walkers, walkers), PSI[+1])
 
 
 class TestCorrelations:
@@ -593,8 +612,8 @@ class TestProductDecomposition:
             expected = two_gram_coin_density(complex_walkers[..., 0], complex_walkers[..., 1], coefficients)
             assert rho.tobytes() == np.ascontiguousarray(expected.real).tobytes()
         for c in range(3):
-            joint = joint_distribution_interference(walkers[..., c, 0], walkers[..., c, 1], coefficients)
-            expected = joint_distribution_interference(complex_walkers[..., c, 0], complex_walkers[..., c, 1], coefficients)
+            joint = joint_distribution_interference(walkers[..., c, :], coefficients)
+            expected = complex_joint_distribution(complex_walkers[..., c, 0], complex_walkers[..., c, 1], coefficients)
             assert joint.tobytes() == expected.tobytes()
 
     def test_complex_weights_raise(self):

@@ -800,6 +800,7 @@ class TestFieldShapes:
             [(2, 7, 3), (2, 7, 3, 1)],  # a cell axis beside none
             [(3, 7, 3), (3, 7, 3)],  # three angle planes
             [(2, 7), (2, 7)],  # no step axis
+            [(2, 0, 3), (2, 0, 3)],  # no sites
             [],
         ],
     )
@@ -808,10 +809,30 @@ class TestFieldShapes:
         with pytest.raises(ValueError, match=re.escape(f"got shapes {shapes}")):
             split_coins(fields)
 
-    @pytest.mark.parametrize("shape", [(2, 7), (3, 7, 3), (7,), ()])
+    @pytest.mark.parametrize("shape", [(2, 7), (3, 7, 3), (7,), (), (2, 0, 3), (2, 0, 0, 2)])
     def test_a_lone_field_has_two_planes_and_three_axes(self, shape):
         with pytest.raises(ValueError, match=re.escape(f"got shapes {[shape]}")):
             split_coins(np.zeros(shape))
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            (np.zeros((2, 7, 3)).tolist(), "fields must be numpy arrays, got types ['list', 'list']"),
+            ([np.zeros((2, 7, 3)), np.zeros((2, 7, 3)).tolist()], "got types ['ndarray', 'list']"),
+            ([(np.zeros((7, 3)), np.zeros((7, 3)))], "got types ['tuple']"),
+            (np.zeros((2, 7, 3), complex), "fields must be float64, got dtypes ['complex128']"),
+            (np.zeros((2, 7, 3), np.float32), "got dtypes ['float32']"),
+            (np.zeros((2, 7, 3), int), "got dtypes ['int64']"),
+            ([np.zeros((2, 7, 3)), np.zeros((2, 7, 3), complex)], "got dtypes ['float64', 'complex128']"),
+        ],
+    )
+    def test_fields_are_float64_arrays(self, field, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            split_coins(field)
+
+    def test_a_field_of_no_steps_is_a_walk_of_none(self):
+        assert split_coins(np.zeros((2, 7, 0))).shape == (2, 2, 0, 2, 1, 7)
+        assert split_coins([np.zeros((2, 7, 0, 3))] * 2).shape == (2, 2, 0, 2, 1, 3, 2, 7)
 
     def test_a_broadcast_field_beside_a_full_one_shares_its_shape(self):
         # a field that stores one step is broadcast to the walk's steps, so its shape is the full one's
